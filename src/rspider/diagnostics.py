@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import ManifoldPoint
 from .oracle import FiniteSumObjective, PcaProblem, leading_eigpair
-from .optim import FrozenState, RunTrace
+from .optim import FrozenState, RunTrace, _correct
 
 __all__ = [
     "CONVERGED",
@@ -239,31 +239,26 @@ def variance_probe(
 ) -> ProbeReport:
     """Monte-Carlo check of the correction estimator's conditional variance.
 
-    Re-draws the correction minibatch of a captured mid-run state and measures
-    the mean of |v_k - grad f(x_k)|^2. The analytic budget for a full epoch is
-    eps^2; the reported bound applies ``slack`` (default 2) to absorb sampling
-    noise. A batch of size >= n is the deterministic full-batch correction, so
-    every resample coincides.
+    Re-draws the correction minibatch of a captured mid-run state, applies
+    the solvers' own correction step to it and measures the mean of
+    |v_k - grad f(x_k)|^2. The analytic budget for a full epoch is eps^2; the
+    reported bound applies ``slack`` (default 2) to absorb sampling noise. A
+    batch of size >= n is the deterministic full-batch correction, so every
+    resample coincides.
     """
-    man = obj.manifold
     rng = np.random.default_rng(seed)
-    vals = []
+    x, y, ref = frozen.x_curr, frozen.x_prev, frozen.v_prev
     with obj.counter.paused():
-        target = obj.full_rgrad(frozen.x_curr)
-        carried = (frozen.v_prev - obj.full_rgrad(frozen.x_prev)).norm()
+        target = obj.full_rgrad(x)
+        carried = (ref - obj.full_rgrad(y)).norm()
         if frozen.s2 >= obj.n:
-            g_new = obj.full_rgrad(frozen.x_curr)
-            g_old = obj.full_rgrad(frozen.x_prev)
-            v = g_new - man.transport(frozen.x_prev, frozen.x_curr, g_old - frozen.v_prev)
+            v = _correct(obj, obj.full_rgrad, x, y, ref, "paired", frozen.k)
             vals = [(v - target)._sq] * resamples
         else:
+            vals = []
             for _ in range(resamples):
                 idx = rng.integers(0, obj.n, size=frozen.s2)
-                g_new = obj.minibatch_rgrad(idx, frozen.x_curr)
-                g_old = obj.minibatch_rgrad(idx, frozen.x_prev)
-                v = g_new - man.transport(
-                    frozen.x_prev, frozen.x_curr, g_old - frozen.v_prev
-                )
+                v = _correct(obj, obj.minibatch_rgrad, x, y, ref, "paired", frozen.k, idx)
                 vals.append((v - target)._sq)
     return ProbeReport(
         name="variance_probe",

@@ -1,11 +1,13 @@
 """Variance-reduced stochastic optimizers on geodesic manifolds.
 
-The core estimator keeps a running gradient surrogate ``v`` that is
-corrected each step with a paired minibatch evaluated at the current and
-previous iterates, combined via parallel transport, and re-anchored every
-``q`` steps. Two restart schemes give linear convergence on
-gradient-dominated objectives. SGD and SVRG baselines share the same
-tracing and accounting machinery.
+Every variance-reduced solver here is a schedule around one estimator step,
+:func:`_correct`: the transported difference g(x) - transport(y -> x,
+g(y) - ref) of one sampled gradient evaluated at two points. The recursive
+solver takes y = the previous iterate and ref = its running surrogate,
+re-anchored every ``q`` steps; SVRG takes y = a snapshot and ref = the
+snapshot's full gradient. Two restart schemes built on the recursive solver
+give linear convergence on gradient-dominated objectives. An SGD baseline
+shares the same tracing and accounting machinery.
 """
 
 from __future__ import annotations
@@ -44,9 +46,23 @@ class OptimizerError(RuntimeError):
     """An optimizer run aborted (degenerate geometry or invalid state)."""
 
 
+def _check_modes(map_mode: str, ifo_convention: str = "paired"):
+    if map_mode not in MAP_MODES:
+        raise ValueError(f"map_mode must be one of {MAP_MODES}")
+    if ifo_convention not in IFO_CONVENTIONS:
+        raise ValueError(f"ifo_convention must be one of {IFO_CONVENTIONS}")
+
+
 def _ceil_tol(x: float) -> int:
     """Ceiling with a relative guard against float noise just above an integer."""
     return math.ceil(x - 1e-9 * max(1.0, abs(x)))
+
+
+def _batch_size(q, L, step_len, budget, n):
+    raw = q * L**2 * step_len**2 / budget
+    if n is not None:
+        raw = min(float(n), raw)
+    return max(1, _ceil_tol(raw))
 
 
 def correction_batch_size(
@@ -57,10 +73,7 @@ def correction_batch_size(
     Clamped to at least one sample; a zero-length step would otherwise skip
     the correction and break the estimator recursion.
     """
-    raw = q * L**2 * step_len**2 / (2.0 * eps**2)
-    if n is not None:
-        raw = min(float(n), raw)
-    return max(1, _ceil_tol(raw))
+    return _batch_size(q, L, step_len, 2.0 * eps**2, n)
 
 
 @dataclass
@@ -91,10 +104,7 @@ class SpiderConfig:
             self.eta = 1.0 / (2.0 * self.L)
         if self.eta <= 0:
             raise ValueError("step size must be positive")
-        if self.map_mode not in MAP_MODES:
-            raise ValueError(f"map_mode must be one of {MAP_MODES}")
-        if self.ifo_convention not in IFO_CONVENTIONS:
-            raise ValueError(f"ifo_convention must be one of {IFO_CONVENTIONS}")
+        _check_modes(self.map_mode, self.ifo_convention)
 
 
 @dataclass
@@ -102,9 +112,7 @@ class GdConfig:
     """Restart schedule for gradient-dominated objectives.
 
     ``tau`` is the gradient-domination constant, ``M0`` an upper bound on the
-    initial optimality gap. ``eta_mode="eps-scaled"`` uses the stage step
-    eps_t / L instead of the constant 1/(2L). ``chain`` picks which iterate a
-    stage hands to the next one: the solver's randomized pick or the last.
+    initial optimality gap. Both restart schemes step with 1/(2L).
     """
 
     M0: float
@@ -114,22 +122,13 @@ class GdConfig:
     map_mode: str = "exp"
     seed: int = 0
     ifo_convention: str = "paired"
-    eta_mode: str = "constant"
-    chain: str = "random"
 
     def __post_init__(self):
         if self.M0 <= 0 or self.tau <= 0 or self.L <= 0:
             raise ValueError("M0, tau and L must be positive")
         if self.K < 0:
             raise ValueError("need K >= 0")
-        if self.map_mode not in MAP_MODES:
-            raise ValueError(f"map_mode must be one of {MAP_MODES}")
-        if self.ifo_convention not in IFO_CONVENTIONS:
-            raise ValueError(f"ifo_convention must be one of {IFO_CONVENTIONS}")
-        if self.eta_mode not in ("constant", "eps-scaled"):
-            raise ValueError("eta_mode must be 'constant' or 'eps-scaled'")
-        if self.chain not in ("random", "last"):
-            raise ValueError("chain must be 'random' or 'last'")
+        _check_modes(self.map_mode, self.ifo_convention)
 
 
 @dataclass
@@ -222,116 +221,93 @@ def _update(man, x, v, eta, map_mode, k):
     return x_next, step_len
 
 
-def _paired_minibatch(obj, idx, x_curr, x_prev, convention):
-    """Evaluate one index multiset at both points.
+def _run_trace(obj, tracer, algo, config, seed, **extra) -> RunTrace:
+    meta = {
+        "algo": algo,
+        "config": config,
+        "seed": seed,
+        "n": obj.n,
+        "checkpoint_every": tracer.every,
+        "ifo": obj.counter.calls,
+        **extra,
+    }
+    return RunTrace(records=tracer.records, meta=meta)
 
-    Under the "paired" convention each sampled component charges one call per
-    evaluation point (two total); "single" charges only the current point.
+
+def _correct(obj, grad, x, y, ref, convention, k, *idx):
+    """The estimator step: grad(x) - transport(y -> x, grad(y) - ref).
+
+    ``grad(*idx, p)`` evaluates one sample at p: ``obj.full_rgrad`` with no
+    index, ``obj.minibatch_rgrad`` with an index multiset or
+    ``obj.component_rgrad`` with one index. The "paired" convention charges
+    both evaluations, "single" only the one at x.
     """
-    g_new = obj.minibatch_rgrad(idx, x_curr)
+    g_x = grad(*idx, x)
     if convention == "paired":
-        g_old = obj.minibatch_rgrad(idx, x_prev)
+        g_y = grad(*idx, y)
     else:
         with obj.counter.paused():
-            g_old = obj.minibatch_rgrad(idx, x_prev)
-    return g_new, g_old
-
-
-def _paired_full(obj, x_curr, x_prev, convention):
-    g_new = obj.full_rgrad(x_curr)
-    if convention == "paired":
-        g_old = obj.full_rgrad(x_prev)
-    else:
-        with obj.counter.paused():
-            g_old = obj.full_rgrad(x_prev)
-    return g_new, g_old
+            g_y = grad(*idx, y)
+    try:
+        return g_x - obj.manifold.transport(y, x, g_y - ref)
+    except (AntipodalError, GeometryError) as e:
+        raise OptimizerError(f"transport failed at iteration {k}: {e}") from e
 
 
 def _spider_core(
-    obj,
-    x0,
-    cfg: SpiderConfig,
-    *,
-    checkpoint_every=1.0,
-    max_ifo=None,
-    on_correction=None,
-    rng=None,
-    tracer=None,
-    k_offset=0,
+    obj, x0, cfg: SpiderConfig, budget, rng, tracer, tallies, *,
+    max_ifo=None, on_correction=None, k_offset=0, pick=True,
 ):
-    """Run the recursive estimator; returns (random iterate, last iterate, steps done)."""
+    """Run up to ``cfg.T`` steps of the recursive estimator from ``x0``.
+
+    Every ``q``-th step re-anchors the surrogate ``v``; the others correct it
+    with ceil(min(n, q L^2 step^2 / budget)) samples. Charged calls go to
+    ``tallies``, iterates to ``tracer``. Returns (a uniform pick over the
+    produced iterates, or x0 without ``pick``; the last iterate; steps done;
+    the last step length; the last batch size).
+    """
     man = obj.manifold
     if x0.manifold != man:
         raise ValueError("x0 does not live on the objective's manifold")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    own_trace = tracer is None
-    if own_trace:
-        tracer = _Tracer(obj, checkpoint_every)
-    tallies = {"anchor": 0, "correction": 0}
-    calls_start = obj.counter.calls
-
-    x = x0
-    x_prev = None
-    v = None
+    full_anchor = cfg.n is not None and cfg.S1 >= obj.n
+    cap = obj.n if cfg.n is not None else None
+    conv = cfg.ifo_convention
+    x = x_out = x0
+    x_prev = v = None
     step_len = 0.0
-    x_out = x0
-    seen = 0
-    done = 0
-
-    if cfg.T >= 1 and own_trace:
-        tracer.after_step(k_offset, x0, 0.0, 0)
-
+    batch = done = 0
     for k in range(cfg.T):
         if max_ifo is not None and obj.counter.calls >= max_ifo:
             break
         if k % cfg.q == 0:
-            if cfg.n is not None and cfg.S1 >= obj.n:
+            if full_anchor:
                 v = obj.full_rgrad(x)  # deterministic anchor
                 batch = obj.n
             else:
-                idx = rng.integers(0, obj.n, size=cfg.S1)
-                v = obj.minibatch_rgrad(idx, x)
+                v = obj.minibatch_rgrad(rng.integers(0, obj.n, size=cfg.S1), x)
                 batch = cfg.S1
             tallies["anchor"] += batch
         else:
-            cap = obj.n if cfg.n is not None else None
-            s2 = correction_batch_size(cfg.q, cfg.L, step_len, cfg.eps, cap)
+            s2 = _batch_size(cfg.q, cfg.L, step_len, budget, cap)
             if on_correction is not None:
                 on_correction(FrozenState(k_offset + k, x_prev, x, v, s2, cfg.eps))
-            if cfg.n is not None and s2 >= obj.n:
-                g_new, g_old = _paired_full(obj, x, x_prev, cfg.ifo_convention)
+            if cap is not None and s2 >= cap:
                 batch = obj.n
+                v = _correct(obj, obj.full_rgrad, x, x_prev, v, conv, k_offset + k)
             else:
-                idx = rng.integers(0, obj.n, size=s2)
-                g_new, g_old = _paired_minibatch(obj, idx, x, x_prev, cfg.ifo_convention)
                 batch = s2
-            charged = 2 * batch if cfg.ifo_convention == "paired" else batch
-            tallies["correction"] += charged
-            try:
-                v = g_new - man.transport(x_prev, x, g_old - v)
-            except (AntipodalError, GeometryError) as e:
-                raise OptimizerError(
-                    f"transport failed at iteration {k_offset + k}: {e}"
-                ) from e
+                idx = rng.integers(0, obj.n, size=s2)
+                v = _correct(obj, obj.minibatch_rgrad, x, x_prev, v, conv, k_offset + k, idx)
+            tallies["correction"] += 2 * batch if conv == "paired" else batch
 
         x_next, step_len = _update(man, x, v, cfg.eta, cfg.map_mode, k_offset + k)
-        seen += 1
-        if rng.random() * seen < 1.0:
+        if pick and rng.random() * (k + 1) < 1.0:
             x_out = x_next  # reservoir pick: uniform over produced iterates
         x_prev = x
         x = x_next
         done = k + 1
         tracer.after_step(k_offset + done, x, step_len, batch)
-
-    info = {
-        "steps": done,
-        "ifo": obj.counter.calls - calls_start,
-        "ifo_breakdown": tallies,
-    }
-    if own_trace and cfg.T >= 1:
-        tracer.final(k_offset + done, x, step_len, 0 if done == 0 else batch)
-    return x_out, x, info, tracer
+    return x_out, x, done, step_len, batch
 
 
 def spider_nonconvex(
@@ -355,25 +331,24 @@ def spider_nonconvex(
     ``on_correction``, when given, receives a :class:`FrozenState` right
     before each correction step is sampled.
     """
-    x_rand, _x_last, info, tracer = _spider_core(
-        obj,
-        x0,
-        cfg,
-        checkpoint_every=checkpoint_every,
-        max_ifo=max_ifo,
-        on_correction=on_correction,
-        rng=rng,
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    tracer = _Tracer(obj, checkpoint_every)
+    tallies = {"anchor": 0, "correction": 0}
+    calls_start = obj.counter.calls
+    if cfg.T >= 1:
+        tracer.after_step(0, x0, 0.0, 0)
+    x_rand, x_last, steps, step_len, batch = _spider_core(
+        obj, x0, cfg, 2.0 * cfg.eps**2, rng, tracer, tallies,
+        max_ifo=max_ifo, on_correction=on_correction,
     )
-    meta = {
-        "algo": "spider",
-        "config": asdict(cfg),
-        "seed": cfg.seed,
-        "n": obj.n,
-        "ifo_convention": cfg.ifo_convention,
-        "checkpoint_every": tracer.every,
-        **info,
-    }
-    return x_rand, RunTrace(records=tracer.records, meta=meta)
+    if cfg.T >= 1:
+        tracer.final(steps, x_last, step_len, batch)
+    return x_rand, _run_trace(
+        obj, tracer, "spider", asdict(cfg), cfg.seed,
+        ifo_convention=cfg.ifo_convention, steps=steps,
+        ifo=obj.counter.calls - calls_start, ifo_breakdown=tallies,
+    )
 
 
 def params_stochastic(sigma_sq, eps, M, L, **kwargs) -> SpiderConfig:
@@ -414,6 +389,14 @@ def params_finite(n, eps, M, L, **kwargs) -> SpiderConfig:
     )
 
 
+def _stage(cfg: GdConfig, n: int, eps: float, q: int, T: int) -> SpiderConfig:
+    """One restart stage: full-gradient anchors and the step 1/(2L)."""
+    return SpiderConfig(
+        L=cfg.L, eps=eps, q=q, S1=n, T=T, n=n, map_mode=cfg.map_mode,
+        seed=cfg.seed, ifo_convention=cfg.ifo_convention,
+    )
+
+
 def spider_gd1(
     obj: FiniteSumObjective,
     x0: ManifoldPoint,
@@ -433,7 +416,9 @@ def spider_gd1(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     tracer = _Tracer(obj, checkpoint_every)
+    tallies = {"anchor": 0, "correction": 0}
     n = obj.n
+    q = max(1, _ceil_tol(math.sqrt(n)))
     x = x0
     k_off = 0
     stages = []
@@ -444,52 +429,27 @@ def spider_gd1(
         eps_t = math.sqrt(cfg.M0 / (2.0**t * 10.0 * cfg.tau))
         m_t = cfg.M0 / 2.0 ** (t - 1)
         t_t = _ceil_tol(4.0 * m_t * cfg.L / eps_t**2)
-        eta_t = 1.0 / (2.0 * cfg.L) if cfg.eta_mode == "constant" else eps_t / cfg.L
-        inner = SpiderConfig(
-            L=cfg.L,
-            eps=eps_t,
-            q=max(1, _ceil_tol(math.sqrt(n))),
-            S1=n,
-            T=t_t,
-            eta=eta_t,
-            n=n,
-            map_mode=cfg.map_mode,
-            seed=cfg.seed,
-            ifo_convention=cfg.ifo_convention,
+        inner = _stage(cfg, n, eps_t, q, t_t)
+        x, _last, steps, _, _ = _spider_core(
+            obj, x, inner, 2.0 * eps_t**2, rng, tracer, tallies,
+            max_ifo=max_ifo, k_offset=k_off,
         )
-        x_rand, x_last, info, _ = _spider_core(
-            obj,
-            x,
-            inner,
-            max_ifo=max_ifo,
-            rng=rng,
-            tracer=tracer,
-            k_offset=k_off,
-        )
-        x = x_rand if cfg.chain == "random" else x_last
-        k_off += info["steps"]
+        k_off += steps
         stages.append(
             {
                 "stage": t,
                 "eps": eps_t,
-                "eta": eta_t,
+                "eta": inner.eta,
                 "T": t_t,
-                "steps": info["steps"],
+                "steps": steps,
                 "ifo_end": obj.counter.calls,
             }
         )
     tracer.final(k_off, x, 0.0, 0)
-    meta = {
-        "algo": "spider-gd1",
-        "config": asdict(cfg),
-        "seed": cfg.seed,
-        "n": n,
-        "ifo_convention": cfg.ifo_convention,
-        "checkpoint_every": tracer.every,
-        "stages": stages,
-        "ifo": obj.counter.calls,
-    }
-    return x, RunTrace(records=tracer.records, meta=meta)
+    return x, _run_trace(
+        obj, tracer, "spider-gd1", asdict(cfg), cfg.seed,
+        ifo_convention=cfg.ifo_convention, stages=stages, ifo_breakdown=tallies,
+    )
 
 
 def spider_gd2(
@@ -504,74 +464,38 @@ def spider_gd2(
 ) -> tuple[ManifoldPoint, RunTrace]:
     """Single-loop variant for gradient-dominated objectives.
 
-    Runs q*K steps with q = ceil(4 L tau log 4) and step 1/(2L). Full-gradient
-    anchors every q steps halve the variance budget ``delta`` (initially
-    M0 / (4 tau)); correction batches are sized by
-    ceil(min(n, q L^2 (step length)^2 / delta)). Returns the final iterate.
+    Runs K stages of q = ceil(4 L tau log 4) recursive steps with step
+    1/(2L), each opened by a full-gradient anchor and handing its last
+    iterate to the next. Stage t sizes its corrections by
+    ceil(min(n, q L^2 (step length)^2 / delta_t)), where the variance budget
+    delta_t = M0 / (4 tau) / 2^t halves every stage. Returns the final iterate.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    man = obj.manifold
     n = obj.n
     q = max(1, _ceil_tol(4.0 * cfg.L * cfg.tau * math.log(4.0)))
-    delta = cfg.M0 / (4.0 * cfg.tau)
-    eta = 1.0 / (2.0 * cfg.L)
+    delta0 = cfg.M0 / (4.0 * cfg.tau)
     tracer = _Tracer(obj, checkpoint_every)
     tallies = {"anchor": 0, "correction": 0}
-
     x = x0
-    x_prev = None
-    v = None
+    done = batch = 0
     step_len = 0.0
-    batch = 0
-    total = q * cfg.K
-    done = 0
-    if total >= 1:
+    if cfg.K >= 1:
         tracer.after_step(0, x0, 0.0, 0)
-    for k in range(total):
+    for t in range(cfg.K):
         if max_ifo is not None and obj.counter.calls >= max_ifo:
             break
-        if k % q == 0:
-            v = obj.full_rgrad(x)
-            batch = n
-            tallies["anchor"] += n
-            if k > 0:
-                delta /= 2.0
-        else:
-            s2 = max(1, _ceil_tol(min(float(n), q * cfg.L**2 * step_len**2 / delta)))
-            if on_correction is not None:
-                on_correction(FrozenState(k, x_prev, x, v, s2, math.sqrt(delta)))
-            if s2 >= n:
-                g_new, g_old = _paired_full(obj, x, x_prev, cfg.ifo_convention)
-                batch = n
-            else:
-                idx = rng.integers(0, n, size=s2)
-                g_new, g_old = _paired_minibatch(obj, idx, x, x_prev, cfg.ifo_convention)
-                batch = s2
-            tallies["correction"] += 2 * batch if cfg.ifo_convention == "paired" else batch
-            try:
-                v = g_new - man.transport(x_prev, x, g_old - v)
-            except (AntipodalError, GeometryError) as e:
-                raise OptimizerError(f"transport failed at iteration {k}: {e}") from e
-        x_next, step_len = _update(man, x, v, eta, cfg.map_mode, k)
-        x_prev = x
-        x = x_next
-        done = k + 1
-        tracer.after_step(done, x, step_len, batch)
+        delta = delta0 / 2.0**t
+        _, x, steps, step_len, batch = _spider_core(
+            obj, x, _stage(cfg, n, math.sqrt(delta), q, q), delta, rng, tracer, tallies, max_ifo=max_ifo,
+            on_correction=on_correction, k_offset=done, pick=False,
+        )
+        done += steps
     tracer.final(done, x, step_len, batch)
-    meta = {
-        "algo": "spider-gd2",
-        "config": asdict(cfg),
-        "seed": cfg.seed,
-        "n": n,
-        "q": q,
-        "delta0": cfg.M0 / (4.0 * cfg.tau),
-        "ifo_convention": cfg.ifo_convention,
-        "checkpoint_every": tracer.every,
-        "ifo": obj.counter.calls,
-        "ifo_breakdown": tallies,
-    }
-    return x, RunTrace(records=tracer.records, meta=meta)
+    return x, _run_trace(
+        obj, tracer, "spider-gd2", asdict(cfg), cfg.seed, q=q, delta0=delta0,
+        ifo_convention=cfg.ifo_convention, ifo_breakdown=tallies,
+    )
 
 
 def rsgd(
@@ -589,8 +513,7 @@ def rsgd(
 
     ``eta`` is a constant or a callable k -> step size.
     """
-    if map_mode not in MAP_MODES:
-        raise ValueError(f"map_mode must be one of {MAP_MODES}")
+    _check_modes(map_mode)
     eta_fn = eta if callable(eta) else (lambda k: eta)
     rng = np.random.default_rng(seed)
     man = obj.manifold
@@ -609,16 +532,8 @@ def rsgd(
         done = k + 1
         tracer.after_step(done, x, step_len, 1)
     tracer.final(done, x, step_len, 0 if done == 0 else 1)
-    meta = {
-        "algo": "rsgd",
-        "config": {"eta": eta if not callable(eta) else repr(eta), "T": T},
-        "seed": seed,
-        "n": obj.n,
-        "map_mode": map_mode,
-        "checkpoint_every": tracer.every,
-        "ifo": obj.counter.calls,
-    }
-    return x, RunTrace(records=tracer.records, meta=meta)
+    config = {"eta": eta if not callable(eta) else repr(eta), "T": T}
+    return x, _run_trace(obj, tracer, "rsgd", config, seed, map_mode=map_mode)
 
 
 def rsvrg(
@@ -642,61 +557,39 @@ def rsvrg(
     normalization (x + v)/|x + v|, the classical power-method-flavored
     approximation of the exponential update.
     """
-    if map_mode not in MAP_MODES:
-        raise ValueError(f"map_mode must be one of {MAP_MODES}")
-    if ifo_convention not in IFO_CONVENTIONS:
-        raise ValueError(f"ifo_convention must be one of {IFO_CONVENTIONS}")
+    _check_modes(map_mode, ifo_convention)
     m = obj.n if inner_len is None else int(inner_len)
     if m < 1:
         raise ValueError("inner loop length must be >= 1")
     rng = np.random.default_rng(seed)
     man = obj.manifold
     tracer = _Tracer(obj, checkpoint_every)
+    tallies = {"anchor": 0, "correction": 0}
+    charge = 2 if ifo_convention == "paired" else 1
     x = x0
     step_len = 0.0
     k_global = 0
-    stopped = False
     if epochs >= 1:
         tracer.after_step(0, x0, 0.0, 0)
     for _s in range(epochs):
-        if stopped or (max_ifo is not None and obj.counter.calls >= max_ifo):
+        if max_ifo is not None and obj.counter.calls >= max_ifo:
             break
         x_snap = x
         mu = obj.full_rgrad(x_snap)
+        tallies["anchor"] += obj.n
         tracer.after_step(k_global, x, 0.0, obj.n)
         for _j in range(m):
             if max_ifo is not None and obj.counter.calls >= max_ifo:
-                stopped = True
                 break
             i = int(rng.integers(0, obj.n))
-            g_new = obj.component_rgrad(i, x)
-            if ifo_convention == "paired":
-                g_old = obj.component_rgrad(i, x_snap)
-            else:
-                with obj.counter.paused():
-                    g_old = obj.component_rgrad(i, x_snap)
-            try:
-                v = g_new - man.transport(x_snap, x, g_old - mu)
-            except (AntipodalError, GeometryError) as e:
-                raise OptimizerError(
-                    f"transport failed at inner step {k_global}: {e}"
-                ) from e
+            v = _correct(obj, obj.component_rgrad, x, x_snap, mu, ifo_convention, k_global, i)
+            tallies["correction"] += charge
             x, step_len = _update(man, x, v, eta, map_mode, k_global)
             k_global += 1
             tracer.after_step(k_global, x, step_len, 1)
     tracer.final(k_global, x, step_len, 1 if k_global else 0)
-    meta = {
-        "algo": "rsvrg",
-        "config": {
-            "eta": eta,
-            "epochs": epochs,
-            "inner_len": m,
-            "map_mode": map_mode,
-        },
-        "seed": seed,
-        "n": obj.n,
-        "ifo_convention": ifo_convention,
-        "checkpoint_every": tracer.every,
-        "ifo": obj.counter.calls,
-    }
-    return x, RunTrace(records=tracer.records, meta=meta)
+    config = {"eta": eta, "epochs": epochs, "inner_len": m, "map_mode": map_mode}
+    return x, _run_trace(
+        obj, tracer, "rsvrg", config, seed,
+        ifo_convention=ifo_convention, ifo_breakdown=tallies,
+    )

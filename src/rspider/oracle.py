@@ -183,7 +183,6 @@ class PcaProblem(FiniteSumObjective):
         # certified component smoothness: each -(z^T x)^2 is 4*|z|^2 smooth,
         # and the variance recursion needs the root-mean-square of those
         self._l_component = 4.0 * math.sqrt(float(np.mean(col_sq**2)))
-        self._lam1_cache = float(self.spectrum[0]) if self.spectrum is not None else None
 
     @property
     def d(self) -> int:
@@ -197,13 +196,6 @@ class PcaProblem(FiniteSumObjective):
     @property
     def L_hint(self) -> float:
         return self._l_component
-
-    @property
-    def mean_smoothness_bound(self) -> float:
-        """4 * lambda_1: a smoothness bound for the averaged objective."""
-        if self._lam1_cache is None:
-            self._lam1_cache = leading_eigpair(self)[0]
-        return 4.0 * self._lam1_cache
 
     def value(self, x: ManifoldPoint) -> float:
         w = self.Z.T @ x.coords

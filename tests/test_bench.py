@@ -279,6 +279,26 @@ class TestCli:
         conf.write_text("nonsense_key = 3\n")
         assert cli_main(["bench", "--config", str(conf), "--out", "x.csv"]) == 1
 
+    def test_bad_gap_fails_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        import rspider.bench as bench
+
+        ran = []
+        monkeypatch.setattr(bench, "run_cell", lambda *a, **k: ran.append(a))
+        out = tmp_path / "x.csv"
+        code = cli_main(
+            ["bench", "--d", "10", "--n", "50", "--delta-list", "0.1,0.3",
+             "--epochs", "1", "--seeds", "0", "--out", str(out)]
+        )
+        assert code == 1
+        assert "packed spectrum needs 0 < delta < 0.25" in capsys.readouterr().err
+        assert ran == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_geometric_gap_checked_by_its_spectrum(self):
+        with pytest.raises(ValueError, match="lambda_1"):
+            tiny_cfg(spectrum="geometric", delta_list=(0.2, 1.5))
+        tiny_cfg(spectrum="geometric", delta_list=(0.2, 0.6))
+
     def test_unwritable_output_exits_two(self, tmp_path):
         code = cli_main(
             ["bench", "--algo", "rsgd", "--d", "10", "--n", "30",

@@ -13,7 +13,6 @@ To print the current digests after an intended change of behavior, run
 
 import hashlib
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ import rspider as r
 from rspider.bench import ALGORITHMS, ExperimentConfig, run_sweep
 from rspider.optim import (
     GdConfig,
-    SpiderConfig,
     params_finite,
     params_stochastic,
     rsvrg,

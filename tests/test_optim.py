@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import rspider as r
 from rspider.optim import (
     GdConfig,
     SpiderConfig,
     _spider_core,
+    _Tracer,
     correction_batch_size,
     params_finite,
     params_stochastic,
@@ -97,7 +100,10 @@ class TestSpiderNonconvex:
         x_sgd, _ = rsgd(P, x0, eta=0.1, T=15, seed=0)
         P.counter.reset()
         cfg = SpiderConfig(L=5.0, eps=0.1, q=1, S1=1, T=15, eta=0.1, n=1, seed=0)
-        _, x_last, _, _ = _spider_core(P, x0, cfg)
+        tallies = {"anchor": 0, "correction": 0}
+        _, x_last, *_ = _spider_core(
+            P, x0, cfg, 2.0 * cfg.eps**2, np.random.default_rng(0), _Tracer(P, 1.0), tallies
+        )
         assert np.array_equal(x_sgd.coords, x_last.coords)
 
     def test_monotone_descent_on_small_instance(self):
@@ -280,23 +286,6 @@ class TestGd1:
         assert x is x0
         assert P.counter.calls == 0
 
-    def test_chain_modes_run(self):
-        P = desk_problem(d=6, n=25, delta=0.4, seed=16)
-        x0 = P.manifold.random_point(np.random.default_rng(5))
-        for chain in ("random", "last"):
-            P.counter.reset()
-            cfg = GdConfig(M0=0.5, tau=1.0, L=P.L_hint, K=1, seed=3, chain=chain)
-            x, _ = spider_gd1(P, x0, cfg)
-            assert abs(np.linalg.norm(x.coords) - 1.0) <= 1e-9
-
-    def test_eps_scaled_step_mode(self):
-        P = desk_problem(d=6, n=25, delta=0.4, seed=17)
-        x0 = P.manifold.random_point(np.random.default_rng(6))
-        cfg = GdConfig(M0=0.5, tau=1.0, L=P.L_hint, K=1, seed=4, eta_mode="eps-scaled")
-        _, trace = spider_gd1(P, x0, cfg, max_ifo=2 * P.n)
-        st = trace.meta["stages"][0]
-        assert st["eta"] == pytest.approx(st["eps"] / P.L_hint, abs=1e-15)
-
 
 class TestGd2:
     def test_initial_variance_budget(self):
@@ -405,3 +394,47 @@ class TestRsvrg:
         _, trace = rsvrg(P, x0, eta=0.02, epochs=3, seed=6)
         for rec in trace.records:
             assert rec.epoch == rec.ifo / P.n
+
+
+_TALLY_PROBLEM = desk_problem(d=6, n=25, delta=0.4, seed=31)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=hst.integers(0, 2**16),
+    convention=hst.sampled_from(("paired", "single")),
+    map_mode=hst.sampled_from(("exp", "retract")),
+    q=hst.integers(1, 8),
+    eps=hst.floats(0.02, 0.5),
+)
+def test_ifo_tally_property(seed, convention, map_mode, q, eps):
+    # every solver built on the shared correction step tallies exactly what
+    # the counter charged, and the probe replaying that step charges nothing
+    P = _TALLY_PROBLEM
+    n, L = P.n, P.L_hint
+    x0 = P.manifold.random_point(np.random.default_rng(seed))
+    modes = dict(map_mode=map_mode, ifo_convention=convention, seed=seed)
+    tau = q / (4.0 * L * math.log(4.0))  # spider-gd2 then runs stages of ~q steps
+    gd = GdConfig(M0=eps, tau=tau, L=L, K=3, **modes)
+    states = []
+    runs = [
+        lambda: spider_nonconvex(
+            P, x0, SpiderConfig(L=L, eps=eps, q=q, S1=n, T=60, n=n, **modes),
+            max_ifo=8 * n, checkpoint_every=0.5, on_correction=states.append,
+        ),
+        lambda: spider_gd1(P, x0, gd, max_ifo=8 * n, checkpoint_every=0.5),
+        lambda: spider_gd2(P, x0, gd, max_ifo=8 * n, checkpoint_every=0.5),
+        lambda: rsvrg(P, x0, eta=0.01, epochs=3, inner_len=5 * q, seed=seed,
+                      map_mode=map_mode, ifo_convention=convention,
+                      checkpoint_every=0.5),
+    ]
+    for run in runs:
+        P.counter.reset()
+        _, trace = run()
+        tallies = trace.meta["ifo_breakdown"]
+        assert P.counter.calls == tallies["anchor"] + tallies["correction"]
+        assert all(rec.epoch == rec.ifo / n for rec in trace.records)
+    for state in states[:3]:
+        calls = P.counter.calls
+        r.variance_probe(P, state, resamples=5, seed=seed)
+        assert P.counter.calls == calls
