@@ -17,7 +17,7 @@ import math
 import sys
 import time
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from .geometry import ManifoldPoint
 from .oracle import (
     PcaProblem,
     SyntheticSpec,
+    _check_samples,
+    _eigenvector_factors,
+    _problem_from_factors,
     generate_gap_matrix,
     leading_eigpair,
     packed_spectrum,
@@ -85,6 +88,8 @@ CSV_COLUMNS = (
 DEFAULT_SVRG_ETA = 0.003
 
 _X0_TAG = 0x9E37  # distinguishes the initializer stream from the sampling stream
+
+_TAU_ALGOS = ("spider-gd1", "spider-gd2")  # the restart schemes that need tau
 
 
 def _default_deltas() -> tuple[float, ...]:
@@ -150,6 +155,7 @@ class ExperimentConfig:
             raise ValueError("spectrum must be 'packed' or 'geometric'")
         if self.tail is None:
             self.tail = 0.5 if self.spectrum == "packed" else 0.9
+        _check_samples(self.d, self.n)
         for delta in self.delta_list:
             _spectrum(self, delta)  # raises on a gap its spectrum cannot hold
         if self.workers < 1:
@@ -228,10 +234,16 @@ def _ground_truth(P: PcaProblem) -> float:
     return -lam1
 
 
-def _run_algo(cfg: ExperimentConfig, algo: str, P: PcaProblem, x0, seed: int,
-              max_ifo: int) -> RunTrace:
+def _tau(cfg: ExperimentConfig, P: PcaProblem, f_star: float) -> float:
+    """Gradient-domination constant for the restart schemes; depends on the gap only."""
+    if cfg.tau is not None:
+        return cfg.tau
+    return pl_constant_estimate(P, f_star, 128, seed=0).statistic
+
+
+def _run_algo(cfg: ExperimentConfig, algo: str, P: PcaProblem, f_star: float, x0,
+              seed: int, max_ifo: int, tau: float | None) -> RunTrace:
     ckpt = cfg.checkpoint_every
-    f_star = _ground_truth(P)
     smooth = cfg.L if cfg.L is not None else P.L_hint
     if algo == "rsgd":
         eta = cfg.eta if cfg.eta is not None else 1.0 / (2.0 * smooth)
@@ -257,10 +269,7 @@ def _run_algo(cfg: ExperimentConfig, algo: str, P: PcaProblem, x0, seed: int,
         _, trace = spider_nonconvex(
             P, x0, scfg, checkpoint_every=ckpt, max_ifo=max_ifo
         )
-    elif algo in ("spider-gd1", "spider-gd2"):
-        tau = cfg.tau
-        if tau is None:
-            tau = pl_constant_estimate(P, f_star, 128, seed=0).statistic
+    elif algo in _TAU_ALGOS:
         gap = max(P.value(x0) - f_star, 1e-12)
         gcfg = GdConfig(
             M0=cfg.M0 if cfg.M0 is not None else gap,
@@ -290,10 +299,18 @@ def run_cell(cfg: ExperimentConfig, delta: float, seed: int,
     t0 = time.perf_counter() if cfg.timing else None
     P = _build_instance(cfg, float(delta))
     f_star = _ground_truth(P)
+    tau = _tau(cfg, P, f_star) if algo in _TAU_ALGOS else None
+    return _run_cell(cfg, P, f_star, tau, delta, seed, algo, t0)
+
+
+def _run_cell(cfg: ExperimentConfig, P: PcaProblem, f_star: float, tau: float | None,
+              delta: float, seed: int, algo: str, t0: float | None) -> list[CsvRow]:
+    """``run_cell`` on a built instance; the instance's counter restarts at zero."""
+    P.counter.reset()
     x0 = _draw_x0(P, seed)
     max_ifo = int(math.ceil(cfg.epochs * P.n - 1e-9))
     map_mode = "retract" if algo == "vrpca" else cfg.map_mode
-    trace = _run_algo(cfg, algo, P, x0, seed, max_ifo)
+    trace = _run_algo(cfg, algo, P, f_star, x0, seed, max_ifo, tau)
 
     by_boundary = {}
     for r in trace.records:
@@ -398,48 +415,107 @@ def _summarize(cfg: ExperimentConfig, rows: list[CsvRow]):
     return header, out
 
 
-def _cell_task(args):
-    cfg, algo, delta, seed = args
-    return run_cell(cfg, delta, seed, algo=algo)
+def _failure(e: Exception) -> str:
+    return f"{type(e).__name__}: {e}"
+
+
+def _run_gap(cfg: ExperimentConfig, P: PcaProblem, delta: float, cells) -> dict:
+    """Run one gap's ``(index, algo, seed)`` cells on that gap's instance.
+
+    Tau is estimated once and shared by the gap's restart-scheme cells. An
+    exception in a cell, or in the tau estimate for the cells that need it,
+    becomes that cell's failure message; the other cells still run. Returns
+    {index: rows or failure message}.
+    """
+    f_star = _ground_truth(P)
+    tau = tau_failure = None
+    if any(algo in _TAU_ALGOS for _i, algo, _s in cells):
+        try:
+            tau = _tau(cfg, P, f_star)
+        except Exception as e:
+            tau_failure = _failure(e)
+    out = {}
+    for i, algo, seed in cells:
+        if algo in _TAU_ALGOS and tau_failure is not None:
+            out[i] = tau_failure
+            continue
+        t0 = time.perf_counter() if cfg.timing else None
+        try:
+            out[i] = _run_cell(cfg, P, f_star, tau, delta, seed, algo, t0)
+        except Exception as e:
+            out[i] = _failure(e)
+    return out
+
+
+# set by the pool initializer, so only in the worker processes of a parallel
+# sweep; each worker computes the factors once and reuses them for its gaps
+_worker_factors = None
+
+
+def _init_worker(cfg: ExperimentConfig):
+    global _worker_factors
+    _worker_factors = _eigenvector_factors(cfg.d, cfg.n, cfg.data_seed)
+
+
+def _gap_task(cfg: ExperimentConfig, delta: float, cells) -> dict:
+    P = _problem_from_factors(_spectrum(cfg, delta), *_worker_factors, cfg.data_seed)
+    return _run_gap(cfg, P, delta, cells)
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Execute every (algo, delta, seed) cell and write the CSV outputs.
 
-    Failed cells are reported on stderr and skipped; the remaining cells are
-    emitted in deterministic (algo, delta, seed) order regardless of worker
-    scheduling.
+    The eigenvector factors are computed once per sweep (once per worker
+    process with ``workers > 1``) and each gap's instance is built once from
+    them; the cells run grouped by gap, with one instance alive at a time.
+    A cell that raises is reported on stderr and skipped; the remaining
+    cells are emitted in deterministic (algo, delta, seed) order regardless
+    of worker scheduling.
     """
-    cells = [
-        (replace(cfg, algo=(algo,)), algo, delta, seed)
-        for algo in cfg.algo
-        for delta in cfg.delta_list
-        for seed in cfg.seeds
-    ]
-    results: dict[int, list[CsvRow]] = {}
-    failures = []
+    keys = []  # (algo, delta, seed) in CSV order
+    gaps = [[] for _ in cfg.delta_list]  # per gap: (index into keys, algo, seed)
+    for algo in cfg.algo:
+        for k, delta in enumerate(cfg.delta_list):
+            for seed in cfg.seeds:
+                gaps[k].append((len(keys), algo, seed))
+                keys.append((algo, delta, seed))
+    outcomes: dict[int, list[CsvRow] | str] = {}
     if cfg.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futs = {pool.submit(_cell_task, c): i for i, c in enumerate(cells)}
-            for fut, i in futs.items():
-                _, algo, delta, seed = cells[i]
+        # with fewer gaps than workers, a gap's cells are split over several
+        # tasks, each of which builds the instance (and tau) for itself
+        split = -(-cfg.workers // len(gaps))
+        tasks = [(delta, cells[j::split]) for delta, cells in zip(cfg.delta_list, gaps)
+                 for j in range(min(split, len(cells)))]
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(cfg.workers, len(tasks)),
+            initializer=_init_worker, initargs=(cfg,),
+        ) as pool:
+            futs = [pool.submit(_gap_task, cfg, delta, cells) for delta, cells in tasks]
+            for fut, (_delta, cells) in zip(futs, tasks):
                 try:
-                    results[i] = fut.result()
-                except OptimizerError as e:
-                    failures.append((algo, delta, seed, str(e)))
+                    outcomes.update(fut.result())
+                except Exception as e:
+                    outcomes.update((i, _failure(e)) for i, _a, _s in cells)
     else:
-        for i, c in enumerate(cells):
-            _, algo, delta, seed = c
+        factors = _eigenvector_factors(cfg.d, cfg.n, cfg.data_seed)
+        for k, (delta, cells) in enumerate(zip(cfg.delta_list, gaps)):
             try:
-                results[i] = _cell_task(c)
-            except OptimizerError as e:
-                failures.append((algo, delta, seed, str(e)))
+                P = _problem_from_factors(_spectrum(cfg, delta), *factors, cfg.data_seed)
+                if k == len(gaps) - 1:
+                    factors = None  # built the last gap: release U and V
+                outcomes.update(_run_gap(cfg, P, delta, cells))
+            except Exception as e:
+                outcomes.update((i, _failure(e)) for i, _a, _s in cells)
+            P = None  # drop this gap's instance before the next one is built
+    failures = [(*keys[i], msg) for i, msg in sorted(outcomes.items())
+                if isinstance(msg, str)]
     for algo, delta, seed, msg in failures:
         print(
             f"cell failed: algo={algo} delta={delta} seed={seed}: {msg}",
             file=sys.stderr,
         )
-    rows = [row for i in range(len(cells)) if i in results for row in results[i]]
+    rows = [row for _i, out in sorted(outcomes.items()) if not isinstance(out, str)
+            for row in out]
     header, summary = _summarize(cfg, rows)
     if cfg.out_path:
         _write_csv(cfg.out_path, CSV_COLUMNS, (r.to_line() for r in rows))

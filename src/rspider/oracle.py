@@ -257,8 +257,7 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError("need ambient dimension >= 2")
-        if self.n < self.d:
-            raise ValueError("need at least as many samples as dimensions (n >= d)")
+        _check_samples(self.d, self.n)
         if not 0.0 < self.delta < 1.0:
             raise ValueError("eigengap must satisfy 0 < delta < lambda_1 = 1")
         if not 0.0 < self.tail < 1.0:
@@ -271,11 +270,29 @@ class SyntheticSpec:
         return lam
 
 
+def _check_samples(d: int, n: int):
+    if n < d:
+        raise ValueError("need at least as many samples as dimensions (n >= d)")
+
+
 def _orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((rows, cols)))
     sign = np.sign(np.diag(r))
     sign[sign == 0] = 1.0
     return q * sign
+
+
+def _eigenvector_factors(d: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal U (d x d) and V (n x d) of Z = U D V^T, drawn from ``seed``."""
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    u = _orthonormal(rng, d, d)
+    return u, _orthonormal(rng, int(n), d)
+
+
+def _problem_from_factors(lam: np.ndarray, u: np.ndarray, v: np.ndarray,
+                          seed: int) -> PcaProblem:
+    dvals = np.sqrt(v.shape[0] * lam)
+    return PcaProblem((u * dvals) @ v.T, spectrum=lam, seed=int(seed))
 
 
 def problem_from_spectrum(lam, n: int, seed: int) -> PcaProblem:
@@ -288,16 +305,10 @@ def problem_from_spectrum(lam, n: int, seed: int) -> PcaProblem:
     """
     lam = np.asarray(lam, dtype=np.float64)
     d = lam.shape[0]
-    if n < d:
-        raise ValueError("need at least as many samples as dimensions (n >= d)")
+    _check_samples(d, n)
     if lam[0] <= 0 or np.any(np.diff(lam) > 0) or np.any(lam < 0):
         raise ValueError("spectrum must be nonincreasing and nonnegative")
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    u = _orthonormal(rng, d, d)
-    v = _orthonormal(rng, int(n), d)
-    dvals = np.sqrt(n * lam)
-    z = (u * dvals) @ v.T
-    return PcaProblem(z, spectrum=lam, seed=int(seed))
+    return _problem_from_factors(lam, *_eigenvector_factors(d, n, seed), seed)
 
 
 def generate_gap_matrix(spec: SyntheticSpec) -> PcaProblem:

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -152,19 +153,108 @@ class TestRunSweep:
         import rspider.bench as bench
         from rspider.optim import OptimizerError
 
-        real = bench.run_cell
+        real = bench._run_cell
 
-        def flaky(cfg, delta, seed, algo=None):
+        def flaky(cfg, P, f_star, tau, delta, *args):
             if delta == 0.1:
                 raise OptimizerError("degenerate step at iteration 3")
-            return real(cfg, delta, seed, algo=algo)
+            return real(cfg, P, f_star, tau, delta, *args)
 
-        monkeypatch.setattr(bench, "run_cell", flaky)
+        monkeypatch.setattr(bench, "_run_cell", flaky)
         res = run_sweep(tiny_cfg(delta_list=(0.2, 0.1), epochs=2.0))
         assert len(res.failures) == 1
         assert res.failures[0][1] == 0.1
+        assert res.failures[0][3] == "OptimizerError: degenerate step at iteration 3"
         assert {row.delta for row in res.rows} == {0.2}
         assert "delta=0.1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cells_match_run_cell_alone(self, workers):
+        # the shared instance, counter and tau give every cell the rows it
+        # gets when run alone
+        cfg = tiny_cfg(
+            algo=("rsvrg", "spider", "spider-gd1", "spider-gd2"),
+            delta_list=(0.2, 0.1), seeds=(0, 1), epochs=3.0, workers=workers,
+        )
+        res = run_sweep(cfg)
+        assert not res.failures
+        swept = {}
+        for row in res.rows:
+            swept.setdefault((row.algo, row.delta, row.seed), []).append(row.to_line())
+        assert len(swept) == 4 * 2 * 2
+        for (algo, delta, seed), lines in swept.items():
+            alone = run_cell(cfg, delta, seed, algo=algo)
+            assert lines == [row.to_line() for row in alone]
+
+    def test_factors_once_per_sweep_and_tau_once_per_gap(self, monkeypatch):
+        import rspider.bench as bench
+        import rspider.oracle as oracle
+
+        calls = {"qr": 0, "tau": 0}
+        qr, tau = oracle._orthonormal, bench.pl_constant_estimate
+
+        def counted_qr(*a):
+            calls["qr"] += 1
+            return qr(*a)
+
+        def counted_tau(*a, **k):
+            calls["tau"] += 1
+            return tau(*a, **k)
+
+        monkeypatch.setattr(oracle, "_orthonormal", counted_qr)
+        monkeypatch.setattr(bench, "pl_constant_estimate", counted_tau)
+        res = run_sweep(tiny_cfg(
+            algo=("rsvrg", "spider-gd1", "spider-gd2"),
+            delta_list=(0.2, 0.1, 0.05), seeds=(0, 1), epochs=1.0,
+        ))
+        assert not res.failures
+        assert calls == {"qr": 2, "tau": 3}  # one U and one V; one tau per gap
+
+    def test_cell_exception_fails_only_that_cell(self, monkeypatch):
+        import rspider.bench as bench
+
+        real = bench._run_cell
+
+        def flaky(cfg, P, f_star, tau, delta, seed, *args):
+            if seed == 1:
+                raise ValueError("all probe points are near-critical")
+            return real(cfg, P, f_star, tau, delta, seed, *args)
+
+        monkeypatch.setattr(bench, "_run_cell", flaky)
+        res = run_sweep(tiny_cfg(delta_list=(0.2, 0.1), seeds=(0, 1), epochs=1.0))
+        assert [(f[1], f[2], f[3]) for f in res.failures] == [
+            (0.2, 1, "ValueError: all probe points are near-critical"),
+            (0.1, 1, "ValueError: all probe points are near-critical"),
+        ]
+        assert {(row.delta, row.seed) for row in res.rows} == {(0.2, 0), (0.1, 0)}
+
+    @pytest.mark.parametrize("workers", [
+        1,
+        pytest.param(2, marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="the patch reaches worker processes only when they fork")),
+    ])
+    def test_tau_failure_fails_only_the_cells_that_need_it(self, monkeypatch, capsys,
+                                                           workers):
+        import rspider.bench as bench
+
+        def no_tau(*a, **k):
+            raise RuntimeError("power iteration did not converge")
+
+        monkeypatch.setattr(bench, "pl_constant_estimate", no_tau)
+        res = run_sweep(tiny_cfg(
+            algo=("spider", "spider-gd1"), delta_list=(0.2, 0.1), seeds=(0, 1),
+            epochs=1.0, workers=workers,
+        ))
+        assert [f[:3] for f in res.failures] == [
+            ("spider-gd1", dl, s) for dl in (0.2, 0.1) for s in (0, 1)
+        ]
+        assert {f[3] for f in res.failures} == {
+            "RuntimeError: power iteration did not converge"
+        }
+        assert {row.algo for row in res.rows} == {"spider"}
+        assert len(res.rows) == 2 * 2 * 2
+        assert "RuntimeError" in capsys.readouterr().err
 
     def test_rows_ordered_by_cell_then_epoch(self, tmp_path):
         cfg = tiny_cfg(delta_list=(0.2, 0.1), seeds=(1, 0), epochs=2.0)
@@ -283,7 +373,7 @@ class TestCli:
         import rspider.bench as bench
 
         ran = []
-        monkeypatch.setattr(bench, "run_cell", lambda *a, **k: ran.append(a))
+        monkeypatch.setattr(bench, "_run_cell", lambda *a, **k: ran.append(a))
         out = tmp_path / "x.csv"
         code = cli_main(
             ["bench", "--d", "10", "--n", "50", "--delta-list", "0.1,0.3",
@@ -293,6 +383,25 @@ class TestCli:
         assert "packed spectrum needs 0 < delta < 0.25" in capsys.readouterr().err
         assert ran == []
         assert list(tmp_path.iterdir()) == []
+
+    def test_fewer_samples_than_dimensions_fails_before_any_work(
+            self, tmp_path, monkeypatch, capsys):
+        import rspider.bench as bench
+
+        ran = []
+        monkeypatch.setattr(bench, "_run_cell", lambda *a, **k: ran.append(a))
+        monkeypatch.setattr(bench, "_eigenvector_factors", lambda *a: ran.append(a))
+        out = tmp_path / "x.csv"
+        code = cli_main(
+            ["bench", "--d", "50", "--n", "20", "--delta-list", "0.1,0.05",
+             "--epochs", "1", "--seeds", "0,1", "--out", str(out)]
+        )
+        assert code == 1
+        assert "n >= d" in capsys.readouterr().err
+        assert ran == []
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ValueError, match="n >= d"):
+            tiny_cfg(d=50, n=20, spectrum="geometric")
 
     def test_geometric_gap_checked_by_its_spectrum(self):
         with pytest.raises(ValueError, match="lambda_1"):
