@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import math
 import sys
-import time
 import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import epochs_to_double, pl_constant_estimate
+from .diagnostics import _checkpoint_steps, epochs_to_double, pl_constant_estimate
 from .geometry import ManifoldPoint
 from .oracle import (
     PcaProblem,
@@ -32,7 +32,6 @@ from .oracle import (
     generate_gap_matrix,
     leading_eigpair,
     packed_spectrum,
-    problem_from_spectrum,
     save_problem,
     variance_bound_estimate,
 )
@@ -91,6 +90,9 @@ _X0_TAG = 0x9E37  # distinguishes the initializer stream from the sampling strea
 
 _TAU_ALGOS = ("spider-gd1", "spider-gd2")  # the restart schemes that need tau
 
+_SPIDER_EPS = 0.05  # gradient-norm target of the nonconvex solver
+_GD_STAGES = 20  # restart stages of spider-gd1 and spider-gd2
+
 
 def _default_deltas() -> tuple[float, ...]:
     return tuple(1e-2 / k for k in range(1, 9))
@@ -102,8 +104,12 @@ class ExperimentConfig:
 
     ``data_seed`` drives the instance's eigenvector geometry (shared by all
     gaps of a sweep); the per-cell ``seeds`` drive the initializer and the
-    sampling stream. ``timing`` opts into real wall-clock values in the
-    ``wall_ms`` column, which breaks byte-level reproducibility.
+    sampling stream. ``window`` is the span of the epochs-to-double statistic
+    and ``fit_window`` the start of the window the summary fits against the
+    inverse gap (default ``2 * window``); both are whole numbers of
+    ``checkpoint_every`` steps. The solvers get eps 0.05, 20 restart stages,
+    the instance's smoothness hint, the estimated domination constant tau and
+    the initial gap as M0. The ``wall_ms`` column is always 0.0.
     """
 
     algo: tuple[str, ...] = ("rsvrg",)
@@ -121,14 +127,8 @@ class ExperimentConfig:
     workers: int = 1
     ifo_convention: str = "paired"
     data_seed: int = 12345
-    eps: float = 0.05
     window: float = 5.0
     fit_window: float | None = None
-    timing: bool = False
-    L: float | None = None
-    tau: float | None = None
-    M0: float | None = None
-    K: int | None = None
 
     def __post_init__(self):
         if isinstance(self.algo, str):
@@ -160,8 +160,9 @@ class ExperimentConfig:
             _spectrum(self, delta)  # raises on a gap its spectrum cannot hold
         if self.workers < 1:
             raise ValueError("need at least one worker")
-        if self.window <= 0:
-            raise ValueError("window must be positive")
+        _checkpoint_steps(self.window, self.checkpoint_every)
+        if self.fit_window is not None:
+            _checkpoint_steps(self.fit_window, self.checkpoint_every, "fit_window", least=0)
 
     @property
     def fit_window_start(self) -> float:
@@ -223,10 +224,6 @@ def _spectrum(cfg: ExperimentConfig, delta: float) -> np.ndarray:
     return spec.target_spectrum()
 
 
-def _build_instance(cfg: ExperimentConfig, delta: float) -> PcaProblem:
-    return problem_from_spectrum(_spectrum(cfg, delta), cfg.n, cfg.data_seed)
-
-
 def _ground_truth(P: PcaProblem) -> float:
     if P.f_star is not None:
         return P.f_star
@@ -234,19 +231,11 @@ def _ground_truth(P: PcaProblem) -> float:
     return -lam1
 
 
-def _tau(cfg: ExperimentConfig, P: PcaProblem, f_star: float) -> float:
-    """Gradient-domination constant for the restart schemes; depends on the gap only."""
-    if cfg.tau is not None:
-        return cfg.tau
-    return pl_constant_estimate(P, f_star, 128, seed=0).statistic
-
-
 def _run_algo(cfg: ExperimentConfig, algo: str, P: PcaProblem, f_star: float, x0,
               seed: int, max_ifo: int, tau: float | None) -> RunTrace:
     ckpt = cfg.checkpoint_every
-    smooth = cfg.L if cfg.L is not None else P.L_hint
     if algo == "rsgd":
-        eta = cfg.eta if cfg.eta is not None else 1.0 / (2.0 * smooth)
+        eta = cfg.eta if cfg.eta is not None else 1.0 / (2.0 * P.L_hint)
         _, trace = rsgd(
             P, x0, eta, T=max_ifo, seed=seed, map_mode=cfg.map_mode,
             checkpoint_every=ckpt, max_ifo=max_ifo,
@@ -263,7 +252,7 @@ def _run_algo(cfg: ExperimentConfig, algo: str, P: PcaProblem, f_star: float, x0
     elif algo == "spider":
         gap = max(P.value(x0) - f_star, 1e-12)
         scfg = params_finite(
-            P.n, cfg.eps, gap, smooth, seed=seed, map_mode=cfg.map_mode,
+            P.n, _SPIDER_EPS, gap, P.L_hint, seed=seed, map_mode=cfg.map_mode,
             ifo_convention=cfg.ifo_convention,
         )
         _, trace = spider_nonconvex(
@@ -272,10 +261,10 @@ def _run_algo(cfg: ExperimentConfig, algo: str, P: PcaProblem, f_star: float, x0
     elif algo in _TAU_ALGOS:
         gap = max(P.value(x0) - f_star, 1e-12)
         gcfg = GdConfig(
-            M0=cfg.M0 if cfg.M0 is not None else gap,
+            M0=gap,
             tau=tau,
-            L=smooth,
-            K=cfg.K if cfg.K is not None else 20,
+            L=P.L_hint,
+            K=_GD_STAGES,
             map_mode=cfg.map_mode,
             seed=seed,
             ifo_convention=cfg.ifo_convention,
@@ -293,19 +282,20 @@ def run_cell(cfg: ExperimentConfig, delta: float, seed: int,
 
     The row grid covers nominal epochs 0, step, ..., epochs; if the run ends
     before the budget, trailing grid rows repeat the final state. Identical
-    inputs produce identical rows (``timing`` off).
+    inputs produce identical rows. The cell runs on the path a sweep takes,
+    and an exception in it is raised here.
     """
     algo = cfg.algo[0] if algo is None else algo
-    t0 = time.perf_counter() if cfg.timing else None
-    P = _build_instance(cfg, float(delta))
-    f_star = _ground_truth(P)
-    tau = _tau(cfg, P, f_star) if algo in _TAU_ALGOS else None
-    return _run_cell(cfg, P, f_star, tau, delta, seed, algo, t0)
+    factors = _eigenvector_factors(cfg.d, cfg.n, cfg.data_seed)
+    out = _gap_outcomes(cfg, factors, float(delta), [(0, algo, seed)])[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def _run_cell(cfg: ExperimentConfig, P: PcaProblem, f_star: float, tau: float | None,
-              delta: float, seed: int, algo: str, t0: float | None) -> list[CsvRow]:
-    """``run_cell`` on a built instance; the instance's counter restarts at zero."""
+              delta: float, seed: int, algo: str) -> list[CsvRow]:
+    """One cell on a built instance; the instance's counter restarts at zero."""
     P.counter.reset()
     x0 = _draw_x0(P, seed)
     max_ifo = int(math.ceil(cfg.epochs * P.n - 1e-9))
@@ -320,15 +310,13 @@ def _run_cell(cfg: ExperimentConfig, P: PcaProblem, f_star: float, tau: float | 
     grid = int(round(cfg.epochs / cfg.checkpoint_every)) + 1
     recs = [by_boundary.get(j * cfg.checkpoint_every, last) for j in range(grid)]
 
-    m = max(1, round(cfg.window / cfg.checkpoint_every))
-    if len(recs) > m:
+    if len(recs) > round(cfg.window / cfg.checkpoint_every):
         ests = epochs_to_double(
             [(r.epoch, r.f) for r in recs], f_star, window=cfg.window,
             step=cfg.checkpoint_every,
         )
     else:
         ests = []
-    wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
 
     rows = []
     for j, r in enumerate(recs):
@@ -347,7 +335,7 @@ def _run_cell(cfg: ExperimentConfig, P: PcaProblem, f_star: float, tau: float | 
                 accuracy=(r.f - f_star) / abs(f_star),
                 grad_sq=r.grad_sq,
                 epochs_to_double=etd,
-                wall_ms=wall,
+                wall_ms=0.0,
             )
         )
     return rows
@@ -419,58 +407,45 @@ def _failure(e: Exception) -> str:
     return f"{type(e).__name__}: {e}"
 
 
-def _run_gap(cfg: ExperimentConfig, P: PcaProblem, delta: float, cells) -> dict:
+def _gap_outcomes(cfg: ExperimentConfig, factors, delta: float, cells) -> dict:
     """Run one gap's ``(index, algo, seed)`` cells on that gap's instance.
 
-    Tau is estimated once and shared by the gap's restart-scheme cells. An
-    exception in a cell, or in the tau estimate for the cells that need it,
-    becomes that cell's failure message; the other cells still run. Returns
-    {index: rows or failure message}.
+    Builds the instance from the sweep's eigenvector ``factors`` and finds
+    its optimum; tau is estimated once and shared by the gap's restart-scheme
+    cells. Returns {index: rows, or the exception that failed the cell}. An
+    exception in the build fails every cell, one in the tau estimate fails
+    the cells that need tau, and one in a cell fails only that cell.
     """
-    f_star = _ground_truth(P)
-    tau = tau_failure = None
+    try:
+        P = _problem_from_factors(_spectrum(cfg, delta), *factors, cfg.data_seed)
+        f_star = _ground_truth(P)
+    except Exception as e:
+        return {i: e for i, _a, _s in cells}
+    tau = None
     if any(algo in _TAU_ALGOS for _i, algo, _s in cells):
         try:
-            tau = _tau(cfg, P, f_star)
+            tau = pl_constant_estimate(P, f_star, 128, seed=0).statistic
         except Exception as e:
-            tau_failure = _failure(e)
+            tau = e
     out = {}
     for i, algo, seed in cells:
-        if algo in _TAU_ALGOS and tau_failure is not None:
-            out[i] = tau_failure
-            continue
-        t0 = time.perf_counter() if cfg.timing else None
         try:
-            out[i] = _run_cell(cfg, P, f_star, tau, delta, seed, algo, t0)
+            if algo in _TAU_ALGOS and isinstance(tau, Exception):
+                raise tau
+            out[i] = _run_cell(cfg, P, f_star, tau, delta, seed, algo)
         except Exception as e:
-            out[i] = _failure(e)
+            out[i] = e
     return out
-
-
-# set by the pool initializer, so only in the worker processes of a parallel
-# sweep; each worker computes the factors once and reuses them for its gaps
-_worker_factors = None
-
-
-def _init_worker(cfg: ExperimentConfig):
-    global _worker_factors
-    _worker_factors = _eigenvector_factors(cfg.d, cfg.n, cfg.data_seed)
-
-
-def _gap_task(cfg: ExperimentConfig, delta: float, cells) -> dict:
-    P = _problem_from_factors(_spectrum(cfg, delta), *_worker_factors, cfg.data_seed)
-    return _run_gap(cfg, P, delta, cells)
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Execute every (algo, delta, seed) cell and write the CSV outputs.
 
-    The eigenvector factors are computed once per sweep (once per worker
-    process with ``workers > 1``) and each gap's instance is built once from
-    them; the cells run grouped by gap, with one instance alive at a time.
-    A cell that raises is reported on stderr and skipped; the remaining
-    cells are emitted in deterministic (algo, delta, seed) order regardless
-    of worker scheduling.
+    The eigenvector factors are computed once per sweep and each gap's
+    instance is built once from them; the cells run grouped by gap, in this
+    process or, with ``workers > 1``, in a process pool. A cell that raises
+    is reported on stderr and skipped; the remaining cells are emitted in
+    deterministic (algo, delta, seed) order regardless of worker scheduling.
     """
     keys = []  # (algo, delta, seed) in CSV order
     gaps = [[] for _ in cfg.delta_list]  # per gap: (index into keys, algo, seed)
@@ -479,34 +454,21 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
             for seed in cfg.seeds:
                 gaps[k].append((len(keys), algo, seed))
                 keys.append((algo, delta, seed))
-    outcomes: dict[int, list[CsvRow] | str] = {}
+    # with fewer gaps than workers, a gap's cells are split over several
+    # tasks, each of which builds the instance (and tau) for itself
+    split = -(-cfg.workers // len(gaps))
+    tasks = [(delta, cells[j::split]) for delta, cells in zip(cfg.delta_list, gaps)
+             for j in range(min(split, len(cells)))]
+    gap_task = functools.partial(
+        _gap_outcomes, cfg, _eigenvector_factors(cfg.d, cfg.n, cfg.data_seed)
+    )
     if cfg.workers > 1:
-        # with fewer gaps than workers, a gap's cells are split over several
-        # tasks, each of which builds the instance (and tau) for itself
-        split = -(-cfg.workers // len(gaps))
-        tasks = [(delta, cells[j::split]) for delta, cells in zip(cfg.delta_list, gaps)
-                 for j in range(min(split, len(cells)))]
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(cfg.workers, len(tasks)),
-            initializer=_init_worker, initargs=(cfg,),
-        ) as pool:
-            futs = [pool.submit(_gap_task, cfg, delta, cells) for delta, cells in tasks]
-            for fut, (_delta, cells) in zip(futs, tasks):
-                try:
-                    outcomes.update(fut.result())
-                except Exception as e:
-                    outcomes.update((i, _failure(e)) for i, _a, _s in cells)
+        with concurrent.futures.ProcessPoolExecutor(min(cfg.workers, len(tasks))) as pool:
+            gap_outs = list(pool.map(gap_task, *zip(*tasks)))
     else:
-        factors = _eigenvector_factors(cfg.d, cfg.n, cfg.data_seed)
-        for k, (delta, cells) in enumerate(zip(cfg.delta_list, gaps)):
-            try:
-                P = _problem_from_factors(_spectrum(cfg, delta), *factors, cfg.data_seed)
-                if k == len(gaps) - 1:
-                    factors = None  # built the last gap: release U and V
-                outcomes.update(_run_gap(cfg, P, delta, cells))
-            except Exception as e:
-                outcomes.update((i, _failure(e)) for i, _a, _s in cells)
-            P = None  # drop this gap's instance before the next one is built
+        gap_outs = map(gap_task, *zip(*tasks))  # lazy: one instance alive at a time
+    outcomes = {i: _failure(out) if isinstance(out, Exception) else out
+                for gap_out in gap_outs for i, out in gap_out.items()}
     failures = [(*keys[i], msg) for i, msg in sorted(outcomes.items())
                 if isinstance(msg, str)]
     for algo, delta, seed, msg in failures:
@@ -545,6 +507,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _value_parser(tp):
+    """Config-file parser for one annotated field type (``X | None`` parses X)."""
+    args = [a for a in typing.get_args(tp) if a is not type(None)]
+    if typing.get_origin(tp) is tuple:
+        item = args[0]
+        return lambda s: tuple(item(x.strip()) for x in s.split(",") if x.strip())
+    return args[0] if args else tp
+
+
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+# the single-value aliases of the CLI and the config file: alias -> (field, type)
+_ALIASES = {"delta": ("delta_list", float), "seed": ("seeds", int), "out": ("out_path", str)}
+
+_CONFIG_PARSERS = {
+    **{k: _value_parser(tp) for k, tp in _FIELD_TYPES.items()},
+    **{alias: tp for alias, (_field, tp) in _ALIASES.items()},
+}
+
+
 def _add_instance_flags(p):
     p.add_argument("--d", type=int, default=None, help="ambient dimension")
     p.add_argument("--n", type=int, default=None, help="number of data columns")
@@ -554,10 +536,12 @@ def _add_instance_flags(p):
 
 def _add_run_flags(p):
     p.add_argument("--algo", default=None, help="algorithm(s), comma separated")
-    p.add_argument("--delta-list", default=None, help="comma-separated eigengaps")
+    p.add_argument("--delta-list", type=_CONFIG_PARSERS["delta_list"], default=None,
+                   help="comma-separated eigengaps")
     p.add_argument("--epochs", type=float, default=None, help="budget in oracle epochs")
     p.add_argument("--seed", type=int, default=None, help="single run seed")
-    p.add_argument("--seeds", default=None, help="comma-separated run seeds")
+    p.add_argument("--seeds", type=_CONFIG_PARSERS["seeds"], default=None,
+                   help="comma-separated run seeds")
     p.add_argument("--eta", type=float, default=None, help="step size override")
     p.add_argument("--map-mode", choices=MAP_MODES, default=None)
     p.add_argument("--checkpoint-every", type=float, default=None)
@@ -584,29 +568,9 @@ def _build_parser() -> _Parser:
     _add_instance_flags(pg)
     pg.add_argument("--seed", type=int, default=None)
     pg.add_argument("--out", default=None, help="binary dump path")
+    for sp in (pp, pg):
+        sp.set_defaults(d=100, n=2000, delta=1e-2, tail=0.9, seed=0)
     return p
-
-
-_BOOL_STRINGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-def _value_parser(tp):
-    """Config-file parser for one annotated field type (``X | None`` parses X)."""
-    args = [a for a in typing.get_args(tp) if a is not type(None)]
-    if typing.get_origin(tp) is tuple:
-        item = args[0]
-        return lambda s: tuple(item(x.strip()) for x in s.split(",") if x.strip())
-    tp = args[0] if args else tp
-    return (lambda s: _BOOL_STRINGS[s.strip().lower()]) if tp is bool else tp
-
-
-# every ExperimentConfig field, plus the single-value aliases of the CLI
-_CONFIG_PARSERS = {
-    **{k: _value_parser(tp) for k, tp in typing.get_type_hints(ExperimentConfig).items()},
-    "delta": float,
-    "seed": int,
-    "out": str,
-}
 
 
 def _read_config_file(path) -> dict:
@@ -624,48 +588,26 @@ def _read_config_file(path) -> dict:
                 raise _UsageError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
                 out[key] = _CONFIG_PARSERS[key](val)
-            except (ValueError, KeyError) as e:
+            except ValueError as e:
                 raise _UsageError(f"{path}:{lineno}: bad value for {key}: {e}")
     return out
 
 
+def _resolve_aliases(values: dict) -> dict:
+    """Move each alias onto its field; the field itself wins within one source."""
+    for alias, (name, _tp) in _ALIASES.items():
+        if alias in values:
+            val = values.pop(alias)
+            is_tuple = typing.get_origin(_FIELD_TYPES[name]) is tuple
+            values.setdefault(name, (val,) if is_tuple else val)
+    return values
+
+
 def _build_config(ns) -> ExperimentConfig:
     """Merge defaults, config file, then explicit flags (flags win)."""
-    merged: dict = {}
-    if getattr(ns, "config", None):
-        merged.update(_read_config_file(ns.config))
-    flags = {
-        "algo": ns.algo,
-        "d": ns.d,
-        "n": ns.n,
-        "epochs": ns.epochs,
-        "eta": ns.eta,
-        "map_mode": ns.map_mode,
-        "checkpoint_every": ns.checkpoint_every,
-        "out": ns.out,
-        "tail": ns.tail,
-        "workers": ns.workers,
-        "ifo_convention": ns.ifo_convention,
-    }
-    for key, val in flags.items():
-        if val is not None:
-            merged[key] = val
-    if ns.delta_list is not None:
-        merged["delta_list"] = _CONFIG_PARSERS["delta_list"](ns.delta_list)
-    elif ns.delta is not None:
-        merged["delta_list"] = (ns.delta,)
-    elif "delta" in merged and "delta_list" not in merged:
-        merged["delta_list"] = (merged["delta"],)
-    merged.pop("delta", None)
-    if ns.seeds is not None:
-        merged["seeds"] = _CONFIG_PARSERS["seeds"](ns.seeds)
-    elif ns.seed is not None:
-        merged["seeds"] = (ns.seed,)
-    elif "seed" in merged and "seeds" not in merged:
-        merged["seeds"] = (merged["seed"],)
-    merged.pop("seed", None)
-    if "out" in merged:
-        merged["out_path"] = merged.pop("out")
+    merged = _resolve_aliases(_read_config_file(ns.config)) if ns.config else {}
+    flags = {k: v for k, v in vars(ns).items() if v is not None and k not in ("cmd", "config")}
+    merged.update(_resolve_aliases(flags))
     try:
         return ExperimentConfig(**merged)
     except (TypeError, ValueError) as e:
@@ -697,28 +639,16 @@ def _cmd_run(ns) -> int:
     return 0
 
 
-def _probe_instance(d, n, delta, tail, seed):
-    spec = SyntheticSpec(d, n, delta, seed=seed, tail=tail)
-    P = generate_gap_matrix(spec)
-    f_star = _ground_truth(P)
-    x = _draw_x0(P, seed)
-    reports = [
-        diagnostics.fd_gradient_check(P, x, trials=100, t_step=1e-6, seed=seed),
-        diagnostics.smoothness_probe(P, pairs=64, radius=0.5, seed=seed),
-        diagnostics.pl_constant_estimate(P, f_star, 128, seed=seed),
-    ]
-    sigma_sq = variance_bound_estimate(P, x, m=2000, seed=seed)
-    return reports, sigma_sq
-
-
 def _cmd_probe(ns) -> int:
-    d = ns.d if ns.d is not None else 100
-    n = ns.n if ns.n is not None else 2000
-    delta = ns.delta if ns.delta is not None else 1e-2
-    tail = ns.tail if ns.tail is not None else 0.9
-    seed = ns.seed if ns.seed is not None else 0
-    reports, sigma_sq = _probe_instance(d, n, delta, tail, seed)
+    P = generate_gap_matrix(SyntheticSpec(ns.d, ns.n, ns.delta, seed=ns.seed, tail=ns.tail))
+    x = _draw_x0(P, ns.seed)
+    reports = [
+        diagnostics.fd_gradient_check(P, x, trials=100, t_step=1e-6, seed=ns.seed),
+        diagnostics.smoothness_probe(P, pairs=64, radius=0.5, seed=ns.seed),
+        diagnostics.pl_constant_estimate(P, _ground_truth(P), 128, seed=ns.seed),
+    ]
     text = "\n".join(r.to_text() for r in reports)
+    sigma_sq = variance_bound_estimate(P, x, m=2000, seed=ns.seed)
     text += f"\nsigma_sq_estimate={sigma_sq!r}\n"
     if ns.out:
         with open(ns.out, "a", newline="\n") as fh:
@@ -732,14 +662,9 @@ def _cmd_probe(ns) -> int:
 def _cmd_gen(ns) -> int:
     if not ns.out:
         raise _UsageError("gen requires --out")
-    d = ns.d if ns.d is not None else 100
-    n = ns.n if ns.n is not None else 2000
-    delta = ns.delta if ns.delta is not None else 1e-2
-    tail = ns.tail if ns.tail is not None else 0.9
-    seed = ns.seed if ns.seed is not None else 0
-    P = generate_gap_matrix(SyntheticSpec(d, n, delta, seed=seed, tail=tail))
+    P = generate_gap_matrix(SyntheticSpec(ns.d, ns.n, ns.delta, seed=ns.seed, tail=ns.tail))
     save_problem(P, ns.out)
-    print(f"wrote {ns.out} (d={d}, n={n}, delta={delta}, seed={seed})")
+    print(f"wrote {ns.out} (d={ns.d}, n={ns.n}, delta={ns.delta}, seed={ns.seed})")
     return 0
 
 

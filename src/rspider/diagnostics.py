@@ -279,6 +279,22 @@ def _accuracy(f: float, f_star: float) -> float:
     return (f - f_star) / abs(f_star)
 
 
+def _checkpoint_steps(span: float, step: float, what: str = "window", least: int = 1) -> int:
+    """Number of checkpoint steps in ``span`` epochs.
+
+    Raises ValueError unless ``span`` is a whole number, at least ``least``,
+    of steps of ``step`` epochs (relative tolerance 1e-9).
+    """
+    ratio = span / step
+    k = round(ratio) if math.isfinite(ratio) else -1
+    if k < least or not math.isclose(ratio, k, rel_tol=1e-9):
+        raise ValueError(
+            f"{what} {span!r} must be a whole number (at least {least}) of "
+            f"checkpoint steps of {step!r} epochs"
+        )
+    return k
+
+
 def epochs_to_double(
     trace,
     f_star: float,
@@ -289,9 +305,10 @@ def epochs_to_double(
 
     ``trace`` is a :class:`RunTrace` (its checkpoint records are used) or an
     iterable of (epoch, objective value) pairs sampled on a uniform checkpoint
-    grid of spacing ``step``. With c the multiplicative error factor over one
-    window, the estimate is log(2) / log(1/c) * window. Windows without
-    progress (c >= 1) give STALLED (inf); windows starting at or crossing the
+    grid of spacing ``step``; ``window`` must be a whole number of those
+    steps. With c the multiplicative error factor over one window, the
+    estimate is log(2) / log(1/c) * window. Windows without progress
+    (c >= 1) give STALLED (inf); windows starting at or crossing the
     measurement floor give CONVERGED (nan).
     """
     if f_star == 0:
@@ -308,7 +325,7 @@ def epochs_to_double(
             step = (pairs[-1][0] - pairs[0][0]) / (len(pairs) - 1)
     if step <= 0:
         raise ValueError("checkpoint spacing must be positive")
-    m = max(1, round(window / step))
+    m = _checkpoint_steps(window, step)
     if len(pairs) < m + 1:
         raise ValueError(
             f"need at least {m + 1} checkpoints to span a {window}-epoch window"

@@ -318,7 +318,6 @@ def spider_nonconvex(
     checkpoint_every: float = 1.0,
     max_ifo: int | None = None,
     on_correction=None,
-    rng=None,
 ) -> tuple[ManifoldPoint, RunTrace]:
     """Recursive variance-reduced descent for smooth nonconvex objectives.
 
@@ -331,8 +330,7 @@ def spider_nonconvex(
     ``on_correction``, when given, receives a :class:`FrozenState` right
     before each correction step is sampled.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     tracer = _Tracer(obj, checkpoint_every)
     tallies = {"anchor": 0, "correction": 0}
     calls_start = obj.counter.calls
@@ -404,7 +402,6 @@ def spider_gd1(
     *,
     checkpoint_every: float = 1.0,
     max_ifo: int | None = None,
-    rng=None,
 ) -> tuple[ManifoldPoint, RunTrace]:
     """Restarted solver: stage t runs the nonconvex solver to accuracy
     eps_t = sqrt(M0 / (2^t * 10 tau)) and chains its output.
@@ -413,8 +410,7 @@ def spider_gd1(
     T_t = ceil(4 M_t L / eps_t^2) inner iterations. The trace concatenates
     stage traces; stage boundaries are recorded in ``meta["stages"]``.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     tracer = _Tracer(obj, checkpoint_every)
     tallies = {"anchor": 0, "correction": 0}
     n = obj.n
@@ -460,7 +456,6 @@ def spider_gd2(
     checkpoint_every: float = 1.0,
     max_ifo: int | None = None,
     on_correction=None,
-    rng=None,
 ) -> tuple[ManifoldPoint, RunTrace]:
     """Single-loop variant for gradient-dominated objectives.
 
@@ -470,8 +465,7 @@ def spider_gd2(
     ceil(min(n, q L^2 (step length)^2 / delta_t)), where the variance budget
     delta_t = M0 / (4 tau) / 2^t halves every stage. Returns the final iterate.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     n = obj.n
     q = max(1, _ceil_tol(4.0 * cfg.L * cfg.tau * math.log(4.0)))
     delta0 = cfg.M0 / (4.0 * cfg.tau)

@@ -8,12 +8,14 @@ import rspider as r
 from rspider.bench import (
     CSV_COLUMNS,
     ExperimentConfig,
-    _build_instance,
+    _spectrum,
     cli_main,
     fit_line,
     run_cell,
     run_sweep,
 )
+from rspider.diagnostics import epochs_to_double
+from rspider.oracle import _eigenvector_factors, _problem_from_factors
 
 
 def tiny_cfg(**kw):
@@ -28,6 +30,12 @@ def tiny_cfg(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def sweep_instance(cfg, delta):
+    """The instance a sweep builds for one gap."""
+    factors = _eigenvector_factors(cfg.d, cfg.n, cfg.data_seed)
+    return _problem_from_factors(_spectrum(cfg, delta), *factors, cfg.data_seed)
 
 
 class TestRunCell:
@@ -69,8 +77,8 @@ class TestRunCell:
 
     def test_instances_share_geometry_across_gaps(self):
         cfg = tiny_cfg()
-        p1 = _build_instance(cfg, 0.2)
-        p2 = _build_instance(cfg, 0.05)
+        p1 = sweep_instance(cfg, 0.2)
+        p2 = sweep_instance(cfg, 0.05)
         _, v1 = r.leading_eigpair(p1)
         _, v2 = r.leading_eigpair(p2)
         assert abs(v1.coords @ v2.coords) >= 1.0 - 1e-8
@@ -78,7 +86,7 @@ class TestRunCell:
     def test_geometric_spectrum_option(self):
         cfg = tiny_cfg(spectrum="geometric")
         assert cfg.tail == 0.9
-        P = _build_instance(cfg, 0.2)
+        P = sweep_instance(cfg, 0.2)
         assert P.spectrum[1] == pytest.approx(0.8)
         assert P.spectrum[2] == pytest.approx(0.72)
 
@@ -87,6 +95,37 @@ class TestRunCell:
             rows = run_cell(tiny_cfg(algo=(algo,), epochs=2.0), 0.2, 4)
             assert len(rows) == 3
             assert rows[0].algo == algo
+
+
+class TestWindows:
+    def test_window_off_the_checkpoint_grid_is_rejected(self):
+        # 5 epochs are 2.5 steps of 2: the statistic would span 2 steps (4
+        # epochs) but scale its estimate by 5
+        with pytest.raises(ValueError, match="window 5.0 must be a whole number"):
+            tiny_cfg(checkpoint_every=2.0, epochs=10.0)
+        pairs = [(float(e), -1.0 + 0.5 ** (e / 4.0)) for e in range(0, 11, 2)]
+        with pytest.raises(ValueError, match="window 5.0 must be a whole number"):
+            epochs_to_double(pairs, f_star=-1.0, window=5.0, step=2.0)
+        with pytest.raises(ValueError, match="whole number"):
+            tiny_cfg(checkpoint_every=2.0, window=1.0, epochs=10.0)
+
+    def test_window_of_whole_checkpoint_steps_is_accepted(self):
+        cfg = tiny_cfg(checkpoint_every=2.0, window=4.0, epochs=10.0)
+        assert len(run_cell(cfg, 0.2, 0)) == 6
+        pairs = [(float(e), -1.0 + 0.5 ** (e / 4.0)) for e in range(0, 11, 2)]
+        out = epochs_to_double(pairs, f_star=-1.0, window=4.0, step=2.0)
+        assert [e for e, _ in out] == [0.0, 2.0, 4.0, 6.0]
+        assert out[0][1] == pytest.approx(4.0, rel=1e-12)
+        # a ratio that rounding leaves just off a whole number still counts
+        tiny_cfg(checkpoint_every=0.1, window=0.3, fit_window=0.7, epochs=1.0)
+
+    @pytest.mark.parametrize("fit_window", [-10.0, -1.0, 2.5])
+    def test_negative_or_off_grid_fit_window_is_rejected(self, fit_window):
+        with pytest.raises(ValueError, match="fit_window"):
+            tiny_cfg(epochs=30.0, window=5.0, fit_window=fit_window)
+
+    def test_fit_window_at_epoch_zero_is_accepted(self):
+        assert tiny_cfg(fit_window=0.0).fit_window_start == 0.0
 
 
 class TestFit:
@@ -368,6 +407,62 @@ class TestCli:
         conf = tmp_path / "bad.conf"
         conf.write_text("nonsense_key = 3\n")
         assert cli_main(["bench", "--config", str(conf), "--out", "x.csv"]) == 1
+
+    @pytest.mark.parametrize("key", ["eps", "tau", "timing", "L", "M0", "K"])
+    def test_removed_config_key_exits_one(self, tmp_path, capsys, key):
+        conf = tmp_path / "old.conf"
+        conf.write_text(f"{key} = 1\n")
+        out = tmp_path / "x.csv"
+        assert cli_main(["bench", "--config", str(conf), "--out", str(out)]) == 1
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_alias_precedence(self, tmp_path, monkeypatch):
+        import rspider.bench as bench
+
+        seen = []
+
+        def record(cfg):
+            seen.append(cfg)
+            return bench.SweepResult([], [], [], [])
+
+        monkeypatch.setattr(bench, "run_sweep", record)
+        conf = tmp_path / "p.conf"
+        conf.write_text(
+            "d = 10\nn = 30\nepochs = 1\n"
+            "delta = 0.05\ndelta_list = 0.2,0.1\nseed = 3\nout = file.csv\n"
+        )
+
+        def cfg_for(*flags):
+            cli_main(["bench", "--config", str(conf), *flags])
+            return seen.pop()
+
+        # the file's delta_list beats the file's delta
+        assert cfg_for().delta_list == (0.2, 0.1)
+        # --delta beats the file's delta_list; --delta-list beats --delta
+        assert cfg_for("--delta", "0.15").delta_list == (0.15,)
+        assert cfg_for("--delta", "0.15", "--delta-list", "0.2,0.05").delta_list == (0.2, 0.05)
+        # the file's seed and out stand until a flag overrides them
+        cfg = cfg_for()
+        assert (cfg.seeds, cfg.out_path) == ((3,), "file.csv")
+        assert cfg_for("--seed", "4").seeds == (4,)
+        assert cfg_for("--seed", "4", "--seeds", "5,6").seeds == (5, 6)
+        assert cfg_for("--out", "flag.csv").out_path == "flag.csv"
+
+    def test_window_off_grid_fails_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        import rspider.bench as bench
+
+        ran = []
+        monkeypatch.setattr(bench, "_run_cell", lambda *a, **k: ran.append(a))
+        monkeypatch.setattr(bench, "_eigenvector_factors", lambda *a: ran.append(a))
+        code = cli_main(
+            ["bench", "--d", "10", "--n", "30", "--delta", "0.2", "--epochs", "10",
+             "--checkpoint-every", "2", "--seed", "0", "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 1
+        assert "must be a whole number" in capsys.readouterr().err
+        assert ran == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_gap_fails_before_any_cell(self, tmp_path, monkeypatch, capsys):
         import rspider.bench as bench

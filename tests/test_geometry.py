@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from rspider.geometry import (
     AntipodalError,
@@ -262,3 +264,29 @@ class TestInvariants:
         s = u + v - 2.0 * u
         assert np.allclose(s.coords, v.coords - u.coords, atol=1e-15)
         assert np.allclose((-u).coords, -u.coords, atol=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=hst.integers(2, 8),
+    seed=hst.integers(0, 2**32 - 1),
+    angle=hst.floats(0.0, 3.0),
+    su=hst.floats(1e-3, 10.0),
+    sv=hst.floats(1e-3, 10.0),
+)
+def test_sphere_maps_stay_tangent_and_transport_is_isometric(d, seed, angle, su, sv):
+    S = Sphere(d)
+    rng = np.random.default_rng(seed)
+    x = S.random_point(rng)
+    y = S.exp(x, S.random_tangent(x, rng, scale=angle))
+    u = S.random_tangent(x, rng, scale=su)
+    v = S.random_tangent(x, rng, scale=sv)
+    assert abs(float(y.coords @ y.coords) - 1.0) <= 1e-12  # exp lands on the sphere
+    w = S.log(x, y)
+    assert abs(float(x.coords @ w.coords)) <= 1e-12 * max(1.0, w.norm())
+    tu, tv = S.transport(x, y, u), S.transport(x, y, v)
+    for t, scale in ((tu, su), (tv, sv)):
+        assert abs(float(y.coords @ t.coords)) <= 1e-12 * scale
+    assert tu.norm() == pytest.approx(su, rel=1e-12)
+    assert tv.norm() == pytest.approx(sv, rel=1e-12)
+    assert S.inner(tu, tv) == pytest.approx(S.inner(u, v), abs=1e-12 * su * sv)

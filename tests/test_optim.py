@@ -438,3 +438,46 @@ def test_ifo_tally_property(seed, convention, map_mode, q, eps):
         calls = P.counter.calls
         r.variance_probe(P, state, resamples=5, seed=seed)
         assert P.counter.calls == calls
+
+
+_TRACE_PROBLEM = desk_problem(d=5, n=20, delta=0.4, seed=33)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=hst.integers(0, 2**16),
+    algo=hst.sampled_from(("spider", "spider-gd1", "spider-gd2", "rsvrg", "rsgd")),
+    map_mode=hst.sampled_from(("exp", "retract")),
+)
+def test_tracing_never_touches_the_counter(seed, algo, map_mode):
+    # a checkpoint after every oracle call and a single checkpoint at the
+    # start give the same calls, the same tallies and the same returned point
+    P = _TRACE_PROBLEM
+    n, L = P.n, P.L_hint
+    x0 = P.manifold.random_point(np.random.default_rng(seed))
+    gd = GdConfig(M0=0.1, tau=4.0 / (4.0 * L * math.log(4.0)), L=L, K=3,
+                  map_mode=map_mode, seed=seed)
+
+    def run(every):
+        P.counter.reset()
+        kw = dict(checkpoint_every=every, max_ifo=6 * n)
+        if algo == "spider":
+            cfg = SpiderConfig(L=L, eps=0.1, q=4, S1=n, T=60, n=n, map_mode=map_mode,
+                               seed=seed)
+            x, trace = spider_nonconvex(P, x0, cfg, **kw)
+        elif algo == "spider-gd1":
+            x, trace = spider_gd1(P, x0, gd, **kw)
+        elif algo == "spider-gd2":
+            x, trace = spider_gd2(P, x0, gd, **kw)
+        elif algo == "rsvrg":
+            x, trace = rsvrg(P, x0, eta=0.01, epochs=3, inner_len=10, seed=seed,
+                             map_mode=map_mode, **kw)
+        else:
+            x, trace = rsgd(P, x0, 0.01, T=60, seed=seed, map_mode=map_mode, **kw)
+        boundaries = sum(rec.boundary is not None for rec in trace.records)
+        return (P.counter.calls, trace.meta.get("ifo_breakdown"), x.coords.tobytes()), boundaries
+
+    dense, dense_marks = run(1.0 / n)
+    single, single_marks = run(1e9)
+    assert dense == single
+    assert single_marks == 1 and dense_marks > 1
