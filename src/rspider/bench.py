@@ -17,7 +17,7 @@ import functools
 import math
 import sys
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .oracle import (
     _eigenvector_factors,
     _problem_from_factors,
     generate_gap_matrix,
-    leading_eigpair,
     packed_spectrum,
     save_problem,
     variance_bound_estimate,
@@ -65,22 +64,6 @@ __all__ = [
 ]
 
 ALGORITHMS = ("rsgd", "rsvrg", "vrpca", "spider", "spider-gd1", "spider-gd2")
-
-CSV_COLUMNS = (
-    "algo",
-    "map_mode",
-    "d",
-    "n",
-    "delta",
-    "seed",
-    "epoch",
-    "ifo",
-    "f_value",
-    "accuracy",
-    "grad_sq",
-    "epochs_to_double",
-    "wall_ms",
-)
 
 # step size that keeps the snapshot-based runs stable across the default
 # desk-scale gap sweep while leaving measurable progress per window
@@ -186,22 +169,11 @@ class CsvRow:
     wall_ms: float
 
     def to_line(self) -> str:
-        vals = (
-            self.algo,
-            self.map_mode,
-            self.d,
-            self.n,
-            self.delta,
-            self.seed,
-            self.epoch,
-            self.ifo,
-            self.f_value,
-            self.accuracy,
-            self.grad_sq,
-            self.epochs_to_double,
-            self.wall_ms,
-        )
+        vals = (getattr(self, c) for c in CSV_COLUMNS)
         return ",".join(repr(v) if isinstance(v, float) else str(v) for v in vals)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(CsvRow))
 
 
 @dataclass
@@ -222,13 +194,6 @@ def _spectrum(cfg: ExperimentConfig, delta: float) -> np.ndarray:
         return packed_spectrum(cfg.d, delta, tail=cfg.tail)
     spec = SyntheticSpec(cfg.d, cfg.n, delta, seed=cfg.data_seed, tail=cfg.tail)
     return spec.target_spectrum()
-
-
-def _ground_truth(P: PcaProblem) -> float:
-    if P.f_star is not None:
-        return P.f_star
-    lam1, _ = leading_eigpair(P)
-    return -lam1
 
 
 def _run_algo(cfg: ExperimentConfig, algo: str, P: PcaProblem, f_star: float, x0,
@@ -418,7 +383,7 @@ def _gap_outcomes(cfg: ExperimentConfig, factors, delta: float, cells) -> dict:
     """
     try:
         P = _problem_from_factors(_spectrum(cfg, delta), *factors, cfg.data_seed)
-        f_star = _ground_truth(P)
+        f_star = P.f_star
     except Exception as e:
         return {i: e for i, _a, _s in cells}
     tau = None
@@ -623,6 +588,10 @@ def _cmd_bench(ns) -> int:
     for algo in algos:
         line = next(r for r in result.summary_rows if r[0] == algo)
         print(f"{algo}: fit slope={line[-2]} corr={line[-1]}")
+    fit_end = cfg.fit_window_start + cfg.window
+    if fit_end > cfg.epochs * (1.0 + 1e-9):
+        print(f"note: the fit window (epochs {cfg.fit_window_start!r} to {fit_end!r}) ends past "
+              f"the {cfg.epochs!r}-epoch budget, so the fit has no data", file=sys.stderr)
     print(f"wrote {cfg.out_path} and {cfg.out_path}.summary.csv")
     return 0 if result.rows else 2
 
@@ -645,7 +614,7 @@ def _cmd_probe(ns) -> int:
     reports = [
         diagnostics.fd_gradient_check(P, x, trials=100, t_step=1e-6, seed=ns.seed),
         diagnostics.smoothness_probe(P, pairs=64, radius=0.5, seed=ns.seed),
-        diagnostics.pl_constant_estimate(P, _ground_truth(P), 128, seed=ns.seed),
+        diagnostics.pl_constant_estimate(P, P.f_star, 128, seed=ns.seed),
     ]
     text = "\n".join(r.to_text() for r in reports)
     sigma_sq = variance_bound_estimate(P, x, m=2000, seed=ns.seed)

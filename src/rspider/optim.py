@@ -168,12 +168,17 @@ class FrozenState:
 
 
 class _Tracer:
-    """Emits one record per crossed checkpoint boundary (free evaluations)."""
+    """Emits one record per crossed checkpoint boundary (free evaluations).
+
+    ``calls0`` is the counter when the run starts, so a run on an objective
+    that has already been charged still reports only its own calls.
+    """
 
     def __init__(self, obj: FiniteSumObjective, every: float):
         if every <= 0:
             raise ValueError("checkpoint interval must be positive")
         self.obj = obj
+        self.calls0 = obj.counter.calls
         self.every = float(every)
         self.records: list[TraceRecord] = []
         self._next_idx = 0
@@ -228,7 +233,7 @@ def _run_trace(obj, tracer, algo, config, seed, **extra) -> RunTrace:
         "seed": seed,
         "n": obj.n,
         "checkpoint_every": tracer.every,
-        "ifo": obj.counter.calls,
+        "ifo": obj.counter.calls - tracer.calls0,
         **extra,
     }
     return RunTrace(records=tracer.records, meta=meta)
@@ -333,7 +338,6 @@ def spider_nonconvex(
     rng = np.random.default_rng(cfg.seed)
     tracer = _Tracer(obj, checkpoint_every)
     tallies = {"anchor": 0, "correction": 0}
-    calls_start = obj.counter.calls
     if cfg.T >= 1:
         tracer.after_step(0, x0, 0.0, 0)
     x_rand, x_last, steps, step_len, batch = _spider_core(
@@ -344,8 +348,7 @@ def spider_nonconvex(
         tracer.final(steps, x_last, step_len, batch)
     return x_rand, _run_trace(
         obj, tracer, "spider", asdict(cfg), cfg.seed,
-        ifo_convention=cfg.ifo_convention, steps=steps,
-        ifo=obj.counter.calls - calls_start, ifo_breakdown=tallies,
+        ifo_convention=cfg.ifo_convention, steps=steps, ifo_breakdown=tallies,
     )
 
 

@@ -69,9 +69,9 @@ class IfoCounter:
 class FiniteSumObjective(ABC):
     """Objective f(x) = (1/n) sum_i f_i(x) with Riemannian gradient access.
 
-    Subclasses provide per-component values and ambient gradients; gradients
-    are projected onto the tangent space of the evaluation point. Gradient
-    calls charge ``counter``; value calls do not.
+    Subclasses provide per-component values and one gradient kernel,
+    ``_rgrad``. The three gradient entry points validate their indices and
+    charge ``counter`` through one path; value calls are free.
     """
 
     def __init__(self, manifold: Manifold, n: int):
@@ -90,17 +90,18 @@ class FiniteSumObjective(ABC):
     def component_value(self, i: int, x: ManifoldPoint) -> float: ...
 
     @abstractmethod
-    def _component_rgrad_arr(self, i: int, x: ManifoldPoint) -> np.ndarray:
-        """Tangent-projected gradient of f_i at x, as a raw array. Uncounted."""
+    def _rgrad(self, idx, x: ManifoldPoint) -> np.ndarray:
+        """Mean tangent gradient over components ``idx`` at x, as a raw array.
+
+        ``idx=None`` means all n components in order. Uncounted.
+        """
 
     def value(self, x: ManifoldPoint) -> float:
         return sum(self.component_value(i, x) for i in range(self.n)) / self.n
 
     def component_rgrad(self, i: int, x: ManifoldPoint) -> TangentVector:
         self._check_index(i)
-        g = self._component_rgrad_arr(i, x)
-        self.counter.add(1)
-        return TangentVector(x, g)
+        return self._charged([int(i)], 1, x)
 
     def minibatch_rgrad(self, idx, x: ManifoldPoint) -> TangentVector:
         """Mean gradient over an index multiset (uniform-with-replacement draws)."""
@@ -109,21 +110,17 @@ class FiniteSumObjective(ABC):
             raise ValueError("empty minibatch")
         if idx.min() < 0 or idx.max() >= self.n:
             raise IndexError("component index out of range")
-        acc = np.zeros(self.manifold.d)
-        for i in idx:
-            acc += self._component_rgrad_arr(int(i), x)
-        acc /= idx.size
-        self.counter.add(idx.size)
-        return TangentVector(x, acc)
+        return self._charged(idx, idx.size, x)
 
     def full_rgrad(self, x: ManifoldPoint) -> TangentVector:
         """Exact mean gradient; charges n calls."""
-        acc = np.zeros(self.manifold.d)
-        for i in range(self.n):
-            acc += self._component_rgrad_arr(i, x)
-        acc /= self.n
-        self.counter.add(self.n)
-        return TangentVector(x, acc)
+        return self._charged(None, self.n, x)
+
+    def _charged(self, idx, calls: int, x: ManifoldPoint) -> TangentVector:
+        # the one metered path: every charged gradient is evaluated here
+        g = self._rgrad(idx, x)
+        self.counter.add(calls)
+        return TangentVector._raw(x, g)
 
     def _check_index(self, i: int):
         if not 0 <= int(i) < self.n:
@@ -155,9 +152,14 @@ class ComponentObjective(FiniteSumObjective):
         self._check_index(i)
         return float(self._values[i](x.coords))
 
-    def _component_rgrad_arr(self, i, x):
-        g = np.asarray(self._grads[i](x.coords), dtype=np.float64)
-        return self.manifold._project_tangent(x, g)
+    def _rgrad(self, idx, x):
+        # project each component, average, then project the mean
+        idx = range(self.n) if idx is None else idx
+        acc = np.zeros(self.manifold.d)
+        for i in idx:
+            acc += TangentVector(x, self._grads[i](x.coords)).coords
+        acc /= len(idx)
+        return self.manifold._project_tangent(x, acc)
 
 
 class PcaProblem(FiniteSumObjective):
@@ -206,38 +208,21 @@ class PcaProblem(FiniteSumObjective):
         w = float(self.Z[:, i] @ x.coords)
         return -w * w
 
-    def _rgrad_kernel(self, cols: np.ndarray, x_arr: np.ndarray) -> np.ndarray:
+    def _rgrad(self, idx, x):
+        # full anchors read Z in place; take keeps C order, so a batch
+        # covering 1..n reproduces the exact full-gradient arithmetic
+        cols = self.Z if idx is None else self.Z.take(idx, axis=1)
+        x_arr = x.coords
         w = cols.T @ x_arr
         g = cols @ w
         g *= -2.0 / cols.shape[1]
         g -= (x_arr @ g) * x_arr
         return g
 
-    def _component_rgrad_arr(self, i, x):
-        return self._rgrad_kernel(self.Z.take([int(i)], axis=1), x.coords)
-
-    def component_rgrad(self, i, x):
-        self._check_index(i)
-        g = self._rgrad_kernel(self.Z.take([int(i)], axis=1), x.coords)
-        self.counter.add(1)
-        return TangentVector._raw(x, g)
-
-    def minibatch_rgrad(self, idx, x):
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.size == 0:
-            raise ValueError("empty minibatch")
-        if idx.min() < 0 or idx.max() >= self.n:
-            raise IndexError("component index out of range")
-        # take keeps C order, so a batch covering 1..n reproduces the exact
-        # full-gradient arithmetic
-        g = self._rgrad_kernel(self.Z.take(idx, axis=1), x.coords)
-        self.counter.add(idx.size)
-        return TangentVector._raw(x, g)
-
-    def full_rgrad(self, x):
-        g = self._rgrad_kernel(self.Z, x.coords)
-        self.counter.add(self.n)
-        return TangentVector._raw(x, g)
+    # perfbench/tracing.py wraps these names in PcaProblem.__dict__
+    component_rgrad = FiniteSumObjective.component_rgrad
+    minibatch_rgrad = FiniteSumObjective.minibatch_rgrad
+    full_rgrad = FiniteSumObjective.full_rgrad
 
 
 @dataclass(frozen=True)

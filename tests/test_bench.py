@@ -333,6 +333,33 @@ class TestCli:
         assert len(lines) == 1 + 3
         assert (tmp_path / "o.csv.summary.csv").exists()
 
+    def test_fit_window_past_budget_is_explained(self, tmp_path, capsys):
+        # window 5 puts the fit at epochs 10 to 15, past the 10-epoch budget
+        out = tmp_path / "short.csv"
+        code = cli_main(
+            ["bench", "--algo", "rsvrg", "--d", "10", "--n", "30",
+             "--delta-list", "0.2,0.1", "--epochs", "10", "--seeds", "0,1",
+             "--eta", "0.05", "--out", str(out)]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "rsvrg: fit slope=nan corr=nan" in captured.out
+        note = [line for line in captured.err.splitlines() if "fit window" in line]
+        assert len(note) == 1
+        assert "10.0 to 15.0" in note[0] and "10.0-epoch budget" in note[0]
+        assert len(out.read_text().splitlines()) == 1 + 2 * 2 * 11
+        assert (tmp_path / "short.csv.summary.csv").exists()
+
+    def test_fit_window_inside_budget_prints_no_note(self, tmp_path, capsys):
+        out = tmp_path / "long.csv"
+        code = cli_main(
+            ["bench", "--algo", "rsvrg", "--d", "10", "--n", "30",
+             "--delta-list", "0.2", "--epochs", "15", "--seeds", "0",
+             "--eta", "0.05", "--out", str(out)]
+        )
+        assert code == 0
+        assert "fit window" not in capsys.readouterr().err
+
     def test_bench_requires_out(self):
         assert cli_main(["bench", "--algo", "rsgd"]) == 1
 

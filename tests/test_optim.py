@@ -440,6 +440,33 @@ def test_ifo_tally_property(seed, convention, map_mode, q, eps):
         assert P.counter.calls == calls
 
 
+def test_meta_ifo_is_the_runs_own_charge():
+    # back-to-back runs on one instance without a counter reset each report
+    # only the calls they charged themselves
+    P = desk_problem(d=10, n=60)
+    n, L = P.n, P.L_hint
+    x0 = P.manifold.random_point(np.random.default_rng(7))
+    gd = GdConfig(M0=0.1, tau=4.0 / (4.0 * L * math.log(4.0)), L=L, K=3, seed=1)
+    runs = {
+        "spider": lambda: spider_nonconvex(P, x0, params_finite(n, 0.1, 1.0, L, seed=2),
+                                           max_ifo=P.counter.calls + 4 * n),
+        "spider-gd1": lambda: spider_gd1(P, x0, gd, max_ifo=P.counter.calls + 4 * n),
+        "spider-gd2": lambda: spider_gd2(P, x0, gd, max_ifo=P.counter.calls + 4 * n),
+        "rsvrg": lambda: rsvrg(P, x0, eta=0.01, epochs=2, inner_len=20, seed=3),
+        "rsgd": lambda: rsgd(P, x0, 0.01, T=30, seed=4),
+    }
+    for algo, run in runs.items():
+        for _ in range(2):
+            before = P.counter.calls
+            _, trace = run()
+            charged = P.counter.calls - before
+            assert charged > 0
+            assert trace.meta["ifo"] == charged, algo
+            if algo != "rsgd":
+                tallies = trace.meta["ifo_breakdown"]
+                assert trace.meta["ifo"] == tallies["anchor"] + tallies["correction"], algo
+
+
 _TRACE_PROBLEM = desk_problem(d=5, n=20, delta=0.4, seed=33)
 
 

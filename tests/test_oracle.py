@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rspider as r
+from rspider.geometry import Euclidean
 from rspider.oracle import packed_spectrum, problem_from_spectrum
 
 
@@ -153,6 +154,65 @@ class TestMinibatch:
         x = P.manifold.point([1.0, 0.0])
         with pytest.raises(ValueError):
             P.minibatch_rgrad([], x)
+
+
+class LinearSum(r.FiniteSumObjective):
+    """f_i(x) = c_i . x on R^d: implements only the three required hooks."""
+
+    def __init__(self, C):
+        super().__init__(Euclidean(C.shape[0]), C.shape[1])
+        self.C = C
+
+    @property
+    def L_hint(self):
+        return 0.0
+
+    def component_value(self, i, x):
+        return float(self.C[:, i] @ x.coords)
+
+    def _rgrad(self, idx, x):
+        cols = self.C if idx is None else self.C[:, idx]
+        return cols.mean(axis=1)
+
+
+class TestMinimalObjective:
+    def setup_method(self):
+        self.C = np.arange(12.0).reshape(3, 4)
+        self.obj = LinearSum(self.C)
+        self.x = self.obj.manifold.point([1.0, -1.0, 0.5])
+
+    def test_charges_one_batch_and_n(self):
+        obj, x = self.obj, self.x
+        g = obj.component_rgrad(2, x)
+        assert obj.counter.calls == 1
+        assert np.array_equal(g.coords, self.C[:, 2])
+        g = obj.minibatch_rgrad([1, 3, 3], x)
+        assert obj.counter.calls == 1 + 3
+        assert np.allclose(g.coords, self.C[:, [1, 3, 3]].mean(axis=1))
+        g = obj.full_rgrad(x)
+        assert obj.counter.calls == 1 + 3 + obj.n
+        assert np.allclose(g.coords, self.C.mean(axis=1))
+        assert obj.value(x) == pytest.approx(float(self.C.mean(axis=1) @ x.coords))
+
+    def test_rejects_empty_batch_and_bad_index(self):
+        obj, x = self.obj, self.x
+        with pytest.raises(ValueError, match="empty minibatch"):
+            obj.minibatch_rgrad([], x)
+        with pytest.raises(IndexError):
+            obj.minibatch_rgrad([0, obj.n], x)
+        with pytest.raises(IndexError):
+            obj.minibatch_rgrad([-1], x)
+        with pytest.raises(IndexError):
+            obj.component_rgrad(obj.n, x)
+        assert obj.counter.calls == 0
+
+    def test_paused_counter_charges_nothing(self):
+        obj, x = self.obj, self.x
+        with obj.counter.paused():
+            obj.component_rgrad(0, x)
+            obj.minibatch_rgrad([0, 1], x)
+            obj.full_rgrad(x)
+        assert obj.counter.calls == 0
 
 
 class TestGenerator:
