@@ -143,9 +143,9 @@ def smoothness_probe(
 
 def _slow_direction(P: PcaProblem, center: ManifoldPoint, tol=1e-10, max_iter=50_000):
     """Unit tangent at ``center`` along the second eigendirection (deflated
-    power iteration). This is the flattest ascent direction of the quadratic,
-    where the domination ratio peaks."""
-    Z, n = P.Z, P.n
+    power iteration on the Gram matrix A). This is the flattest ascent
+    direction of the quadratic, where the domination ratio peaks."""
+    A = P._gram()
     c = center.coords
     rng = np.random.default_rng(0x51<<8)
     v = rng.standard_normal(P.d)
@@ -153,7 +153,7 @@ def _slow_direction(P: PcaProblem, center: ManifoldPoint, tol=1e-10, max_iter=50
     v /= math.sqrt(float(v @ v))
     lam_prev = math.inf
     for _ in range(max_iter):
-        w = Z @ (Z.T @ v) / n
+        w = A @ v
         w -= (c @ w) * c
         lam = float(v @ w)
         if abs(lam - lam_prev) < tol:
@@ -164,6 +164,17 @@ def _slow_direction(P: PcaProblem, center: ManifoldPoint, tol=1e-10, max_iter=50
         v = w / nw
         lam_prev = lam
     return P.manifold.tangent(center, v)
+
+
+def _value_and_grad_sq(obj: FiniteSumObjective, p: ManifoldPoint) -> tuple[float, float]:
+    """f(p) and |grad f(p)|^2, uncharged; a PcaProblem is evaluated on A."""
+    if not isinstance(obj, PcaProblem):
+        return obj.value(p), obj.full_rgrad(p)._sq
+    x = p.coords
+    ax = obj._gram() @ x
+    q = float(x @ ax)
+    g = 2.0 * (q * x - ax)
+    return -q, float(g @ g)
 
 
 def pl_constant_estimate(
@@ -185,6 +196,13 @@ def pl_constant_estimate(
     estimated second eigendirection, where the ratio peaks. Points with
     |grad|^2 below ``min_grad_sq`` carry no information (0/0 at optima) and
     are excluded.
+
+    For a :class:`PcaProblem` the center, the slow direction and every probe
+    point are evaluated on the instance's d x d Gram matrix A (formed on first
+    use and kept): f(x) = -x^T A x and grad f(x) = -2 A x + 2 (x^T A x) x.
+    These agree with the oracle's Z-based values to rounding, and no pass
+    streams Z. Other objectives are evaluated through ``value`` and
+    ``full_rgrad``. The oracle counter is never charged.
     """
     man = obj.manifold
     if isinstance(points, int):
@@ -209,11 +227,11 @@ def pl_constant_estimate(
     excluded = 0
     with obj.counter.paused():
         for p in pts:
-            g = obj.full_rgrad(p)
-            if g._sq < min_grad_sq:
+            f, g_sq = _value_and_grad_sq(obj, p)
+            if g_sq < min_grad_sq:
                 excluded += 1
                 continue
-            ratios.append((obj.value(p) - f_star) / g._sq)
+            ratios.append((f - f_star) / g_sq)
     if not ratios:
         raise ValueError("all probe points are near-critical: no domination ratio")
     return ProbeReport(

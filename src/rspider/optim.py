@@ -171,7 +171,8 @@ class _Tracer:
     """Emits one record per crossed checkpoint boundary (free evaluations).
 
     ``calls0`` is the counter when the run starts, so a run on an objective
-    that has already been charged still reports only its own calls.
+    that has already been charged still reports, and is budgeted by, only its
+    own calls (:meth:`spent`).
     """
 
     def __init__(self, obj: FiniteSumObjective, every: float):
@@ -183,8 +184,16 @@ class _Tracer:
         self.records: list[TraceRecord] = []
         self._next_idx = 0
 
+    def spent(self) -> int:
+        """Calls charged since the run started."""
+        return self.obj.counter.calls - self.calls0
+
+    def exhausted(self, max_ifo) -> bool:
+        """Whether the run has spent its budget ``max_ifo`` (None: no budget)."""
+        return max_ifo is not None and self.spent() >= max_ifo
+
     def _snap(self, k, x, step_dist, batch, boundary):
-        calls = self.obj.counter.calls
+        calls = self.spent()
         with self.obj.counter.paused():
             f = self.obj.value(x)
             g = self.obj.full_rgrad(x)
@@ -202,7 +211,7 @@ class _Tracer:
         )
 
     def after_step(self, k, x, step_dist, batch):
-        epoch = self.obj.counter.calls / self.obj.n
+        epoch = self.spent() / self.obj.n
         while epoch >= self._next_idx * self.every - 1e-12:
             self._snap(k, x, step_dist, batch, self._next_idx * self.every)
             self._next_idx += 1
@@ -233,7 +242,7 @@ def _run_trace(obj, tracer, algo, config, seed, **extra) -> RunTrace:
         "seed": seed,
         "n": obj.n,
         "checkpoint_every": tracer.every,
-        "ifo": obj.counter.calls - tracer.calls0,
+        "ifo": tracer.spent(),
         **extra,
     }
     return RunTrace(records=tracer.records, meta=meta)
@@ -282,7 +291,7 @@ def _spider_core(
     step_len = 0.0
     batch = done = 0
     for k in range(cfg.T):
-        if max_ifo is not None and obj.counter.calls >= max_ifo:
+        if tracer.exhausted(max_ifo):
             break
         if k % cfg.q == 0:
             if full_anchor:
@@ -423,7 +432,7 @@ def spider_gd1(
     stages = []
     tracer.after_step(0, x0, 0.0, 0)
     for t in range(1, cfg.K + 1):
-        if max_ifo is not None and obj.counter.calls >= max_ifo:
+        if tracer.exhausted(max_ifo):
             break
         eps_t = math.sqrt(cfg.M0 / (2.0**t * 10.0 * cfg.tau))
         m_t = cfg.M0 / 2.0 ** (t - 1)
@@ -441,7 +450,7 @@ def spider_gd1(
                 "eta": inner.eta,
                 "T": t_t,
                 "steps": steps,
-                "ifo_end": obj.counter.calls,
+                "ifo_end": tracer.spent(),
             }
         )
     tracer.final(k_off, x, 0.0, 0)
@@ -480,7 +489,7 @@ def spider_gd2(
     if cfg.K >= 1:
         tracer.after_step(0, x0, 0.0, 0)
     for t in range(cfg.K):
-        if max_ifo is not None and obj.counter.calls >= max_ifo:
+        if tracer.exhausted(max_ifo):
             break
         delta = delta0 / 2.0**t
         _, x, steps, step_len, batch = _spider_core(
@@ -521,7 +530,7 @@ def rsgd(
     if T >= 1:
         tracer.after_step(0, x0, 0.0, 0)
     for k in range(T):
-        if max_ifo is not None and obj.counter.calls >= max_ifo:
+        if tracer.exhausted(max_ifo):
             break
         i = int(rng.integers(0, obj.n))
         g = obj.minibatch_rgrad([i], x)
@@ -569,16 +578,16 @@ def rsvrg(
     if epochs >= 1:
         tracer.after_step(0, x0, 0.0, 0)
     for _s in range(epochs):
-        if max_ifo is not None and obj.counter.calls >= max_ifo:
+        if tracer.exhausted(max_ifo):
             break
         x_snap = x
         mu = obj.full_rgrad(x_snap)
         tallies["anchor"] += obj.n
         tracer.after_step(k_global, x, 0.0, obj.n)
-        for _j in range(m):
-            if max_ifo is not None and obj.counter.calls >= max_ifo:
+        # one draw per epoch: the same indices and generator state as m scalar draws
+        for i in rng.integers(0, obj.n, size=m).tolist():
+            if tracer.exhausted(max_ifo):
                 break
-            i = int(rng.integers(0, obj.n))
             v = _correct(obj, obj.component_rgrad, x, x_snap, mu, ifo_convention, k_global, i)
             tallies["correction"] += charge
             x, step_len = _update(man, x, v, eta, map_mode, k_global)

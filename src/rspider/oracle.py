@@ -167,7 +167,8 @@ class PcaProblem(FiniteSumObjective):
 
     ``A = (1/n) Z Z^T``. For synthetic instances the spectrum of A is known
     and the optimal value ``f_star = -lambda_1`` is exposed. The minimizer is
-    the leading eigenvector of A (up to sign).
+    the leading eigenvector of A (up to sign). The charged oracle and
+    :meth:`value` read Z; only uncharged spectral probes read A.
     """
 
     def __init__(self, Z, spectrum=None, seed: int | None = None):
@@ -185,6 +186,7 @@ class PcaProblem(FiniteSumObjective):
         # certified component smoothness: each -(z^T x)^2 is 4*|z|^2 smooth,
         # and the variance recursion needs the root-mean-square of those
         self._l_component = 4.0 * math.sqrt(float(np.mean(col_sq**2)))
+        self._A = None  # the Gram matrix, formed by _gram() on first use
 
     @property
     def d(self) -> int:
@@ -218,6 +220,13 @@ class PcaProblem(FiniteSumObjective):
         g *= -2.0 / cols.shape[1]
         g -= (x_arr @ g) * x_arr
         return g
+
+    def _gram(self) -> np.ndarray:
+        """A = (1/n) Z Z^T (d x d), formed with one GEMM on first use and kept."""
+        if self._A is None:
+            self._A = self.Z @ self.Z.T
+            self._A /= self.n
+        return self._A
 
     # perfbench/tracing.py wraps these names in PcaProblem.__dict__
     component_rgrad = FiniteSumObjective.component_rgrad
@@ -332,19 +341,19 @@ def leading_eigpair(
 ) -> tuple[float, ManifoldPoint]:
     """Top eigenpair of A = (1/n) Z Z^T by power iteration.
 
-    Iterates until successive Rayleigh quotients differ by less than ``tol``.
-    Raises on non-convergence (tiny eigengap) with the iteration count.
-    Does not touch the oracle counter.
+    Iterates ``w = A v`` on the instance's d x d Gram matrix, which is formed
+    on the first call and kept, so no iteration streams Z. Stops when
+    successive Rayleigh quotients differ by less than ``tol``. Raises on
+    non-convergence (tiny eigengap) with the iteration count. Does not touch
+    the oracle counter.
     """
-    Z = P.Z
-    n = P.n
+    A = P._gram()
     rng = np.random.default_rng(0x5EED)
     v = rng.standard_normal(P.d)
     v /= math.sqrt(float(v @ v))
     lam_prev = math.inf
     for it in range(max_iter):
-        w = Z @ (Z.T @ v)
-        w /= n
+        w = A @ v
         lam = float(v @ w)
         if abs(lam - lam_prev) < tol:
             return lam, ManifoldPoint(P.manifold, v)

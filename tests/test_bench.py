@@ -249,6 +249,29 @@ class TestRunSweep:
         assert not res.failures
         assert calls == {"qr": 2, "tau": 3}  # one U and one V; one tau per gap
 
+    def test_gram_formed_once_per_gap_and_only_for_tau(self, monkeypatch):
+        import rspider.oracle as oracle
+
+        formed = []
+        gram = oracle.PcaProblem._gram
+
+        def counted_gram(self):
+            if self._A is None:
+                formed.append(self.f_star)
+            return gram(self)
+
+        monkeypatch.setattr(oracle.PcaProblem, "_gram", counted_gram)
+        res = run_sweep(tiny_cfg(
+            algo=("rsvrg", "spider-gd1", "spider-gd2"),
+            delta_list=(0.2, 0.1), seeds=(0, 1), epochs=1.0,
+        ))
+        assert not res.failures
+        assert len(formed) == 2  # one Gram matrix per gap, for its tau
+        res = run_sweep(tiny_cfg(algo=("rsvrg", "spider"), delta_list=(0.2, 0.1),
+                                 seeds=(0, 1), epochs=1.0))
+        assert not res.failures
+        assert len(formed) == 2  # sweeps that need no tau never form one
+
     def test_cell_exception_fails_only_that_cell(self, monkeypatch):
         import rspider.bench as bench
 

@@ -5,8 +5,8 @@ import pytest
 
 import rspider as r
 from rspider.diagnostics import CONVERGED, STALLED, epochs_to_double
-from rspider.geometry import Euclidean
-from rspider.oracle import ComponentObjective
+from rspider.geometry import Euclidean, Sphere
+from rspider.oracle import ComponentObjective, packed_spectrum, problem_from_spectrum
 from rspider.optim import FrozenState, params_finite, spider_nonconvex
 
 
@@ -128,6 +128,95 @@ class TestPlConstantEstimate:
         obj = linear_objective()
         with pytest.raises(ValueError):
             r.pl_constant_estimate(obj, -1.0, 10)
+
+
+def _z_power(P, v, c=None, tol=1e-13, max_iter=100_000):
+    # reference power iteration that streams Z: w = Z (Z^T v) / n, deflated
+    # against the unit vector ``c`` when one is given
+    if c is not None:
+        v = v - (c @ v) * c
+    v = v / math.sqrt(float(v @ v))
+    lam_prev = math.inf
+    for _ in range(max_iter):
+        w = P.Z @ (P.Z.T @ v) / P.n
+        if c is not None:
+            w -= (c @ w) * c
+        lam = float(v @ w)
+        if abs(lam - lam_prev) < tol:
+            break
+        v = w / math.sqrt(float(w @ w))
+        lam_prev = lam
+    return lam, v
+
+
+def _z_tau(P, count, seed, radius=math.pi / 4):
+    # reference domination estimate: same probe points as pl_constant_estimate,
+    # located by Z-streaming power iterations and evaluated by the charged
+    # oracle's value/full_rgrad with the counter paused
+    man = P.manifold
+    _, c = _z_power(P, np.random.default_rng(0x5EED).standard_normal(P.d))
+    center = man.point(c)
+    rng = np.random.default_rng(seed)
+    pts = []
+    for _ in range(count):
+        rad = float(rng.uniform(0.0, radius))
+        pts.append(man.exp(center, man.random_tangent(center, rng, scale=rad)))
+    _, u = _z_power(P, np.random.default_rng(0x51 << 8).standard_normal(P.d),
+                    c=c, tol=1e-10, max_iter=50_000)
+    u = man.tangent(center, u)
+    for rad in np.linspace(radius / 8.0, radius, 8):
+        pts.append(man.exp(center, u._scaled(rad)))
+        pts.append(man.exp(center, u._scaled(-rad)))
+    with P.counter.paused():
+        return max((P.value(p) - P.f_star) / P.full_rgrad(p)._sq for p in pts)
+
+
+def _gap_instances():
+    for delta in (0.2, 0.1):
+        yield problem_from_spectrum(packed_spectrum(30, delta), 300, seed=4)
+        yield r.generate_gap_matrix(r.SyntheticSpec(d=30, n=300, delta=delta, seed=4))
+
+
+class TestGramPath:
+    def test_leading_eigpair_matches_z_streaming(self):
+        for P in _gap_instances():
+            lam, v = r.leading_eigpair(P)
+            ref_lam, ref_v = _z_power(P, np.random.default_rng(0x5EED).standard_normal(P.d))
+            assert abs(lam - ref_lam) <= 1e-12 * abs(ref_lam)
+            assert np.abs(v.coords - ref_v).max() <= 1e-12
+
+    def test_tau_matches_z_streaming(self):
+        for P in _gap_instances():
+            tau = r.pl_constant_estimate(P, P.f_star, 64, seed=3).statistic
+            ref = _z_tau(P, 64, seed=3)
+            assert abs(tau - ref) <= 1e-12 * ref
+
+    def test_component_objective_gives_the_same_ratios(self):
+        # the generic value/full_rgrad path over the same columns
+        P = problem_from_spectrum(packed_spectrum(12, 0.1), 40, seed=6)
+        cols = [P.Z[:, i].copy() for i in range(P.n)]
+        obj = ComponentObjective(
+            Sphere(P.d),
+            values=[(lambda x, z=z: -float(z @ x) ** 2) for z in cols],
+            grads=[(lambda x, z=z: -2.0 * float(z @ x) * z) for z in cols],
+        )
+        rng = np.random.default_rng(11)
+        pts = [P.manifold.random_point(rng) for _ in range(20)]
+        got = r.pl_constant_estimate(P, P.f_star, pts)
+        ref = r.pl_constant_estimate(obj, P.f_star, pts)
+        assert got.samples == ref.samples == 20
+        for key in ("min_ratio", "mean_ratio"):
+            assert got.details[key] == pytest.approx(ref.details[key], rel=1e-12)
+        assert got.statistic == pytest.approx(ref.statistic, rel=1e-12)
+
+    def test_counter_untouched(self):
+        P = problem_from_spectrum(packed_spectrum(12, 0.1), 40, seed=6)
+        r.pl_constant_estimate(P, P.f_star, 16, seed=0)
+        assert P.counter.calls == 0
+        P.counter.add(5)
+        r.pl_constant_estimate(P, P.f_star, 16, seed=1)
+        r.leading_eigpair(P)
+        assert P.counter.calls == 5
 
 
 class TestVarianceProbe:

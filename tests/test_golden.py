@@ -4,8 +4,9 @@ Each test hashes exact output (CSV bytes, ``repr`` of every float, raw point
 coordinates) and compares it with a digest recorded from a known-good
 version. A refactor that is meant to keep behavior must keep every digest;
 a change that moves any number, even in the last bit, fails here. The
-digests hold for any BLAS thread count at these sizes (checked with
-``OPENBLAS_NUM_THREADS`` set to 1 and 2).
+digests hold for any BLAS thread count at these sizes;
+``test_tau_sweeps_hold_with_two_blas_threads`` rechecks the sweeps that
+estimate tau on a Gram matrix (a GEMM) with ``OPENBLAS_NUM_THREADS=2``.
 
 To print the current digests after an intended change of behavior, run
 ``python tests/test_golden.py``.
@@ -13,6 +14,11 @@ To print the current digests after an intended change of behavior, run
 
 import hashlib
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +243,28 @@ def test_frozen_state_stream(solver):
 @pytest.mark.parametrize("solver", STATE_CASES)
 def test_variance_probe_statistics(solver):
     assert probe_digest(solver) == PROBE_GOLDEN[solver]
+
+
+_TAU_CASES = [c for c in SWEEP_CASES if c[0] in ("spider-gd1", "spider-gd2")]
+_TWO_THREADS = """
+import json, sys, tempfile
+sys.path[:0] = sys.argv[1:3]
+import test_golden as g
+with tempfile.TemporaryDirectory() as tmp:
+    print(json.dumps([g.sweep_digest(a, c, m, tmp) for a, c, m in g._TAU_CASES]))
+"""
+
+
+def test_tau_sweeps_hold_with_two_blas_threads():
+    # the thread count must be set before numpy loads, hence a new process
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    out = subprocess.run(
+        [sys.executable, "-c", _TWO_THREADS, str(here.parent / "src"), str(here)],
+        env=env, capture_output=True, text=True, check=True, timeout=600,
+    )
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    assert got == [SWEEP_GOLDEN["/".join(c)] for c in _TAU_CASES]
 
 
 def _print_digests():

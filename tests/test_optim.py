@@ -441,30 +441,50 @@ def test_ifo_tally_property(seed, convention, map_mode, q, eps):
 
 
 def test_meta_ifo_is_the_runs_own_charge():
-    # back-to-back runs on one instance without a counter reset each report
-    # only the calls they charged themselves
+    # back-to-back runs on one instance without a counter reset are each
+    # budgeted by, and report, only the calls they charged themselves: the
+    # second run repeats the first exactly
     P = desk_problem(d=10, n=60)
     n, L = P.n, P.L_hint
     x0 = P.manifold.random_point(np.random.default_rng(7))
-    gd = GdConfig(M0=0.1, tau=4.0 / (4.0 * L * math.log(4.0)), L=L, K=3, seed=1)
+    gd = GdConfig(M0=0.1, tau=4.0 / (4.0 * L * math.log(4.0)), L=L, K=40, seed=1)
+    budget = dict(max_ifo=3 * n, checkpoint_every=0.5)
     runs = {
         "spider": lambda: spider_nonconvex(P, x0, params_finite(n, 0.1, 1.0, L, seed=2),
-                                           max_ifo=P.counter.calls + 4 * n),
-        "spider-gd1": lambda: spider_gd1(P, x0, gd, max_ifo=P.counter.calls + 4 * n),
-        "spider-gd2": lambda: spider_gd2(P, x0, gd, max_ifo=P.counter.calls + 4 * n),
-        "rsvrg": lambda: rsvrg(P, x0, eta=0.01, epochs=2, inner_len=20, seed=3),
-        "rsgd": lambda: rsgd(P, x0, 0.01, T=30, seed=4),
+                                           **budget),
+        "spider-gd1": lambda: spider_gd1(P, x0, gd, **budget),
+        "spider-gd2": lambda: spider_gd2(P, x0, gd, **budget),
+        "rsvrg": lambda: rsvrg(P, x0, eta=0.01, epochs=5, seed=3, **budget),
+        "rsgd": lambda: rsgd(P, x0, 0.01, T=10 * n, seed=4, **budget),
     }
     for algo, run in runs.items():
+        outcomes = []
         for _ in range(2):
             before = P.counter.calls
-            _, trace = run()
+            x, trace = run()
             charged = P.counter.calls - before
-            assert charged > 0
-            assert trace.meta["ifo"] == charged, algo
+            assert 3 * n <= charged < 6 * n, algo  # the budget binds, from zero
+            assert trace.records[0].ifo == 0 and trace.records[0].epoch == 0.0, algo
+            assert trace.records[-1].ifo == charged == trace.meta["ifo"], algo
             if algo != "rsgd":
                 tallies = trace.meta["ifo_breakdown"]
-                assert trace.meta["ifo"] == tallies["anchor"] + tallies["correction"], algo
+                assert charged == tallies["anchor"] + tallies["correction"], algo
+            stages = trace.meta.get("stages", [])
+            assert all(s["ifo_end"] <= charged for s in stages), algo
+            outcomes.append((x.coords.tobytes(), trace.records, stages))
+        assert outcomes[0] == outcomes[1], algo
+
+
+def test_rsvrg_epoch_draw_matches_scalar_draws():
+    # rsvrg draws an epoch's m indices at once; numpy must give the same
+    # indices and leave the generator where m scalar draws would
+    for n in (200, 2000, 20000):
+        for m in (1, 7, n):
+            scalar, batch = np.random.default_rng(n + m), np.random.default_rng(n + m)
+            one_by_one = [int(scalar.integers(0, n)) for _ in range(m)]
+            assert batch.integers(0, n, size=m).tolist() == one_by_one
+            assert batch.bit_generator.state == scalar.bit_generator.state
+            assert batch.random() == scalar.random()
 
 
 _TRACE_PROBLEM = desk_problem(d=5, n=20, delta=0.4, seed=33)

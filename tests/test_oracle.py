@@ -288,6 +288,21 @@ class TestLeadingEigpair:
         r.leading_eigpair(P)
         assert P.counter.calls == 0
 
+    def test_gram_formed_on_first_use_only(self, tmp_path):
+        P = problem_from_spectrum(packed_spectrum(8, 0.1), 30, seed=2)
+        r.save_problem(P, tmp_path / "p.bin")
+        built = [
+            P,
+            r.generate_gap_matrix(r.SyntheticSpec(d=8, n=30, delta=0.1, seed=2)),
+            r.load_problem(tmp_path / "p.bin"),
+        ]
+        for Q in built:
+            assert Q._A is None  # building never pays for the Gram matrix
+            A = Q._gram()
+            assert np.array_equal(A, Q.Z @ Q.Z.T / Q.n)
+            r.leading_eigpair(Q)
+            assert Q._gram() is A
+
 
 class TestVarianceBound:
     def test_single_component(self):
