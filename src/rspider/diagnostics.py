@@ -267,17 +267,21 @@ def variance_probe(
     rng = np.random.default_rng(seed)
     x, y, ref = frozen.x_curr, frozen.x_prev, frozen.v_prev
     with obj.counter.paused():
-        target = obj.full_rgrad(x)
+        target = obj.full_rgrad(x).coords
         carried = (ref - obj.full_rgrad(y)).norm()
         if frozen.s2 >= obj.n:
-            v = _correct(obj, obj.full_rgrad, x, y, ref, "paired", frozen.k)
-            vals = [(v - target)._sq] * resamples
+            v, _ = _correct(obj, obj.full_rgrad, x, y, ref.coords, "paired", frozen.k)
+            estimates = [v] * resamples
         else:
-            vals = []
+            estimates = []
             for _ in range(resamples):
-                idx = rng.integers(0, obj.n, size=frozen.s2)
-                v = _correct(obj, obj.minibatch_rgrad, x, y, ref, "paired", frozen.k, idx)
-                vals.append((v - target)._sq)
+                idx = obj._prepare(rng.integers(0, obj.n, size=frozen.s2))
+                v, _ = _correct(obj, obj.minibatch_rgrad, x, y, ref.coords, "paired", frozen.k, idx)
+                estimates.append(v)
+    vals = []
+    for v in estimates:
+        err = v - target
+        vals.append(float(err @ err))
     return ProbeReport(
         name="variance_probe",
         samples=resamples,

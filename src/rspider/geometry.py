@@ -5,6 +5,13 @@ Sphere points are kept unit-norm on construction; tangent vectors are
 projected onto the tangent space of their base point. All operations are
 deterministic pure functions, and constructed values are treated as
 immutable (safe to share across threads).
+
+Each manifold implements its geodesic operations once, on raw coordinate
+arrays (``_exp``, ``_retract``, ``_transport``, ``_dist``). The public
+``exp``, ``retract``, ``transport`` and ``dist`` are checked wrappers around
+them: they verify that points and tangents belong together and return
+checked :class:`ManifoldPoint`/:class:`TangentVector` values. The solvers
+call the raw operations directly on arrays they already trust.
 """
 
 from __future__ import annotations
@@ -53,6 +60,14 @@ class ManifoldPoint:
         self.manifold = manifold
         self.coords = manifold._clean_point(coords)
 
+    @classmethod
+    def _raw(cls, manifold: "Manifold", coords: np.ndarray) -> "ManifoldPoint":
+        # trusted path: coords already cleaned onto the manifold
+        x = object.__new__(cls)
+        x.manifold = manifold
+        x.coords = coords
+        return x
+
     def __repr__(self):
         return f"ManifoldPoint({self.manifold!r}, {self.coords!r})"
 
@@ -73,7 +88,7 @@ class TangentVector:
             raise GeometryError(
                 f"expected a vector of dimension {base.manifold.d}, got shape {coords.shape}"
             )
-        coords = base.manifold._project_tangent(base, coords)
+        coords = base.manifold._project_tangent(base.coords, coords)
         sq = float(coords @ coords)
         if not math.isfinite(sq):
             raise GeometryError("tangent coordinates must be finite")
@@ -181,35 +196,55 @@ class Manifold(ABC):
     def norm(self, v: TangentVector) -> float:
         return math.sqrt(v._sq)
 
-    # -- geodesic operations ----------------------------------------------
-    @abstractmethod
+    # -- geodesic operations (checked wrappers around the raw ops) -----------
     def exp(self, x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
         """Point reached by the unit-time geodesic from ``x`` with velocity ``v``."""
+        self._check_base(x, v)
+        return ManifoldPoint._raw(self, self._exp(x.coords, v.coords, v._sq))
 
     @abstractmethod
     def log(self, x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
         """Inverse of ``exp``: tangent at ``x`` pointing to ``y`` with length dist(x, y)."""
 
-    @abstractmethod
     def transport(
         self, x: ManifoldPoint, y: ManifoldPoint, v: TangentVector
     ) -> TangentVector:
         """Parallel transport of ``v`` from ``x`` to ``y`` along the geodesic."""
+        self._check_base(x, v)
+        self._check_point(y)
+        return TangentVector._raw(y, self._transport(x.coords, y.coords, v.coords))
 
-    @abstractmethod
     def retract(self, x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
         """First-order approximation of the exponential map."""
+        self._check_base(x, v)
+        return ManifoldPoint._raw(self, self._retract(x.coords, v.coords))
 
-    @abstractmethod
     def dist(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         """Geodesic distance."""
+        self._check_pair(x, y)
+        return self._dist(x.coords, y.coords)
+
+    # -- raw operations on coordinate arrays ----------------------------------
+    # Inputs are trusted: x, y are clean points, v is tangent at its base and
+    # v_sq is v @ v. Results are clean points or tangent coordinates.
+    @abstractmethod
+    def _exp(self, x: np.ndarray, v: np.ndarray, v_sq: float) -> np.ndarray: ...
+
+    @abstractmethod
+    def _retract(self, x: np.ndarray, v: np.ndarray) -> np.ndarray: ...
+
+    @abstractmethod
+    def _transport(self, x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray: ...
+
+    @abstractmethod
+    def _dist(self, x: np.ndarray, y: np.ndarray) -> float: ...
 
     # -- internal hooks -----------------------------------------------------
     @abstractmethod
     def _clean_point(self, coords: np.ndarray) -> np.ndarray: ...
 
     @abstractmethod
-    def _project_tangent(self, base: ManifoldPoint, coords: np.ndarray) -> np.ndarray: ...
+    def _project_tangent(self, base: np.ndarray, coords: np.ndarray) -> np.ndarray: ...
 
     def _check_point(self, x: ManifoldPoint):
         if x.manifold is not self and x.manifold != self:
@@ -246,17 +281,9 @@ class Sphere(Manifold):
             raise GeometryError("cannot normalize a zero vector onto the sphere")
         return coords / nrm
 
-    def _project_tangent(self, base: ManifoldPoint, coords: np.ndarray) -> np.ndarray:
-        c = float(base.coords @ coords)
-        return coords - c * base.coords
-
-    def exp(self, x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
-        self._check_base(x, v)
-        theta = math.sqrt(v._sq)
-        if theta < _EXP_SMALL:
-            return ManifoldPoint(self, x.coords + v.coords)
-        out = math.cos(theta) * x.coords + (math.sin(theta) / theta) * v.coords
-        return ManifoldPoint(self, out)
+    def _project_tangent(self, base: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        c = float(base @ coords)
+        return coords - c * base
 
     def log(self, x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
         self._check_pair(x, y)
@@ -272,48 +299,50 @@ class Sphere(Manifold):
         theta = math.acos(min(1.0, max(-1.0, c)))
         return TangentVector._raw(x, (theta / un) * u)
 
-    def transport(
-        self, x: ManifoldPoint, y: ManifoldPoint, v: TangentVector
-    ) -> TangentVector:
-        self._check_base(x, v)
-        self._check_point(y)
-        c = float(x.coords @ y.coords)
+    def _exp(self, x, v, v_sq):
+        theta = math.sqrt(v_sq)
+        if theta < _EXP_SMALL:
+            return self._clean_point(x + v)
+        return self._clean_point(math.cos(theta) * x + (math.sin(theta) / theta) * v)
+
+    def _transport(self, x, y, v):
+        c = float(x @ y)
         if c <= _ANTIPODAL_COS:
             raise AntipodalError(
                 f"transport undefined for (nearly) antipodal points: <x, y> = {c}"
             )
-        u = y.coords - c * x.coords
+        u = y - c * x
         un = math.sqrt(float(u @ u))
         if un < _ZERO_ANGLE:
-            if x is y or np.array_equal(x.coords, y.coords):
-                return TangentVector._raw(y, v.coords)
-            return TangentVector(y, v.coords)
+            if x is y or np.array_equal(x, y):
+                return v
+            return self._project_tangent(y, v)
         theta = math.acos(min(1.0, max(-1.0, c)))
         e = u / un
-        a = float(e @ v.coords)
-        out = (
-            v.coords
-            - a * e
-            + a * (math.cos(theta) * e - math.sin(theta) * x.coords)
-        )
-        return TangentVector(y, out)
+        a = float(e @ v)
+        out = v - a * e + a * (math.cos(theta) * e - math.sin(theta) * x)
+        return self._project_tangent(y, out)
 
-    def retract(self, x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
-        self._check_base(x, v)
-        w = x.coords + v.coords
+    def _retract(self, x, v):
+        w = x + v
         nw = math.sqrt(float(w @ w))
         if nw <= 1e-12:
             raise GeometryError("retraction undefined: x + v is (nearly) zero")
-        return ManifoldPoint(self, w / nw)
+        return self._clean_point(w / nw)
 
-    def dist(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
-        self._check_pair(x, y)
-        c = float(x.coords @ y.coords)
+    def _dist(self, x, y):
+        c = float(x @ y)
         if c <= _ANTIPODAL_COS:
             raise AntipodalError(
                 f"distance ill-conditioned for (nearly) antipodal points: <x, y> = {c}"
             )
         return math.acos(min(1.0, max(-1.0, c)))
+
+    # perfbench/tracing.py wraps these names in Sphere.__dict__
+    exp = Manifold.exp
+    transport = Manifold.transport
+    retract = Manifold.retract
+    dist = Manifold.dist
 
 
 class Euclidean(Manifold):
@@ -326,27 +355,22 @@ class Euclidean(Manifold):
             raise GeometryError("point coordinates must be finite")
         return coords
 
-    def _project_tangent(self, base: ManifoldPoint, coords: np.ndarray) -> np.ndarray:
+    def _project_tangent(self, base: np.ndarray, coords: np.ndarray) -> np.ndarray:
         return coords
-
-    def exp(self, x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
-        self._check_base(x, v)
-        return ManifoldPoint(self, x.coords + v.coords)
 
     def log(self, x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
         self._check_pair(x, y)
         return TangentVector._raw(x, y.coords - x.coords)
 
-    def transport(
-        self, x: ManifoldPoint, y: ManifoldPoint, v: TangentVector
-    ) -> TangentVector:
-        self._check_base(x, v)
-        self._check_point(y)
-        return TangentVector._raw(y, v.coords)
+    def _exp(self, x, v, v_sq):
+        return self._clean_point(x + v)
 
-    retract = exp
+    def _retract(self, x, v):
+        return self._clean_point(x + v)
 
-    def dist(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
-        self._check_pair(x, y)
-        diff = y.coords - x.coords
+    def _transport(self, x, y, v):
+        return v
+
+    def _dist(self, x, y):
+        diff = y - x
         return math.sqrt(float(diff @ diff))

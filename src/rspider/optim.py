@@ -8,6 +8,11 @@ re-anchored every ``q`` steps; SVRG takes y = a snapshot and ref = the
 snapshot's full gradient. Two restart schemes built on the recursive solver
 give linear convergence on gradient-dominated objectives. An SGD baseline
 shares the same tracing and accounting machinery.
+
+The loops run on raw coordinate arrays through the manifold's raw operations
+(``_exp``, ``_retract``, ``_transport``, ``_dist``). Iterates are wrapped as
+trusted points only to be handed to the oracle, the tracer and
+:class:`FrozenState`; ``x0`` is checked once on entry.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geometry import AntipodalError, GeometryError, ManifoldPoint, TangentVector
+from .geometry import GeometryError, ManifoldPoint, TangentVector
 from .oracle import FiniteSumObjective
 
 __all__ = [
@@ -194,16 +199,14 @@ class _Tracer:
 
     def _snap(self, k, x, step_dist, batch, boundary):
         calls = self.spent()
-        with self.obj.counter.paused():
-            f = self.obj.value(x)
-            g = self.obj.full_rgrad(x)
+        f, g_sq = self.obj._probe(x)
         self.records.append(
             TraceRecord(
                 k=k,
                 epoch=calls / self.obj.n,
                 ifo=calls,
                 f=f,
-                grad_sq=g._sq,
+                grad_sq=g_sq,
                 step_dist=step_dist,
                 batch=batch,
                 boundary=boundary,
@@ -220,19 +223,37 @@ class _Tracer:
         self._snap(k, x, step_dist, batch, None)
 
 
-def _update(man, x, v, eta, map_mode, k):
-    """One descent step; returns the new point and the geodesic step length."""
-    step = v._scaled(-eta)
+def _check_start(obj, x0: ManifoldPoint):
+    if x0.manifold != obj.manifold:
+        raise ValueError("x0 does not live on the objective's manifold")
+
+
+def _update(man, x, v, v_sq, eta, map_mode, k):
+    """One descent step from the point ``x`` along ``-eta v`` (``v`` tangent
+    coordinates, ``v_sq = v @ v``); returns the new point and the geodesic
+    step length."""
+    s = -eta
+    step = v * s
     try:
         if map_mode == "exp":
-            x_next = man.exp(x, step)
-            step_len = eta * v.norm()
+            x_next = man._exp(x.coords, step, v_sq * (s * s))
+            step_len = eta * math.sqrt(v_sq)
         else:
-            x_next = man.retract(x, step)
-            step_len = man.dist(x, x_next)
-    except (AntipodalError, GeometryError) as e:
+            x_next = man._retract(x.coords, step)
+            step_len = man._dist(x.coords, x_next)
+    except GeometryError as e:
         raise OptimizerError(f"degenerate step at iteration {k}: {e}") from e
-    return x_next, step_len
+    return ManifoldPoint._raw(man, x_next), step_len
+
+
+_DRAW_BLOCK = 1024
+
+
+def _draws(rng, n, count):
+    """``count`` uniform indices in [0, n), drawn ``_DRAW_BLOCK`` at a time:
+    the same indices and generator state as ``count`` scalar draws."""
+    for start in range(0, count, _DRAW_BLOCK):
+        yield from rng.integers(0, n, size=min(_DRAW_BLOCK, count - start)).tolist()
 
 
 def _run_trace(obj, tracer, algo, config, seed, **extra) -> RunTrace:
@@ -251,10 +272,12 @@ def _run_trace(obj, tracer, algo, config, seed, **extra) -> RunTrace:
 def _correct(obj, grad, x, y, ref, convention, k, *idx):
     """The estimator step: grad(x) - transport(y -> x, grad(y) - ref).
 
+    ``x`` and ``y`` are points, ``ref`` tangent coordinates at ``y``.
     ``grad(*idx, p)`` evaluates one sample at p: ``obj.full_rgrad`` with no
-    index, ``obj.minibatch_rgrad`` with an index multiset or
-    ``obj.component_rgrad`` with one index. The "paired" convention charges
-    both evaluations, "single" only the one at x.
+    index, ``obj.minibatch_rgrad`` with an index multiset (or the batch
+    ``obj._prepare`` made of one) or ``obj.component_rgrad`` with one index.
+    The "paired" convention charges both evaluations, "single" only the one
+    at x. Returns the estimate's coordinates at x and their squared norm.
     """
     g_x = grad(*idx, x)
     if convention == "paired":
@@ -263,9 +286,15 @@ def _correct(obj, grad, x, y, ref, convention, k, *idx):
         with obj.counter.paused():
             g_y = grad(*idx, y)
     try:
-        return g_x - obj.manifold.transport(y, x, g_y - ref)
-    except (AntipodalError, GeometryError) as e:
+        v = g_x.coords - obj.manifold._transport(y.coords, x.coords, g_y.coords - ref)
+    except GeometryError as e:
         raise OptimizerError(f"transport failed at iteration {k}: {e}") from e
+    v_sq = float(v @ v)
+    if not math.isfinite(v_sq):  # also a non-finite g(y) - ref or transport, carried into v
+        raise OptimizerError(
+            f"transport failed at iteration {k}: tangent coordinates must be finite"
+        )
+    return v, v_sq
 
 
 def _spider_core(
@@ -280,41 +309,42 @@ def _spider_core(
     produced iterates, or x0 without ``pick``; the last iterate; steps done;
     the last step length; the last batch size).
     """
+    _check_start(obj, x0)
     man = obj.manifold
-    if x0.manifold != man:
-        raise ValueError("x0 does not live on the objective's manifold")
     full_anchor = cfg.n is not None and cfg.S1 >= obj.n
     cap = obj.n if cfg.n is not None else None
     conv = cfg.ifo_convention
     x = x_out = x0
     x_prev = v = None
-    step_len = 0.0
+    v_sq = step_len = 0.0
     batch = done = 0
     for k in range(cfg.T):
         if tracer.exhausted(max_ifo):
             break
         if k % cfg.q == 0:
             if full_anchor:
-                v = obj.full_rgrad(x)  # deterministic anchor
+                g = obj.full_rgrad(x)  # deterministic anchor
                 batch = obj.n
             else:
-                v = obj.minibatch_rgrad(rng.integers(0, obj.n, size=cfg.S1), x)
+                g = obj.minibatch_rgrad(obj._prepare(rng.integers(0, obj.n, size=cfg.S1)), x)
                 batch = cfg.S1
+            v, v_sq = g.coords, g._sq
             tallies["anchor"] += batch
         else:
             s2 = _batch_size(cfg.q, cfg.L, step_len, budget, cap)
             if on_correction is not None:
-                on_correction(FrozenState(k_offset + k, x_prev, x, v, s2, cfg.eps))
+                frozen_v = TangentVector._raw(x_prev, v)
+                on_correction(FrozenState(k_offset + k, x_prev, x, frozen_v, s2, cfg.eps))
             if cap is not None and s2 >= cap:
                 batch = obj.n
-                v = _correct(obj, obj.full_rgrad, x, x_prev, v, conv, k_offset + k)
+                v, v_sq = _correct(obj, obj.full_rgrad, x, x_prev, v, conv, k_offset + k)
             else:
                 batch = s2
-                idx = rng.integers(0, obj.n, size=s2)
-                v = _correct(obj, obj.minibatch_rgrad, x, x_prev, v, conv, k_offset + k, idx)
+                idx = obj._prepare(rng.integers(0, obj.n, size=s2))
+                v, v_sq = _correct(obj, obj.minibatch_rgrad, x, x_prev, v, conv, k_offset + k, idx)
             tallies["correction"] += 2 * batch if conv == "paired" else batch
 
-        x_next, step_len = _update(man, x, v, cfg.eta, cfg.map_mode, k_offset + k)
+        x_next, step_len = _update(man, x, v, v_sq, cfg.eta, cfg.map_mode, k_offset + k)
         if pick and rng.random() * (k + 1) < 1.0:
             x_out = x_next  # reservoir pick: uniform over produced iterates
         x_prev = x
@@ -520,6 +550,7 @@ def rsgd(
     ``eta`` is a constant or a callable k -> step size.
     """
     _check_modes(map_mode)
+    _check_start(obj, x0)
     eta_fn = eta if callable(eta) else (lambda k: eta)
     rng = np.random.default_rng(seed)
     man = obj.manifold
@@ -529,12 +560,11 @@ def rsgd(
     done = 0
     if T >= 1:
         tracer.after_step(0, x0, 0.0, 0)
-    for k in range(T):
+    for k, i in enumerate(_draws(rng, obj.n, T)):
         if tracer.exhausted(max_ifo):
             break
-        i = int(rng.integers(0, obj.n))
-        g = obj.minibatch_rgrad([i], x)
-        x, step_len = _update(man, x, g, float(eta_fn(k)), map_mode, k)
+        g = obj.component_rgrad(i, x)
+        x, step_len = _update(man, x, g.coords, g._sq, float(eta_fn(k)), map_mode, k)
         done = k + 1
         tracer.after_step(done, x, step_len, 1)
     tracer.final(done, x, step_len, 0 if done == 0 else 1)
@@ -564,6 +594,7 @@ def rsvrg(
     approximation of the exponential update.
     """
     _check_modes(map_mode, ifo_convention)
+    _check_start(obj, x0)
     m = obj.n if inner_len is None else int(inner_len)
     if m < 1:
         raise ValueError("inner loop length must be >= 1")
@@ -581,16 +612,15 @@ def rsvrg(
         if tracer.exhausted(max_ifo):
             break
         x_snap = x
-        mu = obj.full_rgrad(x_snap)
+        mu = obj.full_rgrad(x_snap).coords
         tallies["anchor"] += obj.n
         tracer.after_step(k_global, x, 0.0, obj.n)
-        # one draw per epoch: the same indices and generator state as m scalar draws
-        for i in rng.integers(0, obj.n, size=m).tolist():
+        for i in _draws(rng, obj.n, m):
             if tracer.exhausted(max_ifo):
                 break
-            v = _correct(obj, obj.component_rgrad, x, x_snap, mu, ifo_convention, k_global, i)
+            v, v_sq = _correct(obj, obj.component_rgrad, x, x_snap, mu, ifo_convention, k_global, i)
             tallies["correction"] += charge
-            x, step_len = _update(man, x, v, eta, map_mode, k_global)
+            x, step_len = _update(man, x, v, v_sq, eta, map_mode, k_global)
             k_global += 1
             tracer.after_step(k_global, x, step_len, 1)
     tracer.final(k_global, x, step_len, 1 if k_global else 0)

@@ -66,6 +66,23 @@ class IfoCounter:
         return f"IfoCounter(calls={self.calls})"
 
 
+class _Batch:
+    """A minibatch a solver drew itself, prepared once for both its evaluations.
+
+    Its indices were drawn in range, so ``minibatch_rgrad`` skips its index
+    checks; ``cols`` holds the columns a :class:`PcaProblem` gathered for it.
+    """
+
+    __slots__ = ("idx", "cols")
+
+    def __init__(self, idx: np.ndarray, cols: np.ndarray):
+        self.idx = idx
+        self.cols = cols
+
+    def __len__(self):  # sized like the index array it stands for
+        return self.idx.size
+
+
 class FiniteSumObjective(ABC):
     """Objective f(x) = (1/n) sum_i f_i(x) with Riemannian gradient access.
 
@@ -105,6 +122,8 @@ class FiniteSumObjective(ABC):
 
     def minibatch_rgrad(self, idx, x: ManifoldPoint) -> TangentVector:
         """Mean gradient over an index multiset (uniform-with-replacement draws)."""
+        if isinstance(idx, _Batch):
+            return self._charged(idx, idx.idx.size, x)
         idx = np.asarray(idx, dtype=np.intp)
         if idx.size == 0:
             raise ValueError("empty minibatch")
@@ -121,6 +140,19 @@ class FiniteSumObjective(ABC):
         g = self._rgrad(idx, x)
         self.counter.add(calls)
         return TangentVector._raw(x, g)
+
+    def _prepare(self, idx: np.ndarray):
+        """What a solver hands ``minibatch_rgrad`` for indices it drew in range.
+
+        The plain index array here (checked on every call); objectives that
+        gather per batch return a :class:`_Batch` their ``_rgrad`` reads.
+        """
+        return idx
+
+    def _probe(self, x: ManifoldPoint) -> tuple[float, float]:
+        """f(x) and |grad f(x)|^2, uncharged: the tracer's checkpoint values."""
+        with self.counter.paused():
+            return self.value(x), self.full_rgrad(x)._sq
 
     def _check_index(self, i: int):
         if not 0 <= int(i) < self.n:
@@ -159,7 +191,7 @@ class ComponentObjective(FiniteSumObjective):
         for i in idx:
             acc += TangentVector(x, self._grads[i](x.coords)).coords
         acc /= len(idx)
-        return self.manifold._project_tangent(x, acc)
+        return self.manifold._project_tangent(x.coords, acc)
 
 
 class PcaProblem(FiniteSumObjective):
@@ -213,13 +245,32 @@ class PcaProblem(FiniteSumObjective):
     def _rgrad(self, idx, x):
         # full anchors read Z in place; take keeps C order, so a batch
         # covering 1..n reproduces the exact full-gradient arithmetic
-        cols = self.Z if idx is None else self.Z.take(idx, axis=1)
+        if idx is None:
+            cols = self.Z
+        elif isinstance(idx, _Batch):
+            cols = idx.cols
+        else:
+            cols = self.Z.take(idx, axis=1)
         x_arr = x.coords
-        w = cols.T @ x_arr
+        return self._kernel(cols, x_arr, cols.T @ x_arr)
+
+    @staticmethod
+    def _kernel(cols, x_arr, w):
+        # mean tangent gradient over the columns, given w = cols^T x
         g = cols @ w
         g *= -2.0 / cols.shape[1]
         g -= (x_arr @ g) * x_arr
         return g
+
+    def _prepare(self, idx):
+        return _Batch(idx, self.Z.take(idx, axis=1))
+
+    def _probe(self, x):
+        # value(x) and full_rgrad(x) both start from Z^T x: one pass over Z
+        # gives the same bits as the two
+        w = self.Z.T @ x.coords
+        g = self._kernel(self.Z, x.coords, w)
+        return -float(w @ w) / self.n, TangentVector._raw(x, g)._sq
 
     def _gram(self) -> np.ndarray:
         """A = (1/n) Z Z^T (d x d), formed with one GEMM on first use and kept."""

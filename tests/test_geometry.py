@@ -290,3 +290,46 @@ def test_sphere_maps_stay_tangent_and_transport_is_isometric(d, seed, angle, su,
     assert tu.norm() == pytest.approx(su, rel=1e-12)
     assert tv.norm() == pytest.approx(sv, rel=1e-12)
     assert S.inner(tu, tv) == pytest.approx(S.inner(u, v), abs=1e-12 * su * sv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    flat=hst.booleans(),
+    d=hst.integers(2, 8),
+    seed=hst.integers(0, 2**32 - 1),
+    # steps below 1e-8 take the sphere's short exp branch, gaps below 1e-9
+    # its zero-angle transport branch (gap 0: y equals x bit for bit)
+    step=hst.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 0.5, 2.0]),
+    gap=hst.sampled_from([0.0, 1e-12, 1e-6, 0.3, 2.5]),
+)
+def test_checked_ops_equal_raw_ops(flat, d, seed, step, gap):
+    # the public ops are checks around the raw array ops the solvers call,
+    # and add nothing to their arithmetic
+    M = Euclidean(d) if flat else Sphere(d)
+    rng = np.random.default_rng(seed)
+    x = M.random_point(rng)
+    v = M.random_tangent(x, rng, scale=step)
+    y = M.exp(x, M.random_tangent(x, rng, scale=gap))
+    u = M.random_tangent(x, rng, scale=1.5)
+
+    assert M.exp(x, v).coords.tobytes() == M._exp(x.coords, v.coords, v._sq).tobytes()
+    assert M.retract(x, v).coords.tobytes() == M._retract(x.coords, v.coords).tobytes()
+    for target in (x, y):
+        t = M.transport(x, target, u)
+        raw = M._transport(x.coords, target.coords, u.coords)
+        assert t.base is target
+        assert t.coords.tobytes() == raw.tobytes()
+        assert t._sq == float(raw @ raw)
+    assert M.dist(x, y) == M._dist(x.coords, y.coords)
+
+
+def test_raw_ops_keep_the_antipodal_check():
+    x = S3.point(e(0, 3))
+    y = S3.point(-e(0, 3))
+    v = S3.tangent(x, e(1, 3))
+    for op in (lambda: S3._transport(x.coords, y.coords, v.coords),
+               lambda: S3._dist(x.coords, y.coords),
+               lambda: S3.transport(x, y, v),
+               lambda: S3.dist(x, y)):
+        with pytest.raises(AntipodalError):
+            op()

@@ -29,6 +29,7 @@ from rspider.optim import (
     GdConfig,
     params_finite,
     params_stochastic,
+    rsgd,
     rsvrg,
     spider_gd1,
     spider_gd2,
@@ -111,6 +112,10 @@ def trace_digest(solver, convention, map_mode) -> str:
     elif solver == "spider-gd2":
         cfg = _gd_config(P, 0.02, 0.05, 5, convention, map_mode, seed=6)
         x, trace = spider_gd2(P, x0, cfg, checkpoint_every=0.25)
+    elif solver == "rsgd":
+        # T crosses two index-block boundaries; rsgd has one IFO convention
+        x, trace = rsgd(P, x0, eta=0.01, T=2500, seed=7, map_mode=map_mode,
+                        checkpoint_every=0.25)
     else:
         x, trace = rsvrg(P, x0, eta=0.01, epochs=3, inner_len=40, seed=7,
                          map_mode=map_mode, checkpoint_every=0.25,
@@ -157,7 +162,7 @@ def probe_digest(solver) -> str:
 
 SWEEP_CASES = list(itertools.product(ALGORITHMS, CONVENTIONS, MAP_MODES))
 TRACE_CASES = list(itertools.product(
-    ("spider", "spider-sampled", "spider-gd1", "spider-gd2", "rsvrg"),
+    ("spider", "spider-sampled", "spider-gd1", "spider-gd2", "rsvrg", "rsgd"),
     CONVENTIONS, MAP_MODES,
 ))
 # at eps 0.05 every correction batch stays below n; at 0.04 every one is full
@@ -210,6 +215,10 @@ TRACE_GOLDEN = {
     "rsvrg/paired/retract": "c7639e7de690112f0f270687b14466f0687278d98914dbf997c5a153ec2ea485",
     "rsvrg/single/exp": "1c7b2a95fd58708fd8f34911d4597cff3004a989dd8d9473c91e2ddafe407f29",
     "rsvrg/single/retract": "c56052492dbdf10d38bee52eadc8ea2853744f655ab5b86b6d249af8148bb20d",
+    "rsgd/paired/exp": "27bcd7339ff79e904434dfa4107063fec79ed5e0865478891fe6d65187480ab0",
+    "rsgd/paired/retract": "53a6b7f3b02d3429310da18a72e79cdee4de870e3bab441a2158a3a7d4fc1bd6",
+    "rsgd/single/exp": "27bcd7339ff79e904434dfa4107063fec79ed5e0865478891fe6d65187480ab0",
+    "rsgd/single/retract": "53a6b7f3b02d3429310da18a72e79cdee4de870e3bab441a2158a3a7d4fc1bd6",
 }
 FROZEN_GOLDEN = {
     "spider-eps0.05": "8a21526d72d4c8669a7437221d654bbcf9f3c9c15abddf252f429e8f99747009",

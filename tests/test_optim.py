@@ -6,9 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import rspider as r
+from rspider.geometry import Euclidean, Sphere
+from rspider.oracle import ComponentObjective, FiniteSumObjective
 from rspider.optim import (
+    _DRAW_BLOCK,
     GdConfig,
+    OptimizerError,
     SpiderConfig,
+    _draws,
     _spider_core,
     _Tracer,
     correction_batch_size,
@@ -485,6 +490,112 @@ def test_rsvrg_epoch_draw_matches_scalar_draws():
             assert batch.integers(0, n, size=m).tolist() == one_by_one
             assert batch.bit_generator.state == scalar.bit_generator.state
             assert batch.random() == scalar.random()
+
+
+def test_index_blocks_match_scalar_draws():
+    # rsgd and rsvrg draw their indices a block at a time; any count, on or
+    # off the block size, gives the indices and generator state of one
+    # scalar draw per step
+    B = _DRAW_BLOCK
+    for n in (7, 200):
+        for count in (1, B - 1, B, B + 1, 2 * B + 5):
+            scalar, block = np.random.default_rng(n + count), np.random.default_rng(n + count)
+            one_by_one = [int(scalar.integers(0, n)) for _ in range(count)]
+            assert list(_draws(block, n, count)) == one_by_one
+            assert block.bit_generator.state == scalar.bit_generator.state
+            assert block.random() == scalar.random()
+
+
+def chordal_mean_problem(d=4, n=30, seed=0):
+    # f_i(x) = |x - a_i|^2 / 2 on the sphere: not the PCA quadratic
+    a = np.random.default_rng(seed).standard_normal((n, d)) + 1.0
+    return ComponentObjective(
+        Sphere(d),
+        [lambda x, ai=ai: 0.5 * float((x - ai) @ (x - ai)) for ai in a],
+        [lambda x, ai=ai: x - ai for ai in a],
+        L_hint=2.0,
+    )
+
+
+def least_squares_problem(d=4, n=30, seed=0):
+    # f_i(x) = (a_i^T x - b_i)^2 / 2 on R^d; the solution is far from unit norm
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, d))
+    b = a @ np.full(d, 3.0) + 0.1 * rng.standard_normal(n)
+    return ComponentObjective(
+        Euclidean(d),
+        [lambda x, ai=ai, bi=bi: 0.5 * float(ai @ x - bi) ** 2 for ai, bi in zip(a, b)],
+        [lambda x, ai=ai, bi=bi: ai * float(ai @ x - bi) for ai, bi in zip(a, b)],
+        L_hint=float(max(ai @ ai for ai in a)),
+    )
+
+
+@pytest.mark.parametrize("make", [chordal_mean_problem, least_squares_problem])
+@pytest.mark.parametrize("algo", ["spider", "spider-gd1", "spider-gd2", "rsvrg", "rsgd"])
+def test_solvers_run_off_the_pca_path(make, algo):
+    # every solver dispatches through the objective's manifold: on R^d the
+    # iterates leave the unit sphere and least squares descends
+    P = make()
+    n, L = P.n, P.L_hint
+    x0 = P.manifold.point(np.random.default_rng(1).standard_normal(P.manifold.d))
+    with P.counter.paused():
+        f0 = P.value(x0)
+    kw = dict(max_ifo=20 * n, checkpoint_every=0.5)
+    gd = GdConfig(M0=f0, tau=1.0, L=L, K=5, seed=2)
+    if algo == "spider":
+        x, trace = spider_nonconvex(P, x0, params_finite(n, 0.05, f0, L, seed=2), **kw)
+    elif algo == "spider-gd1":
+        x, trace = spider_gd1(P, x0, gd, **kw)
+    elif algo == "spider-gd2":
+        x, trace = spider_gd2(P, x0, gd, **kw)
+    elif algo == "rsvrg":
+        x, trace = rsvrg(P, x0, eta=0.1 / L, epochs=5, seed=2, **kw)
+    else:
+        x, trace = rsgd(P, x0, 0.1 / L, T=10 * n, seed=2, **kw)
+    assert trace.meta["ifo"] == P.counter.calls > 0
+    if algo != "rsgd":
+        tallies = trace.meta["ifo_breakdown"]
+        assert tallies["anchor"] + tallies["correction"] == trace.meta["ifo"]
+    norm = math.sqrt(float(x.coords @ x.coords))
+    if isinstance(P.manifold, Sphere):
+        assert norm == pytest.approx(1.0, abs=1e-9)
+    else:
+        assert trace.records[-1].f < 0.5 * trace.records[0].f
+        assert norm > 2.0
+
+
+class TestDegenerateSteps:
+    def test_exp_step_onto_the_antipode(self):
+        # f = -2 x_1^2 at 45 degrees: the gradient has norm 2, so a step of
+        # pi/2 lands exp on -x0, and the next correction cannot transport
+        P = r.PcaProblem(np.array([[math.sqrt(2.0)], [0.0]]))
+        x0 = P.manifold.point([1.0, 1.0])
+        eta = math.pi / 2
+        cfg = SpiderConfig(L=1.0, eps=0.1, q=2, S1=1, T=3, eta=eta, n=1)
+        with pytest.raises(OptimizerError, match=r"transport failed at iteration 1: .*antipodal"):
+            spider_nonconvex(P, x0, cfg)
+        with pytest.raises(OptimizerError, match=r"transport failed at iteration 1: .*antipodal"):
+            rsvrg(P, x0, eta=eta, epochs=1, inner_len=2)
+
+    def test_retract_through_the_origin(self):
+        # a faulty kernel returns the point itself as its gradient, so a
+        # step of 0.5 from x reaches x + v = 0
+        class Radial(FiniteSumObjective):
+            L_hint = 1.0
+
+            def component_value(self, i, x):
+                return 0.0
+
+            def _rgrad(self, idx, x):
+                return 2.0 * x.coords
+
+        P = Radial(Sphere(3), 4)
+        x0 = P.manifold.point([1.0, 2.0, 2.0])
+        with pytest.raises(OptimizerError, match=r"degenerate step at iteration 3: retraction"):
+            rsgd(P, x0, lambda k: 0.1 if k < 3 else 0.5, T=5, map_mode="retract")
+        cfg = SpiderConfig(L=1.0, eps=0.1, q=2, S1=4, T=3, eta=0.5, n=4, map_mode="retract")
+        with pytest.raises(OptimizerError, match=r"degenerate step at iteration 0: retraction"):
+            spider_nonconvex(P, x0, cfg)
 
 
 _TRACE_PROBLEM = desk_problem(d=5, n=20, delta=0.4, seed=33)

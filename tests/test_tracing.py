@@ -9,6 +9,9 @@ left unedited, so a change to the program that breaks its contract fails here.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from rspider.bench import ExperimentConfig, run_sweep
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -21,10 +24,9 @@ def load_tracing():
     return mod
 
 
-def test_traced_sweep_accounts_for_every_charged_call():
+def traced_sweep(cfg):
+    """Run ``cfg`` plain and traced; check the tracer accounted for every call."""
     tracing = load_tracing()
-    cfg = ExperimentConfig(algo=("spider", "rsvrg"), d=10, n=30, delta_list=(0.2,),
-                           epochs=2.0, seeds=(0, 1), eta=0.05)
     plain = run_sweep(cfg).rows
     log = tracing.SpanLog()
     with tracing.traced(log):
@@ -32,7 +34,44 @@ def test_traced_sweep_accounts_for_every_charged_call():
     final_ifo = {}
     for row in traced:
         final_ifo[(row.algo, row.delta, row.seed)] = row.ifo
-    assert len(final_ifo) == 4
+    assert len(final_ifo) == len(cfg.algo) * len(cfg.delta_list) * len(cfg.seeds)
     assert log.counter_mismatches == 0
     assert log.charged == sum(final_ifo.values()) > 0
     assert traced == plain
+    return log
+
+
+def oracle_spans(log, method):
+    """(charged, uncharged) span counts of one oracle entry point."""
+    nid = log._ids.get(f"oracle.{method}", -1)
+    mine = np.frombuffer(log.name, dtype=np.int32) == nid
+    charged = np.frombuffer(log.ifo, dtype=np.int64) > 0
+    return int((mine & charged).sum()), int((mine & ~charged).sum())
+
+
+def test_traced_sweep_accounts_for_every_charged_call():
+    cfg = ExperimentConfig(algo=("spider", "rsvrg"), d=10, n=30, delta_list=(0.2,),
+                           epochs=2.0, seeds=(0, 1), eta=0.05)
+    traced_sweep(cfg)
+
+
+# Together these reach every charging path of the solver loops: full-gradient
+# anchors and capped full corrections, corrections on prepared minibatches,
+# single-component corrections, and (with "single") the uncharged
+# y-evaluations.
+@pytest.mark.parametrize("algo,convention", [
+    (("spider-gd1", "spider-gd2", "vrpca"), "paired"),
+    (("spider", "spider-gd1", "spider-gd2", "rsvrg", "vrpca"), "single"),
+])
+def test_traced_sweep_covers_every_charging_path(algo, convention):
+    cfg = ExperimentConfig(algo=algo, d=10, n=30, delta_list=(0.2,), epochs=2.0,
+                           seeds=(0, 1), eta=0.05, ifo_convention=convention)
+    log = traced_sweep(cfg)
+    minibatch = oracle_spans(log, "minibatch_rgrad")
+    component = oracle_spans(log, "component_rgrad")
+    assert minibatch[0] > 0 and component[0] > 0
+    if convention == "single":
+        # each correction charges its x evaluation and not its y evaluation
+        assert minibatch[1] == minibatch[0] and component[1] == component[0]
+    else:
+        assert minibatch[1] == 0 and component[1] == 0
