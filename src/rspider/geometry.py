@@ -89,7 +89,7 @@ class TangentVector:
                 f"expected a vector of dimension {base.manifold.d}, got shape {coords.shape}"
             )
         coords = base.manifold._project_tangent(base.coords, coords)
-        sq = float(coords @ coords)
+        sq = float(coords.dot(coords))
         if not math.isfinite(sq):
             raise GeometryError("tangent coordinates must be finite")
         self.base = base
@@ -102,7 +102,7 @@ class TangentVector:
         v = object.__new__(cls)
         v.base = base
         v.coords = coords
-        sq = float(coords @ coords)
+        sq = float(coords.dot(coords))
         if not math.isfinite(sq):
             raise GeometryError("tangent coordinates must be finite")
         v._sq = sq
@@ -191,7 +191,7 @@ class Manifold(ABC):
     def inner(self, u: TangentVector, v: TangentVector) -> float:
         """Riemannian inner product of two tangents at the same base."""
         u._check_same_base(v)
-        return float(u.coords @ v.coords)
+        return float(u.coords.dot(v.coords))
 
     def norm(self, v: TangentVector) -> float:
         return math.sqrt(v._sq)
@@ -271,7 +271,7 @@ class Sphere(Manifold):
             raise GeometryError("the sphere needs ambient dimension >= 2")
 
     def _clean_point(self, coords: np.ndarray) -> np.ndarray:
-        sq = float(coords @ coords)
+        sq = float(coords.dot(coords))
         if not math.isfinite(sq):
             raise GeometryError("point coordinates must be finite")
         nrm = math.sqrt(sq)
@@ -282,18 +282,18 @@ class Sphere(Manifold):
         return coords / nrm
 
     def _project_tangent(self, base: np.ndarray, coords: np.ndarray) -> np.ndarray:
-        c = float(base @ coords)
+        c = float(base.dot(coords))
         return coords - c * base
 
     def log(self, x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
         self._check_pair(x, y)
-        c = float(x.coords @ y.coords)
+        c = float(x.coords.dot(y.coords))
         if c <= _ANTIPODAL_COS:
             raise AntipodalError(
                 f"logarithm undefined for (nearly) antipodal points: <x, y> = {c}"
             )
         u = y.coords - c * x.coords
-        un = math.sqrt(float(u @ u))  # equals sin(theta); resolves tiny angles
+        un = math.sqrt(float(u.dot(u)))  # equals sin(theta); resolves tiny angles
         if un < _ZERO_ANGLE:
             return TangentVector._raw(x, np.zeros(self.d))
         theta = math.acos(min(1.0, max(-1.0, c)))
@@ -306,32 +306,32 @@ class Sphere(Manifold):
         return self._clean_point(math.cos(theta) * x + (math.sin(theta) / theta) * v)
 
     def _transport(self, x, y, v):
-        c = float(x @ y)
+        c = float(x.dot(y))
         if c <= _ANTIPODAL_COS:
             raise AntipodalError(
                 f"transport undefined for (nearly) antipodal points: <x, y> = {c}"
             )
         u = y - c * x
-        un = math.sqrt(float(u @ u))
+        un = math.sqrt(float(u.dot(u)))
         if un < _ZERO_ANGLE:
             if x is y or np.array_equal(x, y):
                 return v
             return self._project_tangent(y, v)
         theta = math.acos(min(1.0, max(-1.0, c)))
         e = u / un
-        a = float(e @ v)
+        a = float(e.dot(v))
         out = v - a * e + a * (math.cos(theta) * e - math.sin(theta) * x)
         return self._project_tangent(y, out)
 
     def _retract(self, x, v):
         w = x + v
-        nw = math.sqrt(float(w @ w))
+        nw = math.sqrt(float(w.dot(w)))
         if nw <= 1e-12:
             raise GeometryError("retraction undefined: x + v is (nearly) zero")
         return self._clean_point(w / nw)
 
     def _dist(self, x, y):
-        c = float(x @ y)
+        c = float(x.dot(y))
         if c <= _ANTIPODAL_COS:
             raise AntipodalError(
                 f"distance ill-conditioned for (nearly) antipodal points: <x, y> = {c}"
@@ -351,7 +351,7 @@ class Euclidean(Manifold):
     __slots__ = ()
 
     def _clean_point(self, coords: np.ndarray) -> np.ndarray:
-        if not math.isfinite(float(coords @ coords)):
+        if not math.isfinite(float(coords.dot(coords))):
             raise GeometryError("point coordinates must be finite")
         return coords
 
@@ -373,4 +373,4 @@ class Euclidean(Manifold):
 
     def _dist(self, x, y):
         diff = y - x
-        return math.sqrt(float(diff @ diff))
+        return math.sqrt(float(diff.dot(diff)))

@@ -289,7 +289,7 @@ def _correct(obj, grad, x, y, ref, convention, k, *idx):
         v = g_x.coords - obj.manifold._transport(y.coords, x.coords, g_y.coords - ref)
     except GeometryError as e:
         raise OptimizerError(f"transport failed at iteration {k}: {e}") from e
-    v_sq = float(v @ v)
+    v_sq = float(v.dot(v))
     if not math.isfinite(v_sq):  # also a non-finite g(y) - ref or transport, carried into v
         raise OptimizerError(
             f"transport failed at iteration {k}: tangent coordinates must be finite"

@@ -234,12 +234,12 @@ class PcaProblem(FiniteSumObjective):
         return self._l_component
 
     def value(self, x: ManifoldPoint) -> float:
-        w = self.Z.T @ x.coords
-        return -float(w @ w) / self.n
+        w = self.Z.T.dot(x.coords)
+        return -float(w.dot(w)) / self.n
 
     def component_value(self, i, x):
         self._check_index(i)
-        w = float(self.Z[:, i] @ x.coords)
+        w = float(self.Z[:, i].dot(x.coords))
         return -w * w
 
     def _rgrad(self, idx, x):
@@ -252,14 +252,14 @@ class PcaProblem(FiniteSumObjective):
         else:
             cols = self.Z.take(idx, axis=1)
         x_arr = x.coords
-        return self._kernel(cols, x_arr, cols.T @ x_arr)
+        return self._kernel(cols, x_arr, cols.T.dot(x_arr))
 
     @staticmethod
     def _kernel(cols, x_arr, w):
         # mean tangent gradient over the columns, given w = cols^T x
-        g = cols @ w
+        g = cols.dot(w)
         g *= -2.0 / cols.shape[1]
-        g -= (x_arr @ g) * x_arr
+        g -= x_arr.dot(g) * x_arr
         return g
 
     def _prepare(self, idx):
@@ -268,9 +268,9 @@ class PcaProblem(FiniteSumObjective):
     def _probe(self, x):
         # value(x) and full_rgrad(x) both start from Z^T x: one pass over Z
         # gives the same bits as the two
-        w = self.Z.T @ x.coords
+        w = self.Z.T.dot(x.coords)
         g = self._kernel(self.Z, x.coords, w)
-        return -float(w @ w) / self.n, TangentVector._raw(x, g)._sq
+        return -float(w.dot(w)) / self.n, TangentVector._raw(x, g)._sq
 
     def _gram(self) -> np.ndarray:
         """A = (1/n) Z Z^T (d x d), formed with one GEMM on first use and kept."""
