@@ -158,6 +158,98 @@ class TestTransport:
             assert abs(w.coords @ y.coords) <= 1e-9 * max(1.0, w.norm())
 
 
+def _tangent(x, rng, scale):
+    # projected twice, so <x, v> is at rounding level even at d = 2, where a
+    # single projection of a draw close to x leaves ~1e-12 of it behind
+    g = rng.standard_normal(x.shape[0])
+    v = g - (x @ g) * x
+    v -= (x @ v) * x
+    return v * (scale / math.sqrt(v @ v))
+
+
+def _unit(rng, d):
+    g = rng.standard_normal(d)
+    return g / math.sqrt(g @ g)
+
+
+def _at_angle(x, rng, theta):
+    y = math.cos(theta) * x + math.sin(theta) * _tangent(x, rng, 1.0)
+    return y / math.sqrt(y @ y)
+
+
+def _transport_longdouble(x, y, v):
+    # Sphere._transport's formula, evaluated in extended precision
+    x, y, v = (a.astype(np.longdouble) for a in (x, y, v))
+    s = x + y
+    out = v - (2 * (y @ v) / (s @ s)) * s
+    return out - (y @ out) * y
+
+
+def _transport_acos(x, y, v):
+    # the rotation form: turn v's component along the geodesic by the angle
+    c = float(x @ y)
+    u = y - c * x
+    un = math.sqrt(float(u @ u))
+    theta = math.acos(min(1.0, max(-1.0, c)))
+    e_ = u / un
+    a = float(e_ @ v)
+    out = v - a * e_ + a * (math.cos(theta) * e_ - math.sin(theta) * x)
+    return out - float(y @ out) * y
+
+
+def _pairs(kind, d, rng, count=200):
+    for _ in range(count):
+        x = _unit(rng, d)
+        if kind == "tiny":
+            y = _at_angle(x, rng, 10 ** rng.uniform(-16, -10))
+        elif kind == "random":
+            y = _unit(rng, d)
+        elif kind == "antipodal":  # <x, y> from -1 + 1e-2 down to -1 + 1e-6
+            y = _at_angle(x, rng, math.acos(-1.0 + 10 ** rng.uniform(-6, -2)))
+        else:  # well conditioned: angle in [0.1, pi - 0.1]
+            y = _at_angle(x, rng, rng.uniform(0.1, math.pi - 0.1))
+        yield x, y, _tangent(x, rng, rng.uniform(0.1, 3.0))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("d", [2, 3, 20, 100])
+@pytest.mark.parametrize("kind", ["tiny", "random", "antipodal"])
+def test_transport_matches_extended_precision(kind, d):
+    S = Sphere(d)
+    rng = np.random.default_rng(d)
+    for x, y, v in _pairs(kind, d, rng):
+        err = S._transport(x, y, v) - _transport_longdouble(x, y, v)
+        assert float(np.linalg.norm(err.astype(np.float64))) <= 1e-12 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("d", [2, 3, 20, 100])
+def test_transport_matches_the_rotation_form(d):
+    S = Sphere(d)
+    rng = np.random.default_rng(d + 1)
+    for x, y, v in _pairs("well", d, rng):
+        err = S._transport(x, y, v) - _transport_acos(x, y, v)
+        assert np.linalg.norm(err) <= 1e-13 * np.linalg.norm(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=hst.integers(2, 100),
+    seed=hst.integers(0, 2**32 - 1),
+    cos=hst.floats(-1.0 + 1e-6, 1.0),
+    scale=hst.floats(1e-3, 10.0),
+)
+def test_transport_identity_and_round_trip(d, seed, cos, scale):
+    S = Sphere(d)
+    rng = np.random.default_rng(seed)
+    x = S.random_point(rng)
+    v = S.tangent(x, _tangent(x.coords, rng, scale))
+    assert S.transport(x, x, v).coords.tobytes() == v.coords.tobytes()
+    y = S.point(_at_angle(x.coords, rng, math.acos(cos)))
+    back = S.transport(y, x, S.transport(x, y, v))
+    assert np.linalg.norm(back.coords - v.coords) <= 1e-12 * v.norm()
+
+
 class TestRetract:
     def test_zero(self):
         rng = np.random.default_rng(12)
@@ -297,8 +389,9 @@ def test_sphere_maps_stay_tangent_and_transport_is_isometric(d, seed, angle, su,
     flat=hst.booleans(),
     d=hst.integers(2, 8),
     seed=hst.integers(0, 2**32 - 1),
-    # steps below 1e-8 take the sphere's short exp branch, gaps below 1e-9
-    # its zero-angle transport branch (gap 0: y equals x bit for bit)
+    # steps below 1e-8 take the sphere's short exp branch; gap 0 gives a y
+    # equal to x bit for bit in another array, which transport does not
+    # short-circuit (only x is y returns v itself)
     step=hst.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 0.5, 2.0]),
     gap=hst.sampled_from([0.0, 1e-12, 1e-6, 0.3, 2.5]),
 )

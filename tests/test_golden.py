@@ -173,62 +173,62 @@ SWEEP_GOLDEN = {
     "rsgd/paired/retract": "999347462f5b5a7a8a3a6e9d419a3fcbb87ca96926f449c6ca95c159b1bc8772",
     "rsgd/single/exp": "9c45d7c84fd9a1ff4fb0131219c340b18033c424dc9c1b48e2f7f40e1b93af95",
     "rsgd/single/retract": "999347462f5b5a7a8a3a6e9d419a3fcbb87ca96926f449c6ca95c159b1bc8772",
-    "rsvrg/paired/exp": "3a7fd10ecf92ccae6ffeca1e78466594d187421b02bb03ec5ddff9f1ceafa064",
-    "rsvrg/paired/retract": "b1978ef1379f314c1aec2859ca4d9f727912726ba95a26f551ddd572eb6c7656",
-    "rsvrg/single/exp": "171ce2e283fc28fc6c18f602e8fb28126d16ca35cf60ca42821ff6c1eabfe5fb",
-    "rsvrg/single/retract": "e6b8b1a01e7845ce2d5a79121b262760fb53bdf494a721953e0d1ebba7b99680",
-    "vrpca/paired/exp": "7e762a79a9c19058c5567cf66d85aeddfd31fde4f621a5689a2cdba6d8ce1f6e",
-    "vrpca/paired/retract": "7e762a79a9c19058c5567cf66d85aeddfd31fde4f621a5689a2cdba6d8ce1f6e",
-    "vrpca/single/exp": "0e5519221698c9c6f1ddbf35304e6223cbb89f76b4b089ecddb6e6a50f9cc04e",
-    "vrpca/single/retract": "0e5519221698c9c6f1ddbf35304e6223cbb89f76b4b089ecddb6e6a50f9cc04e",
-    "spider/paired/exp": "c5f9d3f90a8694d8faeae9b9cb2e3934cd6aa44b9d94790cf92f647cc4f17319",
-    "spider/paired/retract": "0c779dbc30b9384bae7117206b45b3e71eeafeb64ab0ec03f78dd575a2705f93",
-    "spider/single/exp": "d3ac06fedc1d72910542f0a7e8540441b322a3ed77a512f7c068378902e08602",
-    "spider/single/retract": "f90c55ca92221586a3e4422ca0d389be4840c8a33a81168987c6d2421194cb03",
-    "spider-gd1/paired/exp": "7ed6438e1bef16f81bde44b6590401ac1d49f281f2ddfdaca18434b25aa30a1f",
-    "spider-gd1/paired/retract": "9460d0d4b60484fc18e8299fcda65f06d62e1a67292d424098b3ff3be53490bc",
-    "spider-gd1/single/exp": "250a45a06f36de1758871506a6bb9c268463a4be0953ebbc48b9441d5c47b82d",
-    "spider-gd1/single/retract": "9bafb94dff4bc06cdbe3ad88f72b1391b651bb5f05d7bdd839fd653560a5cf5d",
+    "rsvrg/paired/exp": "d4f4b2b9cab7e4b73f3c208efb9f66d117f29defc300ada02200490a61808916",
+    "rsvrg/paired/retract": "7a395c40975f34d2c8c2017fed48d7d1a0ff07d31b6060b18edb40fd49b075b3",
+    "rsvrg/single/exp": "fba6339a532468204980b62176a3f22be4be5da1e37778350e26bb7d9cd0198d",
+    "rsvrg/single/retract": "bfb284db47a8fe159d97dafe115985802abd4341abe134715851983eb582e548",
+    "vrpca/paired/exp": "823128b35a7321bc43a1af37014c955261c88395cad72bca24496812f7935e6d",
+    "vrpca/paired/retract": "823128b35a7321bc43a1af37014c955261c88395cad72bca24496812f7935e6d",
+    "vrpca/single/exp": "cbfbb1b0cfcb4e792a22da6a1939bd45be56b962907e56590e057c534074bddb",
+    "vrpca/single/retract": "cbfbb1b0cfcb4e792a22da6a1939bd45be56b962907e56590e057c534074bddb",
+    "spider/paired/exp": "ec2624754a0ec7a3c68e4e88c0a80c92199664b9d47d19b0669fbd2194469b14",
+    "spider/paired/retract": "3738475b109879d9f3696e34d8e06627273f311f91d5316fc858cb5d6dd1d96c",
+    "spider/single/exp": "54e1103c475e2da1cfeb32d5d069c81bbf83018da82a2fbf19f7171a8a791978",
+    "spider/single/retract": "c4231be5f0a99220d72048d89dde2372584514e2cf51d328608d3ead19fb7352",
+    "spider-gd1/paired/exp": "3cb8191d20499b365f9b6e07ff4260569e4fb3a1d641720ada70dc3199f9a28b",
+    "spider-gd1/paired/retract": "4bdea687574288fde1992822d14f10e27a8198cef342e550397b93cfe4df4261",
+    "spider-gd1/single/exp": "f041d858642fd2b0fb1c616268dc880f1c81a7d14c45e6d3e1267dc54e311c41",
+    "spider-gd1/single/retract": "35f5e2025465728bcb40ef682e829b290f632bd2735b0b325cddcfa716d0f93a",
     "spider-gd2/paired/exp": "c2c5d50e73c56bb26d98ff51130b021e9005121313bd5ea9b0c166005126d455",
-    "spider-gd2/paired/retract": "d95224c651876e4b1c097f6f3014a9ee7760a22ef529f9b3dc8de7bbc4e198a0",
-    "spider-gd2/single/exp": "b7e6b7fe67c821c412cc371262048ac647bacd953bd6aabf9a8e342c09acb03f",
-    "spider-gd2/single/retract": "9acc1b720dfd90e8ae72852fb27ec2a1a285e6080f33cc6af124b5abb9135b04",
+    "spider-gd2/paired/retract": "3f399447612a782ddf73cc32fd71d5019b4f576a3824f50d5b595b34c177491f",
+    "spider-gd2/single/exp": "a34cfe944e5c92eed60c6a353b219938204f97fe50b8cdfdd6673cf3a05ad3b2",
+    "spider-gd2/single/retract": "50801f17ef969aeacc5eb7db3b87ddf3670dbca6f0749449e53092719fcf62ff",
 }
 TRACE_GOLDEN = {
     "spider/paired/exp": "a7f071174aa5a81e470dff8d018def249d55f810e696e6dc834fff562a015d8b",
     "spider/paired/retract": "88d4959a4be7fdd1eea5544cd46efb6715e0f870b2dd526020cded31b13e428a",
     "spider/single/exp": "99466c9b5f77c2dff66c070057881e58addc9f73ca4c173a22edde9275e40f19",
     "spider/single/retract": "51ea19c6281cfb570166dec8d9ee37bcb718ce673f7fee0a7f2187afbee7dd0e",
-    "spider-sampled/paired/exp": "7e29af52e0acf5eb4ceecfe1001fb10c5b7725a2207579b1d487ea75800e3c5a",
-    "spider-sampled/paired/retract": "0664390d15eb6b3d5328cb2c901b269266187c5750a2545bc7ae2df48eb15bc7",
-    "spider-sampled/single/exp": "67bbf1fe5616dec737b9c558ecab0f00744a3a2586cb444e233199bac2c4c346",
-    "spider-sampled/single/retract": "5ea6006d736a3eb1e03717baa0192cd94eed57d0caab2cb17cdbf7cc4adcb292",
-    "spider-gd1/paired/exp": "582bbc3abc42e468440a2a5e4a1146b8bc733d7494fdc82cb9789c9f9d825ec8",
-    "spider-gd1/paired/retract": "9476fe45fdb14248e682bb574b9172b529dc54fe30d4ece3a2baa547912f8330",
-    "spider-gd1/single/exp": "10eb4164473b99ad1fea1280b2b3a51e081b3b3e77c7e6c7b33a024db12ae4bf",
-    "spider-gd1/single/retract": "2ecb7eb8041c755151f524b93eef219f5f77a0bcd2ec1503c78b226cf1268892",
-    "spider-gd2/paired/exp": "061ab9a382bd78bfbb0296af9cbb654b18de20038c6356ca0d8b968a4109b8d3",
-    "spider-gd2/paired/retract": "8d579a4b187e624393773b0c8a676598ffbf7890fd3f10078d16b706404a3114",
-    "spider-gd2/single/exp": "1451ad6745d8236ec6db490cf48aff402151d6d0fc7fcbdc0b4aca6a0646a037",
-    "spider-gd2/single/retract": "739285942cc529efbb583876944c4c83f37a0ee4be964d0c5740f2f510d1fa8b",
-    "rsvrg/paired/exp": "48d5981e69132591512ad44963cff0965411a57f50c66fe06ef3a9f391a3755d",
-    "rsvrg/paired/retract": "c7639e7de690112f0f270687b14466f0687278d98914dbf997c5a153ec2ea485",
-    "rsvrg/single/exp": "1c7b2a95fd58708fd8f34911d4597cff3004a989dd8d9473c91e2ddafe407f29",
-    "rsvrg/single/retract": "c56052492dbdf10d38bee52eadc8ea2853744f655ab5b86b6d249af8148bb20d",
+    "spider-sampled/paired/exp": "d800367cb269b02baa7ec2d46045cbb1b7f7020cbe271eb5bda167d56fe36f7c",
+    "spider-sampled/paired/retract": "5faedc4ab4a710d40db38dff564ec26018b8a53430c651b3a76a8afe5ed2f102",
+    "spider-sampled/single/exp": "c7c7e117595b3b5a881867b75e01ceceee58f7eacb4bf96312171e9333d3212a",
+    "spider-sampled/single/retract": "587425e7035e70a4e6b31f8889675cde2f9aaa0994b9d1efec3ae71701f334fd",
+    "spider-gd1/paired/exp": "edf07e34d90a177f06187b04d2e49dc1eeb4e4a3c2b3f6c1753ac1a0d3c9eb5e",
+    "spider-gd1/paired/retract": "6cce52fde89a4c889ea690dc213b1634a98374084d00f63b02858075759ae73f",
+    "spider-gd1/single/exp": "59f7a11cf14b8a1fc6b556f8f47ba4572928954b88fc5887f555c6f9b9bbb6cb",
+    "spider-gd1/single/retract": "f3e0b9fabf2e7e4c2cd9b3fb5af48ce0c8c8fb1bda9b2e6b5dbbf35f90507971",
+    "spider-gd2/paired/exp": "60a267469b71f1a73bca73b1421590342509d36cb4306481debb5aecd41c485a",
+    "spider-gd2/paired/retract": "ff9ab816ed37b8f5377c3c3d529d549e22d392932f3d030b13e77f665cc1d111",
+    "spider-gd2/single/exp": "b8453c5b5a933aab77d33e105a8773281ec8b5ab83e0461a450d89bd4d8ac98a",
+    "spider-gd2/single/retract": "4f12ca0161bc44f75575080b9ad15ef978239de303b2ea4cd45c0aea5a48ae8b",
+    "rsvrg/paired/exp": "ed8b34ec644b1af62d255cbdc05dd3ab41a9ec9a319211838b86bbb2132829b5",
+    "rsvrg/paired/retract": "fe3b30c84e90eac76e74047cf6c7d7a243c7c3789030c064234d3befce90b00a",
+    "rsvrg/single/exp": "86759100915c95c86623619f3724b5326d286658d41a9e5132cde9ce5f447791",
+    "rsvrg/single/retract": "7e9a067aa9be75dce21cc49bbbc8faa952530b08675b91538457980b8de21ad4",
     "rsgd/paired/exp": "27bcd7339ff79e904434dfa4107063fec79ed5e0865478891fe6d65187480ab0",
     "rsgd/paired/retract": "53a6b7f3b02d3429310da18a72e79cdee4de870e3bab441a2158a3a7d4fc1bd6",
     "rsgd/single/exp": "27bcd7339ff79e904434dfa4107063fec79ed5e0865478891fe6d65187480ab0",
     "rsgd/single/retract": "53a6b7f3b02d3429310da18a72e79cdee4de870e3bab441a2158a3a7d4fc1bd6",
 }
 FROZEN_GOLDEN = {
-    "spider-eps0.05": "8a21526d72d4c8669a7437221d654bbcf9f3c9c15abddf252f429e8f99747009",
+    "spider-eps0.05": "eb11b3003deeaaaf99b398092adbd26b8ac73973e88f156a1d81ab79f3cbbaa2",
     "spider-eps0.04": "876a70eea5cb4108ed57efd3ce17549f86a890291771b284cb3285af0ffd369f",
-    "spider-gd2": "3a130bc364db0bf1b41a2bfcbaaef05953d49fa416930ef0ef3f912c44a10ad0",
+    "spider-gd2": "7747b4f8da1966d912f15a9c62d467e40d0e5e1d55fd10fb481eb7f23783cf24",
 }
 PROBE_GOLDEN = {
-    "spider-eps0.05": "123429278421f91a4df20a25dea69f3c69cedd58d68f3557040067a452351fee",
+    "spider-eps0.05": "897ed4e80954b0c41714924b3fcd5a6a22c9ebc08daacf9c13cb5e22ea8732aa",
     "spider-eps0.04": "0ca782aa4d8f56b070d3a9650bfd43b87df2e0ece82cc6a3a5dbac0ed95cecdb",
-    "spider-gd2": "6c5eb70fefb694ec5efb5f0c41ca39cdf0e503274a03fbb11d48ccd325b6f260",
+    "spider-gd2": "33611d64603c8bf86191a37870877e2befb7d8d160061fc082ba57bc1c6411ac",
 }
 
 
@@ -276,26 +276,35 @@ def test_tau_sweeps_hold_with_two_blas_threads():
     assert got == [SWEEP_GOLDEN["/".join(c)] for c in _TAU_CASES]
 
 
-def _print_digests():
+def _current_digests():
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        print("SWEEP_GOLDEN = {")
-        for a, c, m in SWEEP_CASES:
-            print(f'    "{a}/{c}/{m}": "{sweep_digest(a, c, m, tmp)}",')
+        sweeps = {"/".join(c): sweep_digest(*c, tmp) for c in SWEEP_CASES}
+    return {
+        "SWEEP_GOLDEN": sweeps,
+        "TRACE_GOLDEN": {"/".join(c): trace_digest(*c) for c in TRACE_CASES},
+        "FROZEN_GOLDEN": {s: frozen_digest(s) for s in STATE_CASES},
+        "PROBE_GOLDEN": {s: probe_digest(s) for s in STATE_CASES},
+    }
+
+
+def _print_digests():
+    # prints the tables to paste over the recorded ones, then the keys that
+    # differ from the recorded digests (the list an intended change declares)
+    differ, total = [], 0
+    for name, digests in _current_digests().items():
+        recorded = globals()[name]
+        print(f"{name} = {{")
+        for key, digest in digests.items():
+            print(f'    "{key}": "{digest}",')
+            total += 1
+            if recorded.get(key) != digest:
+                differ.append(f"{name}[{key}]")
         print("}")
-    print("TRACE_GOLDEN = {")
-    for s, c, m in TRACE_CASES:
-        print(f'    "{s}/{c}/{m}": "{trace_digest(s, c, m)}",')
-    print("}")
-    print("FROZEN_GOLDEN = {")
-    for s in STATE_CASES:
-        print(f'    "{s}": "{frozen_digest(s)}",')
-    print("}")
-    print("PROBE_GOLDEN = {")
-    for s in STATE_CASES:
-        print(f'    "{s}": "{probe_digest(s)}",')
-    print("}")
+    print(f"# {len(differ)} of {total} recorded digests differ")
+    for key in differ:
+        print(f"#   {key}")
 
 
 if __name__ == "__main__":
