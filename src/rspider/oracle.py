@@ -320,15 +320,42 @@ def _check_samples(d: int, n: int):
         raise ValueError("need at least as many samples as dimensions (n >= d)")
 
 
+# largest |L - I| entry accepted from the second Cholesky QR pass; beyond it
+# the draw (condition number around 1e7 or more) is too ill-conditioned for
+# two passes to be trusted
+_CHOLQR_TOL = 1e-2
+
+
 def _orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((rows, cols)))
-    sign = np.sign(np.diag(r))
-    sign[sign == 0] = 1.0
-    return q * sign
+    """Q factor of a Gaussian ``rows x cols`` draw, by two Cholesky QR passes.
+
+    Each pass factors the Gram matrix ``q^T q = L L^T`` and replaces q with
+    ``q L^-T``. R's diagonal is positive by construction, so in exact
+    arithmetic Q is the sign-fixed Householder Q of the draw. The second
+    pass's L measures how far the first pass left q from orthonormal; if it
+    is not within ``_CHOLQR_TOL`` of the identity the draw is rejected.
+    """
+    q = rng.standard_normal((rows, cols))
+    for _ in range(2):
+        low = np.linalg.cholesky(q.T @ q)
+        q = q @ np.linalg.inv(low).T
+    off = float(np.abs(low - np.eye(cols)).max())
+    if not off <= _CHOLQR_TOL:
+        raise np.linalg.LinAlgError(
+            f"Gaussian {rows}x{cols} draw too ill-conditioned for two Cholesky QR "
+            f"passes: second-pass factor is {off:.1e} from the identity"
+        )
+    return q
 
 
 def _eigenvector_factors(d: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal U (d x d) and V (n x d) of Z = U D V^T, drawn from ``seed``."""
+    """Orthonormal U (d x d) and V (n x d) of Z = U D V^T, drawn from ``seed``.
+
+    Both are the Q factors of Gaussian draws, orthonormalized by two Cholesky
+    QR passes (:func:`_orthonormal`): one Gram product, one d x d Cholesky and
+    one matrix product per pass, where Householder QR needs a blocked
+    factorization and an explicit Q. The Q is the same, positive-diagonal one.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     u = _orthonormal(rng, d, d)
     return u, _orthonormal(rng, int(n), d)
@@ -346,7 +373,7 @@ def problem_from_spectrum(lam, n: int, seed: int) -> PcaProblem:
     U (d x d) and V (n x d) depend only on (d, n, seed), so instances that
     share the seed but differ in the spectrum share the same eigenvector
     geometry. D = diag(sqrt(n * lambda_j)), hence (1/n) Z Z^T = U diag(lambda) U^T.
-    Identical inputs produce bitwise-identical Z.
+    Identical inputs produce bitwise-identical Z at a fixed BLAS thread count.
     """
     lam = np.asarray(lam, dtype=np.float64)
     d = lam.shape[0]

@@ -6,7 +6,12 @@ import pytest
 
 import rspider as r
 from rspider.geometry import Euclidean
-from rspider.oracle import packed_spectrum, problem_from_spectrum
+from rspider.oracle import (
+    _eigenvector_factors,
+    _orthonormal,
+    packed_spectrum,
+    problem_from_spectrum,
+)
 
 
 def diag21_problem():
@@ -265,6 +270,66 @@ class TestGenerator:
         P = problem_from_spectrum(lam, 25, seed=3)
         evals = np.sort(np.linalg.eigvalsh(P.Z @ P.Z.T / P.n))[::-1]
         assert np.abs(evals - lam).max() <= 1e-8
+
+
+def householder_reference(rng, rows, cols):
+    # the Q of a Gaussian draw by Householder QR, signed so R's diagonal is positive
+    q, rr = np.linalg.qr(rng.standard_normal((rows, cols)))
+    sign = np.sign(np.diag(rr))
+    sign[sign == 0] = 1.0
+    return q * sign
+
+
+class FixedDraw:
+    """Stands in for a Generator whose next Gaussian draw is a given matrix."""
+
+    def __init__(self, draw):
+        self.draw = np.array(draw, dtype=np.float64)
+
+    def standard_normal(self, shape):
+        assert shape == self.draw.shape
+        return self.draw.copy()
+
+
+class TestOrthonormal:
+    @pytest.mark.parametrize(
+        "rows,cols", [(2, 2), (3, 3), (20, 20), (60, 20), (200, 20), (2000, 100)]
+    )
+    def test_orthonormal_and_equal_to_householder_q(self, rows, cols):
+        for seed in range(6):
+            q = _orthonormal(np.random.default_rng(seed), rows, cols)
+            ref = householder_reference(np.random.default_rng(seed), rows, cols)
+            assert q.shape == (rows, cols)
+            assert np.abs(q.T @ q - np.eye(cols)).max() <= 1e-14
+            assert np.abs(q - ref).max() <= 1e-13
+
+    def test_square_instance_factors(self):
+        # n == d: V is square like U; Z = U D V^T must match the Householder build
+        d, seed = 12, 31
+        lam = packed_spectrum(d, 0.05)
+        P = problem_from_spectrum(lam, d, seed=seed)
+        u, v = _eigenvector_factors(d, d, seed)
+        for f in (u, v):
+            assert np.abs(f.T @ f - np.eye(d)).max() <= 1e-14
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        u_ref = householder_reference(rng, d, d)
+        v_ref = householder_reference(rng, d, d)
+        assert np.abs(u - u_ref).max() <= 1e-13
+        assert np.abs(v - v_ref).max() <= 1e-13
+        assert np.array_equal(P.Z, (u * np.sqrt(d * lam)) @ v.T)
+        evals = np.sort(np.linalg.eigvalsh(P.Z @ P.Z.T / P.n))[::-1]
+        assert np.abs(evals - lam).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]],  # parallel: the first Cholesky fails
+            [[1.0, 1.0], [1.0, 1.0 + 1e-7], [1.0, 1.0]],  # second pass far from I
+        ],
+    )
+    def test_nearly_parallel_draw_raises(self, draw):
+        with pytest.raises(np.linalg.LinAlgError):
+            _orthonormal(FixedDraw(draw), 3, 2)
 
 
 class TestLeadingEigpair:
