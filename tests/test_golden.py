@@ -6,7 +6,9 @@ version. A refactor that is meant to keep behavior must keep every digest;
 a change that moves any number, even in the last bit, fails here. The
 digests hold for any BLAS thread count at these sizes;
 ``test_tau_sweeps_hold_with_two_blas_threads`` rechecks the sweeps that
-estimate tau on a Gram matrix (a GEMM) with ``OPENBLAS_NUM_THREADS=2``.
+estimate tau on a Gram matrix (a GEMM) with ``OPENBLAS_NUM_THREADS=2``, and
+``test_instance_factors_hold_with_two_blas_threads`` checks that the
+instances' orthonormal factors have the same bits at one and two threads.
 
 To print the current digests after an intended change of behavior, run
 ``python tests/test_golden.py``.
@@ -169,66 +171,66 @@ TRACE_CASES = list(itertools.product(
 STATE_CASES = ("spider-eps0.05", "spider-eps0.04", "spider-gd2")
 
 SWEEP_GOLDEN = {
-    "rsgd/paired/exp": "9c45d7c84fd9a1ff4fb0131219c340b18033c424dc9c1b48e2f7f40e1b93af95",
-    "rsgd/paired/retract": "999347462f5b5a7a8a3a6e9d419a3fcbb87ca96926f449c6ca95c159b1bc8772",
-    "rsgd/single/exp": "9c45d7c84fd9a1ff4fb0131219c340b18033c424dc9c1b48e2f7f40e1b93af95",
-    "rsgd/single/retract": "999347462f5b5a7a8a3a6e9d419a3fcbb87ca96926f449c6ca95c159b1bc8772",
-    "rsvrg/paired/exp": "d4f4b2b9cab7e4b73f3c208efb9f66d117f29defc300ada02200490a61808916",
-    "rsvrg/paired/retract": "7a395c40975f34d2c8c2017fed48d7d1a0ff07d31b6060b18edb40fd49b075b3",
-    "rsvrg/single/exp": "fba6339a532468204980b62176a3f22be4be5da1e37778350e26bb7d9cd0198d",
-    "rsvrg/single/retract": "bfb284db47a8fe159d97dafe115985802abd4341abe134715851983eb582e548",
-    "vrpca/paired/exp": "823128b35a7321bc43a1af37014c955261c88395cad72bca24496812f7935e6d",
-    "vrpca/paired/retract": "823128b35a7321bc43a1af37014c955261c88395cad72bca24496812f7935e6d",
-    "vrpca/single/exp": "cbfbb1b0cfcb4e792a22da6a1939bd45be56b962907e56590e057c534074bddb",
-    "vrpca/single/retract": "cbfbb1b0cfcb4e792a22da6a1939bd45be56b962907e56590e057c534074bddb",
-    "spider/paired/exp": "ec2624754a0ec7a3c68e4e88c0a80c92199664b9d47d19b0669fbd2194469b14",
-    "spider/paired/retract": "3738475b109879d9f3696e34d8e06627273f311f91d5316fc858cb5d6dd1d96c",
-    "spider/single/exp": "54e1103c475e2da1cfeb32d5d069c81bbf83018da82a2fbf19f7171a8a791978",
-    "spider/single/retract": "c4231be5f0a99220d72048d89dde2372584514e2cf51d328608d3ead19fb7352",
-    "spider-gd1/paired/exp": "3cb8191d20499b365f9b6e07ff4260569e4fb3a1d641720ada70dc3199f9a28b",
-    "spider-gd1/paired/retract": "4bdea687574288fde1992822d14f10e27a8198cef342e550397b93cfe4df4261",
-    "spider-gd1/single/exp": "f041d858642fd2b0fb1c616268dc880f1c81a7d14c45e6d3e1267dc54e311c41",
-    "spider-gd1/single/retract": "35f5e2025465728bcb40ef682e829b290f632bd2735b0b325cddcfa716d0f93a",
-    "spider-gd2/paired/exp": "c2c5d50e73c56bb26d98ff51130b021e9005121313bd5ea9b0c166005126d455",
-    "spider-gd2/paired/retract": "3f399447612a782ddf73cc32fd71d5019b4f576a3824f50d5b595b34c177491f",
-    "spider-gd2/single/exp": "a34cfe944e5c92eed60c6a353b219938204f97fe50b8cdfdd6673cf3a05ad3b2",
-    "spider-gd2/single/retract": "50801f17ef969aeacc5eb7db3b87ddf3670dbca6f0749449e53092719fcf62ff",
+    "rsgd/paired/exp": "daac9d2a3d4afd9c0d5689f26f9c34a2d526984aa9c5e15797d9905035e04579",
+    "rsgd/paired/retract": "4583db092865ad8c9e7027c91eadfc28817ada67f7d2c557a75536681b89b86f",
+    "rsgd/single/exp": "daac9d2a3d4afd9c0d5689f26f9c34a2d526984aa9c5e15797d9905035e04579",
+    "rsgd/single/retract": "4583db092865ad8c9e7027c91eadfc28817ada67f7d2c557a75536681b89b86f",
+    "rsvrg/paired/exp": "f23be5822008a003e1a1276c58e9e1d8b16f3efcfa971163ec4551b57099dce6",
+    "rsvrg/paired/retract": "1ce9abf5a6183b8697e32cbc203d4680e6845dbf401035c0ff53a1ecc9e5236c",
+    "rsvrg/single/exp": "f305eacc2ebc5960bc1d09343692733a3ee6a956412a0141110b48559f61eaa0",
+    "rsvrg/single/retract": "23cc7f759c2fd53c69834decc09ebbb6b2e7f9e41d8d77b118c2eb54cb332bb9",
+    "vrpca/paired/exp": "c0b334ec78638b53ff61248aa920cf4ebc6cf69b38e72edfd16afe7a946d66a8",
+    "vrpca/paired/retract": "c0b334ec78638b53ff61248aa920cf4ebc6cf69b38e72edfd16afe7a946d66a8",
+    "vrpca/single/exp": "306542710b61c75a4ac5b4a1028165ef0a3a60694808a5d64d5233f8425bff79",
+    "vrpca/single/retract": "306542710b61c75a4ac5b4a1028165ef0a3a60694808a5d64d5233f8425bff79",
+    "spider/paired/exp": "70741117c299e150dd7dc2d9f01593aae10f65ffc84e90dbf9a6f50e9dc5c9d7",
+    "spider/paired/retract": "dc0d9fdc29c37f978ffe4f791a8ce0364ff978b4b022c96beb19faccd77947b6",
+    "spider/single/exp": "455f9edca244b7ba4521e55a5f6fb8047dd28e8c0ffad2aa73e3808c6287cb10",
+    "spider/single/retract": "7e8aa4b9003c1e48f77700a71e6a42f5d936abc5b2608262a94a3b1207b8a7be",
+    "spider-gd1/paired/exp": "1b68a59d44ce05bb5a0535a08cd6626f7db286279485e95f87e64da06d10b9dc",
+    "spider-gd1/paired/retract": "fd4c81b0d6d90ed2a644c41a90151e85fd5e932e5c0d31fd4d7d5e7460a76646",
+    "spider-gd1/single/exp": "aeaa9a0b2bc0a4c1aff1e5f453d32cc5f219c27c34dc1da464015b6648b00017",
+    "spider-gd1/single/retract": "878481e9fbfffd856d3fa6d16acf377209509bf6baabe703eb9e34aed2a1dfd4",
+    "spider-gd2/paired/exp": "d1e5f423086fd66cde84bd190f7183a8eaaa8bdee173ea9d58e3b65661591b09",
+    "spider-gd2/paired/retract": "d0350a7f26ce1f7f586a6de6742c26343f729cbc802caa58852d5e68f802a5d4",
+    "spider-gd2/single/exp": "80561acaa3f146484048135267a20f1fac209a4502abbcc7de7b72e83ca579cc",
+    "spider-gd2/single/retract": "ec768be6440a440b7a365a27e30c82981d7ccc1a028af05383d3bd36c83e7d1d",
 }
 TRACE_GOLDEN = {
-    "spider/paired/exp": "a7f071174aa5a81e470dff8d018def249d55f810e696e6dc834fff562a015d8b",
-    "spider/paired/retract": "88d4959a4be7fdd1eea5544cd46efb6715e0f870b2dd526020cded31b13e428a",
-    "spider/single/exp": "99466c9b5f77c2dff66c070057881e58addc9f73ca4c173a22edde9275e40f19",
-    "spider/single/retract": "51ea19c6281cfb570166dec8d9ee37bcb718ce673f7fee0a7f2187afbee7dd0e",
-    "spider-sampled/paired/exp": "d800367cb269b02baa7ec2d46045cbb1b7f7020cbe271eb5bda167d56fe36f7c",
-    "spider-sampled/paired/retract": "5faedc4ab4a710d40db38dff564ec26018b8a53430c651b3a76a8afe5ed2f102",
-    "spider-sampled/single/exp": "c7c7e117595b3b5a881867b75e01ceceee58f7eacb4bf96312171e9333d3212a",
-    "spider-sampled/single/retract": "587425e7035e70a4e6b31f8889675cde2f9aaa0994b9d1efec3ae71701f334fd",
-    "spider-gd1/paired/exp": "edf07e34d90a177f06187b04d2e49dc1eeb4e4a3c2b3f6c1753ac1a0d3c9eb5e",
-    "spider-gd1/paired/retract": "6cce52fde89a4c889ea690dc213b1634a98374084d00f63b02858075759ae73f",
-    "spider-gd1/single/exp": "59f7a11cf14b8a1fc6b556f8f47ba4572928954b88fc5887f555c6f9b9bbb6cb",
-    "spider-gd1/single/retract": "f3e0b9fabf2e7e4c2cd9b3fb5af48ce0c8c8fb1bda9b2e6b5dbbf35f90507971",
-    "spider-gd2/paired/exp": "60a267469b71f1a73bca73b1421590342509d36cb4306481debb5aecd41c485a",
-    "spider-gd2/paired/retract": "ff9ab816ed37b8f5377c3c3d529d549e22d392932f3d030b13e77f665cc1d111",
-    "spider-gd2/single/exp": "b8453c5b5a933aab77d33e105a8773281ec8b5ab83e0461a450d89bd4d8ac98a",
-    "spider-gd2/single/retract": "4f12ca0161bc44f75575080b9ad15ef978239de303b2ea4cd45c0aea5a48ae8b",
-    "rsvrg/paired/exp": "ed8b34ec644b1af62d255cbdc05dd3ab41a9ec9a319211838b86bbb2132829b5",
-    "rsvrg/paired/retract": "fe3b30c84e90eac76e74047cf6c7d7a243c7c3789030c064234d3befce90b00a",
-    "rsvrg/single/exp": "86759100915c95c86623619f3724b5326d286658d41a9e5132cde9ce5f447791",
-    "rsvrg/single/retract": "7e9a067aa9be75dce21cc49bbbc8faa952530b08675b91538457980b8de21ad4",
-    "rsgd/paired/exp": "27bcd7339ff79e904434dfa4107063fec79ed5e0865478891fe6d65187480ab0",
-    "rsgd/paired/retract": "53a6b7f3b02d3429310da18a72e79cdee4de870e3bab441a2158a3a7d4fc1bd6",
-    "rsgd/single/exp": "27bcd7339ff79e904434dfa4107063fec79ed5e0865478891fe6d65187480ab0",
-    "rsgd/single/retract": "53a6b7f3b02d3429310da18a72e79cdee4de870e3bab441a2158a3a7d4fc1bd6",
+    "spider/paired/exp": "63ed116ba8e5aa3ce07b60ec731e2ada046ec0378f6d17c5a9167f7c39b29a8e",
+    "spider/paired/retract": "6eb10742fcbe045f63ab1ebdc99fe867a89ad8ca1531e0e4142dfbfd5545f0d1",
+    "spider/single/exp": "fddb445782123b7e744564b66ac31727a862ce3a68f05637f9b2481cd47a84d5",
+    "spider/single/retract": "0ffe9d9a623d16c9856e782460843b4fa6abcea10f2652436666478e76ec2c72",
+    "spider-sampled/paired/exp": "f574c27172e53a26c37620afe485e2594dc5f129f4d75fab5ac01dc74b657e9a",
+    "spider-sampled/paired/retract": "f45e1823800b16e06d1b2f8442f0686c3356647f930c9add6b4dd5c21e8b68c4",
+    "spider-sampled/single/exp": "2274d89e24a0e7a9c526d7b4c3a0e5ae0b351e09ccd13f74430a058df8668f19",
+    "spider-sampled/single/retract": "f904c4b9cc86273b05a1e4ddfb8c2cf44478ad6e847dc99522a795ab18d5337c",
+    "spider-gd1/paired/exp": "95c0042690421023e10df9dfb81bf460dcbde601660319cb1294918e193cd613",
+    "spider-gd1/paired/retract": "94b8d18ca07322cefbab4aa25935f3616bbfec10abdf9b0401dadbbe6b868a15",
+    "spider-gd1/single/exp": "028ba1bfb29fed4fe467f7c46267923a7e0e0e73dc26819ad142786d067a546c",
+    "spider-gd1/single/retract": "58990d4fe5bc4509f46774432fed72080040e4f12e982a0efafc812a52f2a603",
+    "spider-gd2/paired/exp": "218d4b5d04b97cedb7584c8147e740812c8a396ceaa7fc046bd2ffb822b3d4e3",
+    "spider-gd2/paired/retract": "10c8aac2c01f18e47502af96919ac672d5357e8d385aec73bbe483b1b1ef164f",
+    "spider-gd2/single/exp": "fa49a145fc25742727289b50d329b44ac67918e68db556a69dd55bf5a37ed96b",
+    "spider-gd2/single/retract": "94f1fa227d4efe4d0e55a35d8ded250e63dbc2489bcbf6f0bf8fb4448ad1325a",
+    "rsvrg/paired/exp": "9c853454d52169d6a61285687e3eca9a4a5ba7c59ee42158382da7d927af139a",
+    "rsvrg/paired/retract": "7303965fbc69b63e16e2b93cf2a096b1538616abc54545f89c8d890d3a88e20d",
+    "rsvrg/single/exp": "4342287b8d37f6b6afe4b00844505669f2b1d10c159286a28d055456cb9e7440",
+    "rsvrg/single/retract": "d9d2fd7768a19e9878e475240b76e65c1e382067a1e11f96e4c71aa2d0da699b",
+    "rsgd/paired/exp": "02a23a64916240e68e453c151dcfe08bed31f83867af01f677ac96827bfaa2b8",
+    "rsgd/paired/retract": "0d3a1cecb8dff6724443d67dc5ea9ebe9ef324c24fddb846f1b7b8538c2f0f5d",
+    "rsgd/single/exp": "02a23a64916240e68e453c151dcfe08bed31f83867af01f677ac96827bfaa2b8",
+    "rsgd/single/retract": "0d3a1cecb8dff6724443d67dc5ea9ebe9ef324c24fddb846f1b7b8538c2f0f5d",
 }
 FROZEN_GOLDEN = {
-    "spider-eps0.05": "eb11b3003deeaaaf99b398092adbd26b8ac73973e88f156a1d81ab79f3cbbaa2",
-    "spider-eps0.04": "876a70eea5cb4108ed57efd3ce17549f86a890291771b284cb3285af0ffd369f",
-    "spider-gd2": "7747b4f8da1966d912f15a9c62d467e40d0e5e1d55fd10fb481eb7f23783cf24",
+    "spider-eps0.05": "2e6bd45eb7b9153b5bae1c519e9bd7f5a3965a039e2dd9fc6607b49c8f94ea7a",
+    "spider-eps0.04": "d398e81dea9d3a09c5564b7dc1c8bb98a9216ef8f23b560ff2d0c8450cc8e88f",
+    "spider-gd2": "2a48330c73201a423787bd77f9d0c5f7855b5c7e9b3c429cb7ddf314061a192f",
 }
 PROBE_GOLDEN = {
-    "spider-eps0.05": "897ed4e80954b0c41714924b3fcd5a6a22c9ebc08daacf9c13cb5e22ea8732aa",
+    "spider-eps0.05": "4552bd70d01095d525533214253bc9cd4fc907ad7eb0935dcbe7ed356b1db879",
     "spider-eps0.04": "0ca782aa4d8f56b070d3a9650bfd43b87df2e0ece82cc6a3a5dbac0ed95cecdb",
-    "spider-gd2": "33611d64603c8bf86191a37870877e2befb7d8d160061fc082ba57bc1c6411ac",
+    "spider-gd2": "3c0fec170c8180c9af797b816df54626688971a2f18497654552c2a3fc87eefa",
 }
 
 
@@ -274,6 +276,33 @@ def test_tau_sweeps_hold_with_two_blas_threads():
     )
     got = json.loads(out.stdout.strip().splitlines()[-1])
     assert got == [SWEEP_GOLDEN["/".join(c)] for c in _TAU_CASES]
+
+
+# (d, n, data seed) of the instances above, plus the CLI example size d=10, n=30
+_FACTOR_CASES = [(20, 60, ExperimentConfig.data_seed), (10, 60, 5), (10, 30, 0)]
+_FACTOR_BITS = """
+import hashlib, json, sys
+sys.path[:0] = sys.argv[1:3]
+import test_golden as g
+from rspider.oracle import _eigenvector_factors
+print(json.dumps([hashlib.sha256(b"".join(f.tobytes() for f in _eigenvector_factors(*c)))
+                  .hexdigest() for c in g._FACTOR_CASES]))
+"""
+
+
+def _factor_digests(threads):
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    out = subprocess.run(
+        [sys.executable, "-c", _FACTOR_BITS, str(here.parent / "src"), str(here)],
+        env=env, capture_output=True, text=True, check=True, timeout=600,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_instance_factors_hold_with_two_blas_threads():
+    # the goldens rely on U and V having the same bits at any thread count
+    assert _factor_digests(1) == _factor_digests(2)
 
 
 def _current_digests():
