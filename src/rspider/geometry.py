@@ -100,7 +100,11 @@ class TangentVector:
             raise GeometryError(
                 f"expected a vector of dimension {base.manifold.d}, got shape {coords.shape}"
             )
-        coords = base.manifold._project_tangent(base.coords, coords)
+        # projecting twice: one pass leaves a normal part of order
+        # 1e-16 * |coords|, large next to the result when coords is nearly
+        # parallel to the base; the raw ops keep their single projection
+        project = base.manifold._project_tangent
+        coords = project(base.coords, project(base.coords, coords))
         sq = float(coords.dot(coords))
         if not math.isfinite(sq):
             raise GeometryError("tangent coordinates must be finite")

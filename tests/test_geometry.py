@@ -331,6 +331,16 @@ class TestInvariants:
             v = S3.tangent(x, rng.standard_normal(3) * 5)
             assert abs(x.coords @ v.coords) <= 1e-9 * max(1.0, v.norm())
 
+    def test_checked_tangent_is_tangent_to_rounding_at_d2(self):
+        # at d=2 a single projection left <x, v> up to ~1e-11 |v| on random
+        # draws and ~1e-7 |v| on draws nearly parallel to x
+        rng = np.random.default_rng(366)
+        for _ in range(2000):
+            x = S2.random_point(rng)
+            for v in (S2.random_tangent(x, rng),
+                      S2.tangent(x, x.coords + 1e-9 * rng.standard_normal(2))):
+                assert abs(x.coords @ v.coords) <= 1e-15 * v.norm()
+
     def test_dimension_mismatch(self):
         with pytest.raises(GeometryError):
             S3.point([1.0, 0.0])
