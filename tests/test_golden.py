@@ -266,20 +266,27 @@ with tempfile.TemporaryDirectory() as tmp:
 """
 
 
-def test_tau_sweeps_hold_with_two_blas_threads():
-    # the thread count must be set before numpy loads, hence a new process
+def _with_blas_threads(script, threads):
+    # the thread count must be set before numpy loads, hence a new process;
+    # the script prints its result as JSON on its last line
     here = Path(__file__).resolve().parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     out = subprocess.run(
-        [sys.executable, "-c", _TWO_THREADS, str(here.parent / "src"), str(here)],
+        [sys.executable, "-c", script, str(here.parent / "src"), str(here)],
         env=env, capture_output=True, text=True, check=True, timeout=600,
     )
-    got = json.loads(out.stdout.strip().splitlines()[-1])
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_tau_sweeps_hold_with_two_blas_threads():
+    got = _with_blas_threads(_TWO_THREADS, 2)
     assert got == [SWEEP_GOLDEN["/".join(c)] for c in _TAU_CASES]
 
 
-# (d, n, data seed) of the instances above, plus the CLI example size d=10, n=30
-_FACTOR_CASES = [(20, 60, ExperimentConfig.data_seed), (10, 60, 5), (10, 30, 0)]
+# (d, n, data seed) of the sweep and solver instances above, and of the
+# d=10, n=30 sweeps in test_bench.py
+_FACTOR_CASES = [(20, 60, ExperimentConfig.data_seed), (10, 60, 5),
+                 (10, 30, ExperimentConfig.data_seed)]
 _FACTOR_BITS = """
 import hashlib, json, sys
 sys.path[:0] = sys.argv[1:3]
@@ -290,19 +297,9 @@ print(json.dumps([hashlib.sha256(b"".join(f.tobytes() for f in _eigenvector_fact
 """
 
 
-def _factor_digests(threads):
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
-    out = subprocess.run(
-        [sys.executable, "-c", _FACTOR_BITS, str(here.parent / "src"), str(here)],
-        env=env, capture_output=True, text=True, check=True, timeout=600,
-    )
-    return json.loads(out.stdout.strip().splitlines()[-1])
-
-
 def test_instance_factors_hold_with_two_blas_threads():
     # the goldens rely on U and V having the same bits at any thread count
-    assert _factor_digests(1) == _factor_digests(2)
+    assert _with_blas_threads(_FACTOR_BITS, 1) == _with_blas_threads(_FACTOR_BITS, 2)
 
 
 def _current_digests():
