@@ -35,7 +35,6 @@ from .oracle import (
     variance_bound_estimate,
 )
 from .optim import (
-    IFO_CONVENTIONS,
     MAP_MODES,
     GdConfig,
     OptimizerError,
@@ -108,7 +107,6 @@ class ExperimentConfig:
     spectrum: str = "packed"
     tail: float | None = None
     workers: int = 1
-    ifo_convention: str = "paired"
     data_seed: int = 12345
     window: float = 5.0
     fit_window: float | None = None
@@ -133,7 +131,7 @@ class ExperimentConfig:
             raise ValueError("epoch budget must be >= 0")
         if self.checkpoint_every <= 0:
             raise ValueError("checkpoint interval must be positive")
-        _check_modes(self.map_mode, self.ifo_convention)
+        _check_modes(self.map_mode)
         if self.spectrum not in ("packed", "geometric"):
             raise ValueError("spectrum must be 'packed' or 'geometric'")
         if self.tail is None:
@@ -212,14 +210,10 @@ def _run_algo(cfg: ExperimentConfig, algo: str, P: PcaProblem, f_star: float, x0
         _, trace = rsvrg(
             P, x0, eta, epochs=outer, map_mode=mode, seed=seed,
             checkpoint_every=ckpt, max_ifo=max_ifo,
-            ifo_convention=cfg.ifo_convention,
         )
     elif algo == "spider":
         gap = max(P.value(x0) - f_star, 1e-12)
-        scfg = params_finite(
-            P.n, _SPIDER_EPS, gap, P.L_hint, seed=seed, map_mode=cfg.map_mode,
-            ifo_convention=cfg.ifo_convention,
-        )
+        scfg = params_finite(P.n, _SPIDER_EPS, gap, P.L_hint, seed=seed, map_mode=cfg.map_mode)
         _, trace = spider_nonconvex(
             P, x0, scfg, checkpoint_every=ckpt, max_ifo=max_ifo
         )
@@ -232,7 +226,6 @@ def _run_algo(cfg: ExperimentConfig, algo: str, P: PcaProblem, f_star: float, x0
             K=_GD_STAGES,
             map_mode=cfg.map_mode,
             seed=seed,
-            ifo_convention=cfg.ifo_convention,
         )
         runner = spider_gd1 if algo == "spider-gd1" else spider_gd2
         _, trace = runner(P, x0, gcfg, checkpoint_every=ckpt, max_ifo=max_ifo)
@@ -513,7 +506,6 @@ def _add_run_flags(p):
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--out", default=None, help="output CSV path")
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--ifo-convention", choices=IFO_CONVENTIONS, default=None)
 
 
 def _build_parser() -> _Parser:

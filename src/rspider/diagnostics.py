@@ -270,13 +270,13 @@ def variance_probe(
         target = obj.full_rgrad(x).coords
         carried = (ref - obj.full_rgrad(y)).norm()
         if frozen.s2 >= obj.n:
-            v, _ = _correct(obj, obj.full_rgrad, x, y, ref.coords, "paired", frozen.k)
+            v, _ = _correct(obj, obj.full_rgrad, x, y, ref.coords, frozen.k)
             estimates = [v] * resamples
         else:
             estimates = []
             for _ in range(resamples):
                 idx = obj._prepare(rng.integers(0, obj.n, size=frozen.s2))
-                v, _ = _correct(obj, obj.minibatch_rgrad, x, y, ref.coords, "paired", frozen.k, idx)
+                v, _ = _correct(obj, obj.minibatch_rgrad, x, y, ref.coords, frozen.k, idx)
                 estimates.append(v)
     vals = []
     for v in estimates:

@@ -44,18 +44,15 @@ __all__ = [
 ]
 
 MAP_MODES = ("exp", "retract")
-IFO_CONVENTIONS = ("paired", "single")
 
 
 class OptimizerError(RuntimeError):
     """An optimizer run aborted (degenerate geometry or invalid state)."""
 
 
-def _check_modes(map_mode: str, ifo_convention: str = "paired"):
+def _check_modes(map_mode: str):
     if map_mode not in MAP_MODES:
         raise ValueError(f"map_mode must be one of {MAP_MODES}")
-    if ifo_convention not in IFO_CONVENTIONS:
-        raise ValueError(f"ifo_convention must be one of {IFO_CONVENTIONS}")
 
 
 def _ceil_tol(x: float) -> int:
@@ -98,7 +95,6 @@ class SpiderConfig:
     n: int | None = None
     map_mode: str = "exp"
     seed: int = 0
-    ifo_convention: str = "paired"
 
     def __post_init__(self):
         if self.L <= 0 or self.eps <= 0:
@@ -109,7 +105,7 @@ class SpiderConfig:
             self.eta = 1.0 / (2.0 * self.L)
         if self.eta <= 0:
             raise ValueError("step size must be positive")
-        _check_modes(self.map_mode, self.ifo_convention)
+        _check_modes(self.map_mode)
 
 
 @dataclass
@@ -126,14 +122,13 @@ class GdConfig:
     K: int
     map_mode: str = "exp"
     seed: int = 0
-    ifo_convention: str = "paired"
 
     def __post_init__(self):
         if self.M0 <= 0 or self.tau <= 0 or self.L <= 0:
             raise ValueError("M0, tau and L must be positive")
         if self.K < 0:
             raise ValueError("need K >= 0")
-        _check_modes(self.map_mode, self.ifo_convention)
+        _check_modes(self.map_mode)
 
 
 @dataclass
@@ -269,22 +264,18 @@ def _run_trace(obj, tracer, algo, config, seed, **extra) -> RunTrace:
     return RunTrace(records=tracer.records, meta=meta)
 
 
-def _correct(obj, grad, x, y, ref, convention, k, *idx):
+def _correct(obj, grad, x, y, ref, k, *idx):
     """The estimator step: grad(x) - transport(y -> x, grad(y) - ref).
 
     ``x`` and ``y`` are points, ``ref`` tangent coordinates at ``y``.
     ``grad(*idx, p)`` evaluates one sample at p: ``obj.full_rgrad`` with no
     index, ``obj.minibatch_rgrad`` with an index multiset (or the batch
     ``obj._prepare`` made of one) or ``obj.component_rgrad`` with one index.
-    The "paired" convention charges both evaluations, "single" only the one
-    at x. Returns the estimate's coordinates at x and their squared norm.
+    Both evaluations are charged. Returns the estimate's coordinates at x
+    and their squared norm.
     """
     g_x = grad(*idx, x)
-    if convention == "paired":
-        g_y = grad(*idx, y)
-    else:
-        with obj.counter.paused():
-            g_y = grad(*idx, y)
+    g_y = grad(*idx, y)
     try:
         v = g_x.coords - obj.manifold._transport(y.coords, x.coords, g_y.coords - ref)
     except GeometryError as e:
@@ -313,7 +304,6 @@ def _spider_core(
     man = obj.manifold
     full_anchor = cfg.n is not None and cfg.S1 >= obj.n
     cap = obj.n if cfg.n is not None else None
-    conv = cfg.ifo_convention
     x = x_out = x0
     x_prev = v = None
     v_sq = step_len = 0.0
@@ -337,12 +327,12 @@ def _spider_core(
                 on_correction(FrozenState(k_offset + k, x_prev, x, frozen_v, s2, cfg.eps))
             if cap is not None and s2 >= cap:
                 batch = obj.n
-                v, v_sq = _correct(obj, obj.full_rgrad, x, x_prev, v, conv, k_offset + k)
+                v, v_sq = _correct(obj, obj.full_rgrad, x, x_prev, v, k_offset + k)
             else:
                 batch = s2
                 idx = obj._prepare(rng.integers(0, obj.n, size=s2))
-                v, v_sq = _correct(obj, obj.minibatch_rgrad, x, x_prev, v, conv, k_offset + k, idx)
-            tallies["correction"] += 2 * batch if conv == "paired" else batch
+                v, v_sq = _correct(obj, obj.minibatch_rgrad, x, x_prev, v, k_offset + k, idx)
+            tallies["correction"] += 2 * batch
 
         x_next, step_len = _update(man, x, v, v_sq, cfg.eta, cfg.map_mode, k_offset + k)
         if pick and rng.random() * (k + 1) < 1.0:
@@ -387,7 +377,7 @@ def spider_nonconvex(
         tracer.final(steps, x_last, step_len, batch)
     return x_rand, _run_trace(
         obj, tracer, "spider", asdict(cfg), cfg.seed,
-        ifo_convention=cfg.ifo_convention, steps=steps, ifo_breakdown=tallies,
+        steps=steps, ifo_breakdown=tallies,
     )
 
 
@@ -432,8 +422,7 @@ def params_finite(n, eps, M, L, **kwargs) -> SpiderConfig:
 def _stage(cfg: GdConfig, n: int, eps: float, q: int, T: int) -> SpiderConfig:
     """One restart stage: full-gradient anchors and the step 1/(2L)."""
     return SpiderConfig(
-        L=cfg.L, eps=eps, q=q, S1=n, T=T, n=n, map_mode=cfg.map_mode,
-        seed=cfg.seed, ifo_convention=cfg.ifo_convention,
+        L=cfg.L, eps=eps, q=q, S1=n, T=T, n=n, map_mode=cfg.map_mode, seed=cfg.seed,
     )
 
 
@@ -486,7 +475,7 @@ def spider_gd1(
     tracer.final(k_off, x, 0.0, 0)
     return x, _run_trace(
         obj, tracer, "spider-gd1", asdict(cfg), cfg.seed,
-        ifo_convention=cfg.ifo_convention, stages=stages, ifo_breakdown=tallies,
+        stages=stages, ifo_breakdown=tallies,
     )
 
 
@@ -530,7 +519,7 @@ def spider_gd2(
     tracer.final(done, x, step_len, batch)
     return x, _run_trace(
         obj, tracer, "spider-gd2", asdict(cfg), cfg.seed, q=q, delta0=delta0,
-        ifo_convention=cfg.ifo_convention, ifo_breakdown=tallies,
+        ifo_breakdown=tallies,
     )
 
 
@@ -583,7 +572,6 @@ def rsvrg(
     seed: int = 0,
     checkpoint_every: float = 1.0,
     max_ifo: int | None = None,
-    ifo_convention: str = "paired",
 ) -> tuple[ManifoldPoint, RunTrace]:
     """Snapshot-based variance reduction.
 
@@ -593,7 +581,7 @@ def rsvrg(
     normalization (x + v)/|x + v|, the classical power-method-flavored
     approximation of the exponential update.
     """
-    _check_modes(map_mode, ifo_convention)
+    _check_modes(map_mode)
     _check_start(obj, x0)
     m = obj.n if inner_len is None else int(inner_len)
     if m < 1:
@@ -602,7 +590,6 @@ def rsvrg(
     man = obj.manifold
     tracer = _Tracer(obj, checkpoint_every)
     tallies = {"anchor": 0, "correction": 0}
-    charge = 2 if ifo_convention == "paired" else 1
     x = x0
     step_len = 0.0
     k_global = 0
@@ -618,14 +605,11 @@ def rsvrg(
         for i in _draws(rng, obj.n, m):
             if tracer.exhausted(max_ifo):
                 break
-            v, v_sq = _correct(obj, obj.component_rgrad, x, x_snap, mu, ifo_convention, k_global, i)
-            tallies["correction"] += charge
+            v, v_sq = _correct(obj, obj.component_rgrad, x, x_snap, mu, k_global, i)
+            tallies["correction"] += 2
             x, step_len = _update(man, x, v, v_sq, eta, map_mode, k_global)
             k_global += 1
             tracer.after_step(k_global, x, step_len, 1)
     tracer.final(k_global, x, step_len, 1 if k_global else 0)
     config = {"eta": eta, "epochs": epochs, "inner_len": m, "map_mode": map_mode}
-    return x, _run_trace(
-        obj, tracer, "rsvrg", config, seed,
-        ifo_convention=ifo_convention, ifo_breakdown=tallies,
-    )
+    return x, _run_trace(obj, tracer, "rsvrg", config, seed, ifo_breakdown=tallies)

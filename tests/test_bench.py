@@ -458,13 +458,21 @@ class TestCli:
         conf.write_text("nonsense_key = 3\n")
         assert cli_main(["bench", "--config", str(conf), "--out", "x.csv"]) == 1
 
-    @pytest.mark.parametrize("key", ["eps", "tau", "timing", "L", "M0", "K"])
+    @pytest.mark.parametrize("key", ["eps", "tau", "timing", "L", "M0", "K", "ifo_convention"])
     def test_removed_config_key_exits_one(self, tmp_path, capsys, key):
         conf = tmp_path / "old.conf"
         conf.write_text(f"{key} = 1\n")
         out = tmp_path / "x.csv"
         assert cli_main(["bench", "--config", str(conf), "--out", str(out)]) == 1
         assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_removed_ifo_convention_flag_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["bench", "--d", "10", "--n", "30", "--epochs", "1", "--seeds", "0",
+                "--ifo-convention", "single", "--out", str(out)]
+        assert cli_main(argv) == 1
+        assert "--ifo-convention" in capsys.readouterr().err
         assert not out.exists()
 
     def test_alias_precedence(self, tmp_path, monkeypatch):

@@ -150,19 +150,6 @@ class TestSpiderNonconvex:
         ifos = [rec.ifo for rec in trace.records]
         assert all(b >= a for a, b in zip(ifos, ifos[1:]))
 
-    def test_single_convention_charges_half(self):
-        P = desk_problem()
-        x0 = P.manifold.random_point(np.random.default_rng(3))
-        base = dict(L=P.L_hint, eps=0.1, q=4, S1=P.n, T=9, n=P.n, seed=6)
-        _, tr_paired = spider_nonconvex(P, x0, SpiderConfig(**base))
-        paired = tr_paired.meta["ifo_breakdown"]["correction"]
-        P.counter.reset()
-        _, tr_single = spider_nonconvex(
-            P, x0, SpiderConfig(**base, ifo_convention="single")
-        )
-        single = tr_single.meta["ifo_breakdown"]["correction"]
-        assert paired == 2 * single
-
     def test_budget_stop(self):
         P = desk_problem()
         x0 = P.manifold.random_point(np.random.default_rng(5))
@@ -407,18 +394,17 @@ _TALLY_PROBLEM = desk_problem(d=6, n=25, delta=0.4, seed=31)
 @settings(max_examples=30, deadline=None)
 @given(
     seed=hst.integers(0, 2**16),
-    convention=hst.sampled_from(("paired", "single")),
     map_mode=hst.sampled_from(("exp", "retract")),
     q=hst.integers(1, 8),
     eps=hst.floats(0.02, 0.5),
 )
-def test_ifo_tally_property(seed, convention, map_mode, q, eps):
+def test_ifo_tally_property(seed, map_mode, q, eps):
     # every solver built on the shared correction step tallies exactly what
     # the counter charged, and the probe replaying that step charges nothing
     P = _TALLY_PROBLEM
     n, L = P.n, P.L_hint
     x0 = P.manifold.random_point(np.random.default_rng(seed))
-    modes = dict(map_mode=map_mode, ifo_convention=convention, seed=seed)
+    modes = dict(map_mode=map_mode, seed=seed)
     tau = q / (4.0 * L * math.log(4.0))  # spider-gd2 then runs stages of ~q steps
     gd = GdConfig(M0=eps, tau=tau, L=L, K=3, **modes)
     states = []
@@ -430,8 +416,7 @@ def test_ifo_tally_property(seed, convention, map_mode, q, eps):
         lambda: spider_gd1(P, x0, gd, max_ifo=8 * n, checkpoint_every=0.5),
         lambda: spider_gd2(P, x0, gd, max_ifo=8 * n, checkpoint_every=0.5),
         lambda: rsvrg(P, x0, eta=0.01, epochs=3, inner_len=5 * q, seed=seed,
-                      map_mode=map_mode, ifo_convention=convention,
-                      checkpoint_every=0.5),
+                      map_mode=map_mode, checkpoint_every=0.5),
     ]
     for run in runs:
         P.counter.reset()

@@ -10,7 +10,6 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from rspider.bench import ExperimentConfig, run_sweep
 
@@ -55,23 +54,15 @@ def test_traced_sweep_accounts_for_every_charged_call():
     traced_sweep(cfg)
 
 
-# Together these reach every charging path of the solver loops: full-gradient
-# anchors and capped full corrections, corrections on prepared minibatches,
-# single-component corrections, and (with "single") the uncharged
-# y-evaluations.
-@pytest.mark.parametrize("algo,convention", [
-    (("spider-gd1", "spider-gd2", "vrpca"), "paired"),
-    (("spider", "spider-gd1", "spider-gd2", "rsvrg", "vrpca"), "single"),
-])
-def test_traced_sweep_covers_every_charging_path(algo, convention):
-    cfg = ExperimentConfig(algo=algo, d=10, n=30, delta_list=(0.2,), epochs=2.0,
-                           seeds=(0, 1), eta=0.05, ifo_convention=convention)
+def test_traced_sweep_covers_every_charging_path():
+    # the five variance-reduced algorithms reach every charging path of the
+    # solver loops: full-gradient anchors and capped full corrections,
+    # corrections on prepared minibatches and single-component corrections;
+    # every correction charges both of its evaluations
+    cfg = ExperimentConfig(algo=("spider", "spider-gd1", "spider-gd2", "rsvrg", "vrpca"),
+                           d=10, n=30, delta_list=(0.2,), epochs=2.0, seeds=(0, 1), eta=0.05)
     log = traced_sweep(cfg)
     minibatch = oracle_spans(log, "minibatch_rgrad")
     component = oracle_spans(log, "component_rgrad")
     assert minibatch[0] > 0 and component[0] > 0
-    if convention == "single":
-        # each correction charges its x evaluation and not its y evaluation
-        assert minibatch[1] == minibatch[0] and component[1] == component[0]
-    else:
-        assert minibatch[1] == 0 and component[1] == 0
+    assert minibatch[1] == 0 and component[1] == 0
