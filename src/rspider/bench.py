@@ -91,7 +91,7 @@ class ExperimentConfig:
     inverse gap (default ``2 * window``); both are whole numbers of
     ``checkpoint_every`` steps. The solvers get eps 0.05, 20 restart stages,
     the instance's smoothness hint, the estimated domination constant tau and
-    the initial gap as M0. The ``wall_ms`` column is always 0.0.
+    the initial gap as M0.
     """
 
     algo: tuple[str, ...] = ("rsvrg",)
@@ -164,7 +164,6 @@ class CsvRow:
     accuracy: float
     grad_sq: float
     epochs_to_double: float
-    wall_ms: float
 
     def to_line(self) -> str:
         vals = (getattr(self, c) for c in CSV_COLUMNS)
@@ -293,7 +292,6 @@ def _run_cell(cfg: ExperimentConfig, P: PcaProblem, f_star: float, tau: float | 
                 accuracy=(r.f - f_star) / abs(f_star),
                 grad_sq=r.grad_sq,
                 epochs_to_double=etd,
-                wall_ms=0.0,
             )
         )
     return rows

@@ -179,18 +179,18 @@ def _ids(cases):
 STATE_CASES = ("spider-eps0.05", "spider-eps0.04", "spider-gd2")
 
 SWEEP_GOLDEN = {
-    "rsgd/paired/exp": "daac9d2a3d4afd9c0d5689f26f9c34a2d526984aa9c5e15797d9905035e04579",
-    "rsgd/paired/retract": "4583db092865ad8c9e7027c91eadfc28817ada67f7d2c557a75536681b89b86f",
-    "rsvrg/paired/exp": "f23be5822008a003e1a1276c58e9e1d8b16f3efcfa971163ec4551b57099dce6",
-    "rsvrg/paired/retract": "1ce9abf5a6183b8697e32cbc203d4680e6845dbf401035c0ff53a1ecc9e5236c",
-    "vrpca/paired/exp": "c0b334ec78638b53ff61248aa920cf4ebc6cf69b38e72edfd16afe7a946d66a8",
-    "vrpca/paired/retract": "c0b334ec78638b53ff61248aa920cf4ebc6cf69b38e72edfd16afe7a946d66a8",
-    "spider/paired/exp": "70741117c299e150dd7dc2d9f01593aae10f65ffc84e90dbf9a6f50e9dc5c9d7",
-    "spider/paired/retract": "dc0d9fdc29c37f978ffe4f791a8ce0364ff978b4b022c96beb19faccd77947b6",
-    "spider-gd1/paired/exp": "1b68a59d44ce05bb5a0535a08cd6626f7db286279485e95f87e64da06d10b9dc",
-    "spider-gd1/paired/retract": "fd4c81b0d6d90ed2a644c41a90151e85fd5e932e5c0d31fd4d7d5e7460a76646",
-    "spider-gd2/paired/exp": "d1e5f423086fd66cde84bd190f7183a8eaaa8bdee173ea9d58e3b65661591b09",
-    "spider-gd2/paired/retract": "d0350a7f26ce1f7f586a6de6742c26343f729cbc802caa58852d5e68f802a5d4",
+    "rsgd/paired/exp": "2918af99ad2298108e9b8cb11bf8b3f8e40141e503344f277bf3addf0bc5db74",
+    "rsgd/paired/retract": "0e6253eb2b54c6200f7eda4783043a7f11dda028f20609bda1d0334f86bd1527",
+    "rsvrg/paired/exp": "86dd6a7df545614493f87c3ffb2eaee2324aedfd74ddd7d9bd89a3e9ddfc97e9",
+    "rsvrg/paired/retract": "dac1626f680974a41bd15f3d96f7f054d811e56e54ef83b4555dc6c464a01666",
+    "vrpca/paired/exp": "bb6663b70a3451084d4e69ad0602b07930989998677f3aee868faf0fb454ca69",
+    "vrpca/paired/retract": "bb6663b70a3451084d4e69ad0602b07930989998677f3aee868faf0fb454ca69",
+    "spider/paired/exp": "bcaa1d08664899848e90500583272d28dbb09b21a8a49cd8f2f0b575f0c7d2ec",
+    "spider/paired/retract": "f5d30ff3229810cc6a63a650ee9079968414dc604304ae21add31ad1c108341b",
+    "spider-gd1/paired/exp": "643aa9cd935ef956961507a8ddacb406e682e0972b873633f3f68b8930a5e400",
+    "spider-gd1/paired/retract": "e02e82abab19ca5e4efcd6333d8bf750435dad692785aab587c4fdf59cdede8a",
+    "spider-gd2/paired/exp": "920f92d31fbb8b225730f7da50f83805485ba248d8f23198cf73edc3b3e4b1af",
+    "spider-gd2/paired/retract": "0fe477c183e7d53f1ded593d3709878e3050d50bde693c81505278ce886ee6fc",
 }
 TRACE_GOLDEN = {
     "spider/paired/exp": "63ed116ba8e5aa3ce07b60ec731e2ada046ec0378f6d17c5a9167f7c39b29a8e",
