@@ -40,6 +40,7 @@ from .optim import (
     OptimizerError,
     RunTrace,
     _check_modes,
+    _check_step,
     params_finite,
     rsgd,
     rsvrg,
@@ -132,6 +133,8 @@ class ExperimentConfig:
         if self.checkpoint_every <= 0:
             raise ValueError("checkpoint interval must be positive")
         _check_modes(self.map_mode)
+        if self.eta is not None:
+            _check_step(self.eta)
         if self.spectrum not in ("packed", "geometric"):
             raise ValueError("spectrum must be 'packed' or 'geometric'")
         if self.tail is None:

@@ -55,6 +55,11 @@ def _check_modes(map_mode: str):
         raise ValueError(f"map_mode must be one of {MAP_MODES}")
 
 
+def _check_step(eta):
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"step size must be finite and positive, got {eta!r}")
+
+
 def _ceil_tol(x: float) -> int:
     """Ceiling with a relative guard against float noise just above an integer."""
     return math.ceil(x - 1e-9 * max(1.0, abs(x)))
@@ -103,8 +108,7 @@ class SpiderConfig:
             raise ValueError("need q >= 1, S1 >= 1, T >= 0")
         if self.eta is None:
             self.eta = 1.0 / (2.0 * self.L)
-        if self.eta <= 0:
-            raise ValueError("step size must be positive")
+        _check_step(self.eta)
         _check_modes(self.map_mode)
 
 
@@ -301,6 +305,8 @@ def _spider_core(
     the last step length; the last batch size).
     """
     _check_start(obj, x0)
+    if cfg.n is not None and cfg.n != obj.n:
+        raise ValueError(f"config n={cfg.n} does not match the objective's n={obj.n}")
     man = obj.manifold
     full_anchor = cfg.n is not None and cfg.S1 >= obj.n
     cap = obj.n if cfg.n is not None else None
@@ -536,9 +542,12 @@ def rsgd(
 ) -> tuple[ManifoldPoint, RunTrace]:
     """Baseline stochastic gradient descent: one sampled component per step.
 
-    ``eta`` is a constant or a callable k -> step size.
+    ``eta`` is a constant or a callable k -> step size; only a constant is
+    checked up front.
     """
     _check_modes(map_mode)
+    if not callable(eta):
+        _check_step(eta)
     _check_start(obj, x0)
     eta_fn = eta if callable(eta) else (lambda k: eta)
     rng = np.random.default_rng(seed)
@@ -582,6 +591,7 @@ def rsvrg(
     approximation of the exponential update.
     """
     _check_modes(map_mode)
+    _check_step(eta)
     _check_start(obj, x0)
     m = obj.n if inner_len is None else int(inner_len)
     if m < 1:

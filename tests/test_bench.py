@@ -556,6 +556,25 @@ class TestCli:
         with pytest.raises(ValueError, match="n >= d"):
             tiny_cfg(d=50, n=20, spectrum="geometric")
 
+    @pytest.mark.parametrize("eta", ["-1", "0", "nan", "inf"])
+    def test_bad_step_size_fails_before_any_work(self, tmp_path, monkeypatch, capsys, eta):
+        import rspider.bench as bench
+
+        ran = []
+        monkeypatch.setattr(bench, "_run_cell", lambda *a, **k: ran.append(a))
+        monkeypatch.setattr(bench, "_eigenvector_factors", lambda *a: ran.append(a))
+        out = tmp_path / "x.csv"
+        code = cli_main(
+            ["bench", "--algo", "rsvrg", "--d", "10", "--n", "30", "--epochs", "1",
+             "--seeds", "0", "--eta", eta, "--out", str(out)]
+        )
+        assert code == 1
+        assert "step size must be finite and positive" in capsys.readouterr().err
+        assert ran == []
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ValueError, match="step size"):
+            tiny_cfg(eta=float(eta))
+
     def test_geometric_gap_checked_by_its_spectrum(self):
         with pytest.raises(ValueError, match="lambda_1"):
             tiny_cfg(spectrum="geometric", delta_list=(0.2, 1.5))

@@ -87,6 +87,11 @@ class TestSchedules:
         cfg = SpiderConfig(L=2.0, eps=0.1, q=3, S1=2, T=5)
         assert cfg.eta == 0.25  # defaults to 1/(2L)
 
+    @pytest.mark.parametrize("eta", [0.0, -0.01, math.nan, math.inf])
+    def test_config_rejects_bad_step(self, eta):
+        with pytest.raises(ValueError, match="step size"):
+            SpiderConfig(L=1.0, eps=0.1, q=1, S1=1, T=1, eta=eta)
+
 
 class TestSpiderNonconvex:
     def test_zero_budget(self):
@@ -149,6 +154,14 @@ class TestSpiderNonconvex:
         assert P.counter.calls == trace.meta["ifo"]
         ifos = [rec.ifo for rec in trace.records]
         assert all(b >= a for a, b in zip(ifos, ifos[1:]))
+
+    def test_config_n_must_match_the_objective(self):
+        P = desk_problem(d=20, n=200, delta=0.5, seed=0)
+        x0 = P.manifold.random_point(np.random.default_rng(3))
+        cfg = params_finite(500, 0.05, 1.0, P.L_hint)
+        with pytest.raises(ValueError, match="n=500"):
+            spider_nonconvex(P, x0, cfg)
+        assert P.counter.calls == 0
 
     def test_budget_stop(self):
         P = desk_problem()
@@ -317,9 +330,14 @@ class TestGd2:
 
 class TestRsgd:
     def test_zero_step_size(self):
+        # a constant zero step is rejected up front; a schedule is not
+        # checked, and its zero steps leave the start point in place
         P = desk_problem(d=6, n=25, delta=0.4, seed=21)
         x0 = P.manifold.random_point(np.random.default_rng(10))
-        x, _ = rsgd(P, x0, eta=0.0, T=7, seed=0)
+        with pytest.raises(ValueError, match="step size"):
+            rsgd(P, x0, eta=0.0, T=7, seed=0)
+        assert P.counter.calls == 0
+        x, _ = rsgd(P, x0, eta=lambda k: 0.0, T=7, seed=0)
         assert np.array_equal(x.coords, x0.coords)
 
     def test_counter_equals_steps(self):
@@ -333,6 +351,19 @@ class TestRsgd:
         x0 = P.manifold.random_point(np.random.default_rng(12))
         x, trace = rsgd(P, x0, eta=lambda k: 0.1 / (1 + k), T=5, seed=2)
         assert trace.meta["ifo"] == 5
+
+
+@pytest.mark.parametrize("solver", ["rsgd", "rsvrg"])
+@pytest.mark.parametrize("eta", [0.0, -0.01, math.nan, math.inf])
+def test_constant_step_must_be_finite_and_positive(solver, eta):
+    P = desk_problem(d=20, n=200, delta=0.5, seed=0)
+    x0 = P.manifold.random_point(np.random.default_rng(3))
+    with pytest.raises(ValueError, match="step size"):
+        if solver == "rsgd":
+            rsgd(P, x0, eta=eta, T=10, seed=0)
+        else:
+            rsvrg(P, x0, eta=eta, epochs=1, seed=0)
+    assert P.counter.calls == 0
 
 
 class TestRsvrg:
