@@ -1,5 +1,9 @@
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -474,6 +478,21 @@ class TestCli:
         assert cli_main(argv) == 1
         assert "--ifo-convention" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_module_form_runs_the_cli(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        out = tmp_path / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rspider", "bench", "--d", "10", "--n", "30",
+             "--delta-list", "0.2", "--epochs", "1", "--seeds", "0", "--eta", "0.05",
+             "--out", str(out)],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert "RuntimeWarning" not in proc.stderr
+        assert out.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
 
     def test_alias_precedence(self, tmp_path, monkeypatch):
         import rspider.bench as bench
