@@ -40,7 +40,7 @@ from .optim import (
     OptimizerError,
     RunTrace,
     _check_modes,
-    _check_step,
+    _check_positive,
     params_finite,
     rsgd,
     rsvrg,
@@ -128,13 +128,12 @@ class ExperimentConfig:
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if self.epochs < 0:
-            raise ValueError("epoch budget must be >= 0")
-        if self.checkpoint_every <= 0:
-            raise ValueError("checkpoint interval must be positive")
+        if not (math.isfinite(self.epochs) and self.epochs >= 0):
+            raise ValueError(f"epoch budget must be finite and >= 0, got {self.epochs!r}")
+        _check_positive("checkpoint interval", self.checkpoint_every)
         _check_modes(self.map_mode)
         if self.eta is not None:
-            _check_step(self.eta)
+            _check_positive("step size", self.eta)
         if self.spectrum not in ("packed", "geometric"):
             raise ValueError("spectrum must be 'packed' or 'geometric'")
         if self.tail is None:
@@ -262,13 +261,10 @@ def _run_cell(cfg: ExperimentConfig, P: PcaProblem, f_star: float, tau: float | 
     map_mode = "retract" if algo == "vrpca" else cfg.map_mode
     trace = _run_algo(cfg, algo, P, f_star, x0, seed, max_ifo, tau)
 
-    by_boundary = {}
-    for r in trace.records:
-        if r.boundary is not None and r.boundary not in by_boundary:
-            by_boundary[r.boundary] = r
-    last = trace.records[-1]
+    # boundary records come in order, one per grid epoch from 0
     grid = int(round(cfg.epochs / cfg.checkpoint_every)) + 1
-    recs = [by_boundary.get(j * cfg.checkpoint_every, last) for j in range(grid)]
+    recs = [r for r in trace.records if r.boundary is not None][:grid]
+    recs += [trace.records[-1]] * (grid - len(recs))
 
     if len(recs) > round(cfg.window / cfg.checkpoint_every):
         ests = epochs_to_double(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import ManifoldPoint
 from .oracle import FiniteSumObjective, PcaProblem, leading_eigpair
-from .optim import FrozenState, RunTrace, _correct
+from .optim import FrozenState, RunTrace, _correct, _full_batch
 
 __all__ = [
     "CONVERGED",
@@ -260,16 +260,17 @@ def variance_probe(
     Re-draws the correction minibatch of a captured mid-run state, applies
     the solvers' own correction step to it and measures the mean of
     |v_k - grad f(x_k)|^2. The analytic budget for a full epoch is eps^2; the
-    reported bound applies ``slack`` (default 2) to absorb sampling noise. A
+    reported bound applies ``slack`` (default 2) to absorb sampling noise.
+    The probe replays the correction the solver ran: in finite-sum mode a
     batch of size >= n is the deterministic full-batch correction, so every
-    resample coincides.
+    resample coincides; a sample-only run draws s2 samples whatever n is.
     """
     rng = np.random.default_rng(seed)
     x, y, ref = frozen.x_curr, frozen.x_prev, frozen.v_prev
     with obj.counter.paused():
         target = obj.full_rgrad(x).coords
         carried = (ref - obj.full_rgrad(y)).norm()
-        if frozen.s2 >= obj.n:
+        if _full_batch(frozen.s2, obj.n, frozen.sample_only):
             v, _ = _correct(obj, obj.full_rgrad, x, y, ref.coords, frozen.k)
             estimates = [v] * resamples
         else:

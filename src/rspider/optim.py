@@ -5,13 +5,15 @@ Every variance-reduced solver here is a schedule around one estimator step,
 g(y) - ref) of one sampled gradient evaluated at two points. The recursive
 solver takes y = the previous iterate and ref = its running surrogate,
 re-anchored every ``q`` steps; SVRG takes y = a snapshot and ref = the
-snapshot's full gradient. Two restart schemes built on the recursive solver
-give linear convergence on gradient-dominated objectives. An SGD baseline
-shares the same tracing and accounting machinery.
+snapshot's full gradient. Two restart schemes give linear convergence on
+gradient-dominated objectives; both are stage schedules for one driver,
+:func:`_restarts`, around the recursive solver. Every solver, the SGD
+baseline included, keeps its sampling stream, oracle tallies, budget and
+checkpoint records on one :class:`_Run`.
 
 The loops run on raw coordinate arrays through the manifold's raw operations
 (``_exp``, ``_retract``, ``_transport``, ``_dist``). Iterates are wrapped as
-trusted points only to be handed to the oracle, the tracer and
+trusted points only to be handed to the oracle, the run's records and
 :class:`FrozenState`; ``x0`` is checked once on entry.
 """
 
@@ -55,9 +57,10 @@ def _check_modes(map_mode: str):
         raise ValueError(f"map_mode must be one of {MAP_MODES}")
 
 
-def _check_step(eta):
-    if not (math.isfinite(eta) and eta > 0):
-        raise ValueError(f"step size must be finite and positive, got {eta!r}")
+def _check_positive(what, value):
+    """Raise ValueError unless ``value`` is finite and positive."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be finite and positive, got {value!r}")
 
 
 def _ceil_tol(x: float) -> int:
@@ -102,13 +105,13 @@ class SpiderConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.L <= 0 or self.eps <= 0:
-            raise ValueError("L and eps must be positive")
+        _check_positive("L", self.L)
+        _check_positive("eps", self.eps)
         if self.q < 1 or self.S1 < 1 or self.T < 0:
             raise ValueError("need q >= 1, S1 >= 1, T >= 0")
         if self.eta is None:
             self.eta = 1.0 / (2.0 * self.L)
-        _check_step(self.eta)
+        _check_positive("step size", self.eta)
         _check_modes(self.map_mode)
 
 
@@ -128,8 +131,8 @@ class GdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.M0 <= 0 or self.tau <= 0 or self.L <= 0:
-            raise ValueError("M0, tau and L must be positive")
+        for what in ("M0", "tau", "L"):
+            _check_positive(what, getattr(self, what))
         if self.K < 0:
             raise ValueError("need K >= 0")
         _check_modes(self.map_mode)
@@ -169,22 +172,35 @@ class FrozenState:
     v_prev: TangentVector
     s2: int
     eps: float
+    sample_only: bool = False  # the run draws s2 samples even if s2 >= n (n=None)
 
 
-class _Tracer:
-    """Emits one record per crossed checkpoint boundary (free evaluations).
+def _full_batch(size, n, sample_only) -> bool:
+    """Whether ``size`` samples make the deterministic pass over all n components."""
+    return not sample_only and size >= n
 
-    ``calls0`` is the counter when the run starts, so a run on an objective
+
+class _Run:
+    """What every solver run shares: the checked start, the sampling stream
+    ``rng``, the IFO ``tallies``, the budget ``max_ifo`` and one record per
+    crossed checkpoint boundary (free evaluations).
+
+    The counter when the run starts is its zero, so a run on an objective
     that has already been charged still reports, and is budgeted by, only its
     own calls (:meth:`spent`).
     """
 
-    def __init__(self, obj: FiniteSumObjective, every: float):
-        if every <= 0:
-            raise ValueError("checkpoint interval must be positive")
+    def __init__(self, obj, x0, seed, checkpoint_every, max_ifo):
+        if x0.manifold != obj.manifold:
+            raise ValueError("x0 does not live on the objective's manifold")
+        _check_positive("checkpoint interval", checkpoint_every)
         self.obj = obj
+        self.seed = seed
+        self.rng = np.random.default_rng(seed)
+        self.tallies = {"anchor": 0, "correction": 0}
+        self.max_ifo = max_ifo
         self.calls0 = obj.counter.calls
-        self.every = float(every)
+        self.every = float(checkpoint_every)
         self.records: list[TraceRecord] = []
         self._next_idx = 0
 
@@ -192,25 +208,15 @@ class _Tracer:
         """Calls charged since the run started."""
         return self.obj.counter.calls - self.calls0
 
-    def exhausted(self, max_ifo) -> bool:
-        """Whether the run has spent its budget ``max_ifo`` (None: no budget)."""
-        return max_ifo is not None and self.spent() >= max_ifo
+    def exhausted(self) -> bool:
+        """Whether the run has spent its budget (never, without one)."""
+        return self.max_ifo is not None and self.spent() >= self.max_ifo
 
     def _snap(self, k, x, step_dist, batch, boundary):
         calls = self.spent()
         f, g_sq = self.obj._probe(x)
-        self.records.append(
-            TraceRecord(
-                k=k,
-                epoch=calls / self.obj.n,
-                ifo=calls,
-                f=f,
-                grad_sq=g_sq,
-                step_dist=step_dist,
-                batch=batch,
-                boundary=boundary,
-            )
-        )
+        self.records.append(TraceRecord(k, calls / self.obj.n, calls, f, g_sq, step_dist,
+                                        batch, boundary))
 
     def after_step(self, k, x, step_dist, batch):
         epoch = self.spent() / self.obj.n
@@ -221,10 +227,11 @@ class _Tracer:
     def final(self, k, x, step_dist, batch):
         self._snap(k, x, step_dist, batch, None)
 
-
-def _check_start(obj, x0: ManifoldPoint):
-    if x0.manifold != obj.manifold:
-        raise ValueError("x0 does not live on the objective's manifold")
+    def trace(self, algo, config, **extra) -> RunTrace:
+        """The records and the run's meta, ``extra`` after the common keys."""
+        meta = {"algo": algo, "config": config, "seed": self.seed, "n": self.obj.n,
+                "checkpoint_every": self.every, "ifo": self.spent(), **extra}
+        return RunTrace(records=self.records, meta=meta)
 
 
 def _update(man, x, v, v_sq, eta, map_mode, k):
@@ -255,19 +262,6 @@ def _draws(rng, n, count):
         yield from rng.integers(0, n, size=min(_DRAW_BLOCK, count - start)).tolist()
 
 
-def _run_trace(obj, tracer, algo, config, seed, **extra) -> RunTrace:
-    meta = {
-        "algo": algo,
-        "config": config,
-        "seed": seed,
-        "n": obj.n,
-        "checkpoint_every": tracer.every,
-        "ifo": tracer.spent(),
-        **extra,
-    }
-    return RunTrace(records=tracer.records, meta=meta)
-
-
 def _correct(obj, grad, x, y, ref, k, *idx):
     """The estimator step: grad(x) - transport(y -> x, grad(y) - ref).
 
@@ -292,30 +286,29 @@ def _correct(obj, grad, x, y, ref, k, *idx):
     return v, v_sq
 
 
-def _spider_core(
-    obj, x0, cfg: SpiderConfig, budget, rng, tracer, tallies, *,
-    max_ifo=None, on_correction=None, k_offset=0, pick=True,
-):
+def _spider_core(run, x0, cfg: SpiderConfig, budget, *, on_correction=None, k_offset=0,
+                 pick=True):
     """Run up to ``cfg.T`` steps of the recursive estimator from ``x0``.
 
     Every ``q``-th step re-anchors the surrogate ``v``; the others correct it
-    with ceil(min(n, q L^2 step^2 / budget)) samples. Charged calls go to
-    ``tallies``, iterates to ``tracer``. Returns (a uniform pick over the
-    produced iterates, or x0 without ``pick``; the last iterate; steps done;
-    the last step length; the last batch size).
+    with ceil(min(n, q L^2 step^2 / budget)) samples. Charged calls and
+    iterates go to ``run``. Returns (a uniform pick over the produced
+    iterates, or x0 without ``pick``; the last iterate; steps done; the last
+    step length; the last batch size).
     """
-    _check_start(obj, x0)
+    obj, rng, tallies = run.obj, run.rng, run.tallies
     if cfg.n is not None and cfg.n != obj.n:
         raise ValueError(f"config n={cfg.n} does not match the objective's n={obj.n}")
     man = obj.manifold
-    full_anchor = cfg.n is not None and cfg.S1 >= obj.n
-    cap = obj.n if cfg.n is not None else None
+    sample_only = cfg.n is None
+    full_anchor = _full_batch(cfg.S1, obj.n, sample_only)
+    cap = None if sample_only else obj.n
     x = x_out = x0
     x_prev = v = None
     v_sq = step_len = 0.0
     batch = done = 0
     for k in range(cfg.T):
-        if tracer.exhausted(max_ifo):
+        if run.exhausted():
             break
         if k % cfg.q == 0:
             if full_anchor:
@@ -330,8 +323,10 @@ def _spider_core(
             s2 = _batch_size(cfg.q, cfg.L, step_len, budget, cap)
             if on_correction is not None:
                 frozen_v = TangentVector._raw(x_prev, v)
-                on_correction(FrozenState(k_offset + k, x_prev, x, frozen_v, s2, cfg.eps))
-            if cap is not None and s2 >= cap:
+                on_correction(
+                    FrozenState(k_offset + k, x_prev, x, frozen_v, s2, cfg.eps, sample_only)
+                )
+            if _full_batch(s2, obj.n, sample_only):
                 batch = obj.n
                 v, v_sq = _correct(obj, obj.full_rgrad, x, x_prev, v, k_offset + k)
             else:
@@ -346,7 +341,7 @@ def _spider_core(
         x_prev = x
         x = x_next
         done = k + 1
-        tracer.after_step(k_offset + done, x, step_len, batch)
+        run.after_step(k_offset + done, x, step_len, batch)
     return x_out, x, done, step_len, batch
 
 
@@ -370,28 +365,24 @@ def spider_nonconvex(
     ``on_correction``, when given, receives a :class:`FrozenState` right
     before each correction step is sampled.
     """
-    rng = np.random.default_rng(cfg.seed)
-    tracer = _Tracer(obj, checkpoint_every)
-    tallies = {"anchor": 0, "correction": 0}
+    run = _Run(obj, x0, cfg.seed, checkpoint_every, max_ifo)
     if cfg.T >= 1:
-        tracer.after_step(0, x0, 0.0, 0)
+        run.after_step(0, x0, 0.0, 0)
     x_rand, x_last, steps, step_len, batch = _spider_core(
-        obj, x0, cfg, 2.0 * cfg.eps**2, rng, tracer, tallies,
-        max_ifo=max_ifo, on_correction=on_correction,
+        run, x0, cfg, 2.0 * cfg.eps**2, on_correction=on_correction
     )
     if cfg.T >= 1:
-        tracer.final(steps, x_last, step_len, batch)
-    return x_rand, _run_trace(
-        obj, tracer, "spider", asdict(cfg), cfg.seed,
-        steps=steps, ifo_breakdown=tallies,
-    )
+        run.final(steps, x_last, step_len, batch)
+    return x_rand, run.trace("spider", asdict(cfg), steps=steps, ifo_breakdown=run.tallies)
 
 
 def params_stochastic(sigma_sq, eps, M, L, **kwargs) -> SpiderConfig:
     """Sample-only schedule: S1 = ceil(2 sigma^2/eps^2), eta = 1/(2L),
     q = ceil(1/eps), T = ceil(4 M L / eps^2)."""
-    if sigma_sq < 0 or eps <= 0 or M <= 0 or L <= 0:
-        raise ValueError("need sigma_sq >= 0 and positive eps, M, L")
+    if not (math.isfinite(sigma_sq) and sigma_sq >= 0):
+        raise ValueError(f"sigma_sq must be finite and >= 0, got {sigma_sq!r}")
+    for what, value in (("eps", eps), ("M", M), ("L", L)):
+        _check_positive(what, value)
     s1 = _ceil_tol(2.0 * sigma_sq / eps**2)
     if s1 < 1:
         warnings.warn("anchor batch size 0 (zero variance); clamping to 1")
@@ -411,8 +402,10 @@ def params_stochastic(sigma_sq, eps, M, L, **kwargs) -> SpiderConfig:
 def params_finite(n, eps, M, L, **kwargs) -> SpiderConfig:
     """Finite-sum schedule: full-gradient anchors, q = ceil(sqrt(n)),
     eta = 1/(2L), T = ceil(4 M L / eps^2)."""
-    if n < 1 or eps <= 0 or M <= 0 or L <= 0:
-        raise ValueError("need n >= 1 and positive eps, M, L")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    for what, value in (("eps", eps), ("M", M), ("L", L)):
+        _check_positive(what, value)
     return SpiderConfig(
         L=L,
         eps=eps,
@@ -425,11 +418,37 @@ def params_finite(n, eps, M, L, **kwargs) -> SpiderConfig:
     )
 
 
-def _stage(cfg: GdConfig, n: int, eps: float, q: int, T: int) -> SpiderConfig:
-    """One restart stage: full-gradient anchors and the step 1/(2L)."""
-    return SpiderConfig(
-        L=cfg.L, eps=eps, q=q, S1=n, T=T, n=n, map_mode=cfg.map_mode, seed=cfg.seed,
-    )
+def _restarts(run, x0, cfg: GdConfig, q, stage, *, pick, on_correction=None):
+    """Run the ``cfg.K`` restart stages of the recursive solver from ``x0``.
+
+    ``stage(t)`` gives stage t's (eps, T, variance budget); every stage
+    anchors on the full gradient, steps with 1/(2L) and starts from the
+    previous stage's output: its uniform pick with ``pick``, else its last
+    iterate. Returns the last stage's output and the stage table.
+    """
+    n = run.obj.n
+    x, done, step_len, batch, stages = x0, 0, 0.0, 0, []
+    if cfg.K >= 1:
+        run.after_step(0, x0, 0.0, 0)
+    for t in range(1, cfg.K + 1):
+        if run.exhausted():
+            break
+        eps, T, budget = stage(t)
+        inner = SpiderConfig(
+            L=cfg.L, eps=eps, q=q, S1=n, T=T, n=n, map_mode=cfg.map_mode, seed=cfg.seed,
+        )
+        x_pick, x, steps, step_len, batch = _spider_core(
+            run, x, inner, budget, on_correction=on_correction, k_offset=done, pick=pick,
+        )
+        if pick:
+            x, step_len, batch = x_pick, 0.0, 0  # no single step ends at the pick
+        done += steps
+        stages.append(
+            {"stage": t, "eps": eps, "eta": inner.eta, "T": T, "steps": steps,
+             "ifo_end": run.spent()}
+        )
+    run.final(done, x, step_len, batch)
+    return x, stages
 
 
 def spider_gd1(
@@ -447,42 +466,16 @@ def spider_gd1(
     T_t = ceil(4 M_t L / eps_t^2) inner iterations. The trace concatenates
     stage traces; stage boundaries are recorded in ``meta["stages"]``.
     """
-    rng = np.random.default_rng(cfg.seed)
-    tracer = _Tracer(obj, checkpoint_every)
-    tallies = {"anchor": 0, "correction": 0}
-    n = obj.n
-    q = max(1, _ceil_tol(math.sqrt(n)))
-    x = x0
-    k_off = 0
-    stages = []
-    tracer.after_step(0, x0, 0.0, 0)
-    for t in range(1, cfg.K + 1):
-        if tracer.exhausted(max_ifo):
-            break
-        eps_t = math.sqrt(cfg.M0 / (2.0**t * 10.0 * cfg.tau))
+    run = _Run(obj, x0, cfg.seed, checkpoint_every, max_ifo)
+
+    def stage(t):
+        eps = math.sqrt(cfg.M0 / (2.0**t * 10.0 * cfg.tau))
         m_t = cfg.M0 / 2.0 ** (t - 1)
-        t_t = _ceil_tol(4.0 * m_t * cfg.L / eps_t**2)
-        inner = _stage(cfg, n, eps_t, q, t_t)
-        x, _last, steps, _, _ = _spider_core(
-            obj, x, inner, 2.0 * eps_t**2, rng, tracer, tallies,
-            max_ifo=max_ifo, k_offset=k_off,
-        )
-        k_off += steps
-        stages.append(
-            {
-                "stage": t,
-                "eps": eps_t,
-                "eta": inner.eta,
-                "T": t_t,
-                "steps": steps,
-                "ifo_end": tracer.spent(),
-            }
-        )
-    tracer.final(k_off, x, 0.0, 0)
-    return x, _run_trace(
-        obj, tracer, "spider-gd1", asdict(cfg), cfg.seed,
-        stages=stages, ifo_breakdown=tallies,
-    )
+        return eps, _ceil_tol(4.0 * m_t * cfg.L / eps**2), 2.0 * eps**2
+
+    q = max(1, _ceil_tol(math.sqrt(obj.n)))
+    x, stages = _restarts(run, x0, cfg, q, stage, pick=True)
+    return x, run.trace("spider-gd1", asdict(cfg), stages=stages, ifo_breakdown=run.tallies)
 
 
 def spider_gd2(
@@ -500,32 +493,22 @@ def spider_gd2(
     1/(2L), each opened by a full-gradient anchor and handing its last
     iterate to the next. Stage t sizes its corrections by
     ceil(min(n, q L^2 (step length)^2 / delta_t)), where the variance budget
-    delta_t = M0 / (4 tau) / 2^t halves every stage. Returns the final iterate.
+    delta_t = delta0 / 2^(t-1), delta0 = M0 / (4 tau), halves every stage;
+    the stage table in ``meta["stages"]`` lists eps_t = sqrt(delta_t).
+    Returns the final iterate.
     """
-    rng = np.random.default_rng(cfg.seed)
-    n = obj.n
+    run = _Run(obj, x0, cfg.seed, checkpoint_every, max_ifo)
     q = max(1, _ceil_tol(4.0 * cfg.L * cfg.tau * math.log(4.0)))
     delta0 = cfg.M0 / (4.0 * cfg.tau)
-    tracer = _Tracer(obj, checkpoint_every)
-    tallies = {"anchor": 0, "correction": 0}
-    x = x0
-    done = batch = 0
-    step_len = 0.0
-    if cfg.K >= 1:
-        tracer.after_step(0, x0, 0.0, 0)
-    for t in range(cfg.K):
-        if tracer.exhausted(max_ifo):
-            break
-        delta = delta0 / 2.0**t
-        _, x, steps, step_len, batch = _spider_core(
-            obj, x, _stage(cfg, n, math.sqrt(delta), q, q), delta, rng, tracer, tallies, max_ifo=max_ifo,
-            on_correction=on_correction, k_offset=done, pick=False,
-        )
-        done += steps
-    tracer.final(done, x, step_len, batch)
-    return x, _run_trace(
-        obj, tracer, "spider-gd2", asdict(cfg), cfg.seed, q=q, delta0=delta0,
-        ifo_breakdown=tallies,
+
+    def stage(t):
+        delta = delta0 / 2.0 ** (t - 1)
+        return math.sqrt(delta), q, delta
+
+    x, stages = _restarts(run, x0, cfg, q, stage, pick=False, on_correction=on_correction)
+    return x, run.trace(
+        "spider-gd2", asdict(cfg), q=q, delta0=delta0, stages=stages,
+        ifo_breakdown=run.tallies,
     )
 
 
@@ -547,27 +530,25 @@ def rsgd(
     """
     _check_modes(map_mode)
     if not callable(eta):
-        _check_step(eta)
-    _check_start(obj, x0)
+        _check_positive("step size", eta)
+    run = _Run(obj, x0, seed, checkpoint_every, max_ifo)
     eta_fn = eta if callable(eta) else (lambda k: eta)
-    rng = np.random.default_rng(seed)
     man = obj.manifold
-    tracer = _Tracer(obj, checkpoint_every)
     x = x0
     step_len = 0.0
     done = 0
     if T >= 1:
-        tracer.after_step(0, x0, 0.0, 0)
-    for k, i in enumerate(_draws(rng, obj.n, T)):
-        if tracer.exhausted(max_ifo):
+        run.after_step(0, x0, 0.0, 0)
+    for k, i in enumerate(_draws(run.rng, obj.n, T)):
+        if run.exhausted():
             break
         g = obj.component_rgrad(i, x)
         x, step_len = _update(man, x, g.coords, g._sq, float(eta_fn(k)), map_mode, k)
         done = k + 1
-        tracer.after_step(done, x, step_len, 1)
-    tracer.final(done, x, step_len, 0 if done == 0 else 1)
+        run.after_step(done, x, step_len, 1)
+    run.final(done, x, step_len, 0 if done == 0 else 1)
     config = {"eta": eta if not callable(eta) else repr(eta), "T": T}
-    return x, _run_trace(obj, tracer, "rsgd", config, seed, map_mode=map_mode)
+    return x, run.trace("rsgd", config, map_mode=map_mode)
 
 
 def rsvrg(
@@ -591,35 +572,32 @@ def rsvrg(
     approximation of the exponential update.
     """
     _check_modes(map_mode)
-    _check_step(eta)
-    _check_start(obj, x0)
+    _check_positive("step size", eta)
     m = obj.n if inner_len is None else int(inner_len)
     if m < 1:
         raise ValueError("inner loop length must be >= 1")
-    rng = np.random.default_rng(seed)
+    run = _Run(obj, x0, seed, checkpoint_every, max_ifo)
     man = obj.manifold
-    tracer = _Tracer(obj, checkpoint_every)
-    tallies = {"anchor": 0, "correction": 0}
     x = x0
     step_len = 0.0
     k_global = 0
     if epochs >= 1:
-        tracer.after_step(0, x0, 0.0, 0)
+        run.after_step(0, x0, 0.0, 0)
     for _s in range(epochs):
-        if tracer.exhausted(max_ifo):
+        if run.exhausted():
             break
         x_snap = x
         mu = obj.full_rgrad(x_snap).coords
-        tallies["anchor"] += obj.n
-        tracer.after_step(k_global, x, 0.0, obj.n)
-        for i in _draws(rng, obj.n, m):
-            if tracer.exhausted(max_ifo):
+        run.tallies["anchor"] += obj.n
+        run.after_step(k_global, x, 0.0, obj.n)
+        for i in _draws(run.rng, obj.n, m):
+            if run.exhausted():
                 break
             v, v_sq = _correct(obj, obj.component_rgrad, x, x_snap, mu, k_global, i)
-            tallies["correction"] += 2
+            run.tallies["correction"] += 2
             x, step_len = _update(man, x, v, v_sq, eta, map_mode, k_global)
             k_global += 1
-            tracer.after_step(k_global, x, step_len, 1)
-    tracer.final(k_global, x, step_len, 1 if k_global else 0)
+            run.after_step(k_global, x, step_len, 1)
+    run.final(k_global, x, step_len, 1 if k_global else 0)
     config = {"eta": eta, "epochs": epochs, "inner_len": m, "map_mode": map_mode}
-    return x, _run_trace(obj, tracer, "rsvrg", config, seed, ifo_breakdown=tallies)
+    return x, run.trace("rsvrg", config, ifo_breakdown=run.tallies)

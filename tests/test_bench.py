@@ -594,6 +594,26 @@ class TestCli:
         with pytest.raises(ValueError, match="step size"):
             tiny_cfg(eta=float(eta))
 
+    @pytest.mark.parametrize("epochs", ["nan", "inf"])
+    def test_non_finite_epoch_budget_fails_before_any_work(self, tmp_path, monkeypatch,
+                                                           capsys, epochs):
+        import rspider.bench as bench
+
+        ran = []
+        monkeypatch.setattr(bench, "_run_cell", lambda *a, **k: ran.append(a))
+        monkeypatch.setattr(bench, "_eigenvector_factors", lambda *a: ran.append(a))
+        out = tmp_path / "x.csv"
+        code = cli_main(
+            ["bench", "--algo", "rsvrg", "--d", "10", "--n", "30", "--epochs", epochs,
+             "--seeds", "0", "--out", str(out)]
+        )
+        assert code == 1
+        assert "epoch budget must be finite and >= 0" in capsys.readouterr().err
+        assert ran == []
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ValueError, match="epoch budget"):
+            tiny_cfg(epochs=float(epochs))
+
     def test_geometric_gap_checked_by_its_spectrum(self):
         with pytest.raises(ValueError, match="lambda_1"):
             tiny_cfg(spectrum="geometric", delta_list=(0.2, 1.5))

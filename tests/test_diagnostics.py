@@ -7,7 +7,7 @@ import rspider as r
 from rspider.diagnostics import CONVERGED, STALLED, epochs_to_double
 from rspider.geometry import Euclidean, Sphere
 from rspider.oracle import ComponentObjective, packed_spectrum, problem_from_spectrum
-from rspider.optim import FrozenState, params_finite, spider_nonconvex
+from rspider.optim import FrozenState, SpiderConfig, params_finite, spider_nonconvex
 
 
 def diag21_problem():
@@ -256,6 +256,42 @@ class TestVarianceProbe:
         spread = (max(vals) - min(vals)) / 2.0
         se = spread / math.sqrt(4000)
         assert abs(rep.statistic - exact) <= 3.0 * se + 1e-15
+
+    def test_sample_only_batch_of_n_is_still_sampled(self):
+        # a sample-only run draws a correction of s2 >= n as s2 samples with
+        # replacement; the probe must replay those draws, not the
+        # deterministic full-batch correction a finite-sum run takes
+        P = r.generate_gap_matrix(r.SyntheticSpec(d=6, n=20, delta=0.4, seed=6))
+        st = self._state_with_exact_carry(P, s2=P.n + 5, seed=1)
+        full = r.variance_probe(P, st, resamples=30, seed=2)
+        assert full.statistic == 0.0
+        st.sample_only = True
+        rep = r.variance_probe(P, st, resamples=30, seed=2)
+        assert rep.details["min"] < rep.details["max"]
+        man, rng = P.manifold, np.random.default_rng(2)
+        vals = []
+        with P.counter.paused():
+            target = P.full_rgrad(st.x_curr)
+            for _ in range(30):
+                idx = rng.integers(0, P.n, size=st.s2)
+                v = P.minibatch_rgrad(idx, st.x_curr) - man.transport(
+                    st.x_prev, st.x_curr, P.minibatch_rgrad(idx, st.x_prev) - st.v_prev
+                )
+                vals.append((v - target)._sq)
+        assert rep.statistic == pytest.approx(sum(vals) / 30, rel=1e-9)
+
+    def test_solver_marks_sample_only_states(self):
+        P = r.generate_gap_matrix(r.SyntheticSpec(d=10, n=60, delta=0.4, seed=5))
+        x0 = P.manifold.random_point(np.random.default_rng(8))
+        sampled, finite = [], []
+        cfg = SpiderConfig(L=P.L_hint, eps=0.05, q=8, S1=P.n, T=24, n=None, seed=2)
+        spider_nonconvex(P, x0, cfg, on_correction=sampled.append)
+        spider_nonconvex(P, x0, params_finite(P.n, 0.04, 1.0, P.L_hint, seed=2),
+                         max_ifo=5 * P.n, on_correction=finite.append)
+        assert sampled and all(st.sample_only and st.s2 >= P.n for st in sampled)
+        assert finite and not any(st.sample_only for st in finite)
+        rep = r.variance_probe(P, sampled[0], resamples=20, seed=0)
+        assert rep.details["min"] < rep.details["max"]
 
     def test_variance_scales_inversely_with_batch(self):
         P = r.generate_gap_matrix(r.SyntheticSpec(d=8, n=40, delta=0.3, seed=7))

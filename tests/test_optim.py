@@ -14,8 +14,8 @@ from rspider.optim import (
     OptimizerError,
     SpiderConfig,
     _draws,
+    _Run,
     _spider_core,
-    _Tracer,
     correction_batch_size,
     params_finite,
     params_stochastic,
@@ -92,6 +92,36 @@ class TestSchedules:
         with pytest.raises(ValueError, match="step size"):
             SpiderConfig(L=1.0, eps=0.1, q=1, S1=1, T=1, eta=eta)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["L", "eps"])
+    def test_spider_config_rejects_non_positive(self, field, bad):
+        kw = dict(L=1.0, eps=0.1, q=1, S1=1, T=1, eta=0.5)
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            SpiderConfig(**{**kw, field: bad})
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["M0", "tau", "L"])
+    def test_gd_config_rejects_non_positive(self, field, bad):
+        kw = dict(M0=1.0, tau=1.0, L=1.0, K=1)
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            GdConfig(**{**kw, field: bad})
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["eps", "M", "L"])
+    @pytest.mark.parametrize("schedule", ["finite", "stochastic"])
+    def test_schedules_reject_non_positive(self, schedule, field, bad):
+        kw = {"eps": 0.1, "M": 1.0, "L": 1.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            if schedule == "finite":
+                params_finite(100, **kw)
+            else:
+                params_stochastic(1.0, **kw)
+
+    @pytest.mark.parametrize("sigma_sq", [-1.0, math.nan, math.inf])
+    def test_stochastic_schedule_rejects_bad_variance(self, sigma_sq):
+        with pytest.raises(ValueError, match="sigma_sq must be finite"):
+            params_stochastic(sigma_sq, 0.1, 1.0, 1.0)
+
 
 class TestSpiderNonconvex:
     def test_zero_budget(self):
@@ -110,10 +140,7 @@ class TestSpiderNonconvex:
         x_sgd, _ = rsgd(P, x0, eta=0.1, T=15, seed=0)
         P.counter.reset()
         cfg = SpiderConfig(L=5.0, eps=0.1, q=1, S1=1, T=15, eta=0.1, n=1, seed=0)
-        tallies = {"anchor": 0, "correction": 0}
-        _, x_last, *_ = _spider_core(
-            P, x0, cfg, 2.0 * cfg.eps**2, np.random.default_rng(0), _Tracer(P, 1.0), tallies
-        )
+        _, x_last, *_ = _spider_core(_Run(P, x0, 0, 1.0, None), x0, cfg, 2.0 * cfg.eps**2)
         assert np.array_equal(x_sgd.coords, x_last.coords)
 
     def test_monotone_descent_on_small_instance(self):
@@ -293,6 +320,22 @@ class TestGd1:
 
 
 class TestGd2:
+    def test_stage_table_adds_up(self):
+        # the stage table splits the run: its steps sum to the final record's
+        # k, and the last stage ends at the run's charge (no budget binds)
+        P = desk_problem(d=6, n=25, delta=0.4, seed=18)
+        x0 = P.manifold.random_point(np.random.default_rng(7))
+        cfg = GdConfig(M0=0.05, tau=1.0, L=P.L_hint, K=4, seed=5)
+        _, trace = spider_gd2(P, x0, cfg, checkpoint_every=0.5)
+        stages = trace.meta["stages"]
+        assert [s["stage"] for s in stages] == [1, 2, 3, 4]
+        assert all(s["T"] == s["steps"] == trace.meta["q"] for s in stages)
+        assert sum(s["steps"] for s in stages) == trace.records[-1].k
+        assert stages[-1]["ifo_end"] == trace.meta["ifo"] == P.counter.calls
+        assert [s["eps"] ** 2 for s in stages] == pytest.approx(
+            [trace.meta["delta0"] / 2.0**t for t in range(4)], rel=1e-12
+        )
+
     def test_initial_variance_budget(self):
         P = desk_problem(d=6, n=25, delta=0.4, seed=18)
         x0 = P.manifold.random_point(np.random.default_rng(7))
@@ -655,3 +698,35 @@ def test_tracing_never_touches_the_counter(seed, algo, map_mode):
     single, single_marks = run(1e9)
     assert dense == single
     assert single_marks == 1 and dense_marks > 1
+
+
+@pytest.mark.parametrize("solver", [spider_gd1, spider_gd2])
+def test_zero_restart_stages_return_x0(solver):
+    # K = 0: no stage runs, so the run is its final record alone
+    P = diag21_problem()
+    x0 = P.manifold.point([0.6, 0.8])
+    x, trace = solver(P, x0, GdConfig(M0=1.0, tau=1.0, L=2.0, K=0))
+    assert x is x0
+    assert P.counter.calls == 0 == trace.meta["ifo"]
+    assert len(trace.records) == 1
+    rec = trace.records[0]
+    assert (rec.k, rec.ifo, rec.boundary, rec.batch) == (0, 0, None, 0)
+    assert trace.meta["stages"] == []
+
+
+@pytest.mark.parametrize("every", [0.0, -1.0, math.nan, math.inf])
+def test_checkpoint_interval_must_be_finite_and_positive(every):
+    P = desk_problem(d=6, n=25, delta=0.4, seed=21)
+    x0 = P.manifold.random_point(np.random.default_rng(10))
+    runs = [
+        lambda: rsgd(P, x0, 0.01, T=5, checkpoint_every=every),
+        lambda: rsvrg(P, x0, 0.01, epochs=1, checkpoint_every=every),
+        lambda: spider_nonconvex(P, x0, params_finite(P.n, 0.1, 1.0, P.L_hint),
+                                 checkpoint_every=every),
+        lambda: spider_gd1(P, x0, GdConfig(M0=1.0, tau=1.0, L=P.L_hint, K=1),
+                           checkpoint_every=every),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="checkpoint interval must be finite and positive"):
+            run()
+    assert P.counter.calls == 0
