@@ -360,7 +360,8 @@ def spider_nonconvex(
     ``S1 >= n`` in finite-sum mode, an S1-sample mean otherwise); the other
     steps apply a transported paired-minibatch correction whose size adapts
     to the squared length of the previous step. Returns a uniformly random
-    iterate from the produced sequence (seeded) plus the run trace.
+    iterate from the produced sequence (seeded) plus the run trace, whose
+    final record describes that iterate (step length 0, batch 0).
 
     ``on_correction``, when given, receives a :class:`FrozenState` right
     before each correction step is sampled.
@@ -368,11 +369,11 @@ def spider_nonconvex(
     run = _Run(obj, x0, cfg.seed, checkpoint_every, max_ifo)
     if cfg.T >= 1:
         run.after_step(0, x0, 0.0, 0)
-    x_rand, x_last, steps, step_len, batch = _spider_core(
+    x_rand, _, steps, _, _ = _spider_core(
         run, x0, cfg, 2.0 * cfg.eps**2, on_correction=on_correction
     )
     if cfg.T >= 1:
-        run.final(steps, x_last, step_len, batch)
+        run.final(steps, x_rand, 0.0, 0)  # no single step ends at the pick
     return x_rand, run.trace("spider", asdict(cfg), steps=steps, ifo_breakdown=run.tallies)
 
 

@@ -193,10 +193,10 @@ SWEEP_GOLDEN = {
     "spider-gd2/paired/retract": "0fe477c183e7d53f1ded593d3709878e3050d50bde693c81505278ce886ee6fc",
 }
 TRACE_GOLDEN = {
-    "spider/paired/exp": "63ed116ba8e5aa3ce07b60ec731e2ada046ec0378f6d17c5a9167f7c39b29a8e",
-    "spider/paired/retract": "6eb10742fcbe045f63ab1ebdc99fe867a89ad8ca1531e0e4142dfbfd5545f0d1",
-    "spider-sampled/paired/exp": "f574c27172e53a26c37620afe485e2594dc5f129f4d75fab5ac01dc74b657e9a",
-    "spider-sampled/paired/retract": "f45e1823800b16e06d1b2f8442f0686c3356647f930c9add6b4dd5c21e8b68c4",
+    "spider/paired/exp": "5849d3336c60560da614a654d58db563285ea50d565ea1c441342eafc649f3ab",
+    "spider/paired/retract": "7ec8e0a1402dd7097185aaaa8c5ae7ca08f76e0e724b08bed882cbf39d1f52bf",
+    "spider-sampled/paired/exp": "d6f2b951ad76fbc11bacab42433ee194df5455ed7580e86ed89679881b40940d",
+    "spider-sampled/paired/retract": "7e280d3e1e50670c45954243e4177b4eba8110d711f0601f598352a4bbb69716",
     "spider-gd1/paired/exp": "95c0042690421023e10df9dfb81bf460dcbde601660319cb1294918e193cd613",
     "spider-gd1/paired/retract": "94b8d18ca07322cefbab4aa25935f3616bbfec10abdf9b0401dadbbe6b868a15",
     "spider-gd2/paired/exp": "218d4b5d04b97cedb7584c8147e740812c8a396ceaa7fc046bd2ffb822b3d4e3",

@@ -150,10 +150,23 @@ class TestSpiderNonconvex:
         x0 = P.manifold.point([s, s])
         cfg = SpiderConfig(L=2.0, eps=0.1, q=1, S1=2, T=12, eta=0.25, n=2, seed=3)
         _, trace = spider_nonconvex(P, x0, cfg, checkpoint_every=1.0 / P.n)
-        fs = {rec.k: rec.f for rec in trace.records}  # one value per iterate
+        # one value per iterate; the end-of-run record describes the pick
+        fs = {rec.k: rec.f for rec in trace.records if rec.boundary is not None}
         vals = [fs[k] for k in sorted(fs)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx(-2.0, abs=1e-3)
+
+    def test_final_record_describes_the_returned_pick(self):
+        # the run stops on its 30-epoch budget, well after its pick was drawn,
+        # and run_cell repeats the final record for the grid rows after that
+        P = r.generate_gap_matrix(r.SyntheticSpec(d=20, n=200, delta=0.5, seed=0))
+        x0 = P.manifold.random_point(np.random.default_rng(1))
+        cfg = params_finite(P.n, 0.05, P.value(x0) - P.f_star, P.L_hint)
+        x, trace = spider_nonconvex(P, x0, cfg, max_ifo=30 * P.n)
+        last = trace.records[-1]
+        assert last.boundary is None and last.k == trace.meta["steps"]
+        assert last.f == P.value(x)
+        assert (last.step_dist, last.batch) == (0.0, 0)
 
     def test_determinism(self):
         P = desk_problem()
