@@ -8,6 +8,8 @@ Modules:
     bench       -- sweep runner and command-line interface
 """
 
+from importlib import import_module
+
 from .geometry import (
     AntipodalError,
     Euclidean,
@@ -56,6 +58,16 @@ from .diagnostics import (
     smoothness_probe,
     variance_probe,
 )
-from .bench import ExperimentConfig, cli_main, run_cell, run_sweep
 
 __version__ = "0.1.0"
+
+# the command-line module loads on first use, so ``python -m rspider.bench``
+# finds it unimported and can point to ``python -m rspider`` instead
+_BENCH_NAMES = ("ExperimentConfig", "cli_main", "run_cell", "run_sweep")
+
+
+def __getattr__(name):
+    if name == "bench" or name in _BENCH_NAMES:
+        bench = import_module(".bench", __name__)
+        return bench if name == "bench" else getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

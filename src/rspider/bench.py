@@ -658,3 +658,8 @@ def cli_main(argv=None) -> int:
 
 def main():
     raise SystemExit(cli_main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    sys.exit("error: rspider.bench is not a command; run the command line as "
+             "`python -m rspider`")

@@ -494,6 +494,21 @@ class TestCli:
         assert "RuntimeWarning" not in proc.stderr
         assert out.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
 
+    def test_bench_module_is_not_a_command(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rspider.bench", "bench", "--d", "10", "--n", "30",
+             "--out", str(tmp_path / "x.csv")],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "python -m rspider`" in lines[0], proc.stderr
+        assert not any(tmp_path.iterdir())
+
     def test_alias_precedence(self, tmp_path, monkeypatch):
         import rspider.bench as bench
 
