@@ -70,14 +70,14 @@ class _Batch:
     """A minibatch a solver drew itself, prepared once for both its evaluations.
 
     Its indices were drawn in range, so ``minibatch_rgrad`` skips its index
-    checks; ``cols`` holds the columns a :class:`PcaProblem` gathered for it.
+    checks; ``rows`` holds the components a :class:`PcaProblem` gathered for it.
     """
 
-    __slots__ = ("idx", "cols")
+    __slots__ = ("idx", "rows")
 
-    def __init__(self, idx: np.ndarray, cols: np.ndarray):
+    def __init__(self, idx: np.ndarray, rows: np.ndarray):
         self.idx = idx
-        self.cols = cols
+        self.rows = rows
 
     def __len__(self):  # sized like the index array it stands for
         return self.idx.size
@@ -200,29 +200,38 @@ class PcaProblem(FiniteSumObjective):
     ``A = (1/n) Z Z^T``. For synthetic instances the spectrum of A is known
     and the optimal value ``f_star = -lambda_1`` is exposed. The minimizer is
     the leading eigenvector of A (up to sign). The charged oracle and
-    :meth:`value` read Z; only uncharged spectral probes read A.
+    :meth:`value` read the components; only uncharged spectral probes read A.
+
+    The components are stored as one C-contiguous n x d array whose row i is
+    z_i, so a minibatch gathers whole rows. :attr:`Z` is its d x n transpose
+    (a view); ``__init__`` accepts Z in either memory order.
     """
 
     def __init__(self, Z, spectrum=None, seed: int | None = None):
-        Z = np.ascontiguousarray(Z, dtype=np.float64)
+        Z = np.asarray(Z, dtype=np.float64)
         if Z.ndim != 2:
             raise ValueError("Z must be a d x n matrix")
         d, n = Z.shape
         super().__init__(Sphere(d), n)
-        self.Z = Z
+        self._rows = np.ascontiguousarray(Z.T)  # no copy when Z is F-ordered
         self.seed = seed
         self.spectrum = None if spectrum is None else np.asarray(spectrum, dtype=np.float64)
         if self.spectrum is not None and self.spectrum.shape != (d,):
             raise ValueError("spectrum must list one eigenvalue per ambient dimension")
-        col_sq = np.einsum("ij,ij->j", Z, Z)  # squared column norms
+        row_sq = np.einsum("ij,ij->i", self._rows, self._rows)  # squared |z_i|
         # certified component smoothness: each -(z^T x)^2 is 4*|z|^2 smooth,
         # and the variance recursion needs the root-mean-square of those
-        self._l_component = 4.0 * math.sqrt(float(np.mean(col_sq**2)))
+        self._l_component = 4.0 * math.sqrt(float(np.mean(row_sq**2)))
         self._A = None  # the Gram matrix, formed by _gram() on first use
 
     @property
     def d(self) -> int:
         return self.manifold.d
+
+    @property
+    def Z(self) -> np.ndarray:
+        """The d x n component matrix: a transposed view of the rows."""
+        return self._rows.T
 
     @property
     def f_star(self) -> float | None:
@@ -234,48 +243,48 @@ class PcaProblem(FiniteSumObjective):
         return self._l_component
 
     def value(self, x: ManifoldPoint) -> float:
-        w = self.Z.T.dot(x.coords)
+        w = self._rows.dot(x.coords)
         return -float(w.dot(w)) / self.n
 
     def component_value(self, i, x):
         self._check_index(i)
-        w = float(self.Z[:, i].dot(x.coords))
+        w = float(self._rows[i].dot(x.coords))
         return -w * w
 
     def _rgrad(self, idx, x):
-        # full anchors read Z in place; take keeps C order, so a batch
-        # covering 1..n reproduces the exact full-gradient arithmetic
+        # full anchors read the rows in place; a gather keeps C order, so a
+        # batch covering 1..n reproduces the exact full-gradient arithmetic
         if idx is None:
-            cols = self.Z
+            rows = self._rows
         elif isinstance(idx, _Batch):
-            cols = idx.cols
+            rows = idx.rows
         else:
-            cols = self.Z.take(idx, axis=1)
+            rows = self._rows.take(idx, axis=0)
         x_arr = x.coords
-        return self._kernel(cols, x_arr, cols.T.dot(x_arr))
+        return self._kernel(rows, x_arr, rows.dot(x_arr))
 
     @staticmethod
-    def _kernel(cols, x_arr, w):
-        # mean tangent gradient over the columns, given w = cols^T x
-        g = cols.dot(w)
-        g *= -2.0 / cols.shape[1]
+    def _kernel(rows, x_arr, w):
+        # mean tangent gradient over the rows, given w = rows x
+        g = w.dot(rows)
+        g *= -2.0 / rows.shape[0]
         g -= x_arr.dot(g) * x_arr
         return g
 
     def _prepare(self, idx):
-        return _Batch(idx, self.Z.take(idx, axis=1))
+        return _Batch(idx, self._rows.take(idx, axis=0))
 
     def _probe(self, x):
-        # value(x) and full_rgrad(x) both start from Z^T x: one pass over Z
-        # gives the same bits as the two
-        w = self.Z.T.dot(x.coords)
-        g = self._kernel(self.Z, x.coords, w)
+        # value(x) and full_rgrad(x) both start from rows x: one pass over the
+        # rows gives the same bits as the two
+        w = self._rows.dot(x.coords)
+        g = self._kernel(self._rows, x.coords, w)
         return -float(w.dot(w)) / self.n, TangentVector._raw(x, g)._sq
 
     def _gram(self) -> np.ndarray:
         """A = (1/n) Z Z^T (d x d), formed with one GEMM on first use and kept."""
         if self._A is None:
-            self._A = self.Z @ self.Z.T
+            self._A = self._rows.T @ self._rows
             self._A /= self.n
         return self._A
 
@@ -326,45 +335,53 @@ def _check_samples(d: int, n: int):
 _CHOLQR_TOL = 1e-2
 
 
-def _orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+def _orthonormal(rng: np.random.Generator, rows: int,
+                 cols: int) -> tuple[np.ndarray, np.ndarray]:
     """Q factor of a Gaussian ``rows x cols`` draw, by two Cholesky QR passes.
 
     Each pass factors the Gram matrix ``q^T q = L L^T`` and replaces q with
-    ``q L^-T``. R's diagonal is positive by construction, so in exact
-    arithmetic Q is the sign-fixed Householder Q of the draw. The second
-    pass's L measures how far the first pass left q from orthonormal; if it
-    is not within ``_CHOLQR_TOL`` of the identity the draw is rejected.
+    ``q L^-T``. The second replacement is left to the caller: the result is
+    the pair ``(q, m)`` with ``m = L^-T`` (``cols x cols``), and Q = q @ m.
+    R's diagonal is positive by construction, so in exact arithmetic Q is the
+    sign-fixed Householder Q of the draw. The second pass's L measures how far
+    the first pass left q from orthonormal; if it is not within
+    ``_CHOLQR_TOL`` of the identity the draw is rejected.
     """
     q = rng.standard_normal((rows, cols))
-    for _ in range(2):
-        low = np.linalg.cholesky(q.T @ q)
-        q = q @ np.linalg.inv(low).T
+    low = np.linalg.cholesky(q.T @ q)
+    q = q @ np.linalg.inv(low).T
+    low = np.linalg.cholesky(q.T @ q)
     off = float(np.abs(low - np.eye(cols)).max())
     if not off <= _CHOLQR_TOL:
         raise np.linalg.LinAlgError(
             f"Gaussian {rows}x{cols} draw too ill-conditioned for two Cholesky QR "
             f"passes: second-pass factor is {off:.1e} from the identity"
         )
-    return q
+    return q, np.linalg.inv(low).T
 
 
-def _eigenvector_factors(d: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal U (d x d) and V (n x d) of Z = U D V^T, drawn from ``seed``.
+def _eigenvector_factors(d: int, n: int,
+                         seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal U (d x d) and V = q @ m (n x d) of Z = U D V^T, drawn from ``seed``.
 
-    Both are the Q factors of Gaussian draws, orthonormalized by two Cholesky
-    QR passes (:func:`_orthonormal`): one Gram product, one d x d Cholesky and
-    one matrix product per pass, where Householder QR needs a blocked
-    factorization and an explicit Q. The Q is the same, positive-diagonal one.
+    Returns ``(U, q, m)``; V itself is never formed (see
+    :func:`_problem_from_factors`). Both factors are the Q factors of Gaussian
+    draws, orthonormalized by two Cholesky QR passes (:func:`_orthonormal`):
+    one Gram product and one d x d Cholesky per pass and one n x d x d
+    product, where Householder QR needs a blocked factorization and an
+    explicit Q. The Q is the same, positive-diagonal one.
     """
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    u = _orthonormal(rng, d, d)
-    return u, _orthonormal(rng, int(n), d)
+    u_q, u_m = _orthonormal(rng, d, d)
+    return (u_q @ u_m, *_orthonormal(rng, int(n), d))
 
 
-def _problem_from_factors(lam: np.ndarray, u: np.ndarray, v: np.ndarray,
+def _problem_from_factors(lam: np.ndarray, u: np.ndarray, q: np.ndarray, m: np.ndarray,
                           seed: int) -> PcaProblem:
-    dvals = np.sqrt(v.shape[0] * lam)
-    return PcaProblem((u * dvals) @ v.T, spectrum=lam, seed=int(seed))
+    # row i of Z^T = V D U^T = q (m (U D)^T): one n x d x d product, no V
+    dvals = np.sqrt(q.shape[0] * lam)
+    rows = q @ (m @ (u * dvals).T)
+    return PcaProblem(rows.T, spectrum=lam, seed=int(seed))
 
 
 def problem_from_spectrum(lam, n: int, seed: int) -> PcaProblem:
@@ -476,7 +493,7 @@ def save_problem(P: PcaProblem, path):
     seed = 0 if P.seed is None else int(P.seed)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, P.d, P.n, seed))
-        fh.write(np.ascontiguousarray(P.Z, dtype="<f8").tobytes(order="F"))
+        fh.write(np.asarray(P._rows, dtype="<f8").tobytes())  # Z column-major
 
 
 def load_problem(path) -> PcaProblem:
@@ -492,8 +509,8 @@ def load_problem(path) -> PcaProblem:
         magic, d, n, seed = _HEADER.unpack(head)
         if magic != _MAGIC:
             raise ValueError(f"bad magic {magic!r}; not a matrix dump")
-        body = fh.read(8 * d * n)
-    if len(body) != 8 * d * n:
+        rows = np.fromfile(fh, dtype="<f8", count=d * n)
+    if rows.size != d * n:
         raise ValueError("truncated matrix payload")
-    z = np.frombuffer(body, dtype="<f8").reshape((d, n), order="F")
-    return PcaProblem(z, seed=seed)
+    # column-major Z is the row layout: its transpose is Z with no copy
+    return PcaProblem(rows.reshape(n, d).T, seed=seed)

@@ -179,42 +179,42 @@ def _ids(cases):
 STATE_CASES = ("spider-eps0.05", "spider-eps0.04", "spider-gd2")
 
 SWEEP_GOLDEN = {
-    "rsgd/paired/exp": "2918af99ad2298108e9b8cb11bf8b3f8e40141e503344f277bf3addf0bc5db74",
-    "rsgd/paired/retract": "0e6253eb2b54c6200f7eda4783043a7f11dda028f20609bda1d0334f86bd1527",
-    "rsvrg/paired/exp": "86dd6a7df545614493f87c3ffb2eaee2324aedfd74ddd7d9bd89a3e9ddfc97e9",
-    "rsvrg/paired/retract": "dac1626f680974a41bd15f3d96f7f054d811e56e54ef83b4555dc6c464a01666",
-    "vrpca/paired/exp": "bb6663b70a3451084d4e69ad0602b07930989998677f3aee868faf0fb454ca69",
-    "vrpca/paired/retract": "bb6663b70a3451084d4e69ad0602b07930989998677f3aee868faf0fb454ca69",
-    "spider/paired/exp": "bcaa1d08664899848e90500583272d28dbb09b21a8a49cd8f2f0b575f0c7d2ec",
-    "spider/paired/retract": "f5d30ff3229810cc6a63a650ee9079968414dc604304ae21add31ad1c108341b",
-    "spider-gd1/paired/exp": "643aa9cd935ef956961507a8ddacb406e682e0972b873633f3f68b8930a5e400",
-    "spider-gd1/paired/retract": "e02e82abab19ca5e4efcd6333d8bf750435dad692785aab587c4fdf59cdede8a",
-    "spider-gd2/paired/exp": "920f92d31fbb8b225730f7da50f83805485ba248d8f23198cf73edc3b3e4b1af",
-    "spider-gd2/paired/retract": "0fe477c183e7d53f1ded593d3709878e3050d50bde693c81505278ce886ee6fc",
+    "rsgd/paired/exp": "b47ed3071ade91e4bce11f6f469713412d8a8577e71ad54db0a2e00f42bb09ea",
+    "rsgd/paired/retract": "3822d5d096fb634cd4b5cc429c3d41908aeba8f19930622053a77e93377246eb",
+    "rsvrg/paired/exp": "db75c1b163a347fb97a25578a4a88af45f31d256d34a53f27f69791ec71f7c15",
+    "rsvrg/paired/retract": "7e59286becfbbee047e91b9f84869008e45c554417d52277a0a575838c08661f",
+    "vrpca/paired/exp": "87164ca52e240c09859bd25ba856c054aac9b6a65bda81b7636dfc31686fe3d6",
+    "vrpca/paired/retract": "87164ca52e240c09859bd25ba856c054aac9b6a65bda81b7636dfc31686fe3d6",
+    "spider/paired/exp": "17bfca36a8a85c111944845ac57019c4fab75bbc4841f16709f8c206112e9972",
+    "spider/paired/retract": "bda048a68684c330127f49d2685d565155fdf091879b66d53215e11c6d219fb4",
+    "spider-gd1/paired/exp": "048a190aa5e980fe6985aded75943bb2c69c99c9b5ae5ddee6717ee53fc0be68",
+    "spider-gd1/paired/retract": "99064faeb3a6fa9741c1671a8af2d764af1f45d4f5fa88a841fabb22d2eac9b6",
+    "spider-gd2/paired/exp": "0e6c31adf4ec5a37c632e907714a814ace0bba86e63bf5c743b4f8db82dc326d",
+    "spider-gd2/paired/retract": "2dc070d453eb4650d6dd7fe55a9ac1e49aa9726433eb31bdd5dbd132c6cbd8ba",
 }
 TRACE_GOLDEN = {
-    "spider/paired/exp": "5849d3336c60560da614a654d58db563285ea50d565ea1c441342eafc649f3ab",
-    "spider/paired/retract": "7ec8e0a1402dd7097185aaaa8c5ae7ca08f76e0e724b08bed882cbf39d1f52bf",
-    "spider-sampled/paired/exp": "d6f2b951ad76fbc11bacab42433ee194df5455ed7580e86ed89679881b40940d",
-    "spider-sampled/paired/retract": "7e280d3e1e50670c45954243e4177b4eba8110d711f0601f598352a4bbb69716",
-    "spider-gd1/paired/exp": "95c0042690421023e10df9dfb81bf460dcbde601660319cb1294918e193cd613",
-    "spider-gd1/paired/retract": "94b8d18ca07322cefbab4aa25935f3616bbfec10abdf9b0401dadbbe6b868a15",
-    "spider-gd2/paired/exp": "218d4b5d04b97cedb7584c8147e740812c8a396ceaa7fc046bd2ffb822b3d4e3",
-    "spider-gd2/paired/retract": "10c8aac2c01f18e47502af96919ac672d5357e8d385aec73bbe483b1b1ef164f",
-    "rsvrg/paired/exp": "9c853454d52169d6a61285687e3eca9a4a5ba7c59ee42158382da7d927af139a",
-    "rsvrg/paired/retract": "7303965fbc69b63e16e2b93cf2a096b1538616abc54545f89c8d890d3a88e20d",
-    "rsgd/paired/exp": "02a23a64916240e68e453c151dcfe08bed31f83867af01f677ac96827bfaa2b8",
-    "rsgd/paired/retract": "0d3a1cecb8dff6724443d67dc5ea9ebe9ef324c24fddb846f1b7b8538c2f0f5d",
+    "spider/paired/exp": "2efc51427bc9b82662f568f26a80bf6efe4bceec723cb960e504edc7e136f547",
+    "spider/paired/retract": "5e65b27f37498c0a978d1cb0240286918949c9db226e2cd664d9bf35d29c4003",
+    "spider-sampled/paired/exp": "1c6105a2c5bad97e57f040bbc4730feb2d33f8d78d7b9f6e3b8ff0f12d1f46d3",
+    "spider-sampled/paired/retract": "00976c318c352d71140a809b2fc6bae76887b203adf82ceb0d5802a33d1eb887",
+    "spider-gd1/paired/exp": "44d9beeaa8b530bf9c92dc068665db4c35aa0807b32bb0d274f0cffdd53ee28e",
+    "spider-gd1/paired/retract": "b41e608df9c647cd02cf78e80ab178ea006e365e0152b6ec6e6585795444ae44",
+    "spider-gd2/paired/exp": "4e15a08761fb1eb114736e94baf39eeffa7fdd3f1a67114633f28650b9a639b6",
+    "spider-gd2/paired/retract": "9324d9860d50daae0c063367a94e32ed165c5b0a64432d173ffffb7896cb5c50",
+    "rsvrg/paired/exp": "c52a793c9da2eb596ef3eeddef487000541cbc50346e127ce48f7b69fe06ec7e",
+    "rsvrg/paired/retract": "acdae3bbdde91856dfb3d8b403b0cf180f4f1d3f3ff13ec0758330eaad3470c1",
+    "rsgd/paired/exp": "1276f5914977152edecdfb0e624c80ab68cfab031ad1184474701ad505a55567",
+    "rsgd/paired/retract": "11ba6c040d824e52c54d73e73efe3bff3d11c0cc7437661355848fd26c74f682",
 }
 FROZEN_GOLDEN = {
-    "spider-eps0.05": "2e6bd45eb7b9153b5bae1c519e9bd7f5a3965a039e2dd9fc6607b49c8f94ea7a",
-    "spider-eps0.04": "d398e81dea9d3a09c5564b7dc1c8bb98a9216ef8f23b560ff2d0c8450cc8e88f",
-    "spider-gd2": "2a48330c73201a423787bd77f9d0c5f7855b5c7e9b3c429cb7ddf314061a192f",
+    "spider-eps0.05": "6d66e7c5677aa8d27f7e1d44fef3da4a547f60a84f32566affc550621b9573cd",
+    "spider-eps0.04": "3cefc7e3547e0e42e5443a2888e444072d4646d319cebd97bc55168bd3173f7e",
+    "spider-gd2": "ba87cc0f077197a776e5f72130059509c05fa302218e614b399568ef45d1c020",
 }
 PROBE_GOLDEN = {
-    "spider-eps0.05": "4552bd70d01095d525533214253bc9cd4fc907ad7eb0935dcbe7ed356b1db879",
+    "spider-eps0.05": "ef7940dd2763d33df5c3d4792cb9eda0fafb46d79e86034f7684fec507e44fe3",
     "spider-eps0.04": "0ca782aa4d8f56b070d3a9650bfd43b87df2e0ece82cc6a3a5dbac0ed95cecdb",
-    "spider-gd2": "3c0fec170c8180c9af797b816df54626688971a2f18497654552c2a3fc87eefa",
+    "spider-gd2": "3e4aa04cd4d8c6307f40a97b804554588d17494603b2d506f78ab5110d977a5f",
 }
 
 

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import rspider as r
 from rspider.geometry import Euclidean
@@ -160,6 +162,56 @@ class TestMinibatch:
         with pytest.raises(ValueError):
             P.minibatch_rgrad([], x)
 
+    def test_single_index_batch_equals_component(self):
+        P = r.generate_gap_matrix(r.SyntheticSpec(d=12, n=40, delta=0.3, seed=5))
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            x = P.manifold.random_point(rng)
+            for i in range(P.n):
+                g = P.minibatch_rgrad([i], x).coords
+                assert np.array_equal(g, P.component_rgrad(i, x).coords)
+                assert np.array_equal(g, P.minibatch_rgrad(P._prepare(np.array([i])), x).coords)
+
+    def test_memory_order_of_z_does_not_matter(self):
+        Z = np.random.default_rng(7).standard_normal((9, 50))
+        P, Q = r.PcaProblem(Z), r.PcaProblem(np.asfortranarray(Z))
+        assert np.array_equal(P.Z, Z) and np.array_equal(Q.Z, Z)
+        assert P._rows.flags.c_contiguous and Q._rows.flags.c_contiguous
+        assert P.L_hint == Q.L_hint
+        assert np.array_equal(P._gram(), Q._gram())
+        rng = np.random.default_rng(8)
+        idx = rng.integers(0, P.n, size=23)
+        for _ in range(5):
+            x = P.manifold.random_point(rng)
+            assert P.value(x) == Q.value(x) and P._probe(x) == Q._probe(x)
+            assert P.component_value(3, x) == Q.component_value(3, x)
+            for grad in (
+                lambda O: O.full_rgrad(x),
+                lambda O: O.component_rgrad(3, x),
+                lambda O: O.minibatch_rgrad(idx, x),
+                lambda O: O.minibatch_rgrad(O._prepare(idx), x),
+            ):
+                assert np.array_equal(grad(P).coords, grad(Q).coords)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    d=hst.integers(2, 30),
+    extra=hst.integers(0, 60),
+    batch=hst.integers(1, 150),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_minibatch_is_mean_of_component_gradients(d, extra, batch, seed):
+    rng = np.random.default_rng(seed)
+    P = r.PcaProblem(rng.standard_normal((d, d + extra)))
+    x = P.manifold.random_point(rng)
+    idx = rng.integers(0, P.n, size=batch)
+    with P.counter.paused():
+        singles = [P.component_rgrad(int(i), x).coords for i in idx]
+        g = P.minibatch_rgrad(idx, x).coords
+    scale = np.mean([np.linalg.norm(c) for c in singles])
+    assert np.linalg.norm(g - np.mean(singles, axis=0)) <= 1e-12 * scale
+
 
 class LinearSum(r.FiniteSumObjective):
     """f_i(x) = c_i . x on R^d: implements only the three required hooks."""
@@ -297,9 +349,10 @@ class TestOrthonormal:
     )
     def test_orthonormal_and_equal_to_householder_q(self, rows, cols):
         for seed in range(6):
-            q = _orthonormal(np.random.default_rng(seed), rows, cols)
+            q, m = _orthonormal(np.random.default_rng(seed), rows, cols)
+            assert q.shape == (rows, cols) and m.shape == (cols, cols)
+            q = q @ m
             ref = householder_reference(np.random.default_rng(seed), rows, cols)
-            assert q.shape == (rows, cols)
             assert np.abs(q.T @ q - np.eye(cols)).max() <= 1e-14
             assert np.abs(q - ref).max() <= 1e-13
 
@@ -308,7 +361,8 @@ class TestOrthonormal:
         d, seed = 12, 31
         lam = packed_spectrum(d, 0.05)
         P = problem_from_spectrum(lam, d, seed=seed)
-        u, v = _eigenvector_factors(d, d, seed)
+        u, q, m = _eigenvector_factors(d, d, seed)
+        v = q @ m
         for f in (u, v):
             assert np.abs(f.T @ f - np.eye(d)).max() <= 1e-14
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -316,7 +370,7 @@ class TestOrthonormal:
         v_ref = householder_reference(rng, d, d)
         assert np.abs(u - u_ref).max() <= 1e-13
         assert np.abs(v - v_ref).max() <= 1e-13
-        assert np.array_equal(P.Z, (u * np.sqrt(d * lam)) @ v.T)
+        assert np.abs(P.Z - (u * np.sqrt(d * lam)) @ v.T).max() <= 1e-13
         evals = np.sort(np.linalg.eigvalsh(P.Z @ P.Z.T / P.n))[::-1]
         assert np.abs(evals - lam).max() <= 1e-12
 
@@ -412,6 +466,19 @@ class TestBinaryDump:
         Q = r.load_problem(path)
         assert np.array_equal(Q.Z, P.Z)
         assert Q.seed == 33 and Q.spectrum is None
+
+    def test_round_trip_keeps_oracle_bits(self, tmp_path):
+        P = r.generate_gap_matrix(r.SyntheticSpec(d=7, n=40, delta=0.2, seed=34))
+        r.save_problem(P, tmp_path / "inst.rspd")
+        Q = r.load_problem(tmp_path / "inst.rspd")
+        assert np.array_equal(Q.Z, P.Z) and Q._rows.flags.c_contiguous
+        rng = np.random.default_rng(9)
+        idx = rng.integers(0, P.n, size=17)
+        for _ in range(5):
+            x = P.manifold.random_point(rng)
+            assert np.array_equal(Q.full_rgrad(x).coords, P.full_rgrad(x).coords)
+            assert np.array_equal(Q.minibatch_rgrad(idx, x).coords,
+                                  P.minibatch_rgrad(idx, x).coords)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
