@@ -378,7 +378,7 @@ def _eigenvector_factors(d: int, n: int,
 
 def _problem_from_factors(lam: np.ndarray, u: np.ndarray, q: np.ndarray, m: np.ndarray,
                           seed: int) -> PcaProblem:
-    # row i of Z^T = V D U^T = q (m (U D)^T): one n x d x d product, no V
+    # Z^T = V D U^T = q (m (U D)^T): the rows in one n x d x d product, V never formed
     dvals = np.sqrt(q.shape[0] * lam)
     rows = q @ (m @ (u * dvals).T)
     return PcaProblem(rows.T, spectrum=lam, seed=int(seed))
