@@ -267,22 +267,30 @@ def test_tau_sweeps_hold_with_two_blas_threads():
     assert got == [SWEEP_GOLDEN[_key(*c)] for c in _TAU_CASES]
 
 
-# (d, n, data seed) of the sweep and solver instances above, and of the
-# d=10, n=30 sweeps in test_bench.py
+# (d, n, data seed) of the sweep and solver instances above, of the
+# d=10, n=30 sweeps in test_bench.py, and the two larger sizes README lists
+# as thread-invariant
 _FACTOR_CASES = [(20, 60, ExperimentConfig.data_seed), (10, 60, 5),
-                 (10, 30, ExperimentConfig.data_seed)]
+                 (10, 30, ExperimentConfig.data_seed), (20, 200, 0), (50, 500, 0)]
 _FACTOR_BITS = """
 import hashlib, json, sys
 sys.path[:0] = sys.argv[1:3]
 import test_golden as g
-from rspider.oracle import _eigenvector_factors
-print(json.dumps([hashlib.sha256(b"".join(f.tobytes() for f in _eigenvector_factors(*c)))
-                  .hexdigest() for c in g._FACTOR_CASES]))
+from rspider.oracle import SyntheticSpec, _eigenvector_factors, _problem_from_factors
+digests = []
+for d, n, seed in g._FACTOR_CASES:
+    factors = _eigenvector_factors(d, n, seed)
+    lam = SyntheticSpec(d=d, n=n, delta=0.1, seed=seed).target_spectrum()
+    rows = _problem_from_factors(lam, *factors, seed)._rows
+    digests.append(hashlib.sha256(b"".join(f.tobytes() for f in (*factors, rows)))
+                   .hexdigest())
+print(json.dumps(digests))
 """
 
 
 def test_instance_factors_hold_with_two_blas_threads():
-    # the goldens rely on U and V having the same bits at any thread count
+    # the goldens rely on the factors (U, q, m) and the instance rows built
+    # from them, q @ (m @ (U D)^T), having the same bits at any thread count
     assert _with_blas_threads(_FACTOR_BITS, 1) == _with_blas_threads(_FACTOR_BITS, 2)
 
 

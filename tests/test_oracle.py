@@ -370,7 +370,9 @@ class TestOrthonormal:
         v_ref = householder_reference(rng, d, d)
         assert np.abs(u - u_ref).max() <= 1e-13
         assert np.abs(v - v_ref).max() <= 1e-13
-        assert np.abs(P.Z - (u * np.sqrt(d * lam)) @ v.T).max() <= 1e-13
+        # bit for bit the V-free build; within rounding of U D V^T
+        assert np.array_equal(P.Z, (q @ (m @ (u * np.sqrt(d * lam)).T)).T)
+        assert np.abs(P.Z - (u * np.sqrt(d * lam)) @ v.T).max() <= 1e-14
         evals = np.sort(np.linalg.eigvalsh(P.Z @ P.Z.T / P.n))[::-1]
         assert np.abs(evals - lam).max() <= 1e-12
 
