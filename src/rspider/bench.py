@@ -645,10 +645,7 @@ def cli_main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[ns.cmd](ns)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (_UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (OptimizerError, RuntimeError, OSError) as e:

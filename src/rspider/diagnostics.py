@@ -33,6 +33,16 @@ __all__ = [
 STALLED = math.inf  # no error reduction in the window
 CONVERGED = math.nan  # error already at (or below) the measurement floor
 
+_PL_RADIUS = math.pi / 4  # geodesic radius of pl_constant_estimate's sampling ball
+_MIN_GRAD_SQ = 1e-12  # |grad f|^2 below this gives no domination ratio (0/0 at optima)
+_VARIANCE_SLACK = 2.0  # variance_probe's bound is slack * eps^2: room for sampling noise
+
+
+def _check_count(name: str, k: int):
+    # every probe rejects an empty sample before it evaluates anything
+    if k < 1:
+        raise ValueError(f"{name} must be at least 1, got {k!r}")
+
 
 @dataclass
 class ProbeReport:
@@ -76,6 +86,7 @@ def fd_gradient_check(
     (f(exp(x, t v)) - f(exp(x, -t v))) / (2 t). The statistic is the largest
     absolute error; central differencing makes it decay as t^2.
     """
+    _check_count("trials", trials)
     if not 0.0 < t_step <= 1e-3:
         raise ValueError("t_step must lie in (0, 1e-3]")
     man = obj.manifold
@@ -109,8 +120,10 @@ def smoothness_probe(
 
     Over random geodesic pairs (x, y) with dist <= radius, measures
     |grad f(x) - transport(grad f(y))| / dist(x, y). Passes when the maximum
-    stays below ``bound`` (default: the objective's smoothness hint).
+    stays below ``bound`` (default: the objective's smoothness hint). Raises
+    ValueError when every pair is too close to measure.
     """
+    _check_count("pairs", pairs)
     if bound is None:
         bound = obj.L_hint
     man = obj.manifold
@@ -132,6 +145,8 @@ def smoothness_probe(
             num = (gx - man.transport(y, x, gy)).norm()
             worst = max(worst, num / den)
             used += 1
+    if used == 0:
+        raise ValueError("every probe pair is too close to measure: no smoothness ratio")
     return ProbeReport(
         name="smoothness_probe",
         samples=used,
@@ -141,71 +156,32 @@ def smoothness_probe(
     )
 
 
-def _slow_direction(P: PcaProblem, center: ManifoldPoint, tol=1e-10, max_iter=50_000):
-    """Unit tangent at ``center`` along the second eigendirection (deflated
-    power iteration on the Gram matrix A). This is the flattest ascent
-    direction of the quadratic, where the domination ratio peaks."""
-    A = P._gram()
-    c = center.coords
-    rng = np.random.default_rng(0x51<<8)
-    v = rng.standard_normal(P.d)
-    v -= (c @ v) * c
-    v /= math.sqrt(float(v @ v))
-    lam_prev = math.inf
-    for _ in range(max_iter):
-        w = A @ v
-        w -= (c @ w) * c
-        lam = float(v @ w)
-        if abs(lam - lam_prev) < tol:
-            break
-        nw = math.sqrt(float(w @ w))
-        if nw <= 1e-300:
-            break
-        v = w / nw
-        lam_prev = lam
-    return P.manifold.tangent(center, v)
-
-
-def _value_and_grad_sq(obj: FiniteSumObjective, p: ManifoldPoint) -> tuple[float, float]:
-    """f(p) and |grad f(p)|^2, uncharged; a PcaProblem is evaluated on A."""
-    if not isinstance(obj, PcaProblem):
-        return obj.value(p), obj.full_rgrad(p)._sq
-    x = p.coords
-    ax = obj._gram() @ x
-    q = float(x @ ax)
-    g = 2.0 * (q * x - ax)
-    return -q, float(g @ g)
-
-
 def pl_constant_estimate(
     obj: FiniteSumObjective,
     f_star: float,
     points,
     center: ManifoldPoint | None = None,
-    radius: float = math.pi / 4,
     seed: int = 0,
-    min_grad_sq: float = 1e-12,
 ) -> ProbeReport:
     """Empirical gradient-domination constant: max of (f(x) - f*) / |grad f(x)|^2.
 
     ``points`` is either an explicit sequence of points or a sample count; in
-    the latter case points are drawn in the geodesic ball of the given radius
+    the latter case points are drawn in the geodesic ball of radius pi/4
     around ``center`` (derived from the top eigenvector for the quadratic
     instances when omitted). Uniform directions alone dilute the flat mode in
     high dimension, so sampling for quadratic instances also walks the
     estimated second eigendirection, where the ratio peaks. Points with
-    |grad|^2 below ``min_grad_sq`` carry no information (0/0 at optima) and
-    are excluded.
+    |grad|^2 below 1e-12 carry no information (0/0 at optima) and are
+    excluded.
 
     For a :class:`PcaProblem` the center, the slow direction and every probe
-    point are evaluated on the instance's d x d Gram matrix A (formed on first
-    use and kept): f(x) = -x^T A x and grad f(x) = -2 A x + 2 (x^T A x) x.
-    These agree with the oracle's Z-based values to rounding, and no pass
-    streams Z. Other objectives are evaluated through ``value`` and
-    ``full_rgrad``. The oracle counter is never charged.
+    point are computed by the oracle on the instance's d x d Gram matrix A,
+    so no pass streams Z; other objectives are evaluated through their
+    uncharged ``_probe``. The oracle counter is never charged.
     """
     man = obj.manifold
     if isinstance(points, int):
+        _check_count("points", points)
         if center is None:
             if isinstance(obj, PcaProblem):
                 _, center = leading_eigpair(obj)
@@ -214,24 +190,24 @@ def pl_constant_estimate(
         rng = np.random.default_rng(seed)
         pts = []
         for _ in range(points):
-            r = float(rng.uniform(0.0, radius))
+            r = float(rng.uniform(0.0, _PL_RADIUS))
             pts.append(man.exp(center, man.random_tangent(center, rng, scale=r)))
         if isinstance(obj, PcaProblem):
-            u = _slow_direction(obj, center)
-            for r in np.linspace(radius / 8.0, radius, 8):
+            u = obj._slow_direction(center)
+            for r in np.linspace(_PL_RADIUS / 8.0, _PL_RADIUS, 8):
                 pts.append(man.exp(center, u._scaled(r)))
                 pts.append(man.exp(center, u._scaled(-r)))
     else:
         pts = list(points)
+    probe = obj._gram_probe if isinstance(obj, PcaProblem) else obj._probe
     ratios = []
     excluded = 0
-    with obj.counter.paused():
-        for p in pts:
-            f, g_sq = _value_and_grad_sq(obj, p)
-            if g_sq < min_grad_sq:
-                excluded += 1
-                continue
-            ratios.append((f - f_star) / g_sq)
+    for p in pts:
+        f, g_sq = probe(p)
+        if g_sq < _MIN_GRAD_SQ:
+            excluded += 1
+            continue
+        ratios.append((f - f_star) / g_sq)
     if not ratios:
         raise ValueError("all probe points are near-critical: no domination ratio")
     return ProbeReport(
@@ -243,7 +219,7 @@ def pl_constant_estimate(
             "excluded": excluded,
             "min_ratio": min(ratios),
             "mean_ratio": sum(ratios) / len(ratios),
-            "radius": radius,
+            "radius": _PL_RADIUS,
         },
     )
 
@@ -253,18 +229,18 @@ def variance_probe(
     frozen: FrozenState,
     resamples: int = 500,
     seed: int = 0,
-    slack: float = 2.0,
 ) -> ProbeReport:
     """Monte-Carlo check of the correction estimator's conditional variance.
 
     Re-draws the correction minibatch of a captured mid-run state, applies
     the solvers' own correction step to it and measures the mean of
     |v_k - grad f(x_k)|^2. The analytic budget for a full epoch is eps^2; the
-    reported bound applies ``slack`` (default 2) to absorb sampling noise.
+    reported bound is 2 eps^2, a slack of 2 that absorbs sampling noise.
     The probe replays the correction the solver ran: in finite-sum mode a
     batch of size >= n is the deterministic full-batch correction, so every
     resample coincides; a sample-only run draws s2 samples whatever n is.
     """
+    _check_count("resamples", resamples)
     rng = np.random.default_rng(seed)
     x, y, ref = frozen.x_curr, frozen.x_prev, frozen.v_prev
     with obj.counter.paused():
@@ -287,7 +263,7 @@ def variance_probe(
         name="variance_probe",
         samples=resamples,
         statistic=sum(vals) / len(vals),
-        bound=slack * frozen.eps**2,
+        bound=_VARIANCE_SLACK * frozen.eps**2,
         details={
             "s2": frozen.s2,
             "k": frozen.k,

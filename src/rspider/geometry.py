@@ -209,9 +209,6 @@ class Manifold(ABC):
         u._check_same_base(v)
         return float(u.coords.dot(v.coords))
 
-    def norm(self, v: TangentVector) -> float:
-        return math.sqrt(v._sq)
-
     # -- geodesic operations (checked wrappers around the raw ops) -----------
     def exp(self, x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
         """Point reached by the unit-time geodesic from ``x`` with velocity ``v``."""

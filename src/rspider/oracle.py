@@ -288,6 +288,22 @@ class PcaProblem(FiniteSumObjective):
             self._A /= self.n
         return self._A
 
+    def _gram_probe(self, x: ManifoldPoint) -> tuple[float, float]:
+        # f = -x^T A x and grad f = 2 (x^T A x) x - 2 A x: _probe's values to
+        # rounding, without a pass over the rows
+        x = x.coords
+        ax = self._gram() @ x
+        q = float(x @ ax)
+        g = 2.0 * (q * x - ax)
+        return -q, float(g @ g)
+
+    def _slow_direction(self, center: ManifoldPoint) -> TangentVector:
+        # unit tangent along A's second eigendirection, deflated against the
+        # center; the last iterate is taken even unconverged: it only steers probes
+        v = np.random.default_rng(0x51 << 8).standard_normal(self.d)
+        _, v, _ = _power_iteration(self._gram(), v, 1e-10, 50_000, c=center.coords)
+        return self.manifold.tangent(center, v)
+
     # perfbench/tracing.py wraps these names in PcaProblem.__dict__
     component_rgrad = FiniteSumObjective.component_rgrad
     minibatch_rgrad = FiniteSumObjective.minibatch_rgrad
@@ -405,15 +421,13 @@ def generate_gap_matrix(spec: SyntheticSpec) -> PcaProblem:
     return problem_from_spectrum(spec.target_spectrum(), spec.n, spec.seed)
 
 
-def packed_spectrum(
-    d: int, delta: float, tail: float = 0.5, plateau: int = 1
-) -> np.ndarray:
+def packed_spectrum(d: int, delta: float, tail: float = 0.5) -> np.ndarray:
     """Spectrum whose observable convergence rate is governed by the eigengap.
 
-    ``plateau`` eigenvalues sit at 1 - delta * (1 + j/10) just below the top;
-    the rest decay geometrically from 1 - 2*delta, so the bulk contracts in a
-    few epochs and leaves the delta-limited mode as the visible bottleneck
-    while the trace (hence the gradient noise) stays small.
+    The second eigenvalue sits at 1 - delta just below the top; the rest
+    decay geometrically from 1 - 2*delta, so the bulk contracts in a few
+    epochs and leaves the delta-limited mode as the visible bottleneck while
+    the trace (hence the gradient noise) stays small.
     """
     if d < 2:
         raise ValueError("need ambient dimension >= 2")
@@ -423,44 +437,55 @@ def packed_spectrum(
         raise ValueError("tail decay must lie in (0, 1)")
     lam = np.empty(d)
     lam[0] = 1.0
-    p = min(int(plateau), d - 1)
-    lam[1 : 1 + p] = 1.0 - delta * (1.0 + np.arange(p) / 10.0)
-    rest = d - 1 - p
-    if rest > 0:
-        lam[1 + p :] = (1.0 - 2.0 * delta) * tail ** np.arange(1, rest + 1)
+    lam[1] = 1.0 - delta
+    lam[2:] = (1.0 - 2.0 * delta) * tail ** np.arange(1, d - 1)
     return lam
 
 
-def leading_eigpair(
-    P: PcaProblem, tol: float = 1e-13, max_iter: int = 100_000
-) -> tuple[float, ManifoldPoint]:
+def _power_iteration(A: np.ndarray, v: np.ndarray, tol: float, max_iter: int,
+                     c: np.ndarray | None = None) -> tuple[float, np.ndarray, str | None]:
+    """Power iteration ``w = A v`` from ``v``, deflated against the unit vector ``c`` if given.
+
+    Stops when successive Rayleigh quotients differ by less than ``tol``.
+    Returns ``(lam, v, failure)``: the last Rayleigh quotient and unit
+    iterate, and None or the reason the iteration did not converge.
+    """
+    if c is not None:
+        v = v - (c @ v) * c
+    v = v / math.sqrt(float(v @ v))
+    lam, lam_prev, step = math.nan, math.inf, math.inf
+    for _ in range(max_iter):
+        w = A @ v
+        if c is not None:
+            w -= (c @ w) * c
+        lam = float(v @ w)
+        step = abs(lam - lam_prev)
+        if step < tol:
+            return lam, v, None
+        nw = math.sqrt(float(w @ w))
+        if nw <= 1e-300:
+            return lam, v, "power iteration collapsed: A appears to be zero"
+        v = w / nw
+        lam_prev = lam
+    return lam, v, (
+        f"power iteration did not converge after {max_iter} iterations "
+        f"(last Rayleigh step {step:.3e}); the eigengap may be too small"
+    )
+
+
+def leading_eigpair(P: PcaProblem) -> tuple[float, ManifoldPoint]:
     """Top eigenpair of A = (1/n) Z Z^T by power iteration.
 
     Iterates ``w = A v`` on the instance's d x d Gram matrix, which is formed
-    on the first call and kept, so no iteration streams Z. Stops when
-    successive Rayleigh quotients differ by less than ``tol``. Raises on
-    non-convergence (tiny eigengap) with the iteration count. Does not touch
-    the oracle counter.
+    on the first call and kept, so no iteration streams Z. Stops at a Rayleigh
+    step below 1e-13; raises RuntimeError, with the last step, when 100,000
+    iterations do not get there (tiny eigengap). Does not touch the counter.
     """
-    A = P._gram()
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(P.d)
-    v /= math.sqrt(float(v @ v))
-    lam_prev = math.inf
-    for it in range(max_iter):
-        w = A @ v
-        lam = float(v @ w)
-        if abs(lam - lam_prev) < tol:
-            return lam, ManifoldPoint(P.manifold, v)
-        nw = math.sqrt(float(w @ w))
-        if nw <= 1e-300:
-            raise RuntimeError("power iteration collapsed: A appears to be zero")
-        v = w / nw
-        lam_prev = lam
-    raise RuntimeError(
-        f"power iteration did not converge after {max_iter} iterations "
-        f"(last Rayleigh step {abs(lam - lam_prev):.3e}); the eigengap may be too small"
-    )
+    v = np.random.default_rng(0x5EED).standard_normal(P.d)
+    lam, v, failure = _power_iteration(P._gram(), v, 1e-13, 100_000)
+    if failure is not None:
+        raise RuntimeError(failure)
+    return lam, ManifoldPoint(P.manifold, v)
 
 
 def variance_bound_estimate(
@@ -510,7 +535,7 @@ def load_problem(path) -> PcaProblem:
         if magic != _MAGIC:
             raise ValueError(f"bad magic {magic!r}; not a matrix dump")
         rows = np.fromfile(fh, dtype="<f8", count=d * n)
-    if rows.size != d * n:
-        raise ValueError("truncated matrix payload")
+        if rows.size != d * n or fh.read(1):  # truncated, or trailing bytes
+            raise ValueError(f"matrix payload is not exactly {d} x {n} floats")
     # column-major Z is the row layout: its transpose is Z with no copy
     return PcaProblem(rows.reshape(n, d).T, seed=seed)

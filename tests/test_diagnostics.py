@@ -96,6 +96,12 @@ class TestSmoothnessProbe:
         assert rep.bound == P.L_hint
         assert rep.passed
 
+    def test_all_pairs_skipped_raises(self):
+        # every geodesic radius drawn below the 1e-12 floor: nothing measured
+        P = diag21_problem()
+        with pytest.raises(ValueError, match="no smoothness ratio"):
+            r.smoothness_probe(P, pairs=10, radius=1e-13, seed=0)
+
 
 class TestPlConstantEstimate:
     def test_near_critical_points_rejected(self):
@@ -344,6 +350,30 @@ class TestEpochsToDouble:
         out = epochs_to_double(trace, f_star=P.f_star, window=2.0)
         assert len(out) >= 1
         assert all(e >= 0 for e, _ in out)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("probe", ["fd_gradient_check", "smoothness_probe",
+                                   "pl_constant_estimate", "variance_probe"])
+def test_count_below_one_rejected_before_any_work(probe, count):
+    P = r.generate_gap_matrix(r.SyntheticSpec(d=6, n=20, delta=0.4, seed=6))
+    x = P.manifold.random_point(np.random.default_rng(1))
+    with P.counter.paused():
+        st = FrozenState(k=1, x_prev=x, x_curr=x, v_prev=P.full_rgrad(x), s2=3, eps=0.05)
+    evaluated = []
+    rgrad = P._rgrad
+    P._rgrad = lambda idx, y: evaluated.append(idx) or rgrad(idx, y)
+    P.counter.add(5)
+    calls = {
+        "fd_gradient_check": lambda: r.fd_gradient_check(P, x, trials=count),
+        "smoothness_probe": lambda: r.smoothness_probe(P, pairs=count),
+        "pl_constant_estimate": lambda: r.pl_constant_estimate(P, P.f_star, count),
+        "variance_probe": lambda: r.variance_probe(P, st, resamples=count),
+    }
+    with pytest.raises(ValueError, match="must be at least 1"):
+        calls[probe]()
+    assert evaluated == [] and P._A is None  # no gradient, no Gram matrix
+    assert P.counter.calls == 5
 
 
 class TestProbeReport:

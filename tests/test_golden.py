@@ -9,6 +9,8 @@ digests hold for any BLAS thread count at these sizes;
 estimate tau on a Gram matrix (a GEMM) with ``OPENBLAS_NUM_THREADS=2``, and
 ``test_instance_factors_hold_with_two_blas_threads`` checks that the
 instances' orthonormal factors have the same bits at one and two threads.
+``test_probe_command_output`` hashes the ``rspider probe`` report at one and
+two threads.
 
 Sweep and solver digests are keyed ``<case>/paired/<map mode>``: every
 correction step charges the oracle for both of its evaluations, and the
@@ -265,6 +267,27 @@ def _with_blas_threads(script, threads):
 def test_tau_sweeps_hold_with_two_blas_threads():
     got = _with_blas_threads(_TWO_THREADS, 2)
     assert got == [SWEEP_GOLDEN[_key(*c)] for c in _TAU_CASES]
+
+
+# the README quick-start instance; tau's walk and the probe values run on
+# the Gram matrix (a GEMM) and the slow direction's deflated power iteration
+PROBE_ARGS = ["probe", "--d", "20", "--n", "200", "--delta", "0.5", "--seed", "1"]
+PROBE_OUTPUT_GOLDEN = "05ffbc93d70c1795246641e0472dbfa954375d209420564632bfaf9bd352428b"
+_PROBE_OUTPUT = """
+import contextlib, hashlib, io, json, sys
+sys.path[:0] = sys.argv[1:3]
+import test_golden as g
+from rspider.bench import cli_main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli_main(g.PROBE_ARGS) == 0
+print(json.dumps(hashlib.sha256(out.getvalue().encode()).hexdigest()))
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_probe_command_output(threads):
+    assert _with_blas_threads(_PROBE_OUTPUT, threads) == PROBE_OUTPUT_GOLDEN
 
 
 # (d, n, data seed) of the sweep and solver instances above, of the

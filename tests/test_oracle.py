@@ -11,6 +11,7 @@ from rspider.geometry import Euclidean
 from rspider.oracle import (
     _eigenvector_factors,
     _orthonormal,
+    _power_iteration,
     packed_spectrum,
     problem_from_spectrum,
 )
@@ -409,6 +410,33 @@ class TestLeadingEigpair:
         r.leading_eigpair(P)
         assert P.counter.calls == 0
 
+    def test_non_convergence_reports_the_last_step(self):
+        # eigenvalues 1 and 1 - 1e-5: the Rayleigh quotient still moves by
+        # more than the tolerance after 100,000 iterations, and the error
+        # says by how much
+        lam = np.array([1.0, 1.0 - 1e-5])
+        P = r.PcaProblem(np.diag(np.sqrt(2.0 * lam)), spectrum=lam)
+        with pytest.raises(RuntimeError, match="after 100000 iterations") as err:
+            r.leading_eigpair(P)
+        step = float(str(err.value).split("last Rayleigh step ")[1].split(")")[0])
+        assert step >= 1e-13
+
+    def test_deflated_iteration_stays_orthogonal(self):
+        P = r.generate_gap_matrix(r.SyntheticSpec(d=10, n=50, delta=0.1, seed=2))
+        _, top = r.leading_eigpair(P)
+        c = top.coords
+        v0 = np.random.default_rng(1).standard_normal(P.d)
+        lam, v, failure = _power_iteration(P._gram(), v0, 1e-10, 50_000, c=c)
+        assert failure is None
+        assert abs(float(c @ v)) <= 1e-12
+        assert abs(float(v @ v) - 1.0) <= 1e-14
+        assert lam == pytest.approx(0.9, abs=1e-6)  # second eigenvalue 1 - delta
+
+    def test_zero_iterations_is_a_failure_not_a_crash(self):
+        lam, v, failure = _power_iteration(np.eye(2), np.array([3.0, 4.0]), 1e-13, 0)
+        assert math.isnan(lam) and np.array_equal(v, [0.6, 0.8])
+        assert failure.startswith("power iteration did not converge after 0 iterations")
+
     def test_gram_formed_on_first_use_only(self, tmp_path):
         P = problem_from_spectrum(packed_spectrum(8, 0.1), 30, seed=2)
         r.save_problem(P, tmp_path / "p.bin")
@@ -486,4 +514,18 @@ class TestBinaryDump:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(ValueError):
+            r.load_problem(path)
+
+    @pytest.mark.parametrize("cut,extra,match", [
+        (24 + 8 * 6 * 15 - 20, b"", "truncated header"),
+        (1, b"", "not exactly 6 x 15 floats"),
+        (0, b"\x00" * 16, "not exactly 6 x 15 floats"),
+    ], ids=["header", "payload", "trailing"])
+    def test_damaged_dump_rejected(self, tmp_path, cut, extra, match):
+        P = r.generate_gap_matrix(r.SyntheticSpec(d=6, n=15, delta=0.2, seed=33))
+        path = tmp_path / "inst.rspd"
+        r.save_problem(P, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) - cut] + extra)
+        with pytest.raises(ValueError, match=match):
             r.load_problem(path)
