@@ -21,6 +21,7 @@ To print the current digests after an intended change of behavior, run
 ``python tests/test_golden.py``.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -106,6 +107,14 @@ def trace_digest(solver, map_mode) -> str:
         cfg = params_finite(P.n, 0.04, 1.0, P.L_hint, seed=4, map_mode=map_mode)
         x, trace = spider_nonconvex(P, x0, cfg, checkpoint_every=0.25,
                                     max_ifo=12 * P.n)
+    elif solver == "spider-subsampled":
+        # finite-sum mode with drawn anchors (S1 < n); corrections are both
+        # drawn and full passes
+        cfg = dataclasses.replace(
+            params_finite(P.n, 0.1, 1.0, P.L_hint, seed=4, map_mode=map_mode), S1=P.n // 4,
+        )
+        x, trace = spider_nonconvex(P, x0, cfg, checkpoint_every=0.25,
+                                    max_ifo=12 * P.n)
     elif solver == "spider-sampled":
         cfg = params_stochastic(0.5, 0.3, 1.0, P.L_hint, seed=4, map_mode=map_mode)
         x, trace = spider_nonconvex(P, x0, cfg, checkpoint_every=0.25,
@@ -165,7 +174,9 @@ def probe_digest(solver) -> str:
 
 SWEEP_CASES = list(itertools.product(ALGORITHMS, MAP_MODES))
 TRACE_CASES = list(itertools.product(
-    ("spider", "spider-sampled", "spider-gd1", "spider-gd2", "rsvrg", "rsgd"), MAP_MODES,
+    ("spider", "spider-subsampled", "spider-sampled", "spider-gd1", "spider-gd2", "rsvrg",
+     "rsgd"),
+    MAP_MODES,
 ))
 
 
@@ -197,6 +208,8 @@ SWEEP_GOLDEN = {
 TRACE_GOLDEN = {
     "spider/paired/exp": "2efc51427bc9b82662f568f26a80bf6efe4bceec723cb960e504edc7e136f547",
     "spider/paired/retract": "5e65b27f37498c0a978d1cb0240286918949c9db226e2cd664d9bf35d29c4003",
+    "spider-subsampled/paired/exp": "e5eb1c961a0cc295509e58171bba7f2c8608dd9f132ba508ed49dba588716101",
+    "spider-subsampled/paired/retract": "e73d501ebf53643363a4881a9fd9d0797943c2c2af22280d3b35f292f181dc09",
     "spider-sampled/paired/exp": "1c6105a2c5bad97e57f040bbc4730feb2d33f8d78d7b9f6e3b8ff0f12d1f46d3",
     "spider-sampled/paired/retract": "00976c318c352d71140a809b2fc6bae76887b203adf82ceb0d5802a33d1eb887",
     "spider-gd1/paired/exp": "44d9beeaa8b530bf9c92dc068665db4c35aa0807b32bb0d274f0cffdd53ee28e",
