@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import ManifoldPoint
 from .oracle import FiniteSumObjective, PcaProblem, leading_eigpair
-from .optim import FrozenState, RunTrace, _correct, _full_batch
+from .optim import FrozenState, RunTrace, _batch, _correct
 
 __all__ = [
     "CONVERGED",
@@ -236,29 +236,24 @@ def variance_probe(
     the solvers' own correction step to it and measures the mean of
     |v_k - grad f(x_k)|^2. The analytic budget for a full epoch is eps^2; the
     reported bound is 2 eps^2, a slack of 2 that absorbs sampling noise.
-    The probe replays the correction the solver ran: in finite-sum mode a
-    batch of size >= n is the deterministic full-batch correction, so every
-    resample coincides; a sample-only run draws s2 samples whatever n is.
+    The probe replays the correction through the solvers' own batch draw:
+    in finite-sum mode a batch of size >= n is the deterministic full pass,
+    so every resample is the same; a sample-only run draws s2 samples
+    whatever n is.
     """
     _check_count("resamples", resamples)
     rng = np.random.default_rng(seed)
     x, y, ref = frozen.x_curr, frozen.x_prev, frozen.v_prev
+    cap = None if frozen.sample_only else obj.n
     with obj.counter.paused():
         target = obj.full_rgrad(x).coords
         carried = (ref - obj.full_rgrad(y)).norm()
-        if _full_batch(frozen.s2, obj.n, frozen.sample_only):
-            v, _ = _correct(obj, obj.full_rgrad, x, y, ref.coords, frozen.k)
-            estimates = [v] * resamples
-        else:
-            estimates = []
-            for _ in range(resamples):
-                idx = obj._prepare(rng.integers(0, obj.n, size=frozen.s2))
-                v, _ = _correct(obj, obj.minibatch_rgrad, x, y, ref.coords, frozen.k, idx)
-                estimates.append(v)
-    vals = []
-    for v in estimates:
-        err = v - target
-        vals.append(float(err @ err))
+        vals = []
+        for _ in range(resamples):
+            grad, idx, _ = _batch(obj, rng, frozen.s2, cap)
+            v, _ = _correct(obj, grad, x, y, ref.coords, frozen.k, *idx)
+            err = v - target
+            vals.append(float(err @ err))
     return ProbeReport(
         name="variance_probe",
         samples=resamples,

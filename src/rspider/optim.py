@@ -175,11 +175,6 @@ class FrozenState:
     sample_only: bool = False  # the run draws s2 samples even if s2 >= n (n=None)
 
 
-def _full_batch(size, n, sample_only) -> bool:
-    """Whether ``size`` samples make the deterministic pass over all n components."""
-    return not sample_only and size >= n
-
-
 class _Run:
     """What every solver run shares: the checked start, the sampling stream
     ``rng``, the IFO ``tallies``, the budget ``max_ifo`` and one record per
@@ -262,17 +257,30 @@ def _draws(rng, n, count):
         yield from rng.integers(0, n, size=min(_DRAW_BLOCK, count - start)).tolist()
 
 
+def _batch(obj, rng, size, cap):
+    """A ``size``-sample batch as (gradient entry point, its index arguments,
+    samples charged per evaluation): the deterministic full pass when ``cap``
+    (n in finite-sum mode) is not None and ``size >= cap``, else ``size``
+    uniform draws with replacement, prepared once for both evaluations."""
+    if cap is not None and size >= cap:
+        return obj.full_rgrad, (), obj.n
+    return obj.minibatch_rgrad, (obj._prepare(rng.integers(0, obj.n, size=size)),), size
+
+
 def _correct(obj, grad, x, y, ref, k, *idx):
     """The estimator step: grad(x) - transport(y -> x, grad(y) - ref).
 
-    ``x`` and ``y`` are points, ``ref`` tangent coordinates at ``y``.
+    ``x`` and ``y`` are points, ``ref`` tangent coordinates at ``y``; an
+    anchor has no previous point (``y=None``) and is grad(x) alone.
     ``grad(*idx, p)`` evaluates one sample at p: ``obj.full_rgrad`` with no
     index, ``obj.minibatch_rgrad`` with an index multiset (or the batch
     ``obj._prepare`` made of one) or ``obj.component_rgrad`` with one index.
-    Both evaluations are charged. Returns the estimate's coordinates at x
+    Every evaluation is charged. Returns the estimate's coordinates at x
     and their squared norm.
     """
     g_x = grad(*idx, x)
+    if y is None:
+        return g_x.coords, g_x._sq
     g_y = grad(*idx, y)
     try:
         v = g_x.coords - obj.manifold._transport(y.coords, x.coords, g_y.coords - ref)
@@ -290,18 +298,18 @@ def _spider_core(run, x0, cfg: SpiderConfig, budget, *, on_correction=None, k_of
                  pick=True):
     """Run up to ``cfg.T`` steps of the recursive estimator from ``x0``.
 
-    Every ``q``-th step re-anchors the surrogate ``v``; the others correct it
-    with ceil(min(n, q L^2 step^2 / budget)) samples. Charged calls and
-    iterates go to ``run``. Returns (a uniform pick over the produced
-    iterates, or x0 without ``pick``; the last iterate; steps done; the last
-    step length; the last batch size).
+    Every ``q``-th step re-anchors the surrogate ``v`` on ``S1`` samples;
+    the others correct it with ceil(min(n, q L^2 step^2 / budget)) samples.
+    Charged calls and iterates go to ``run``. Returns the point handed on (a
+    uniform pick over the produced iterates with ``pick``, else the last
+    iterate), the steps done, and the step length and batch size of that
+    point's record (0.0 and 0 for a pick: no single step ends there).
     """
     obj, rng, tallies = run.obj, run.rng, run.tallies
     if cfg.n is not None and cfg.n != obj.n:
         raise ValueError(f"config n={cfg.n} does not match the objective's n={obj.n}")
     man = obj.manifold
     sample_only = cfg.n is None
-    full_anchor = _full_batch(cfg.S1, obj.n, sample_only)
     cap = None if sample_only else obj.n
     x = x_out = x0
     x_prev = v = None
@@ -310,29 +318,20 @@ def _spider_core(run, x0, cfg: SpiderConfig, budget, *, on_correction=None, k_of
     for k in range(cfg.T):
         if run.exhausted():
             break
-        if k % cfg.q == 0:
-            if full_anchor:
-                g = obj.full_rgrad(x)  # deterministic anchor
-                batch = obj.n
-            else:
-                g = obj.minibatch_rgrad(obj._prepare(rng.integers(0, obj.n, size=cfg.S1)), x)
-                batch = cfg.S1
-            v, v_sq = g.coords, g._sq
-            tallies["anchor"] += batch
-        else:
-            s2 = _batch_size(cfg.q, cfg.L, step_len, budget, cap)
+        if k % cfg.q:
+            y, size = x_prev, _batch_size(cfg.q, cfg.L, step_len, budget, cap)
             if on_correction is not None:
                 frozen_v = TangentVector._raw(x_prev, v)
                 on_correction(
-                    FrozenState(k_offset + k, x_prev, x, frozen_v, s2, cfg.eps, sample_only)
+                    FrozenState(k_offset + k, x_prev, x, frozen_v, size, cfg.eps, sample_only)
                 )
-            if _full_batch(s2, obj.n, sample_only):
-                batch = obj.n
-                v, v_sq = _correct(obj, obj.full_rgrad, x, x_prev, v, k_offset + k)
-            else:
-                batch = s2
-                idx = obj._prepare(rng.integers(0, obj.n, size=s2))
-                v, v_sq = _correct(obj, obj.minibatch_rgrad, x, x_prev, v, k_offset + k, idx)
+        else:
+            y, size = None, cfg.S1  # an anchor: no previous point
+        grad, idx, batch = _batch(obj, rng, size, cap)
+        v, v_sq = _correct(obj, grad, x, y, v, k_offset + k, *idx)
+        if y is None:
+            tallies["anchor"] += batch
+        else:
             tallies["correction"] += 2 * batch
 
         x_next, step_len = _update(man, x, v, v_sq, cfg.eta, cfg.map_mode, k_offset + k)
@@ -342,7 +341,7 @@ def _spider_core(run, x0, cfg: SpiderConfig, budget, *, on_correction=None, k_of
         x = x_next
         done = k + 1
         run.after_step(k_offset + done, x, step_len, batch)
-    return x_out, x, done, step_len, batch
+    return (x_out, done, 0.0, 0) if pick else (x, done, step_len, batch)
 
 
 def spider_nonconvex(
@@ -369,11 +368,11 @@ def spider_nonconvex(
     run = _Run(obj, x0, cfg.seed, checkpoint_every, max_ifo)
     if cfg.T >= 1:
         run.after_step(0, x0, 0.0, 0)
-    x_rand, _, steps, _, _ = _spider_core(
+    x_rand, steps, step_len, batch = _spider_core(
         run, x0, cfg, 2.0 * cfg.eps**2, on_correction=on_correction
     )
     if cfg.T >= 1:
-        run.final(steps, x_rand, 0.0, 0)  # no single step ends at the pick
+        run.final(steps, x_rand, step_len, batch)
     return x_rand, run.trace("spider", asdict(cfg), steps=steps, ifo_breakdown=run.tallies)
 
 
@@ -438,11 +437,9 @@ def _restarts(run, x0, cfg: GdConfig, q, stage, *, pick, on_correction=None):
         inner = SpiderConfig(
             L=cfg.L, eps=eps, q=q, S1=n, T=T, n=n, map_mode=cfg.map_mode, seed=cfg.seed,
         )
-        x_pick, x, steps, step_len, batch = _spider_core(
+        x, steps, step_len, batch = _spider_core(
             run, x, inner, budget, on_correction=on_correction, k_offset=done, pick=pick,
         )
-        if pick:
-            x, step_len, batch = x_pick, 0.0, 0  # no single step ends at the pick
         done += steps
         stages.append(
             {"stage": t, "eps": eps, "eta": inner.eta, "T": T, "steps": steps,
@@ -532,6 +529,8 @@ def rsgd(
     _check_modes(map_mode)
     if not callable(eta):
         _check_positive("step size", eta)
+    if T < 0:
+        raise ValueError("need T >= 0")
     run = _Run(obj, x0, seed, checkpoint_every, max_ifo)
     eta_fn = eta if callable(eta) else (lambda k: eta)
     man = obj.manifold
@@ -574,6 +573,8 @@ def rsvrg(
     """
     _check_modes(map_mode)
     _check_positive("step size", eta)
+    if epochs < 0:
+        raise ValueError("need epochs >= 0")
     m = obj.n if inner_len is None else int(inner_len)
     if m < 1:
         raise ValueError("inner loop length must be >= 1")

@@ -140,7 +140,8 @@ class TestSpiderNonconvex:
         x_sgd, _ = rsgd(P, x0, eta=0.1, T=15, seed=0)
         P.counter.reset()
         cfg = SpiderConfig(L=5.0, eps=0.1, q=1, S1=1, T=15, eta=0.1, n=1, seed=0)
-        _, x_last, *_ = _spider_core(_Run(P, x0, 0, 1.0, None), x0, cfg, 2.0 * cfg.eps**2)
+        x_last, *_ = _spider_core(_Run(P, x0, 0, 1.0, None), x0, cfg, 2.0 * cfg.eps**2,
+                                  pick=False)
         assert np.array_equal(x_sgd.coords, x_last.coords)
 
     def test_monotone_descent_on_small_instance(self):
@@ -419,6 +420,20 @@ def test_constant_step_must_be_finite_and_positive(solver, eta):
             rsgd(P, x0, eta=eta, T=10, seed=0)
         else:
             rsvrg(P, x0, eta=eta, epochs=1, seed=0)
+    assert P.counter.calls == 0
+
+
+def test_negative_counts_are_rejected_before_any_call():
+    P = desk_problem(d=20, n=200, delta=0.5, seed=0)
+    x0 = P.manifold.random_point(np.random.default_rng(3))
+    with pytest.raises(ValueError, match="T >= 0"):
+        rsgd(P, x0, eta=0.01, T=-3, seed=0)
+    with pytest.raises(ValueError, match="epochs >= 0"):
+        rsvrg(P, x0, eta=0.01, epochs=-2, seed=0)
+    with pytest.raises(ValueError, match="T >= 0"):
+        SpiderConfig(L=1.0, eps=0.1, q=1, S1=1, T=-1)
+    with pytest.raises(ValueError, match="K >= 0"):
+        GdConfig(M0=1.0, tau=1.0, L=1.0, K=-1)
     assert P.counter.calls == 0
 
 
