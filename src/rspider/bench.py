@@ -77,6 +77,11 @@ _SPIDER_EPS = 0.05  # gradient-norm target of the nonconvex solver
 _GD_STAGES = 20  # restart stages of spider-gd1 and spider-gd2
 
 
+def _check_algo(algo: str):
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+
+
 def _default_deltas() -> tuple[float, ...]:
     return tuple(1e-2 / k for k in range(1, 9))
 
@@ -118,8 +123,7 @@ class ExperimentConfig:
         else:
             self.algo = tuple(self.algo)
         for a in self.algo:
-            if a not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {a!r}; choose from {ALGORITHMS}")
+            _check_algo(a)
         if not self.algo:
             raise ValueError("need at least one algorithm")
         self.delta_list = tuple(float(x) for x in self.delta_list)
@@ -196,42 +200,31 @@ def _spectrum(cfg: ExperimentConfig, delta: float) -> np.ndarray:
 
 
 def _run_algo(cfg: ExperimentConfig, algo: str, P: PcaProblem, f_star: float, x0,
-              seed: int, max_ifo: int, tau: float | None) -> RunTrace:
+              seed: int, max_ifo: int, tau: float | None, map_mode: str) -> RunTrace:
     ckpt = cfg.checkpoint_every
     if algo == "rsgd":
         eta = cfg.eta if cfg.eta is not None else 1.0 / (2.0 * P.L_hint)
         _, trace = rsgd(
-            P, x0, eta, T=max_ifo, seed=seed, map_mode=cfg.map_mode,
+            P, x0, eta, T=max_ifo, seed=seed, map_mode=map_mode,
             checkpoint_every=ckpt, max_ifo=max_ifo,
         )
     elif algo in ("rsvrg", "vrpca"):
         eta = cfg.eta if cfg.eta is not None else DEFAULT_SVRG_ETA
-        mode = "retract" if algo == "vrpca" else cfg.map_mode
         outer = max(1, math.ceil(max_ifo / P.n) + 1)
         _, trace = rsvrg(
-            P, x0, eta, epochs=outer, map_mode=mode, seed=seed,
+            P, x0, eta, epochs=outer, map_mode=map_mode, seed=seed,
             checkpoint_every=ckpt, max_ifo=max_ifo,
         )
-    elif algo == "spider":
+    else:  # spider, spider-gd1, spider-gd2: M0 is the initial gap
         gap = max(P.value(x0) - f_star, 1e-12)
-        scfg = params_finite(P.n, _SPIDER_EPS, gap, P.L_hint, seed=seed, map_mode=cfg.map_mode)
-        _, trace = spider_nonconvex(
-            P, x0, scfg, checkpoint_every=ckpt, max_ifo=max_ifo
-        )
-    elif algo in _TAU_ALGOS:
-        gap = max(P.value(x0) - f_star, 1e-12)
-        gcfg = GdConfig(
-            M0=gap,
-            tau=tau,
-            L=P.L_hint,
-            K=_GD_STAGES,
-            map_mode=cfg.map_mode,
-            seed=seed,
-        )
-        runner = spider_gd1 if algo == "spider-gd1" else spider_gd2
-        _, trace = runner(P, x0, gcfg, checkpoint_every=ckpt, max_ifo=max_ifo)
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
+        if algo == "spider":
+            scfg = params_finite(P.n, _SPIDER_EPS, gap, P.L_hint, seed=seed, map_mode=map_mode)
+            _, trace = spider_nonconvex(P, x0, scfg, checkpoint_every=ckpt, max_ifo=max_ifo)
+        else:
+            gcfg = GdConfig(M0=gap, tau=tau, L=P.L_hint, K=_GD_STAGES, map_mode=map_mode,
+                            seed=seed)
+            runner = spider_gd1 if algo == "spider-gd1" else spider_gd2
+            _, trace = runner(P, x0, gcfg, checkpoint_every=ckpt, max_ifo=max_ifo)
     return trace
 
 
@@ -245,8 +238,11 @@ def run_cell(cfg: ExperimentConfig, delta: float, seed: int,
     and an exception in it is raised here.
     """
     algo = cfg.algo[0] if algo is None else algo
+    delta = float(delta)
+    _check_algo(algo)
+    _spectrum(cfg, delta)  # raises on a gap its spectrum cannot hold
     factors = _eigenvector_factors(cfg.d, cfg.n, cfg.data_seed)
-    out = _gap_outcomes(cfg, factors, float(delta), [(0, algo, seed)])[0]
+    out = _gap_outcomes(cfg, factors, delta, [(0, algo, seed)])[0]
     if isinstance(out, Exception):
         raise out
     return out
@@ -259,7 +255,7 @@ def _run_cell(cfg: ExperimentConfig, P: PcaProblem, f_star: float, tau: float | 
     x0 = _draw_x0(P, seed)
     max_ifo = int(math.ceil(cfg.epochs * P.n - 1e-9))
     map_mode = "retract" if algo == "vrpca" else cfg.map_mode
-    trace = _run_algo(cfg, algo, P, f_star, x0, seed, max_ifo, tau)
+    trace = _run_algo(cfg, algo, P, f_star, x0, seed, max_ifo, tau, map_mode)
 
     # boundary records come in order, one per grid epoch from 0
     grid = int(round(cfg.epochs / cfg.checkpoint_every)) + 1

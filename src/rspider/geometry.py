@@ -187,9 +187,6 @@ class Manifold(ABC):
         self._check_point(base)
         return TangentVector(base, coords)
 
-    def zero_tangent(self, base: ManifoldPoint) -> TangentVector:
-        return TangentVector._raw(base, np.zeros(self.d))
-
     def random_point(self, rng: np.random.Generator) -> ManifoldPoint:
         return ManifoldPoint(self, rng.standard_normal(self.d))
 

@@ -94,6 +94,21 @@ class TestRunCell:
         assert P.spectrum[1] == pytest.approx(0.8)
         assert P.spectrum[2] == pytest.approx(0.72)
 
+    @pytest.mark.parametrize("algo,delta,msg", [
+        ("nope", 0.2, "unknown algorithm"),
+        ("rsvrg", 0.3, "packed spectrum needs"),  # the packed spectrum holds delta < 0.25
+    ])
+    def test_bad_input_fails_before_any_build(self, monkeypatch, algo, delta, msg):
+        import rspider.bench as bench
+
+        builds = []
+        real = bench._eigenvector_factors
+        monkeypatch.setattr(bench, "_eigenvector_factors",
+                            lambda *a: builds.append(a) or real(*a))
+        with pytest.raises(ValueError, match=msg):
+            run_cell(tiny_cfg(), delta, 0, algo=algo)
+        assert builds == []
+
     def test_all_algorithms_produce_rows(self):
         for algo in ("rsgd", "rsvrg", "vrpca", "spider", "spider-gd1", "spider-gd2"):
             rows = run_cell(tiny_cfg(algo=(algo,), epochs=2.0), 0.2, 4)
