@@ -313,7 +313,7 @@ def _spider_core(run, x0, cfg: SpiderConfig, budget, *, on_correction=None, k_of
     cap = None if sample_only else obj.n
     x = x_out = x0
     x_prev = v = None
-    v_sq = step_len = 0.0
+    step_len = 0.0
     batch = done = 0
     for k in range(cfg.T):
         if run.exhausted():
