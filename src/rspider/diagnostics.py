@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import ManifoldPoint
-from .oracle import FiniteSumObjective, PcaProblem, leading_eigpair
+from .oracle import FiniteSumObjective, PcaProblem
 from .optim import FrozenState, RunTrace, _batch, _correct
 
 __all__ = [
@@ -160,43 +160,40 @@ def pl_constant_estimate(
     obj: FiniteSumObjective,
     f_star: float,
     points,
-    center: ManifoldPoint | None = None,
     seed: int = 0,
 ) -> ProbeReport:
     """Empirical gradient-domination constant: max of (f(x) - f*) / |grad f(x)|^2.
 
-    ``points`` is either an explicit sequence of points or a sample count; in
-    the latter case points are drawn in the geodesic ball of radius pi/4
-    around ``center`` (derived from the top eigenvector for the quadratic
-    instances when omitted). Uniform directions alone dilute the flat mode in
-    high dimension, so sampling for quadratic instances also walks the
-    estimated second eigendirection, where the ratio peaks. Points with
-    |grad|^2 below 1e-12 carry no information (0/0 at optima) and are
+    ``points`` is either an explicit sequence of points or, for a
+    :class:`PcaProblem`, a sample count: points are then drawn in the
+    geodesic ball of radius pi/4 around the top eigenvector u_1. Uniform
+    directions alone dilute the flat mode in high dimension, so sampling
+    also walks the second eigendirection u_2, where the ratio peaks. Points
+    with |grad|^2 below 1e-12 carry no information (0/0 at optima) and are
     excluded.
 
-    For a :class:`PcaProblem` the center, the slow direction and every probe
-    point are computed by the oracle on the instance's d x d Gram matrix A,
-    so no pass streams Z; other objectives are evaluated through their
-    uncharged ``_probe``. The oracle counter is never charged.
+    For a :class:`PcaProblem`, u_1 and u_2 come from the one cached
+    eigendecomposition of the instance's d x d Gram matrix A, and every
+    probe point is evaluated on A, so no pass streams Z; other objectives
+    are evaluated through their uncharged ``_probe``. The oracle counter is
+    never charged.
     """
     man = obj.manifold
     if isinstance(points, int):
         _check_count("points", points)
-        if center is None:
-            if isinstance(obj, PcaProblem):
-                _, center = leading_eigpair(obj)
-            else:
-                raise ValueError("sampling needs a center point")
+        if not isinstance(obj, PcaProblem):
+            raise ValueError("sampling needs a PcaProblem; pass explicit points instead")
+        _, u1, u2 = obj._top_eigs()
+        center = man.point(u1)
         rng = np.random.default_rng(seed)
         pts = []
         for _ in range(points):
             r = float(rng.uniform(0.0, _PL_RADIUS))
             pts.append(man.exp(center, man.random_tangent(center, rng, scale=r)))
-        if isinstance(obj, PcaProblem):
-            u = obj._slow_direction(center)
-            for r in np.linspace(_PL_RADIUS / 8.0, _PL_RADIUS, 8):
-                pts.append(man.exp(center, u._scaled(r)))
-                pts.append(man.exp(center, u._scaled(-r)))
+        u = man.tangent(center, u2)
+        for r in np.linspace(_PL_RADIUS / 8.0, _PL_RADIUS, 8):
+            pts.append(man.exp(center, u._scaled(r)))
+            pts.append(man.exp(center, u._scaled(-r)))
     else:
         pts = list(points)
     probe = obj._gram_probe if isinstance(obj, PcaProblem) else obj._probe
@@ -238,8 +235,8 @@ def variance_probe(
     reported bound is 2 eps^2, a slack of 2 that absorbs sampling noise.
     The probe replays the correction through the solvers' own batch draw:
     in finite-sum mode a batch of size >= n is the deterministic full pass,
-    so every resample is the same; a sample-only run draws s2 samples
-    whatever n is.
+    so every resample is the same and it is evaluated once; a sample-only
+    run draws s2 samples whatever n is.
     """
     _check_count("resamples", resamples)
     rng = np.random.default_rng(seed)
@@ -254,6 +251,9 @@ def variance_probe(
             v, _ = _correct(obj, grad, x, y, ref.coords, frozen.k, *idx)
             err = v - target
             vals.append(float(err @ err))
+            if not idx:  # the deterministic full pass: every resample is this one
+                vals *= resamples
+                break
     return ProbeReport(
         name="variance_probe",
         samples=resamples,

@@ -79,7 +79,7 @@ class _Batch:
         self.idx = idx
         self.rows = rows
 
-    def __len__(self):  # sized like the index array it stands for
+    def __len__(self):  # the batch size perfbench/tracing.py reads with len()
         return self.idx.size
 
 
@@ -223,6 +223,7 @@ class PcaProblem(FiniteSumObjective):
         # and the variance recursion needs the root-mean-square of those
         self._l_component = 4.0 * math.sqrt(float(np.mean(row_sq**2)))
         self._A = None  # the Gram matrix, formed by _gram() on first use
+        self._eig = None  # its (lambda_1, u_1, u_2), decomposed by _top_eigs() on first use
 
     @property
     def d(self) -> int:
@@ -297,12 +298,12 @@ class PcaProblem(FiniteSumObjective):
         g = 2.0 * (q * x - ax)
         return -q, float(g @ g)
 
-    def _slow_direction(self, center: ManifoldPoint) -> TangentVector:
-        # unit tangent along A's second eigendirection, deflated against the
-        # center; the last iterate is taken even unconverged: it only steers probes
-        v = np.random.default_rng(0x51 << 8).standard_normal(self.d)
-        _, v, _ = _power_iteration(self._gram(), v, 1e-10, 50_000, c=center.coords)
-        return self.manifold.tangent(center, v)
+    def _top_eigs(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """(lambda_1, u_1, u_2) of A from one symmetric eigendecomposition, kept."""
+        if self._eig is None:
+            lam, u = np.linalg.eigh(self._gram())  # ascending eigenvalues
+            self._eig = (float(lam[-1]), u[:, -1].copy(), u[:, -2].copy())
+        return self._eig
 
     # perfbench/tracing.py wraps these names in PcaProblem.__dict__
     component_rgrad = FiniteSumObjective.component_rgrad
@@ -442,50 +443,17 @@ def packed_spectrum(d: int, delta: float, tail: float = 0.5) -> np.ndarray:
     return lam
 
 
-def _power_iteration(A: np.ndarray, v: np.ndarray, tol: float, max_iter: int,
-                     c: np.ndarray | None = None) -> tuple[float, np.ndarray, str | None]:
-    """Power iteration ``w = A v`` from ``v``, deflated against the unit vector ``c`` if given.
-
-    Stops when successive Rayleigh quotients differ by less than ``tol``.
-    Returns ``(lam, v, failure)``: the last Rayleigh quotient and unit
-    iterate, and None or the reason the iteration did not converge.
-    """
-    if c is not None:
-        v = v - (c @ v) * c
-    v = v / math.sqrt(float(v @ v))
-    lam, lam_prev, step = math.nan, math.inf, math.inf
-    for _ in range(max_iter):
-        w = A @ v
-        if c is not None:
-            w -= (c @ w) * c
-        lam = float(v @ w)
-        step = abs(lam - lam_prev)
-        if step < tol:
-            return lam, v, None
-        nw = math.sqrt(float(w @ w))
-        if nw <= 1e-300:
-            return lam, v, "power iteration collapsed: A appears to be zero"
-        v = w / nw
-        lam_prev = lam
-    return lam, v, (
-        f"power iteration did not converge after {max_iter} iterations "
-        f"(last Rayleigh step {step:.3e}); the eigengap may be too small"
-    )
-
-
 def leading_eigpair(P: PcaProblem) -> tuple[float, ManifoldPoint]:
-    """Top eigenpair of A = (1/n) Z Z^T by power iteration.
+    """Top eigenpair (lambda_1, u_1) of A = (1/n) Z Z^T.
 
-    Iterates ``w = A v`` on the instance's d x d Gram matrix, which is formed
-    on the first call and kept, so no iteration streams Z. Stops at a Rayleigh
-    step below 1e-13; raises RuntimeError, with the last step, when 100,000
-    iterations do not get there (tiny eigengap). Does not touch the counter.
+    Read from one symmetric eigendecomposition (``np.linalg.eigh``) of the
+    instance's d x d Gram matrix; both are formed on the first call and
+    kept, so no call streams Z. A direct solve has no iteration to stop
+    early, so u_1 is accurate to rounding however small the eigengap. The
+    sign of u_1 is LAPACK's. Does not touch the counter.
     """
-    v = np.random.default_rng(0x5EED).standard_normal(P.d)
-    lam, v, failure = _power_iteration(P._gram(), v, 1e-13, 100_000)
-    if failure is not None:
-        raise RuntimeError(failure)
-    return lam, ManifoldPoint(P.manifold, v)
+    lam, u1, _ = P._top_eigs()
+    return lam, ManifoldPoint(P.manifold, u1)
 
 
 def variance_bound_estimate(

@@ -320,7 +320,7 @@ class TestRunSweep:
         import rspider.bench as bench
 
         def no_tau(*a, **k):
-            raise RuntimeError("power iteration did not converge")
+            raise RuntimeError("tau estimate failed")
 
         monkeypatch.setattr(bench, "pl_constant_estimate", no_tau)
         res = run_sweep(tiny_cfg(
@@ -331,7 +331,7 @@ class TestRunSweep:
             ("spider-gd1", dl, s) for dl in (0.2, 0.1) for s in (0, 1)
         ]
         assert {f[3] for f in res.failures} == {
-            "RuntimeError: power iteration did not converge"
+            "RuntimeError: tau estimate failed"
         }
         assert {row.algo for row in res.rows} == {"spider"}
         assert len(res.rows) == 2 * 2 * 2

@@ -6,7 +6,12 @@ import pytest
 import rspider as r
 from rspider.diagnostics import CONVERGED, STALLED, epochs_to_double
 from rspider.geometry import Euclidean, Sphere
-from rspider.oracle import ComponentObjective, packed_spectrum, problem_from_spectrum
+from rspider.oracle import (
+    ComponentObjective,
+    _eigenvector_factors,
+    packed_spectrum,
+    problem_from_spectrum,
+)
 from rspider.optim import FrozenState, SpiderConfig, params_finite, spider_nonconvex
 
 
@@ -136,66 +141,52 @@ class TestPlConstantEstimate:
             r.pl_constant_estimate(obj, -1.0, 10)
 
 
-def _z_power(P, v, c=None, tol=1e-13, max_iter=100_000):
-    # reference power iteration that streams Z: w = Z (Z^T v) / n, deflated
-    # against the unit vector ``c`` when one is given
-    if c is not None:
-        v = v - (c @ v) * c
-    v = v / math.sqrt(float(v @ v))
-    lam_prev = math.inf
-    for _ in range(max_iter):
-        w = P.Z @ (P.Z.T @ v) / P.n
-        if c is not None:
-            w -= (c @ w) * c
-        lam = float(v @ w)
-        if abs(lam - lam_prev) < tol:
-            break
-        v = w / math.sqrt(float(w @ w))
-        lam_prev = lam
-    return lam, v
-
-
-def _z_tau(P, count, seed, radius=math.pi / 4):
-    # reference domination estimate: same probe points as pl_constant_estimate,
-    # located by Z-streaming power iterations and evaluated by the charged
-    # oracle's value/full_rgrad with the counter paused
+def _charged_tau(P, u, count, seed, radius=math.pi / 4):
+    # reference domination estimate: the probe points pl_constant_estimate
+    # draws, placed from the known eigenvectors u[:, 0] (center) and u[:, 1]
+    # (slow direction) and evaluated by the charged oracle's value/full_rgrad
+    # with the counter paused
     man = P.manifold
-    _, c = _z_power(P, np.random.default_rng(0x5EED).standard_normal(P.d))
-    center = man.point(c)
+    center = man.point(u[:, 0])
     rng = np.random.default_rng(seed)
     pts = []
     for _ in range(count):
         rad = float(rng.uniform(0.0, radius))
         pts.append(man.exp(center, man.random_tangent(center, rng, scale=rad)))
-    _, u = _z_power(P, np.random.default_rng(0x51 << 8).standard_normal(P.d),
-                    c=c, tol=1e-10, max_iter=50_000)
-    u = man.tangent(center, u)
+    slow = man.tangent(center, u[:, 1])
     for rad in np.linspace(radius / 8.0, radius, 8):
-        pts.append(man.exp(center, u._scaled(rad)))
-        pts.append(man.exp(center, u._scaled(-rad)))
+        pts.append(man.exp(center, slow._scaled(rad)))
+        pts.append(man.exp(center, slow._scaled(-rad)))
     with P.counter.paused():
         return max((P.value(p) - P.f_star) / P.full_rgrad(p)._sq for p in pts)
 
 
 def _gap_instances():
+    # (delta, instance, its known U): both spectra share the factors of seed 4
+    u, _, _ = _eigenvector_factors(30, 300, 4)
     for delta in (0.2, 0.1):
-        yield problem_from_spectrum(packed_spectrum(30, delta), 300, seed=4)
-        yield r.generate_gap_matrix(r.SyntheticSpec(d=30, n=300, delta=delta, seed=4))
+        yield delta, problem_from_spectrum(packed_spectrum(30, delta), 300, seed=4), u
+        yield delta, r.generate_gap_matrix(r.SyntheticSpec(d=30, n=300, delta=delta, seed=4)), u
 
 
 class TestGramPath:
-    def test_leading_eigpair_matches_z_streaming(self):
-        for P in _gap_instances():
+    # measured: lambda_1 within 9e-16 of the spectrum, u_1 within 1.7e-15 of
+    # +-U[:, 0] entrywise, tau within 1.3e-14 (relative) of the charged
+    # reference and 3.1e-14 of the closed form 1/(2 delta)
+    def test_leading_eigpair_matches_known_factors(self):
+        for _, P, u in _gap_instances():
             lam, v = r.leading_eigpair(P)
-            ref_lam, ref_v = _z_power(P, np.random.default_rng(0x5EED).standard_normal(P.d))
-            assert abs(lam - ref_lam) <= 1e-12 * abs(ref_lam)
-            assert np.abs(v.coords - ref_v).max() <= 1e-12
+            sign = math.copysign(1.0, float(v.coords @ u[:, 0]))
+            assert abs(lam - P.spectrum[0]) <= 1e-14
+            assert np.abs(v.coords - sign * u[:, 0]).max() <= 1e-14
 
-    def test_tau_matches_z_streaming(self):
-        for P in _gap_instances():
+    def test_tau_matches_charged_oracle(self):
+        for delta, P, u in _gap_instances():
             tau = r.pl_constant_estimate(P, P.f_star, 64, seed=3).statistic
-            ref = _z_tau(P, 64, seed=3)
+            _, v = r.leading_eigpair(P)
+            ref = _charged_tau(P, u * math.copysign(1.0, float(v.coords @ u[:, 0])), 64, 3)
             assert abs(tau - ref) <= 1e-12 * ref
+            assert abs(tau - 1.0 / (2.0 * delta)) <= 1e-12 * tau
 
     def test_component_objective_gives_the_same_ratios(self):
         # the generic value/full_rgrad path over the same columns
@@ -242,6 +233,22 @@ class TestVarianceProbe:
         st = self._state_with_exact_carry(P, s2=P.n, seed=1)
         rep = r.variance_probe(P, st, resamples=50, seed=2)
         assert rep.statistic == 0.0
+
+    def test_full_batch_replay_is_evaluated_once(self, monkeypatch):
+        # s2 = n in finite-sum mode is the deterministic full pass: the target,
+        # the carried error and one correction (two points) make four passes
+        # however many resamples are asked for
+        P = r.generate_gap_matrix(r.SyntheticSpec(d=20, n=200, delta=0.5, seed=1))
+        st = self._state_with_exact_carry(P, s2=P.n, seed=1)
+        st.v_prev = st.v_prev._scaled(0.5)  # a carried error: nonzero resamples
+        calls = []
+        full = P.full_rgrad
+        monkeypatch.setattr(P, "full_rgrad", lambda x: calls.append(x) or full(x))
+        rep = r.variance_probe(P, st, resamples=500, seed=0)
+        assert len(calls) == 4
+        assert rep.samples == 500
+        assert rep.details["min"] == rep.details["max"] > 0.0
+        assert rep.statistic == pytest.approx(rep.details["max"], rel=1e-12)
 
     def test_two_component_enumeration(self):
         # n=2, s2=1: the exact population variance is the average over both draws

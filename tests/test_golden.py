@@ -283,9 +283,9 @@ def test_tau_sweeps_hold_with_two_blas_threads():
 
 
 # the README quick-start instance; tau's walk and the probe values run on
-# the Gram matrix (a GEMM) and the slow direction's deflated power iteration
+# the Gram matrix (a GEMM) and its one symmetric eigendecomposition
 PROBE_ARGS = ["probe", "--d", "20", "--n", "200", "--delta", "0.5", "--seed", "1"]
-PROBE_OUTPUT_GOLDEN = "05ffbc93d70c1795246641e0472dbfa954375d209420564632bfaf9bd352428b"
+PROBE_OUTPUT_GOLDEN = "6951d0ec87e77318415d78921ec90baa3a31e4cdfdd8e4c1e5146cb382face94"
 _PROBE_OUTPUT = """
 import contextlib, hashlib, io, json, sys
 sys.path[:0] = sys.argv[1:3]

@@ -11,7 +11,6 @@ from rspider.geometry import Euclidean
 from rspider.oracle import (
     _eigenvector_factors,
     _orthonormal,
-    _power_iteration,
     packed_spectrum,
     problem_from_spectrum,
 )
@@ -410,32 +409,24 @@ class TestLeadingEigpair:
         r.leading_eigpair(P)
         assert P.counter.calls == 0
 
-    def test_non_convergence_reports_the_last_step(self):
-        # eigenvalues 1 and 1 - 1e-5: the Rayleigh quotient still moves by
-        # more than the tolerance after 100,000 iterations, and the error
-        # says by how much
-        lam = np.array([1.0, 1.0 - 1e-5])
+    def test_tiny_two_dimensional_gap(self):
+        # eigenvalues 1 and 1 - 3e-7: a Rayleigh-step stop accepts a vector
+        # far from e_1 here, the direct solve returns e_1
+        lam = np.array([1.0, 1.0 - 3e-7])
         P = r.PcaProblem(np.diag(np.sqrt(2.0 * lam)), spectrum=lam)
-        with pytest.raises(RuntimeError, match="after 100000 iterations") as err:
-            r.leading_eigpair(P)
-        step = float(str(err.value).split("last Rayleigh step ")[1].split(")")[0])
-        assert step >= 1e-13
+        top, v = r.leading_eigpair(P)
+        assert abs(abs(v.coords[0]) - 1.0) <= 1e-12
+        assert top == pytest.approx(1.0, abs=1e-12)
 
-    def test_deflated_iteration_stays_orthogonal(self):
-        P = r.generate_gap_matrix(r.SyntheticSpec(d=10, n=50, delta=0.1, seed=2))
-        _, top = r.leading_eigpair(P)
-        c = top.coords
-        v0 = np.random.default_rng(1).standard_normal(P.d)
-        lam, v, failure = _power_iteration(P._gram(), v0, 1e-10, 50_000, c=c)
-        assert failure is None
-        assert abs(float(c @ v)) <= 1e-12
-        assert abs(float(v @ v) - 1.0) <= 1e-14
-        assert lam == pytest.approx(0.9, abs=1e-6)  # second eigenvalue 1 - delta
-
-    def test_zero_iterations_is_a_failure_not_a_crash(self):
-        lam, v, failure = _power_iteration(np.eye(2), np.array([3.0, 4.0]), 1e-13, 0)
-        assert math.isnan(lam) and np.array_equal(v, [0.6, 0.8])
-        assert failure.startswith("power iteration did not converge after 0 iterations")
+    def test_smallest_default_packed_gap(self):
+        # the smallest gap of the default sweep (d=100, n=2000, delta=0.00125):
+        # u_1 is column 0 of the instance's known U to rounding
+        d, n, seed = 100, 2000, 12345
+        P = problem_from_spectrum(packed_spectrum(d, 0.00125), n, seed=seed)
+        u, _, _ = _eigenvector_factors(d, n, seed)
+        top, v = r.leading_eigpair(P)
+        assert 1.0 - abs(float(v.coords @ u[:, 0])) <= 1e-12
+        assert top == pytest.approx(1.0, abs=1e-12)
 
     def test_gram_formed_on_first_use_only(self, tmp_path):
         P = problem_from_spectrum(packed_spectrum(8, 0.1), 30, seed=2)
@@ -449,8 +440,12 @@ class TestLeadingEigpair:
             assert Q._A is None  # building never pays for the Gram matrix
             A = Q._gram()
             assert np.array_equal(A, Q.Z @ Q.Z.T / Q.n)
+            assert Q._eig is None
             r.leading_eigpair(Q)
             assert Q._gram() is A
+            eig = Q._top_eigs()
+            r.leading_eigpair(Q)
+            assert Q._top_eigs() is eig  # decomposed once, then kept
 
 
 class TestVarianceBound:
