@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import ManifoldPoint
 from .oracle import FiniteSumObjective, PcaProblem
-from .optim import FrozenState, RunTrace, _batch, _correct
+from .optim import FrozenState, RunTrace, _batch, _correct, _Indices
 
 __all__ = [
     "CONVERGED",
@@ -239,7 +239,7 @@ def variance_probe(
     run draws s2 samples whatever n is.
     """
     _check_count("resamples", resamples)
-    rng = np.random.default_rng(seed)
+    indices = _Indices(np.random.default_rng(seed), obj.n)
     x, y, ref = frozen.x_curr, frozen.x_prev, frozen.v_prev
     cap = None if frozen.sample_only else obj.n
     with obj.counter.paused():
@@ -247,7 +247,7 @@ def variance_probe(
         carried = (ref - obj.full_rgrad(y)).norm()
         vals = []
         for _ in range(resamples):
-            grad, idx, _ = _batch(obj, rng, frozen.s2, cap)
+            grad, idx, _ = _batch(obj, indices, frozen.s2, cap)
             v, _ = _correct(obj, grad, x, y, ref.coords, frozen.k, *idx)
             err = v - target
             vals.append(float(err @ err))

@@ -91,7 +91,9 @@ class SpiderConfig:
     """Schedule for the recursive variance-reduced solver.
 
     ``n = None`` selects sample-only mode: anchors draw ``S1`` components
-    with replacement and correction batches are not capped at n.
+    with replacement and correction batches are not capped at n. ``seed``
+    feeds two streams: one draws the sampled indices, the other the
+    reservoir pick of the returned iterate.
     """
 
     L: float
@@ -177,8 +179,14 @@ class FrozenState:
 
 class _Run:
     """What every solver run shares: the checked start, the sampling stream
-    ``rng``, the IFO ``tallies``, the budget ``max_ifo`` and one record per
-    crossed checkpoint boundary (free evaluations).
+    ``rng`` and the index blocks ``indices`` served from it, the IFO
+    ``tallies``, the budget ``max_ifo`` and one record per crossed checkpoint
+    boundary (free evaluations).
+
+    ``seed`` feeds two streams: ``rng`` draws every sampled index, and
+    ``picks``, seeded from ``(seed, _PICK_TAG)``, draws the recursive
+    solver's reservoir pick, so picking an iterate leaves the indices as
+    they are.
 
     The counter when the run starts is its zero, so a run on an objective
     that has already been charged still reports, and is budgeted by, only its
@@ -192,6 +200,8 @@ class _Run:
         self.obj = obj
         self.seed = seed
         self.rng = np.random.default_rng(seed)
+        self.indices = _Indices(self.rng, obj.n)
+        self.picks = np.random.default_rng(np.random.SeedSequence([seed, _PICK_TAG]))
         self.tallies = {"anchor": 0, "correction": 0}
         self.max_ifo = max_ifo
         self.calls0 = obj.counter.calls
@@ -248,6 +258,7 @@ def _update(man, x, v, v_sq, eta, map_mode, k):
 
 
 _DRAW_BLOCK = 1024
+_PICK_TAG = 0x5A17  # distinguishes the reservoir-pick stream from the sampling stream
 
 
 def _draws(rng, n, count):
@@ -257,14 +268,40 @@ def _draws(rng, n, count):
         yield from rng.integers(0, n, size=min(_DRAW_BLOCK, count - start)).tolist()
 
 
-def _batch(obj, rng, size, cap):
+class _Indices:
+    """Uniform indices in [0, n) served from blocks drawn ``_DRAW_BLOCK`` at
+    a time. Successive :meth:`take` calls return the indices that successive
+    sized ``rng.integers(0, n, size=size)`` draws would, at the cost of a
+    slice; the generator only runs ahead of them by the unserved rest of the
+    current block."""
+
+    def __init__(self, rng, n):
+        self.rng, self.n = rng, n
+        self._block = np.empty(0, dtype=np.int64)
+        self._at = 0
+
+    def take(self, size):
+        at, end = self._at, self._at + size
+        if end <= self._block.size:
+            self._at = end
+            return self._block[at:end]
+        # the rest of this block, then one fresh block that covers the shortfall
+        rest = self._block[at:]
+        short = size - rest.size
+        self._block = self.rng.integers(0, self.n, size=max(_DRAW_BLOCK, short))
+        self._at = short
+        return np.concatenate((rest, self._block[:short]))
+
+
+def _batch(obj, indices, size, cap):
     """A ``size``-sample batch as (gradient entry point, its index arguments,
     samples charged per evaluation): the deterministic full pass when ``cap``
-    (n in finite-sum mode) is not None and ``size >= cap``, else ``size``
-    uniform draws with replacement, prepared once for both evaluations."""
+    (n in finite-sum mode) is not None and ``size >= cap``, else the next
+    ``size`` uniform draws with replacement from ``indices`` (an
+    :class:`_Indices`), prepared once for both evaluations."""
     if cap is not None and size >= cap:
         return obj.full_rgrad, (), obj.n
-    return obj.minibatch_rgrad, (obj._prepare(rng.integers(0, obj.n, size=size)),), size
+    return obj.minibatch_rgrad, (obj._prepare(indices.take(size)),), size
 
 
 def _correct(obj, grad, x, y, ref, k, *idx):
@@ -303,9 +340,11 @@ def _spider_core(run, x0, cfg: SpiderConfig, budget, *, on_correction=None, k_of
     Charged calls and iterates go to ``run``. Returns the point handed on (a
     uniform pick over the produced iterates with ``pick``, else the last
     iterate), the steps done, and the step length and batch size of that
-    point's record (0.0 and 0 for a pick: no single step ends there).
+    point's record (0.0 and 0 for a pick: no single step ends there). The
+    batches come from ``run.indices`` and the pick from ``run.picks``, so
+    ``pick`` does not change the iterates.
     """
-    obj, rng, tallies = run.obj, run.rng, run.tallies
+    obj, tallies = run.obj, run.tallies
     if cfg.n is not None and cfg.n != obj.n:
         raise ValueError(f"config n={cfg.n} does not match the objective's n={obj.n}")
     man = obj.manifold
@@ -327,7 +366,7 @@ def _spider_core(run, x0, cfg: SpiderConfig, budget, *, on_correction=None, k_of
                 )
         else:
             y, size = None, cfg.S1  # an anchor: no previous point
-        grad, idx, batch = _batch(obj, rng, size, cap)
+        grad, idx, batch = _batch(obj, run.indices, size, cap)
         v, v_sq = _correct(obj, grad, x, y, v, k_offset + k, *idx)
         if y is None:
             tallies["anchor"] += batch
@@ -335,7 +374,7 @@ def _spider_core(run, x0, cfg: SpiderConfig, budget, *, on_correction=None, k_of
             tallies["correction"] += 2 * batch
 
         x_next, step_len = _update(man, x, v, v_sq, cfg.eta, cfg.map_mode, k_offset + k)
-        if pick and rng.random() * (k + 1) < 1.0:
+        if pick and run.picks.random() * (k + 1) < 1.0:
             x_out = x_next  # reservoir pick: uniform over produced iterates
         x_prev = x
         x = x_next
@@ -359,8 +398,10 @@ def spider_nonconvex(
     ``S1 >= n`` in finite-sum mode, an S1-sample mean otherwise); the other
     steps apply a transported paired-minibatch correction whose size adapts
     to the squared length of the previous step. Returns a uniformly random
-    iterate from the produced sequence (seeded) plus the run trace, whose
-    final record describes that iterate (step length 0, batch 0).
+    iterate from the produced sequence plus the run trace, whose final record
+    describes that iterate (step length 0, batch 0). ``cfg.seed`` seeds both
+    the index draws and, through a separate stream, that pick, so the pick
+    does not change which batches are drawn.
 
     ``on_correction``, when given, receives a :class:`FrozenState` right
     before each correction step is sampled.

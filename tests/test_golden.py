@@ -198,22 +198,22 @@ SWEEP_GOLDEN = {
     "rsvrg/paired/retract": "7e59286becfbbee047e91b9f84869008e45c554417d52277a0a575838c08661f",
     "vrpca/paired/exp": "87164ca52e240c09859bd25ba856c054aac9b6a65bda81b7636dfc31686fe3d6",
     "vrpca/paired/retract": "87164ca52e240c09859bd25ba856c054aac9b6a65bda81b7636dfc31686fe3d6",
-    "spider/paired/exp": "17bfca36a8a85c111944845ac57019c4fab75bbc4841f16709f8c206112e9972",
-    "spider/paired/retract": "bda048a68684c330127f49d2685d565155fdf091879b66d53215e11c6d219fb4",
-    "spider-gd1/paired/exp": "048a190aa5e980fe6985aded75943bb2c69c99c9b5ae5ddee6717ee53fc0be68",
-    "spider-gd1/paired/retract": "99064faeb3a6fa9741c1671a8af2d764af1f45d4f5fa88a841fabb22d2eac9b6",
+    "spider/paired/exp": "15908e6dd931a1d55595635470d56dde9b920fd3e9c882ad13acf26d9a4abcd6",
+    "spider/paired/retract": "2c917162215937faedbcb2d07625f5919620e4cda670e75e8a15852bcdbb6e23",
+    "spider-gd1/paired/exp": "cd8bd1d5b8f215291bd763d5897cce2208cc6f708763e87b010ea76301381b8a",
+    "spider-gd1/paired/retract": "e35a036c891026977624ec3509b7df2a0dd4b92f23a3743c23694f8f63cda4b4",
     "spider-gd2/paired/exp": "0e6c31adf4ec5a37c632e907714a814ace0bba86e63bf5c743b4f8db82dc326d",
     "spider-gd2/paired/retract": "2dc070d453eb4650d6dd7fe55a9ac1e49aa9726433eb31bdd5dbd132c6cbd8ba",
 }
 TRACE_GOLDEN = {
-    "spider/paired/exp": "2efc51427bc9b82662f568f26a80bf6efe4bceec723cb960e504edc7e136f547",
-    "spider/paired/retract": "5e65b27f37498c0a978d1cb0240286918949c9db226e2cd664d9bf35d29c4003",
-    "spider-subsampled/paired/exp": "e5eb1c961a0cc295509e58171bba7f2c8608dd9f132ba508ed49dba588716101",
-    "spider-subsampled/paired/retract": "e73d501ebf53643363a4881a9fd9d0797943c2c2af22280d3b35f292f181dc09",
-    "spider-sampled/paired/exp": "1c6105a2c5bad97e57f040bbc4730feb2d33f8d78d7b9f6e3b8ff0f12d1f46d3",
-    "spider-sampled/paired/retract": "00976c318c352d71140a809b2fc6bae76887b203adf82ceb0d5802a33d1eb887",
-    "spider-gd1/paired/exp": "44d9beeaa8b530bf9c92dc068665db4c35aa0807b32bb0d274f0cffdd53ee28e",
-    "spider-gd1/paired/retract": "b41e608df9c647cd02cf78e80ab178ea006e365e0152b6ec6e6585795444ae44",
+    "spider/paired/exp": "431535bce077735cf7197ab91fa87e670bae323fd4ac86e73fdccf25926f7204",
+    "spider/paired/retract": "f196033ac94b246811424b99ed55d527ba86400db6bc124a6b8c6a5928e64de0",
+    "spider-subsampled/paired/exp": "6a335b0dabb07b02937346a041d104eaaaa0c48c3018bf577cd4bd7c0e1e87ef",
+    "spider-subsampled/paired/retract": "316ef17a84ca98af628f707ebdd91efe3cf09fbdf97826f639aefc72c712d658",
+    "spider-sampled/paired/exp": "8a5f4574342087e77d94e67370a84eb9cdc556e96be87c9ff1ba959d0b365a5b",
+    "spider-sampled/paired/retract": "98ca8fadf7a8e2c4d4f0adef89424bdc95e24ddc59b1a8863423ee1f90db335d",
+    "spider-gd1/paired/exp": "bb7af15e00efc86d5f113b5feb86f6c0bb3264c11451f92a287c417e4722b027",
+    "spider-gd1/paired/retract": "806e838a9899934170cea5f0a3c61e10ec59e2eaa821181a78679760c0e51a5e",
     "spider-gd2/paired/exp": "4e15a08761fb1eb114736e94baf39eeffa7fdd3f1a67114633f28650b9a639b6",
     "spider-gd2/paired/retract": "9324d9860d50daae0c063367a94e32ed165c5b0a64432d173ffffb7896cb5c50",
     "rsvrg/paired/exp": "c52a793c9da2eb596ef3eeddef487000541cbc50346e127ce48f7b69fe06ec7e",
@@ -222,12 +222,12 @@ TRACE_GOLDEN = {
     "rsgd/paired/retract": "11ba6c040d824e52c54d73e73efe3bff3d11c0cc7437661355848fd26c74f682",
 }
 FROZEN_GOLDEN = {
-    "spider-eps0.05": "6d66e7c5677aa8d27f7e1d44fef3da4a547f60a84f32566affc550621b9573cd",
+    "spider-eps0.05": "651b5ec585333f893ac2910f4da60f06aba3e6c1979d44eb568c300df18e7004",
     "spider-eps0.04": "3cefc7e3547e0e42e5443a2888e444072d4646d319cebd97bc55168bd3173f7e",
     "spider-gd2": "ba87cc0f077197a776e5f72130059509c05fa302218e614b399568ef45d1c020",
 }
 PROBE_GOLDEN = {
-    "spider-eps0.05": "ef7940dd2763d33df5c3d4792cb9eda0fafb46d79e86034f7684fec507e44fe3",
+    "spider-eps0.05": "d86315c7c46421d4ea38cae9425cf1ccf94736c8373bc86126bfac02e3550568",
     "spider-eps0.04": "0ca782aa4d8f56b070d3a9650bfd43b87df2e0ece82cc6a3a5dbac0ed95cecdb",
     "spider-gd2": "3e4aa04cd4d8c6307f40a97b804554588d17494603b2d506f78ab5110d977a5f",
 }
