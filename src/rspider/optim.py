@@ -8,8 +8,10 @@ re-anchored every ``q`` steps; SVRG takes y = a snapshot and ref = the
 snapshot's full gradient. Two restart schemes give linear convergence on
 gradient-dominated objectives; both are stage schedules for one driver,
 :func:`_restarts`, around the recursive solver. Every solver, the SGD
-baseline included, keeps its sampling stream, oracle tallies, budget and
-checkpoint records on one :class:`_Run`.
+baseline included, keeps its index stream, oracle tallies, budget and
+checkpoint records on one :class:`_Run`, takes its samples from that stream
+through :func:`_batch` and evaluates them through :func:`_correct`; an SGD
+step is a one-sample anchor.
 
 The loops run on raw coordinate arrays through the manifold's raw operations
 (``_exp``, ``_retract``, ``_transport``, ``_dist``). Iterates are wrapped as
@@ -178,15 +180,14 @@ class FrozenState:
 
 
 class _Run:
-    """What every solver run shares: the checked start, the sampling stream
-    ``rng`` and the index blocks ``indices`` served from it, the IFO
-    ``tallies``, the budget ``max_ifo`` and one record per crossed checkpoint
-    boundary (free evaluations).
+    """What every solver run shares: the checked start, the sampled index
+    stream ``indices``, the IFO ``tallies``, the budget ``max_ifo`` and one
+    record per crossed checkpoint boundary (free evaluations).
 
-    ``seed`` feeds two streams: ``rng`` draws every sampled index, and
-    ``picks``, seeded from ``(seed, _PICK_TAG)``, draws the recursive
-    solver's reservoir pick, so picking an iterate leaves the indices as
-    they are.
+    ``seed`` feeds two streams: ``indices`` serves every sampled index from
+    ``default_rng(seed)``, and ``picks``, seeded from ``(seed, _PICK_TAG)``,
+    draws the recursive solver's reservoir pick, so picking an iterate
+    leaves the indices as they are.
 
     The counter when the run starts is its zero, so a run on an objective
     that has already been charged still reports, and is budgeted by, only its
@@ -199,8 +200,7 @@ class _Run:
         _check_positive("checkpoint interval", checkpoint_every)
         self.obj = obj
         self.seed = seed
-        self.rng = np.random.default_rng(seed)
-        self.indices = _Indices(self.rng, obj.n)
+        self.indices = _Indices(np.random.default_rng(seed), obj.n)
         self.picks = np.random.default_rng(np.random.SeedSequence([seed, _PICK_TAG]))
         self.tallies = {"anchor": 0, "correction": 0}
         self.max_ifo = max_ifo
@@ -261,13 +261,6 @@ _DRAW_BLOCK = 1024
 _PICK_TAG = 0x5A17  # distinguishes the reservoir-pick stream from the sampling stream
 
 
-def _draws(rng, n, count):
-    """``count`` uniform indices in [0, n), drawn ``_DRAW_BLOCK`` at a time:
-    the same indices and generator state as ``count`` scalar draws."""
-    for start in range(0, count, _DRAW_BLOCK):
-        yield from rng.integers(0, n, size=min(_DRAW_BLOCK, count - start)).tolist()
-
-
 class _Indices:
     """Uniform indices in [0, n) served from blocks drawn ``_DRAW_BLOCK`` at
     a time. Successive :meth:`take` calls return the indices that successive
@@ -309,11 +302,10 @@ def _correct(obj, grad, x, y, ref, k, *idx):
 
     ``x`` and ``y`` are points, ``ref`` tangent coordinates at ``y``; an
     anchor has no previous point (``y=None``) and is grad(x) alone.
-    ``grad(*idx, p)`` evaluates one sample at p: ``obj.full_rgrad`` with no
-    index, ``obj.minibatch_rgrad`` with an index multiset (or the batch
-    ``obj._prepare`` made of one) or ``obj.component_rgrad`` with one index.
-    Every evaluation is charged. Returns the estimate's coordinates at x
-    and their squared norm.
+    ``grad(*idx, p)`` evaluates one sample at p, as :func:`_batch` returns
+    it: ``obj.full_rgrad`` with no index, or ``obj.minibatch_rgrad`` with the
+    batch ``obj._prepare`` made of an index multiset. Every evaluation is
+    charged. Returns the estimate's coordinates at x and their squared norm.
     """
     g_x = grad(*idx, x)
     if y is None:
@@ -580,11 +572,12 @@ def rsgd(
     done = 0
     if T >= 1:
         run.after_step(0, x0, 0.0, 0)
-    for k, i in enumerate(_draws(run.rng, obj.n, T)):
+    for k in range(T):
         if run.exhausted():
             break
-        g = obj.component_rgrad(i, x)
-        x, step_len = _update(man, x, g.coords, g._sq, float(eta_fn(k)), map_mode, k)
+        grad, idx, _ = _batch(obj, run.indices, 1, None)
+        g, g_sq = _correct(obj, grad, x, None, None, k, *idx)
+        x, step_len = _update(man, x, g, g_sq, float(eta_fn(k)), map_mode, k)
         done = k + 1
         run.after_step(done, x, step_len, 1)
     run.final(done, x, step_len, 0 if done == 0 else 1)
@@ -633,10 +626,11 @@ def rsvrg(
         mu = obj.full_rgrad(x_snap).coords
         run.tallies["anchor"] += obj.n
         run.after_step(k_global, x, 0.0, obj.n)
-        for i in _draws(run.rng, obj.n, m):
+        for _i in range(m):
             if run.exhausted():
                 break
-            v, v_sq = _correct(obj, obj.component_rgrad, x, x_snap, mu, k_global, i)
+            grad, idx, _ = _batch(obj, run.indices, 1, None)
+            v, v_sq = _correct(obj, grad, x, x_snap, mu, k_global, *idx)
             run.tallies["correction"] += 2
             x, step_len = _update(man, x, v, v_sq, eta, map_mode, k_global)
             k_global += 1

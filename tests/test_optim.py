@@ -13,7 +13,6 @@ from rspider.optim import (
     GdConfig,
     OptimizerError,
     SpiderConfig,
-    _draws,
     _Indices,
     _Run,
     _spider_core,
@@ -582,34 +581,8 @@ def test_meta_ifo_is_the_runs_own_charge():
         assert outcomes[0] == outcomes[1], algo
 
 
-def test_rsvrg_epoch_draw_matches_scalar_draws():
-    # rsvrg draws an epoch's m indices at once; numpy must give the same
-    # indices and leave the generator where m scalar draws would
-    for n in (200, 2000, 20000):
-        for m in (1, 7, n):
-            scalar, batch = np.random.default_rng(n + m), np.random.default_rng(n + m)
-            one_by_one = [int(scalar.integers(0, n)) for _ in range(m)]
-            assert batch.integers(0, n, size=m).tolist() == one_by_one
-            assert batch.bit_generator.state == scalar.bit_generator.state
-            assert batch.random() == scalar.random()
-
-
-def test_index_blocks_match_scalar_draws():
-    # rsgd and rsvrg draw their indices a block at a time; any count, on or
-    # off the block size, gives the indices and generator state of one
-    # scalar draw per step
-    B = _DRAW_BLOCK
-    for n in (7, 200):
-        for count in (1, B - 1, B, B + 1, 2 * B + 5):
-            scalar, block = np.random.default_rng(n + count), np.random.default_rng(n + count)
-            one_by_one = [int(scalar.integers(0, n)) for _ in range(count)]
-            assert list(_draws(block, n, count)) == one_by_one
-            assert block.bit_generator.state == scalar.bit_generator.state
-            assert block.random() == scalar.random()
-
-
 def test_index_helper_matches_sized_draws():
-    # spider and the variance probe take their batches from pre-drawn
+    # every solver and the variance probe take their indices from pre-drawn
     # blocks; any sequence of sizes, across block boundaries and longer than
     # a block, gives the indices of one sized draw per request
     B = _DRAW_BLOCK
@@ -622,6 +595,12 @@ def test_index_helper_matches_sized_draws():
             for size in sizes:
                 got = indices.take(size)
                 assert got.tolist() == sized.integers(0, n, size=size).tolist()
+        # rsgd and rsvrg take one index per step: a run of take(1) across two
+        # block boundaries is the stream of one scalar draw per step
+        scalar, block = np.random.default_rng(n + 1), np.random.default_rng(n + 1)
+        indices = _Indices(block, n)
+        for _ in range(2 * B + 5):
+            assert indices.take(1).tolist() == [int(scalar.integers(0, n))]
 
 
 def chordal_mean_problem(d=4, n=30, seed=0):
