@@ -8,10 +8,11 @@ re-anchored every ``q`` steps; SVRG takes y = a snapshot and ref = the
 snapshot's full gradient. Two restart schemes give linear convergence on
 gradient-dominated objectives; both are stage schedules for one driver,
 :func:`_restarts`, around the recursive solver. Every solver, the SGD
-baseline included, keeps its index stream, oracle tallies, budget and
-checkpoint records on one :class:`_Run`, takes its samples from that stream
-through :func:`_batch` and evaluates them through :func:`_correct`; an SGD
-step is a one-sample anchor.
+baseline included, runs on one :class:`_Run`, which keeps its index stream,
+oracle tallies, step count, budget and checkpoint records and takes every
+step (:meth:`_Run.step`: sample, estimate, tally, move, record); an SGD
+step is a one-sample anchor, and SVRG's snapshot gradient is a full-pass
+anchor without the move (:meth:`_Run.estimate`).
 
 The loops run on raw coordinate arrays through the manifold's raw operations
 (``_exp``, ``_retract``, ``_transport``, ``_dist``). Iterates are wrapped as
@@ -180,9 +181,12 @@ class FrozenState:
 
 
 class _Run:
-    """What every solver run shares: the checked start, the sampled index
-    stream ``indices``, the IFO ``tallies``, the budget ``max_ifo`` and one
-    record per crossed checkpoint boundary (free evaluations).
+    """What every solver run shares: the checked start, the map mode of its
+    steps, the sampled index stream ``indices``, the IFO ``tallies``, the
+    budget ``max_ifo``, the count of steps taken ``steps`` and one record per
+    crossed checkpoint boundary (free evaluations). Every solver step is
+    :meth:`step`; records, :class:`FrozenState` and error messages take
+    their iteration number from ``steps``.
 
     ``seed`` feeds two streams: ``indices`` serves every sampled index from
     ``default_rng(seed)``, and ``picks``, seeded from ``(seed, _PICK_TAG)``,
@@ -194,12 +198,13 @@ class _Run:
     own calls (:meth:`spent`).
     """
 
-    def __init__(self, obj, x0, seed, checkpoint_every, max_ifo):
+    def __init__(self, obj, x0, seed, checkpoint_every, max_ifo, map_mode):
         if x0.manifold != obj.manifold:
             raise ValueError("x0 does not live on the objective's manifold")
         _check_positive("checkpoint interval", checkpoint_every)
         self.obj = obj
         self.seed = seed
+        self.map_mode = map_mode
         self.indices = _Indices(np.random.default_rng(seed), obj.n)
         self.picks = np.random.default_rng(np.random.SeedSequence([seed, _PICK_TAG]))
         self.tallies = {"anchor": 0, "correction": 0}
@@ -207,6 +212,8 @@ class _Run:
         self.calls0 = obj.counter.calls
         self.every = float(checkpoint_every)
         self.records: list[TraceRecord] = []
+        self.steps = 0
+        self._last = (0.0, 0)  # (length, batch) of the latest step
         self._next_idx = 0
 
     def spent(self) -> int:
@@ -217,44 +224,64 @@ class _Run:
         """Whether the run has spent its budget (never, without one)."""
         return self.max_ifo is not None and self.spent() >= self.max_ifo
 
-    def _snap(self, k, x, step_dist, batch, boundary):
+    def estimate(self, x, y, ref, size, cap):
+        """The tallied estimate g(x) - transport(y -> x, g(y) - ref) on the
+        next ``size``-sample batch (:func:`_batch` with ``cap``, then
+        :func:`_correct`; ``y=None`` is an anchor). Returns its coordinates
+        at x, their squared norm and the samples charged per evaluation."""
+        grad, idx, batch = _batch(self.obj, self.indices, size, cap)
+        v, v_sq = _correct(self.obj, grad, x, y, ref, self.steps, *idx)
+        if y is None:
+            self.tallies["anchor"] += batch
+        else:
+            self.tallies["correction"] += 2 * batch
+        return v, v_sq, batch
+
+    def step(self, x, y, ref, size, cap, eta):
+        """One solver step: the :meth:`estimate` v, then a move from the
+        point ``x`` along ``-eta v`` by the run's map mode, counted in
+        ``steps`` and recorded. Returns the new point, the geodesic step
+        length and v."""
+        v, v_sq, batch = self.estimate(x, y, ref, size, cap)
+        man, s = self.obj.manifold, -eta
+        step = v * s
+        try:
+            if self.map_mode == "exp":
+                x_next = man._exp(x.coords, step, v_sq * (s * s))
+                step_len = eta * math.sqrt(v_sq)
+            else:
+                x_next = man._retract(x.coords, step)
+                step_len = man._dist(x.coords, x_next)
+        except GeometryError as e:
+            raise OptimizerError(f"degenerate step at iteration {self.steps}: {e}") from e
+        x_next = ManifoldPoint._raw(man, x_next)
+        self.steps += 1
+        self._last = (step_len, batch)
+        self.after_step(x_next, step_len, batch)
+        return x_next, step_len, v
+
+    def _snap(self, x, step_dist, batch, boundary):
         calls = self.spent()
         f, g_sq = self.obj._probe(x)
-        self.records.append(TraceRecord(k, calls / self.obj.n, calls, f, g_sq, step_dist,
-                                        batch, boundary))
+        self.records.append(TraceRecord(self.steps, calls / self.obj.n, calls, f, g_sq,
+                                        step_dist, batch, boundary))
 
-    def after_step(self, k, x, step_dist, batch):
+    def after_step(self, x, step_dist, batch):
         epoch = self.spent() / self.obj.n
         while epoch >= self._next_idx * self.every - 1e-12:
-            self._snap(k, x, step_dist, batch, self._next_idx * self.every)
+            self._snap(x, step_dist, batch, self._next_idx * self.every)
             self._next_idx += 1
 
-    def final(self, k, x, step_dist, batch):
-        self._snap(k, x, step_dist, batch, None)
+    def final(self, x, picked=False):
+        """The end record at ``x``: the latest step's length and batch, or 0.0
+        and 0 for a uniform pick (``picked``), which no single step ends at."""
+        self._snap(x, *((0.0, 0) if picked else self._last), None)
 
     def trace(self, algo, config, **extra) -> RunTrace:
         """The records and the run's meta, ``extra`` after the common keys."""
         meta = {"algo": algo, "config": config, "seed": self.seed, "n": self.obj.n,
                 "checkpoint_every": self.every, "ifo": self.spent(), **extra}
         return RunTrace(records=self.records, meta=meta)
-
-
-def _update(man, x, v, v_sq, eta, map_mode, k):
-    """One descent step from the point ``x`` along ``-eta v`` (``v`` tangent
-    coordinates, ``v_sq = v @ v``); returns the new point and the geodesic
-    step length."""
-    s = -eta
-    step = v * s
-    try:
-        if map_mode == "exp":
-            x_next = man._exp(x.coords, step, v_sq * (s * s))
-            step_len = eta * math.sqrt(v_sq)
-        else:
-            x_next = man._retract(x.coords, step)
-            step_len = man._dist(x.coords, x_next)
-    except GeometryError as e:
-        raise OptimizerError(f"degenerate step at iteration {k}: {e}") from e
-    return ManifoldPoint._raw(man, x_next), step_len
 
 
 _DRAW_BLOCK = 1024
@@ -323,29 +350,26 @@ def _correct(obj, grad, x, y, ref, k, *idx):
     return v, v_sq
 
 
-def _spider_core(run, x0, cfg: SpiderConfig, budget, *, on_correction=None, k_offset=0,
-                 pick=True):
-    """Run up to ``cfg.T`` steps of the recursive estimator from ``x0``.
+def _spider_core(run, x0, cfg: SpiderConfig, budget, *, on_correction=None, pick=True):
+    """Run up to ``cfg.T`` steps of the recursive estimator from ``x0`` on
+    ``run``, which counts, tallies and records them and moves by its own map
+    mode.
 
     Every ``q``-th step re-anchors the surrogate ``v`` on ``S1`` samples;
     the others correct it with ceil(min(n, q L^2 step^2 / budget)) samples.
-    Charged calls and iterates go to ``run``. Returns the point handed on (a
-    uniform pick over the produced iterates with ``pick``, else the last
-    iterate), the steps done, and the step length and batch size of that
-    point's record (0.0 and 0 for a pick: no single step ends there). The
-    batches come from ``run.indices`` and the pick from ``run.picks``, so
-    ``pick`` does not change the iterates.
+    Returns the point handed on: a uniform pick over the produced iterates
+    with ``pick``, else the last iterate. The batches come from
+    ``run.indices`` and the pick from ``run.picks``, so ``pick`` does not
+    change the iterates.
     """
-    obj, tallies = run.obj, run.tallies
+    obj = run.obj
     if cfg.n is not None and cfg.n != obj.n:
         raise ValueError(f"config n={cfg.n} does not match the objective's n={obj.n}")
-    man = obj.manifold
     sample_only = cfg.n is None
     cap = None if sample_only else obj.n
     x = x_out = x0
     x_prev = v = None
     step_len = 0.0
-    batch = done = 0
     for k in range(cfg.T):
         if run.exhausted():
             break
@@ -354,25 +378,15 @@ def _spider_core(run, x0, cfg: SpiderConfig, budget, *, on_correction=None, k_of
             if on_correction is not None:
                 frozen_v = TangentVector._raw(x_prev, v)
                 on_correction(
-                    FrozenState(k_offset + k, x_prev, x, frozen_v, size, cfg.eps, sample_only)
+                    FrozenState(run.steps, x_prev, x, frozen_v, size, cfg.eps, sample_only)
                 )
         else:
             y, size = None, cfg.S1  # an anchor: no previous point
-        grad, idx, batch = _batch(obj, run.indices, size, cap)
-        v, v_sq = _correct(obj, grad, x, y, v, k_offset + k, *idx)
-        if y is None:
-            tallies["anchor"] += batch
-        else:
-            tallies["correction"] += 2 * batch
-
-        x_next, step_len = _update(man, x, v, v_sq, cfg.eta, cfg.map_mode, k_offset + k)
+        x_next, step_len, v = run.step(x, y, v, size, cap, cfg.eta)
         if pick and run.picks.random() * (k + 1) < 1.0:
             x_out = x_next  # reservoir pick: uniform over produced iterates
-        x_prev = x
-        x = x_next
-        done = k + 1
-        run.after_step(k_offset + done, x, step_len, batch)
-    return (x_out, done, 0.0, 0) if pick else (x, done, step_len, batch)
+        x_prev, x = x, x_next
+    return x_out if pick else x
 
 
 def spider_nonconvex(
@@ -398,15 +412,13 @@ def spider_nonconvex(
     ``on_correction``, when given, receives a :class:`FrozenState` right
     before each correction step is sampled.
     """
-    run = _Run(obj, x0, cfg.seed, checkpoint_every, max_ifo)
+    run = _Run(obj, x0, cfg.seed, checkpoint_every, max_ifo, cfg.map_mode)
     if cfg.T >= 1:
-        run.after_step(0, x0, 0.0, 0)
-    x_rand, steps, step_len, batch = _spider_core(
-        run, x0, cfg, 2.0 * cfg.eps**2, on_correction=on_correction
-    )
-    if cfg.T >= 1:
-        run.final(steps, x_rand, step_len, batch)
-    return x_rand, run.trace("spider", asdict(cfg), steps=steps, ifo_breakdown=run.tallies)
+        run.after_step(x0, 0.0, 0)
+    x_rand = _spider_core(run, x0, cfg, 2.0 * cfg.eps**2, on_correction=on_correction)
+    run.final(x_rand, picked=True)
+    return x_rand, run.trace("spider", asdict(cfg), steps=run.steps,
+                             ifo_breakdown=run.tallies)
 
 
 def params_stochastic(sigma_sq, eps, M, L, **kwargs) -> SpiderConfig:
@@ -457,28 +469,25 @@ def _restarts(run, x0, cfg: GdConfig, q, stage, *, pick, on_correction=None):
     ``stage(t)`` gives stage t's (eps, T, variance budget); every stage
     anchors on the full gradient, steps with 1/(2L) and starts from the
     previous stage's output: its uniform pick with ``pick``, else its last
-    iterate. Returns the last stage's output and the stage table.
+    iterate. The stages share ``run``, so its step count runs on across
+    them. Returns the last stage's output and the stage table.
     """
     n = run.obj.n
-    x, done, step_len, batch, stages = x0, 0, 0.0, 0, []
+    x, stages = x0, []
     if cfg.K >= 1:
-        run.after_step(0, x0, 0.0, 0)
+        run.after_step(x0, 0.0, 0)
     for t in range(1, cfg.K + 1):
         if run.exhausted():
             break
         eps, T, budget = stage(t)
-        inner = SpiderConfig(
-            L=cfg.L, eps=eps, q=q, S1=n, T=T, n=n, map_mode=cfg.map_mode, seed=cfg.seed,
-        )
-        x, steps, step_len, batch = _spider_core(
-            run, x, inner, budget, on_correction=on_correction, k_offset=done, pick=pick,
-        )
-        done += steps
+        inner = SpiderConfig(L=cfg.L, eps=eps, q=q, S1=n, T=T, n=n)
+        start = run.steps
+        x = _spider_core(run, x, inner, budget, on_correction=on_correction, pick=pick)
         stages.append(
-            {"stage": t, "eps": eps, "eta": inner.eta, "T": T, "steps": steps,
+            {"stage": t, "eps": eps, "eta": inner.eta, "T": T, "steps": run.steps - start,
              "ifo_end": run.spent()}
         )
-    run.final(done, x, step_len, batch)
+    run.final(x, picked=pick)
     return x, stages
 
 
@@ -497,7 +506,7 @@ def spider_gd1(
     T_t = ceil(4 M_t L / eps_t^2) inner iterations. The trace concatenates
     stage traces; stage boundaries are recorded in ``meta["stages"]``.
     """
-    run = _Run(obj, x0, cfg.seed, checkpoint_every, max_ifo)
+    run = _Run(obj, x0, cfg.seed, checkpoint_every, max_ifo, cfg.map_mode)
 
     def stage(t):
         eps = math.sqrt(cfg.M0 / (2.0**t * 10.0 * cfg.tau))
@@ -528,7 +537,7 @@ def spider_gd2(
     the stage table in ``meta["stages"]`` lists eps_t = sqrt(delta_t).
     Returns the final iterate.
     """
-    run = _Run(obj, x0, cfg.seed, checkpoint_every, max_ifo)
+    run = _Run(obj, x0, cfg.seed, checkpoint_every, max_ifo, cfg.map_mode)
     q = max(1, _ceil_tol(4.0 * cfg.L * cfg.tau * math.log(4.0)))
     delta0 = cfg.M0 / (4.0 * cfg.tau)
 
@@ -564,25 +573,18 @@ def rsgd(
         _check_positive("step size", eta)
     if T < 0:
         raise ValueError("need T >= 0")
-    run = _Run(obj, x0, seed, checkpoint_every, max_ifo)
+    run = _Run(obj, x0, seed, checkpoint_every, max_ifo, map_mode)
     eta_fn = eta if callable(eta) else (lambda k: eta)
-    man = obj.manifold
     x = x0
-    step_len = 0.0
-    done = 0
     if T >= 1:
-        run.after_step(0, x0, 0.0, 0)
+        run.after_step(x0, 0.0, 0)
     for k in range(T):
         if run.exhausted():
             break
-        grad, idx, _ = _batch(obj, run.indices, 1, None)
-        g, g_sq = _correct(obj, grad, x, None, None, k, *idx)
-        x, step_len = _update(man, x, g, g_sq, float(eta_fn(k)), map_mode, k)
-        done = k + 1
-        run.after_step(done, x, step_len, 1)
-    run.final(done, x, step_len, 0 if done == 0 else 1)
+        x, _, _ = run.step(x, None, None, 1, None, float(eta_fn(k)))
+    run.final(x)
     config = {"eta": eta if not callable(eta) else repr(eta), "T": T}
-    return x, run.trace("rsgd", config, map_mode=map_mode)
+    return x, run.trace("rsgd", config, map_mode=map_mode, ifo_breakdown=run.tallies)
 
 
 def rsvrg(
@@ -612,29 +614,20 @@ def rsvrg(
     m = obj.n if inner_len is None else int(inner_len)
     if m < 1:
         raise ValueError("inner loop length must be >= 1")
-    run = _Run(obj, x0, seed, checkpoint_every, max_ifo)
-    man = obj.manifold
+    run = _Run(obj, x0, seed, checkpoint_every, max_ifo, map_mode)
     x = x0
-    step_len = 0.0
-    k_global = 0
     if epochs >= 1:
-        run.after_step(0, x0, 0.0, 0)
+        run.after_step(x0, 0.0, 0)
     for _s in range(epochs):
         if run.exhausted():
             break
         x_snap = x
-        mu = obj.full_rgrad(x_snap).coords
-        run.tallies["anchor"] += obj.n
-        run.after_step(k_global, x, 0.0, obj.n)
+        mu, _, batch = run.estimate(x_snap, None, None, obj.n, obj.n)
+        run.after_step(x, 0.0, batch)
         for _i in range(m):
             if run.exhausted():
                 break
-            grad, idx, _ = _batch(obj, run.indices, 1, None)
-            v, v_sq = _correct(obj, grad, x, x_snap, mu, k_global, *idx)
-            run.tallies["correction"] += 2
-            x, step_len = _update(man, x, v, v_sq, eta, map_mode, k_global)
-            k_global += 1
-            run.after_step(k_global, x, step_len, 1)
-    run.final(k_global, x, step_len, 1 if k_global else 0)
+            x, _, _ = run.step(x, x_snap, mu, 1, None, eta)
+    run.final(x)
     config = {"eta": eta, "epochs": epochs, "inner_len": m, "map_mode": map_mode}
     return x, run.trace("rsvrg", config, ifo_breakdown=run.tallies)

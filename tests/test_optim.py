@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import rspider as r
-from rspider.geometry import Euclidean, Sphere
+from rspider.geometry import Euclidean, ManifoldPoint, Sphere, TangentVector
 from rspider.oracle import ComponentObjective, FiniteSumObjective
 from rspider.optim import (
     _DRAW_BLOCK,
@@ -130,8 +130,11 @@ class TestSpiderNonconvex:
         cfg = SpiderConfig(L=2.0, eps=0.1, q=1, S1=2, T=0, n=2)
         x, trace = spider_nonconvex(P, x0, cfg)
         assert x is x0
-        assert trace.records == []
-        assert P.counter.calls == 0
+        # no step runs, so the run is its final record alone, at x0
+        assert len(trace.records) == 1
+        rec = trace.records[0]
+        assert (rec.k, rec.ifo, rec.boundary, rec.step_dist, rec.batch) == (0, 0, None, 0.0, 0)
+        assert P.counter.calls == 0 == trace.meta["ifo"]
 
     def test_reduces_to_gradient_descent_when_single_component(self):
         Z = np.array([[1.4], [0.3], [-0.2]])
@@ -140,8 +143,8 @@ class TestSpiderNonconvex:
         x_sgd, _ = rsgd(P, x0, eta=0.1, T=15, seed=0)
         P.counter.reset()
         cfg = SpiderConfig(L=5.0, eps=0.1, q=1, S1=1, T=15, eta=0.1, n=1, seed=0)
-        x_last, *_ = _spider_core(_Run(P, x0, 0, 1.0, None), x0, cfg, 2.0 * cfg.eps**2,
-                                  pick=False)
+        x_last = _spider_core(_Run(P, x0, 0, 1.0, None, cfg.map_mode), x0, cfg,
+                              2.0 * cfg.eps**2, pick=False)
         assert np.array_equal(x_sgd.coords, x_last.coords)
 
     def test_reservoir_pick_leaves_the_iterates(self):
@@ -152,9 +155,9 @@ class TestSpiderNonconvex:
         cfg = params_finite(P.n, 0.1, 1.0, P.L_hint, seed=5)
         runs = []
         for pick in (True, False):
-            run = _Run(P, x0, cfg.seed, 0.25, 8 * P.n)
-            _x, steps, *_ = _spider_core(run, x0, cfg, 2.0 * cfg.eps**2, pick=pick)
-            runs.append((steps, run.records, dict(run.tallies)))
+            run = _Run(P, x0, cfg.seed, 0.25, 8 * P.n, cfg.map_mode)
+            _spider_core(run, x0, cfg, 2.0 * cfg.eps**2, pick=pick)
+            runs.append((run.steps, run.records, dict(run.tallies)))
         assert runs[0] == runs[1]
         assert 0 < runs[0][2]["correction"] < runs[0][0] * 2 * P.n  # drawn batches
 
@@ -533,6 +536,8 @@ def test_ifo_tally_property(seed, map_mode, q, eps):
         lambda: spider_gd2(P, x0, gd, max_ifo=8 * n, checkpoint_every=0.5),
         lambda: rsvrg(P, x0, eta=0.01, epochs=3, inner_len=5 * q, seed=seed,
                       map_mode=map_mode, checkpoint_every=0.5),
+        lambda: rsgd(P, x0, eta=0.01, T=10 * q, seed=seed, map_mode=map_mode,
+                     checkpoint_every=0.5),
     ]
     for run in runs:
         P.counter.reset()
@@ -572,9 +577,8 @@ def test_meta_ifo_is_the_runs_own_charge():
             assert 3 * n <= charged < 6 * n, algo  # the budget binds, from zero
             assert trace.records[0].ifo == 0 and trace.records[0].epoch == 0.0, algo
             assert trace.records[-1].ifo == charged == trace.meta["ifo"], algo
-            if algo != "rsgd":
-                tallies = trace.meta["ifo_breakdown"]
-                assert charged == tallies["anchor"] + tallies["correction"], algo
+            tallies = trace.meta["ifo_breakdown"]
+            assert charged == tallies["anchor"] + tallies["correction"], algo
             stages = trace.meta.get("stages", [])
             assert all(s["ifo_end"] <= charged for s in stages), algo
             outcomes.append((x.coords.tobytes(), trace.records, stages))
@@ -635,9 +639,9 @@ def test_solvers_run_off_the_pca_path(monkeypatch, make, algo):
     record = _Run.after_step
     last = []  # the iterate of the latest step, whatever the solver returns
 
-    def after_step(run, k, x, *rest):
+    def after_step(run, x, *rest):
         last[:] = [x]
-        record(run, k, x, *rest)
+        record(run, x, *rest)
 
     monkeypatch.setattr(_Run, "after_step", after_step)
     P = make()
@@ -658,9 +662,8 @@ def test_solvers_run_off_the_pca_path(monkeypatch, make, algo):
     else:
         x, trace = rsgd(P, x0, 0.1 / L, T=10 * n, seed=2, **kw)
     assert trace.meta["ifo"] == P.counter.calls > 0
-    if algo != "rsgd":
-        tallies = trace.meta["ifo_breakdown"]
-        assert tallies["anchor"] + tallies["correction"] == trace.meta["ifo"]
+    tallies = trace.meta["ifo_breakdown"]
+    assert tallies["anchor"] + tallies["correction"] == trace.meta["ifo"]
     norm = math.sqrt(float(x.coords @ x.coords))
     if isinstance(P.manifold, Sphere):
         assert norm == pytest.approx(1.0, abs=1e-9)
@@ -678,6 +681,45 @@ def test_solvers_run_off_the_pca_path(monkeypatch, make, algo):
             assert trace.records[-1].f < f0 and norm != pytest.approx(1.0)
         else:
             assert trace.records[-1].f < 0.5 * f0 and norm > 2.0
+
+
+_EDGE_PROBLEM = desk_problem(d=20, n=200, delta=0.5, seed=0)
+
+
+@pytest.mark.parametrize("map_mode", ["exp", "retract"])
+@pytest.mark.parametrize("algo", ["spider", "spider-gd1", "spider-gd2", "rsvrg", "rsgd"])
+def test_runs_construct_no_checked_values(monkeypatch, algo, map_mode):
+    # checked points and tangents exist only at the edges: x0 is checked
+    # before the run, and what a run builds (iterates, oracle arguments,
+    # records, FrozenState, the returned point) is a trusted wrap
+    P = _EDGE_PROBLEM
+    n, L = P.n, P.L_hint
+    x0 = P.manifold.random_point(np.random.default_rng(3))
+    checked = {ManifoldPoint: 0, TangentVector: 0}
+    for cls in checked:
+        def counted(self, *args, cls=cls, init=cls.__init__):
+            checked[cls] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    states = []
+    kw = dict(max_ifo=4 * n, checkpoint_every=0.5)
+    gd = GdConfig(M0=0.1, tau=4.0 / (4.0 * L * math.log(4.0)), L=L, K=3,
+                  map_mode=map_mode, seed=1)
+    if algo == "spider":
+        cfg = params_finite(n, 0.1, 1.0, L, map_mode=map_mode, seed=1)
+        spider_nonconvex(P, x0, cfg, on_correction=states.append, **kw)
+    elif algo == "spider-gd1":
+        spider_gd1(P, x0, gd, **kw)
+    elif algo == "spider-gd2":
+        spider_gd2(P, x0, gd, on_correction=states.append, **kw)
+    elif algo == "rsvrg":
+        rsvrg(P, x0, eta=0.01, epochs=3, seed=1, map_mode=map_mode, **kw)
+    else:
+        rsgd(P, x0, 0.01, T=2 * n, seed=1, map_mode=map_mode, **kw)
+    assert P.counter.calls > 0
+    assert bool(states) == (algo in ("spider", "spider-gd2"))
+    assert checked == {ManifoldPoint: 0, TangentVector: 0}
 
 
 class TestDegenerateSteps:
