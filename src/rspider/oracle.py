@@ -1,8 +1,10 @@
 """Objective layer: finite sums with exact gradient-oracle accounting.
 
+Every objective is f = (1/n) sum_i f_i over the n rows of one array plus
+two kernels over a block of rows (mean value, mean tangent gradient).
 Provides the sphere-constrained quadratic used for leading-eigenvector
-computation, seeded synthetic instances with a controlled eigengap, and a
-generic component-based objective for custom finite sums.
+computation (rows z_i), seeded synthetic instances with a controlled
+eigengap, and a generic objective of per-component callables (rows i).
 
 Accounting convention: every sampled component gradient charges one call
 per evaluation point. Plain objective values are free, so tracing and
@@ -67,35 +69,40 @@ class IfoCounter:
 
 
 class _Batch:
-    """A minibatch a solver drew itself, prepared once for both its evaluations.
+    """The rows of a minibatch a solver drew in range itself, gathered once for
+    both its evaluations; ``minibatch_rgrad`` skips its index checks."""
 
-    Its indices were drawn in range, so ``minibatch_rgrad`` skips its index
-    checks; ``rows`` holds the components a :class:`PcaProblem` gathered for it.
-    """
+    __slots__ = ("rows",)
 
-    __slots__ = ("idx", "rows")
-
-    def __init__(self, idx: np.ndarray, rows: np.ndarray):
-        self.idx = idx
+    def __init__(self, rows: np.ndarray):
         self.rows = rows
 
     def __len__(self):  # the batch size perfbench/tracing.py reads with len()
-        return self.idx.size
+        return self.rows.shape[0]
 
 
 class FiniteSumObjective(ABC):
-    """Objective f(x) = (1/n) sum_i f_i(x) with Riemannian gradient access.
+    """Objective f(x) = (1/n) sum_i f_i(x) over the n rows of one array.
 
-    Subclasses provide per-component values and one gradient kernel,
-    ``_rgrad``. The three gradient entry points validate their indices and
-    charge ``counter`` through one path; value calls are free.
+    Row i of ``_rows``, a C-contiguous n x p array, holds what f_i reads. A
+    subclass supplies ``L_hint`` and two uncounted kernels over a block of
+    rows: ``_value(rows, x)``, the mean component value, and
+    ``_grad(rows, x)``, the mean tangent gradient as a raw array. The base
+    checks raw indices, gathers their rows (``_prepare``) and charges
+    ``counter`` through one path, one call per row; value calls are free.
     """
 
-    def __init__(self, manifold: Manifold, n: int):
-        if int(n) < 1:
-            raise ValueError("need at least one component")
+    def __init__(self, manifold: Manifold, rows):
+        # rows: the n x p component array, or a count n, whose rows are then
+        # the component indices 0..n-1
+        if np.ndim(rows) == 0:
+            rows = np.arange(int(rows)).reshape(-1, 1)
+        rows = np.ascontiguousarray(rows)  # no copy when already C-ordered
+        if rows.ndim != 2 or rows.shape[0] < 1:
+            raise ValueError("need at least one component, as an n x p array of rows")
         self.manifold = manifold
-        self.n = int(n)
+        self.n = rows.shape[0]
+        self._rows = rows
         self.counter = IfoCounter()
 
     @property
@@ -104,66 +111,70 @@ class FiniteSumObjective(ABC):
         """Estimated geodesic smoothness constant for the components."""
 
     @abstractmethod
-    def component_value(self, i: int, x: ManifoldPoint) -> float: ...
+    def _value(self, rows: np.ndarray, x: ManifoldPoint) -> float:
+        """Mean value at x of the components in ``rows``."""
 
     @abstractmethod
-    def _rgrad(self, idx, x: ManifoldPoint) -> np.ndarray:
-        """Mean tangent gradient over components ``idx`` at x, as a raw array.
-
-        ``idx=None`` means all n components in order. Uncounted.
-        """
+    def _grad(self, rows: np.ndarray, x: ManifoldPoint) -> np.ndarray:
+        """Mean tangent gradient at x of the components in ``rows``, raw."""
 
     def value(self, x: ManifoldPoint) -> float:
-        return sum(self.component_value(i, x) for i in range(self.n)) / self.n
+        return self._value(self._rows, x)
+
+    def component_value(self, i: int, x: ManifoldPoint) -> float:
+        return self._value(self._prepare(self._checked([i])).rows, x)
 
     def component_rgrad(self, i: int, x: ManifoldPoint) -> TangentVector:
-        self._check_index(i)
-        return self._charged([int(i)], 1, x)
+        return self._charged(self._prepare(self._checked([i])).rows, x)
 
     def minibatch_rgrad(self, idx, x: ManifoldPoint) -> TangentVector:
-        """Mean gradient over an index multiset (uniform-with-replacement draws)."""
-        if isinstance(idx, _Batch):
-            return self._charged(idx, idx.idx.size, x)
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.size == 0:
-            raise ValueError("empty minibatch")
-        if idx.min() < 0 or idx.max() >= self.n:
-            raise IndexError("component index out of range")
-        return self._charged(idx, idx.size, x)
+        """Mean gradient over an index multiset (uniform-with-replacement draws).
+
+        ``idx`` is an integer array, checked here, or a batch a solver
+        prepared from indices it drew in range (:meth:`_prepare`).
+        """
+        if not isinstance(idx, _Batch):
+            idx = self._prepare(self._checked(idx))
+        return self._charged(idx.rows, x)
 
     def full_rgrad(self, x: ManifoldPoint) -> TangentVector:
         """Exact mean gradient; charges n calls."""
-        return self._charged(None, self.n, x)
+        return self._charged(self._rows, x)
 
-    def _charged(self, idx, calls: int, x: ManifoldPoint) -> TangentVector:
+    def _charged(self, rows: np.ndarray, x: ManifoldPoint) -> TangentVector:
         # the one metered path: every charged gradient is evaluated here
-        g = self._rgrad(idx, x)
-        self.counter.add(calls)
+        g = self._grad(rows, x)
+        self.counter.add(rows.shape[0])
         return TangentVector._raw(x, g)
 
-    def _prepare(self, idx: np.ndarray):
-        """What a solver hands ``minibatch_rgrad`` for indices it drew in range.
-
-        The plain index array here (checked on every call); objectives that
-        gather per batch return a :class:`_Batch` their ``_rgrad`` reads.
-        """
-        return idx
+    def _prepare(self, idx: np.ndarray) -> _Batch:
+        """The batch of indices a solver drew in range, for ``minibatch_rgrad``."""
+        return _Batch(self._rows.take(idx, axis=0))
 
     def _probe(self, x: ManifoldPoint) -> tuple[float, float]:
-        """f(x) and |grad f(x)|^2, uncharged: the tracer's checkpoint values."""
-        with self.counter.paused():
-            return self.value(x), self.full_rgrad(x)._sq
+        """f(x) and |grad f(x)|^2, uncharged: the tracer's checkpoint values.
+        The one optional speed hook: override it where one pass gives both."""
+        return self.value(x), TangentVector._raw(x, self._grad(self._rows, x))._sq
 
-    def _check_index(self, i: int):
-        if not 0 <= int(i) < self.n:
-            raise IndexError(f"component index {i} out of range [0, {self.n})")
+    def _checked(self, idx) -> np.ndarray:
+        """Raw component indices as an index array: integers in [0, n)."""
+        idx = np.asarray(idx)
+        if idx.size == 0:
+            raise ValueError("empty minibatch")
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":  # no truncated floats, no masks
+            raise IndexError(
+                f"component indices must be a 1-d integer array, not {idx.ndim}-d {idx.dtype}")
+        if idx.min() < 0 or idx.max() >= self.n:
+            raise IndexError(f"component index out of range [0, {self.n})")
+        return idx.astype(np.intp, copy=False)
 
 
 class ComponentObjective(FiniteSumObjective):
     """Finite sum assembled from per-component callables.
 
     ``values[i]`` and ``grads[i]`` take an ambient coordinate array; the
-    gradient may be ambient (it is projected on evaluation).
+    gradient may be ambient (it is projected on evaluation). Its rows are
+    the component indices.
     """
 
     def __init__(self, manifold, values, grads, L_hint=None):
@@ -180,17 +191,15 @@ class ComponentObjective(FiniteSumObjective):
             raise ValueError("no smoothness hint was provided for this objective")
         return self._L_hint
 
-    def component_value(self, i, x):
-        self._check_index(i)
-        return float(self._values[i](x.coords))
+    def _value(self, rows, x):
+        return sum(float(self._values[i](x.coords)) for i in rows[:, 0]) / rows.shape[0]
 
-    def _rgrad(self, idx, x):
+    def _grad(self, rows, x):
         # project each component, average, then project the mean
-        idx = range(self.n) if idx is None else idx
         acc = np.zeros(self.manifold.d)
-        for i in idx:
+        for i in rows[:, 0]:
             acc += TangentVector(x, self._grads[i](x.coords)).coords
-        acc /= len(idx)
+        acc /= rows.shape[0]
         return self.manifold._project_tangent(x.coords, acc)
 
 
@@ -202,26 +211,28 @@ class PcaProblem(FiniteSumObjective):
     the leading eigenvector of A (up to sign). The charged oracle and
     :meth:`value` read the components; only uncharged spectral probes read A.
 
-    The components are stored as one C-contiguous n x d array whose row i is
-    z_i, so a minibatch gathers whole rows. :attr:`Z` is its d x n transpose
-    (a view); ``__init__`` accepts Z in either memory order.
+    The rows are the components: row i is z_i, so a minibatch gathers whole
+    rows. :attr:`Z` is their d x n transpose (a view); ``__init__`` accepts Z
+    in either memory order, and rejects components that are not finite.
     """
 
     def __init__(self, Z, spectrum=None, seed: int | None = None):
         Z = np.asarray(Z, dtype=np.float64)
         if Z.ndim != 2:
             raise ValueError("Z must be a d x n matrix")
-        d, n = Z.shape
-        super().__init__(Sphere(d), n)
-        self._rows = np.ascontiguousarray(Z.T)  # no copy when Z is F-ordered
+        super().__init__(Sphere(Z.shape[0]), Z.T)  # no copy when Z is F-ordered
         self.seed = seed
         self.spectrum = None if spectrum is None else np.asarray(spectrum, dtype=np.float64)
-        if self.spectrum is not None and self.spectrum.shape != (d,):
+        if self.spectrum is not None and self.spectrum.shape != (self.d,):
             raise ValueError("spectrum must list one eigenvalue per ambient dimension")
         row_sq = np.einsum("ij,ij->i", self._rows, self._rows)  # squared |z_i|
         # certified component smoothness: each -(z^T x)^2 is 4*|z|^2 smooth,
         # and the variance recursion needs the root-mean-square of those
         self._l_component = 4.0 * math.sqrt(float(np.mean(row_sq**2)))
+        if not math.isfinite(self._l_component):  # a nan or inf component
+            raise ValueError(
+                f"components must be finite: their smoothness bound is {self._l_component}"
+            )
         self._A = None  # the Gram matrix, formed by _gram() on first use
         self._eig = None  # its (lambda_1, u_1, u_2), decomposed by _top_eigs() on first use
 
@@ -243,24 +254,13 @@ class PcaProblem(FiniteSumObjective):
     def L_hint(self) -> float:
         return self._l_component
 
-    def value(self, x: ManifoldPoint) -> float:
-        w = self._rows.dot(x.coords)
-        return -float(w.dot(w)) / self.n
+    def _value(self, rows, x):
+        w = rows.dot(x.coords)
+        return -float(w.dot(w)) / rows.shape[0]
 
-    def component_value(self, i, x):
-        self._check_index(i)
-        w = float(self._rows[i].dot(x.coords))
-        return -w * w
-
-    def _rgrad(self, idx, x):
-        # full anchors read the rows in place; a gather keeps C order, so a
-        # batch covering 1..n reproduces the exact full-gradient arithmetic
-        if idx is None:
-            rows = self._rows
-        elif isinstance(idx, _Batch):
-            rows = idx.rows
-        else:
-            rows = self._rows.take(idx, axis=0)
+    def _grad(self, rows, x):
+        # a gather keeps C order, so a batch covering 1..n reproduces the
+        # exact full-gradient arithmetic
         x_arr = x.coords
         return self._kernel(rows, x_arr, rows.dot(x_arr))
 
@@ -271,9 +271,6 @@ class PcaProblem(FiniteSumObjective):
         g *= -2.0 / rows.shape[0]
         g -= x_arr.dot(g) * x_arr
         return g
-
-    def _prepare(self, idx):
-        return _Batch(idx, self._rows.take(idx, axis=0))
 
     def _probe(self, x):
         # value(x) and full_rgrad(x) both start from rows x: one pass over the
@@ -306,6 +303,7 @@ class PcaProblem(FiniteSumObjective):
         return self._eig
 
     # perfbench/tracing.py wraps these names in PcaProblem.__dict__
+    value = FiniteSumObjective.value
     component_rgrad = FiniteSumObjective.component_rgrad
     minibatch_rgrad = FiniteSumObjective.minibatch_rgrad
     full_rgrad = FiniteSumObjective.full_rgrad

@@ -368,8 +368,8 @@ def test_count_below_one_rejected_before_any_work(probe, count):
     with P.counter.paused():
         st = FrozenState(k=1, x_prev=x, x_curr=x, v_prev=P.full_rgrad(x), s2=3, eps=0.05)
     evaluated = []
-    rgrad = P._rgrad
-    P._rgrad = lambda idx, y: evaluated.append(idx) or rgrad(idx, y)
+    grad = P._grad
+    P._grad = lambda rows, y: evaluated.append(rows) or grad(rows, y)
     P.counter.add(5)
     calls = {
         "fd_gradient_check": lambda: r.fd_gradient_check(P, x, trials=count),

@@ -10,7 +10,9 @@ estimate tau on a Gram matrix (a GEMM) with ``OPENBLAS_NUM_THREADS=2``, and
 ``test_instance_factors_hold_with_two_blas_threads`` checks that the
 instances' orthonormal factors have the same bits at one and two threads.
 ``test_probe_command_output`` hashes the ``rspider probe`` report at one and
-two threads.
+two threads. ``test_off_pca_trace_records`` pins spider and rsvrg on the two
+``ComponentObjective`` problems of ``test_optim.py`` (a chordal mean on the
+sphere, least squares on R^d), the goldens that do not run ``PcaProblem``.
 
 Sweep and solver digests are keyed ``<case>/paired/<map mode>``: every
 correction step charges the oracle for both of its evaluations, and the
@@ -45,6 +47,7 @@ from rspider.optim import (
     spider_gd2,
     spider_nonconvex,
 )
+from test_optim import chordal_mean_problem, least_squares_problem
 
 MAP_MODES = ("exp", "retract")
 
@@ -135,6 +138,26 @@ def trace_digest(solver, map_mode) -> str:
     return _sha(_trace_chunks(x, trace))
 
 
+# the two ComponentObjective problems of test_optim.py: a chordal mean on the
+# sphere and least squares on R^d, whose iterates leave the unit sphere
+OFF_PCA_PROBLEMS = {"chordal-mean": chordal_mean_problem,
+                    "least-squares": least_squares_problem}
+
+
+def off_pca_digest(solver, problem, map_mode) -> str:
+    P = OFF_PCA_PROBLEMS[problem]()
+    n, L = P.n, P.L_hint
+    x0 = P.manifold.point(np.random.default_rng(1).standard_normal(P.manifold.d))
+    kw = dict(max_ifo=20 * n, checkpoint_every=0.5)
+    if solver == "spider":
+        f0 = P.value(x0)
+        cfg = params_finite(n, 0.05, f0, L, seed=2, map_mode=map_mode)
+        x, trace = spider_nonconvex(P, x0, cfg, **kw)
+    else:
+        x, trace = rsvrg(P, x0, eta=0.1 / L, epochs=5, seed=2, map_mode=map_mode, **kw)
+    return _sha(_trace_chunks(x, trace))
+
+
 # -- estimator state and the variance probe ------------------------------------
 
 
@@ -179,6 +202,9 @@ TRACE_CASES = list(itertools.product(
     MAP_MODES,
 ))
 
+OFF_PCA_CASES = [(f"{s}/{p}", m) for s, p, m in itertools.product(
+    ("spider", "rsvrg"), OFF_PCA_PROBLEMS, MAP_MODES)]
+
 
 def _key(case, map_mode) -> str:
     return f"{case}/paired/{map_mode}"
@@ -221,6 +247,16 @@ TRACE_GOLDEN = {
     "rsgd/paired/exp": "1276f5914977152edecdfb0e624c80ab68cfab031ad1184474701ad505a55567",
     "rsgd/paired/retract": "11ba6c040d824e52c54d73e73efe3bff3d11c0cc7437661355848fd26c74f682",
 }
+OFF_PCA_GOLDEN = {
+    "spider/chordal-mean/paired/exp": "2e41b2776b08ec607b27c1ea24d4023d92b3b2596568dc9809e41c72e24ecadb",
+    "spider/chordal-mean/paired/retract": "96ba2e99b0fc20a0da16cc8d976f75544e93a02103f3a81f3c74693d3bdc37a5",
+    "spider/least-squares/paired/exp": "cbdbe3bc105a32373c894609834b9fedbadab0cd52ca97658598a8715a1f3ed0",
+    "spider/least-squares/paired/retract": "7ce8209d458ac8c9fabc5cfcf4a9ed3639ce67edf813ead0001a681df0c2b1e4",
+    "rsvrg/chordal-mean/paired/exp": "da01cf8f828371107f0c2c3a4f456e1dd66aae84ed95088e2550f3140cd6f917",
+    "rsvrg/chordal-mean/paired/retract": "aa50c7bdd8afe72758c63d5da2e984c63a0558e7e5602d8dbcfa85538fd31fcf",
+    "rsvrg/least-squares/paired/exp": "eb492c032c970ce13eac539e77d60a0463da8a522ba3760163bc91f5f33a169c",
+    "rsvrg/least-squares/paired/retract": "84943467ab08fbe4acf89b2d592d8d3e2b6c63d7eaa32f35a0d8da9a6f93c664",
+}
 FROZEN_GOLDEN = {
     "spider-eps0.05": "651b5ec585333f893ac2910f4da60f06aba3e6c1979d44eb568c300df18e7004",
     "spider-eps0.04": "3cefc7e3547e0e42e5443a2888e444072d4646d319cebd97bc55168bd3173f7e",
@@ -243,6 +279,12 @@ def test_sweep_csv_and_summary(algo, map_mode, tmp_path):
 def test_solver_trace_records(solver, map_mode):
     got = trace_digest(solver, map_mode)
     assert got == TRACE_GOLDEN[_key(solver, map_mode)]
+
+
+@pytest.mark.parametrize("case,map_mode", OFF_PCA_CASES, ids=_ids(OFF_PCA_CASES))
+def test_off_pca_trace_records(case, map_mode):
+    got = off_pca_digest(*case.split("/"), map_mode)
+    assert got == OFF_PCA_GOLDEN[_key(case, map_mode)]
 
 
 @pytest.mark.parametrize("solver", STATE_CASES)
@@ -338,6 +380,8 @@ def _current_digests():
     return {
         "SWEEP_GOLDEN": sweeps,
         "TRACE_GOLDEN": {_key(*c): trace_digest(*c) for c in TRACE_CASES},
+        "OFF_PCA_GOLDEN": {_key(c, m): off_pca_digest(*c.split("/"), m)
+                           for c, m in OFF_PCA_CASES},
         "FROZEN_GOLDEN": {s: frozen_digest(s) for s in STATE_CASES},
         "PROBE_GOLDEN": {s: probe_digest(s) for s in STATE_CASES},
     }

@@ -741,10 +741,10 @@ class TestDegenerateSteps:
         class Radial(FiniteSumObjective):
             L_hint = 1.0
 
-            def component_value(self, i, x):
+            def _value(self, rows, x):
                 return 0.0
 
-            def _rgrad(self, idx, x):
+            def _grad(self, rows, x):
                 return 2.0 * x.coords
 
         P = Radial(Sphere(3), 4)

@@ -122,14 +122,62 @@ class TestComponentGradients:
         with pytest.raises(IndexError):
             P.component_rgrad(2, x)
 
+    def test_non_integer_indices_rejected(self):
+        # a float index would be truncated ([1.5, 2.9] to [1, 2]) and a
+        # boolean mask read as the indices 0 and 1: both raise before any call
+        P = r.generate_gap_matrix(r.SyntheticSpec(d=6, n=20, delta=0.3, seed=2))
+        x = P.manifold.random_point(np.random.default_rng(4))
+        for idx in ([1.5, 2.9], np.array([1.0, 2.0]), np.array([True, True, False])):
+            with pytest.raises(IndexError, match="integer"):
+                P.minibatch_rgrad(idx, x)
+        for i in (1.7, 2.0):
+            with pytest.raises(IndexError, match="integer"):
+                P.component_rgrad(i, x)
+            with pytest.raises(IndexError, match="integer"):
+                P.component_value(i, x)
+        assert P.counter.calls == 0
+        # integer scalars and integer arrays of any width still pass
+        g = P.minibatch_rgrad([1, 2], x).coords
+        assert np.array_equal(P.minibatch_rgrad(np.array([1, 2], dtype=np.uint8), x).coords, g)
+        assert np.array_equal(P.component_rgrad(np.int32(3), x).coords,
+                              P.component_rgrad(3, x).coords)
+
+
+def _pca_objective():
+    return r.generate_gap_matrix(r.SyntheticSpec(d=12, n=40, delta=0.3, seed=5))
+
+
+def _component_objective():
+    # the same components as _pca_objective, one pair of callables each
+    P = _pca_objective()
+    cols = [P.Z[:, i].copy() for i in range(P.n)]
+    return r.ComponentObjective(
+        P.manifold,
+        values=[(lambda x, z=z: -float(z @ x) ** 2) for z in cols],
+        grads=[(lambda x, z=z: -2.0 * float(z @ x) * z) for z in cols],
+        L_hint=P.L_hint,
+    )
+
+
+def _linear_sum():
+    return LinearSum(np.random.default_rng(5).standard_normal((12, 40)))
+
+
+# every objective shares the base's gather and charged path
+OBJECTIVES = {"pca": _pca_objective, "components": _component_objective,
+              "linear-sum": _linear_sum}
+
 
 class TestMinibatch:
-    def test_all_indices_equals_full_exactly(self):
-        P = r.generate_gap_matrix(r.SyntheticSpec(d=12, n=40, delta=0.3, seed=5))
+    @pytest.mark.parametrize("make", OBJECTIVES.values(), ids=OBJECTIVES)
+    def test_all_indices_equals_full_exactly(self, make):
+        P = make()
         x = P.manifold.random_point(np.random.default_rng(3))
         g1 = P.minibatch_rgrad(np.arange(P.n), x)
         g2 = P.full_rgrad(x)
         assert np.array_equal(g1.coords, g2.coords)
+        # the checkpoint probe gives the bits of value and full_rgrad
+        assert P._probe(x) == (P.value(x), g2._sq)
 
     def test_unbiasedness_monte_carlo(self):
         P = r.generate_gap_matrix(r.SyntheticSpec(d=6, n=30, delta=0.4, seed=8))
@@ -162,8 +210,9 @@ class TestMinibatch:
         with pytest.raises(ValueError):
             P.minibatch_rgrad([], x)
 
-    def test_single_index_batch_equals_component(self):
-        P = r.generate_gap_matrix(r.SyntheticSpec(d=12, n=40, delta=0.3, seed=5))
+    @pytest.mark.parametrize("make", OBJECTIVES.values(), ids=OBJECTIVES)
+    def test_single_index_batch_equals_component(self, make):
+        P = make()
         rng = np.random.default_rng(6)
         for _ in range(5):
             x = P.manifold.random_point(rng)
@@ -171,6 +220,10 @@ class TestMinibatch:
                 g = P.minibatch_rgrad([i], x).coords
                 assert np.array_equal(g, P.component_rgrad(i, x).coords)
                 assert np.array_equal(g, P.minibatch_rgrad(P._prepare(np.array([i])), x).coords)
+            # raw indices take the prepared batch's path
+            idx = rng.integers(0, P.n, size=23)
+            assert np.array_equal(P.minibatch_rgrad(idx, x).coords,
+                                  P.minibatch_rgrad(P._prepare(idx), x).coords)
 
     def test_memory_order_of_z_does_not_matter(self):
         Z = np.random.default_rng(7).standard_normal((9, 50))
@@ -214,22 +267,21 @@ def test_minibatch_is_mean_of_component_gradients(d, extra, batch, seed):
 
 
 class LinearSum(r.FiniteSumObjective):
-    """f_i(x) = c_i . x on R^d: implements only the three required hooks."""
+    """f_i(x) = c_i . x on R^d: implements only L_hint and the two kernels."""
 
     def __init__(self, C):
-        super().__init__(Euclidean(C.shape[0]), C.shape[1])
+        super().__init__(Euclidean(C.shape[0]), C.T)  # row i is c_i
         self.C = C
 
     @property
     def L_hint(self):
         return 0.0
 
-    def component_value(self, i, x):
-        return float(self.C[:, i] @ x.coords)
+    def _value(self, rows, x):
+        return float((rows @ x.coords).mean())
 
-    def _rgrad(self, idx, x):
-        cols = self.C if idx is None else self.C[:, idx]
-        return cols.mean(axis=1)
+    def _grad(self, rows, x):
+        return rows.mean(axis=0)
 
 
 class TestMinimalObjective:
@@ -504,6 +556,19 @@ class TestBinaryDump:
             assert np.array_equal(Q.full_rgrad(x).coords, P.full_rgrad(x).coords)
             assert np.array_equal(Q.minibatch_rgrad(idx, x).coords,
                                   P.minibatch_rgrad(idx, x).coords)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_components_rejected(self, tmp_path, bad):
+        # L_hint would read nan or inf: building and loading both refuse
+        Z = np.random.default_rng(0).standard_normal((3, 5))
+        Z[1, 2] = bad
+        with pytest.raises(ValueError, match="components must be finite"):
+            r.PcaProblem(Z)
+        path = tmp_path / "bad.rspd"
+        path.write_bytes(struct.pack("<4sII4xQ", b"RSPD", 3, 5, 0)
+                         + np.ascontiguousarray(Z.T, dtype="<f8").tobytes())
+        with pytest.raises(ValueError, match="components must be finite"):
+            r.load_problem(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
