@@ -40,8 +40,8 @@ print(f"calls after a 4-batch      : {P.counter.calls}")
 P.full_rgrad(x)
 print(f"calls after a full gradient: {P.counter.calls}  (+n = {P.n})")
 
-sigma_sq = r.variance_bound_estimate(P, x, m=4000, seed=1)
-print(f"\ngradient variance estimate at x0: {sigma_sq:.4f} (counter untouched: {P.counter.calls})")
+sigma_sq = r.variance_bound_estimate(P, x)
+print(f"\ngradient variance at x0: {sigma_sq:.4f} (counter untouched: {P.counter.calls})")
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "instance.rspd"

@@ -39,15 +39,15 @@ print(f"oracle calls {trace.meta['ifo']} = anchors {trace.meta['ifo_breakdown'][
 # the correction estimator's conditional variance stays within its budget
 print(f"\nvariance probe at mid-epoch states (budget 2 eps^2 = {2 * eps**2}):")
 for st in states:
-    rep = r.variance_probe(P, st, resamples=300, seed=st.k)
+    rep = r.variance_probe(P, st)
     print(f"  step {st.k:4d}: batch {st.s2:3d}, statistic {rep.statistic:.2e}, "
           f"pass={rep.passed}")
 
 # sample-only schedule: anchors re-draw S1 components instead of enumerating
 P.counter.reset()
-sigma_sq = 2.0 * r.variance_bound_estimate(P, x0, m=4000, seed=1)  # safety factor 2
+sigma_sq = 2.0 * r.variance_bound_estimate(P, x0)  # safety factor 2
 scfg = params_stochastic(sigma_sq, 0.2, gap0, P.L_hint, seed=6)
-print(f"\nsample-only schedule (sigma^2 ~ {sigma_sq:.3f}): "
+print(f"\nsample-only schedule (2 sigma^2 = {sigma_sq:.3f}): "
       f"S1={scfg.S1}, q={scfg.q}, T={scfg.T}")
 x_sto, st_trace = spider_nonconvex(P, x0, scfg, max_ifo=40 * P.n)
 print(f"after {st_trace.meta['ifo']} calls: f = {P.value(x_sto):.6f} "

@@ -20,7 +20,6 @@ from .geometry import (
     TangentVector,
 )
 from .oracle import (
-    ComponentObjective,
     FiniteSumObjective,
     IfoCounter,
     PcaProblem,

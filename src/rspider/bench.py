@@ -602,7 +602,7 @@ def _cmd_probe(ns) -> int:
         diagnostics.pl_constant_estimate(P, P.f_star, 128, seed=ns.seed),
     ]
     text = "\n".join(r.to_text() for r in reports)
-    sigma_sq = variance_bound_estimate(P, x, m=2000, seed=ns.seed)
+    sigma_sq = variance_bound_estimate(P, x)
     text += f"\nsigma_sq_estimate={sigma_sq!r}\n"
     if ns.out:
         with open(ns.out, "a", newline="\n") as fh:

@@ -2,21 +2,22 @@
 
 Checks the analytic regularity quantities the optimizers rely on: gradient
 correctness against geodesic finite differences, smoothness and
-gradient-domination constants, correction-estimator variance at frozen
-mid-run states, and the epochs-to-double-accuracy rate statistic used by
-the benchmark. All probes evaluate the objective with accounting paused.
+gradient-domination constants, the exact correction-estimator variance at
+frozen mid-run states, and the epochs-to-double-accuracy rate statistic
+used by the benchmark. No probe charges the oracle counter.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import ManifoldPoint
-from .oracle import FiniteSumObjective, PcaProblem
-from .optim import FrozenState, RunTrace, _batch, _correct, _Indices
+from .oracle import FiniteSumObjective, PcaProblem, _row_grads
+from .optim import FrozenState, RunTrace
 
 __all__ = [
     "CONVERGED",
@@ -35,7 +36,9 @@ CONVERGED = math.nan  # error already at (or below) the measurement floor
 
 _PL_RADIUS = math.pi / 4  # geodesic radius of pl_constant_estimate's sampling ball
 _MIN_GRAD_SQ = 1e-12  # |grad f|^2 below this gives no domination ratio (0/0 at optima)
-_VARIANCE_SLACK = 2.0  # variance_probe's bound is slack * eps^2: room for sampling noise
+# variance_probe's bound, in units of eps^2: the variance lemma's own bound on
+# a finite-sum epoch (see variance_probe), not room for noise
+_VARIANCE_BOUND = 2.0
 
 
 def _check_count(name: str, k: int):
@@ -165,12 +168,12 @@ def pl_constant_estimate(
     """Empirical gradient-domination constant: max of (f(x) - f*) / |grad f(x)|^2.
 
     ``points`` is either an explicit sequence of points or, for a
-    :class:`PcaProblem`, a sample count: points are then drawn in the
-    geodesic ball of radius pi/4 around the top eigenvector u_1. Uniform
-    directions alone dilute the flat mode in high dimension, so sampling
-    also walks the second eigendirection u_2, where the ratio peaks. Points
-    with |grad|^2 below 1e-12 carry no information (0/0 at optima) and are
-    excluded.
+    :class:`PcaProblem`, a sample count (any integer but a bool): points are
+    then drawn in the geodesic ball of radius pi/4 around the top
+    eigenvector u_1. Uniform directions alone dilute the flat mode in high
+    dimension, so sampling also walks the second eigendirection u_2, where
+    the ratio peaks. Points with |grad|^2 below 1e-12 carry no information
+    (0/0 at optima) and are excluded.
 
     For a :class:`PcaProblem`, u_1 and u_2 come from the one cached
     eigendecomposition of the instance's d x d Gram matrix A, and every
@@ -179,7 +182,7 @@ def pl_constant_estimate(
     never charged.
     """
     man = obj.manifold
-    if isinstance(points, int):
+    if isinstance(points, numbers.Integral) and not isinstance(points, bool):
         _check_count("points", points)
         if not isinstance(obj, PcaProblem):
             raise ValueError("sampling needs a PcaProblem; pass explicit points instead")
@@ -221,51 +224,48 @@ def pl_constant_estimate(
     )
 
 
-def variance_probe(
-    obj: FiniteSumObjective,
-    frozen: FrozenState,
-    resamples: int = 500,
-    seed: int = 0,
-) -> ProbeReport:
-    """Monte-Carlo check of the correction estimator's conditional variance.
+def variance_probe(obj: FiniteSumObjective, frozen: FrozenState) -> ProbeReport:
+    """The correction estimator's conditional mean squared error, exactly.
 
-    Re-draws the correction minibatch of a captured mid-run state, applies
-    the solvers' own correction step to it and measures the mean of
-    |v_k - grad f(x_k)|^2. The analytic budget for a full epoch is eps^2; the
-    reported bound is 2 eps^2, a slack of 2 that absorbs sampling noise.
-    The probe replays the correction through the solvers' own batch draw:
-    in finite-sum mode a batch of size >= n is the deterministic full pass,
-    so every resample is the same and it is evaluated once; a sample-only
-    run draws s2 samples whatever n is.
+    Given the past, the correction v_k = g_S(x_k) - G(g_S(x_{k-1}) - v_{k-1})
+    over s = ``frozen.s2`` uniform draws S has
+
+        E|v_k - grad f(x_k)|^2 = |v_{k-1} - grad f(x_{k-1})|^2
+                                 + (1/s) (1/n) sum_i |d_i - mean(d)|^2,
+
+    with d_i = g_i(x_k) - G g_i(x_{k-1}) and G the parallel transport (a
+    linear isometry). The probe reports the two terms (``carried``,
+    ``sampling``) and their sum, evaluated on the rows without a charge. A
+    finite-sum batch with s >= n is the deterministic full pass, whose
+    sampling term is 0; a sample-only state (``frozen.sample_only``) is
+    always a draw with replacement.
+
+    The bound 2 eps^2 is the lemma's own, not room for noise. For components
+    whose mean squared smoothness is at most the schedule's L^2, the batch
+    formula gives each correction at most 2 eps^2 / q, an epoch holds at
+    most q - 1 of them, and a full-gradient anchor is exact, so no state of
+    an epoch that opens on a full anchor exceeds 2 eps^2. A sampled anchor
+    adds up to sigma^2 / S1 on top, which the sample-only schedule keeps at
+    most eps^2 / 2.
     """
-    _check_count("resamples", resamples)
-    indices = _Indices(np.random.default_rng(seed), obj.n)
-    x, y, ref = frozen.x_curr, frozen.x_prev, frozen.v_prev
-    cap = None if frozen.sample_only else obj.n
-    with obj.counter.paused():
-        target = obj.full_rgrad(x).coords
-        carried = (ref - obj.full_rgrad(y)).norm()
-        vals = []
-        for _ in range(resamples):
-            grad, idx, _ = _batch(obj, indices, frozen.s2, cap)
-            v, _ = _correct(obj, grad, x, y, ref.coords, frozen.k, *idx)
-            err = v - target
-            vals.append(float(err @ err))
-            if not idx:  # the deterministic full pass: every resample is this one
-                vals *= resamples
-                break
+    man = obj.manifold
+    x, y = frozen.x_curr.coords, frozen.x_prev.coords
+    err = frozen.v_prev.coords - obj._grad(obj._rows, frozen.x_prev)
+    carried = float(err.dot(err))
+    sampling = 0.0
+    if frozen.sample_only or frozen.s2 < obj.n:
+        gy = _row_grads(obj, frozen.x_prev)
+        d = _row_grads(obj, frozen.x_curr)
+        for i in range(obj.n):
+            d[i] -= man._transport(y, x, gy[i])
+        d -= d.mean(axis=0)
+        sampling = float(np.einsum("ij,ij->", d, d)) / (obj.n * frozen.s2)
     return ProbeReport(
         name="variance_probe",
-        samples=resamples,
-        statistic=sum(vals) / len(vals),
-        bound=_VARIANCE_SLACK * frozen.eps**2,
-        details={
-            "s2": frozen.s2,
-            "k": frozen.k,
-            "max": max(vals),
-            "min": min(vals),
-            "carried_error_norm": carried,
-        },
+        samples=obj.n,
+        statistic=carried + sampling,
+        bound=_VARIANCE_BOUND * frozen.eps**2,
+        details={"s2": frozen.s2, "k": frozen.k, "carried": carried, "sampling": sampling},
     )
 
 

@@ -4,7 +4,7 @@ Every objective is f = (1/n) sum_i f_i over the n rows of one array plus
 two kernels over a block of rows (mean value, mean tangent gradient).
 Provides the sphere-constrained quadratic used for leading-eigenvector
 computation (rows z_i), seeded synthetic instances with a controlled
-eigengap, and a generic objective of per-component callables (rows i).
+eigengap, and the exact gradient variance over the rows.
 
 Accounting convention: every sampled component gradient charges one call
 per evaluation point. Plain objective values are free, so tracing and
@@ -21,10 +21,9 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .geometry import Euclidean, Manifold, ManifoldPoint, Sphere, TangentVector
+from .geometry import Manifold, ManifoldPoint, Sphere, TangentVector
 
 __all__ = [
-    "ComponentObjective",
     "FiniteSumObjective",
     "IfoCounter",
     "PcaProblem",
@@ -93,10 +92,6 @@ class FiniteSumObjective(ABC):
     """
 
     def __init__(self, manifold: Manifold, rows):
-        # rows: the n x p component array, or a count n, whose rows are then
-        # the component indices 0..n-1
-        if np.ndim(rows) == 0:
-            rows = np.arange(int(rows)).reshape(-1, 1)
         rows = np.ascontiguousarray(rows)  # no copy when already C-ordered
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise ValueError("need at least one component, as an n x p array of rows")
@@ -120,9 +115,6 @@ class FiniteSumObjective(ABC):
 
     def value(self, x: ManifoldPoint) -> float:
         return self._value(self._rows, x)
-
-    def component_value(self, i: int, x: ManifoldPoint) -> float:
-        return self._value(self._prepare(self._checked([i])).rows, x)
 
     def component_rgrad(self, i: int, x: ManifoldPoint) -> TangentVector:
         return self._charged(self._prepare(self._checked([i])).rows, x)
@@ -167,40 +159,6 @@ class FiniteSumObjective(ABC):
         if idx.min() < 0 or idx.max() >= self.n:
             raise IndexError(f"component index out of range [0, {self.n})")
         return idx.astype(np.intp, copy=False)
-
-
-class ComponentObjective(FiniteSumObjective):
-    """Finite sum assembled from per-component callables.
-
-    ``values[i]`` and ``grads[i]`` take an ambient coordinate array; the
-    gradient may be ambient (it is projected on evaluation). Its rows are
-    the component indices.
-    """
-
-    def __init__(self, manifold, values, grads, L_hint=None):
-        if len(values) != len(grads):
-            raise ValueError("values and grads must have equal length")
-        super().__init__(manifold, len(values))
-        self._values = list(values)
-        self._grads = list(grads)
-        self._L_hint = L_hint
-
-    @property
-    def L_hint(self) -> float:
-        if self._L_hint is None:
-            raise ValueError("no smoothness hint was provided for this objective")
-        return self._L_hint
-
-    def _value(self, rows, x):
-        return sum(float(self._values[i](x.coords)) for i in rows[:, 0]) / rows.shape[0]
-
-    def _grad(self, rows, x):
-        # project each component, average, then project the mean
-        acc = np.zeros(self.manifold.d)
-        for i in rows[:, 0]:
-            acc += TangentVector(x, self._grads[i](x.coords)).coords
-        acc /= rows.shape[0]
-        return self.manifold._project_tangent(x.coords, acc)
 
 
 class PcaProblem(FiniteSumObjective):
@@ -454,25 +412,17 @@ def leading_eigpair(P: PcaProblem) -> tuple[float, ManifoldPoint]:
     return lam, ManifoldPoint(P.manifold, u1)
 
 
-def variance_bound_estimate(
-    obj: FiniteSumObjective, x: ManifoldPoint, m: int, seed: int = 0
-) -> float:
-    """Empirical mean of |grad f_i(x) - grad f(x)|^2 over m uniform draws.
+def _row_grads(obj: FiniteSumObjective, x: ManifoldPoint) -> np.ndarray:
+    """The n x d tangent gradients g_i(x), one uncharged one-row kernel call each."""
+    return np.stack([obj._grad(obj._rows[i:i + 1], x) for i in range(obj.n)])
 
-    Estimation utility (used to size anchor batches); does not charge the
-    oracle counter.
-    """
-    if m < 2:
-        raise ValueError("need at least two samples")
-    rng = np.random.default_rng(seed)
-    with obj.counter.paused():
-        gbar = obj.full_rgrad(x)
-        idx = rng.integers(0, obj.n, size=m)
-        total = 0.0
-        for i in idx:
-            diff = obj.component_rgrad(int(i), x) - gbar
-            total += diff._sq
-    return total / m
+
+def variance_bound_estimate(obj: FiniteSumObjective, x: ManifoldPoint) -> float:
+    """sigma^2 = (1/n) sum_i |grad f_i(x) - grad f(x)|^2, exactly, in one pass
+    over the rows (used to size anchor batches); charges nothing."""
+    g = _row_grads(obj, x)
+    g -= g.mean(axis=0)
+    return float(np.einsum("ij,ij->", g, g)) / obj.n
 
 
 _MAGIC = b"RSPD"

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -5,14 +7,10 @@ import pytest
 
 import rspider as r
 from rspider.diagnostics import CONVERGED, STALLED, epochs_to_double
-from rspider.geometry import Euclidean, Sphere
-from rspider.oracle import (
-    ComponentObjective,
-    _eigenvector_factors,
-    packed_spectrum,
-    problem_from_spectrum,
-)
-from rspider.optim import FrozenState, SpiderConfig, params_finite, spider_nonconvex
+from rspider.geometry import Sphere
+from rspider.oracle import _eigenvector_factors, packed_spectrum, problem_from_spectrum
+from rspider.optim import FrozenState, SpiderConfig, _correct, params_finite, spider_nonconvex
+from problems import LinearSum, chordal_mean_problem
 
 
 def diag21_problem():
@@ -21,14 +19,7 @@ def diag21_problem():
 
 
 def linear_objective(d=4, n=3, seed=0):
-    rng = np.random.default_rng(seed)
-    cs = [rng.standard_normal(d) for _ in range(n)]
-    return ComponentObjective(
-        Euclidean(d),
-        values=[(lambda x, c=c: float(c @ x)) for c in cs],
-        grads=[(lambda x, c=c: c) for c in cs],
-        L_hint=0.0,
-    )
+    return LinearSum(np.random.default_rng(seed).standard_normal((n, d)).T)
 
 
 class TestFdGradientCheck:
@@ -140,6 +131,18 @@ class TestPlConstantEstimate:
         with pytest.raises(ValueError):
             r.pl_constant_estimate(obj, -1.0, 10)
 
+    def test_any_integral_count_but_a_bool(self):
+        # a numpy integer is a count like an int; a bool is neither a count
+        # nor a sequence of points, and fails before any evaluation
+        P = problem_from_spectrum(packed_spectrum(12, 0.1), 40, seed=6)
+        ref = r.pl_constant_estimate(P, P.f_star, 16, seed=2)
+        got = r.pl_constant_estimate(P, P.f_star, np.int64(16), seed=2)
+        assert (got.samples, got.statistic) == (ref.samples, ref.statistic)
+        Q = problem_from_spectrum(packed_spectrum(12, 0.1), 40, seed=6)
+        with pytest.raises(TypeError):
+            r.pl_constant_estimate(Q, Q.f_star, True)
+        assert Q._A is None
+
 
 def _charged_tau(P, u, count, seed, radius=math.pi / 4):
     # reference domination estimate: the probe points pl_constant_estimate
@@ -189,14 +192,20 @@ class TestGramPath:
             assert abs(tau - 1.0 / (2.0 * delta)) <= 1e-12 * tau
 
     def test_component_objective_gives_the_same_ratios(self):
-        # the generic value/full_rgrad path over the same columns
+        # the generic _probe path (value and the full gradient) over the same rows
+        class Quadratic(r.FiniteSumObjective):
+            L_hint = None
+
+            def _value(self, rows, x):
+                w = rows @ x.coords
+                return -float(w @ w) / rows.shape[0]
+
+            def _grad(self, rows, x):
+                g = -2.0 * (rows @ x.coords) @ rows / rows.shape[0]
+                return self.manifold._project_tangent(x.coords, g)
+
         P = problem_from_spectrum(packed_spectrum(12, 0.1), 40, seed=6)
-        cols = [P.Z[:, i].copy() for i in range(P.n)]
-        obj = ComponentObjective(
-            Sphere(P.d),
-            values=[(lambda x, z=z: -float(z @ x) ** 2) for z in cols],
-            grads=[(lambda x, z=z: -2.0 * float(z @ x) * z) for z in cols],
-        )
+        obj = Quadratic(Sphere(P.d), P.Z.T)
         rng = np.random.default_rng(11)
         pts = [P.manifold.random_point(rng) for _ in range(20)]
         got = r.pl_constant_estimate(P, P.f_star, pts)
@@ -216,6 +225,30 @@ class TestGramPath:
         assert P.counter.calls == 5
 
 
+def _enumerated_variance(P, st):
+    # E|v - grad f(x)|^2 over every ordered draw of s2 indices (all n^s2 of
+    # them), each run through the solvers' own correction step; a finite-sum
+    # batch that reaches n is the one full pass
+    x, y, ref = st.x_curr, st.x_prev, st.v_prev.coords
+    with P.counter.paused():
+        target = P.full_rgrad(x).coords
+        if not st.sample_only and st.s2 >= P.n:
+            draws = [(P.full_rgrad, ())]
+        else:
+            draws = [(P.minibatch_rgrad, (P._prepare(np.array(idx)),))
+                     for idx in itertools.product(range(P.n), repeat=st.s2)]
+        errs = [_correct(P, grad, x, y, ref, st.k, *idx)[0] - target for grad, idx in draws]
+    return float(np.mean([e @ e for e in errs]))
+
+
+# n = 4 rows each, so every draw of up to five indices can be enumerated
+SMALL_OBJECTIVES = {
+    "pca": lambda: r.PcaProblem(np.random.default_rng(12).standard_normal((3, 4))),
+    "linear-sum": lambda: LinearSum(np.random.default_rng(13).standard_normal((3, 4))),
+    "chordal-mean": lambda: chordal_mean_problem(d=3, n=4, seed=14),
+}
+
+
 class TestVarianceProbe:
     def _state_with_exact_carry(self, P, s2, seed=0):
         # v_prev equal to the exact gradient: the probe sees pure sampling noise
@@ -231,24 +264,27 @@ class TestVarianceProbe:
     def test_full_batch_correction_with_exact_carry_is_zero(self):
         P = r.generate_gap_matrix(r.SyntheticSpec(d=6, n=20, delta=0.4, seed=6))
         st = self._state_with_exact_carry(P, s2=P.n, seed=1)
-        rep = r.variance_probe(P, st, resamples=50, seed=2)
+        rep = r.variance_probe(P, st)
         assert rep.statistic == 0.0
 
-    def test_full_batch_replay_is_evaluated_once(self, monkeypatch):
-        # s2 = n in finite-sum mode is the deterministic full pass: the target,
-        # the carried error and one correction (two points) make four passes
-        # however many resamples are asked for
-        P = r.generate_gap_matrix(r.SyntheticSpec(d=20, n=200, delta=0.5, seed=1))
-        st = self._state_with_exact_carry(P, s2=P.n, seed=1)
-        st.v_prev = st.v_prev._scaled(0.5)  # a carried error: nonzero resamples
-        calls = []
-        full = P.full_rgrad
-        monkeypatch.setattr(P, "full_rgrad", lambda x: calls.append(x) or full(x))
-        rep = r.variance_probe(P, st, resamples=500, seed=0)
-        assert len(calls) == 4
-        assert rep.samples == 500
-        assert rep.details["min"] == rep.details["max"] > 0.0
-        assert rep.statistic == pytest.approx(rep.details["max"], rel=1e-12)
+    @pytest.mark.parametrize("make", SMALL_OBJECTIVES.values(), ids=SMALL_OBJECTIVES)
+    def test_equals_enumeration_of_every_draw(self, make):
+        # finite-sum draws (s2 < n), sample-only draws (s2 >= n) and the
+        # finite-sum full pass (s2 >= n), whose value is the carried term
+        P = make()
+        man, rng = P.manifold, np.random.default_rng(15)
+        st = self._state_with_exact_carry(P, s2=1, seed=16)
+        st.x_curr = man.exp(st.x_prev, man.random_tangent(st.x_prev, rng, scale=0.3))
+        st.v_prev = st.v_prev + man.random_tangent(st.x_prev, rng, scale=0.1)
+        for sample_only, s2 in [(False, 1), (False, 2), (False, 3), (True, 4), (True, 5),
+                                (False, 4), (False, 9)]:
+            case = dataclasses.replace(st, s2=s2, sample_only=sample_only)
+            rep = r.variance_probe(P, case)
+            assert rep.statistic == pytest.approx(_enumerated_variance(P, case), rel=1e-12)
+            assert rep.statistic == rep.details["carried"] + rep.details["sampling"]
+            if s2 >= P.n and not sample_only:
+                assert rep.details["sampling"] == 0.0
+        assert P.counter.calls == 0
 
     def test_two_component_enumeration(self):
         # n=2, s2=1: the exact population variance is the average over both draws
@@ -265,33 +301,20 @@ class TestVarianceProbe:
                 )
                 vals.append((v - target)._sq)
         exact = sum(vals) / 2.0
-        rep = r.variance_probe(P, st, resamples=4000, seed=4)
-        spread = (max(vals) - min(vals)) / 2.0
-        se = spread / math.sqrt(4000)
-        assert abs(rep.statistic - exact) <= 3.0 * se + 1e-15
+        assert r.variance_probe(P, st).statistic == pytest.approx(exact, rel=1e-12)
 
     def test_sample_only_batch_of_n_is_still_sampled(self):
         # a sample-only run draws a correction of s2 >= n as s2 samples with
-        # replacement; the probe must replay those draws, not the
+        # replacement; the probe must take those draws' spread, not the
         # deterministic full-batch correction a finite-sum run takes
         P = r.generate_gap_matrix(r.SyntheticSpec(d=6, n=20, delta=0.4, seed=6))
         st = self._state_with_exact_carry(P, s2=P.n + 5, seed=1)
-        full = r.variance_probe(P, st, resamples=30, seed=2)
-        assert full.statistic == 0.0
+        assert r.variance_probe(P, st).statistic == 0.0
         st.sample_only = True
-        rep = r.variance_probe(P, st, resamples=30, seed=2)
-        assert rep.details["min"] < rep.details["max"]
-        man, rng = P.manifold, np.random.default_rng(2)
-        vals = []
-        with P.counter.paused():
-            target = P.full_rgrad(st.x_curr)
-            for _ in range(30):
-                idx = rng.integers(0, P.n, size=st.s2)
-                v = P.minibatch_rgrad(idx, st.x_curr) - man.transport(
-                    st.x_prev, st.x_curr, P.minibatch_rgrad(idx, st.x_prev) - st.v_prev
-                )
-                vals.append((v - target)._sq)
-        assert rep.statistic == pytest.approx(sum(vals) / 30, rel=1e-9)
+        rep = r.variance_probe(P, st)
+        assert rep.details["carried"] == 0.0 and rep.statistic > 0.0
+        one = r.variance_probe(P, dataclasses.replace(st, s2=1))
+        assert rep.statistic == pytest.approx(one.statistic / st.s2, rel=1e-14)
 
     def test_solver_marks_sample_only_states(self):
         P = r.generate_gap_matrix(r.SyntheticSpec(d=10, n=60, delta=0.4, seed=5))
@@ -303,23 +326,25 @@ class TestVarianceProbe:
                          max_ifo=5 * P.n, on_correction=finite.append)
         assert sampled and all(st.sample_only and st.s2 >= P.n for st in sampled)
         assert finite and not any(st.sample_only for st in finite)
-        rep = r.variance_probe(P, sampled[0], resamples=20, seed=0)
-        assert rep.details["min"] < rep.details["max"]
+        assert r.variance_probe(P, sampled[0]).details["sampling"] > 0.0
 
     def test_variance_scales_inversely_with_batch(self):
+        # the sampling term is one spread over the rows divided by s2, exactly
         P = r.generate_gap_matrix(r.SyntheticSpec(d=8, n=40, delta=0.3, seed=7))
-        stats = []
-        sizes = (1, 2, 4, 8)
-        for s2 in sizes:
-            st = self._state_with_exact_carry(P, s2=s2, seed=5)
-            stats.append(r.variance_probe(P, st, resamples=4000, seed=6).statistic)
-        slope = np.polyfit(np.log(sizes), np.log(stats), 1)[0]
-        assert abs(slope + 1.0) <= 0.15
+        st = self._state_with_exact_carry(P, s2=1, seed=5)
+        st.v_prev = st.v_prev._scaled(0.5)  # a carried error, which s2 leaves alone
+        one = r.variance_probe(P, st)
+        assert one.details["carried"] > 0.0 and one.details["sampling"] > 0.0
+        for s2 in (2, 4, 8, 39):
+            rep = r.variance_probe(P, dataclasses.replace(st, s2=s2))
+            assert rep.details["carried"] == one.details["carried"]
+            assert rep.details["sampling"] * s2 == pytest.approx(one.details["sampling"],
+                                                                 rel=1e-14)
 
     def test_bound_comes_from_state_eps(self):
         P = r.generate_gap_matrix(r.SyntheticSpec(d=6, n=20, delta=0.4, seed=8))
         st = self._state_with_exact_carry(P, s2=4, seed=7)
-        rep = r.variance_probe(P, st, resamples=100, seed=8)
+        rep = r.variance_probe(P, st)
         assert rep.bound == pytest.approx(2 * 0.05**2)
 
 
@@ -361,12 +386,10 @@ class TestEpochsToDouble:
 
 @pytest.mark.parametrize("count", [0, -3])
 @pytest.mark.parametrize("probe", ["fd_gradient_check", "smoothness_probe",
-                                   "pl_constant_estimate", "variance_probe"])
+                                   "pl_constant_estimate"])
 def test_count_below_one_rejected_before_any_work(probe, count):
     P = r.generate_gap_matrix(r.SyntheticSpec(d=6, n=20, delta=0.4, seed=6))
     x = P.manifold.random_point(np.random.default_rng(1))
-    with P.counter.paused():
-        st = FrozenState(k=1, x_prev=x, x_curr=x, v_prev=P.full_rgrad(x), s2=3, eps=0.05)
     evaluated = []
     grad = P._grad
     P._grad = lambda rows, y: evaluated.append(rows) or grad(rows, y)
@@ -375,7 +398,6 @@ def test_count_below_one_rejected_before_any_work(probe, count):
         "fd_gradient_check": lambda: r.fd_gradient_check(P, x, trials=count),
         "smoothness_probe": lambda: r.smoothness_probe(P, pairs=count),
         "pl_constant_estimate": lambda: r.pl_constant_estimate(P, P.f_star, count),
-        "variance_probe": lambda: r.variance_probe(P, st, resamples=count),
     }
     with pytest.raises(ValueError, match="must be at least 1"):
         calls[probe]()

@@ -11,8 +11,8 @@ estimate tau on a Gram matrix (a GEMM) with ``OPENBLAS_NUM_THREADS=2``, and
 instances' orthonormal factors have the same bits at one and two threads.
 ``test_probe_command_output`` hashes the ``rspider probe`` report at one and
 two threads. ``test_off_pca_trace_records`` pins spider and rsvrg on the two
-``ComponentObjective`` problems of ``test_optim.py`` (a chordal mean on the
-sphere, least squares on R^d), the goldens that do not run ``PcaProblem``.
+row-kernel problems of ``problems.py`` (a chordal mean on the sphere, least
+squares on R^d), the goldens that do not run ``PcaProblem``.
 
 Sweep and solver digests are keyed ``<case>/paired/<map mode>``: every
 correction step charges the oracle for both of its evaluations, and the
@@ -47,7 +47,7 @@ from rspider.optim import (
     spider_gd2,
     spider_nonconvex,
 )
-from test_optim import chordal_mean_problem, least_squares_problem
+from problems import chordal_mean_problem, least_squares_problem
 
 MAP_MODES = ("exp", "retract")
 
@@ -138,8 +138,8 @@ def trace_digest(solver, map_mode) -> str:
     return _sha(_trace_chunks(x, trace))
 
 
-# the two ComponentObjective problems of test_optim.py: a chordal mean on the
-# sphere and least squares on R^d, whose iterates leave the unit sphere
+# the two row-kernel problems of problems.py: a chordal mean on the sphere and
+# least squares on R^d, whose iterates leave the unit sphere
 OFF_PCA_PROBLEMS = {"chordal-mean": chordal_mean_problem,
                     "least-squares": least_squares_problem}
 
@@ -187,8 +187,8 @@ def frozen_digest(solver) -> str:
 def probe_digest(solver) -> str:
     P, states = _frozen_states(solver)
     chunks = []
-    for i, st in enumerate(states[:6]):
-        rep = r.variance_probe(P, st, resamples=40, seed=i)
+    for st in states[:6]:
+        rep = r.variance_probe(P, st)
         chunks.append((rep.samples, rep.statistic, rep.bound, sorted(rep.details.items())))
     return _sha(chunks)
 
@@ -248,14 +248,14 @@ TRACE_GOLDEN = {
     "rsgd/paired/retract": "11ba6c040d824e52c54d73e73efe3bff3d11c0cc7437661355848fd26c74f682",
 }
 OFF_PCA_GOLDEN = {
-    "spider/chordal-mean/paired/exp": "2e41b2776b08ec607b27c1ea24d4023d92b3b2596568dc9809e41c72e24ecadb",
-    "spider/chordal-mean/paired/retract": "96ba2e99b0fc20a0da16cc8d976f75544e93a02103f3a81f3c74693d3bdc37a5",
-    "spider/least-squares/paired/exp": "cbdbe3bc105a32373c894609834b9fedbadab0cd52ca97658598a8715a1f3ed0",
-    "spider/least-squares/paired/retract": "7ce8209d458ac8c9fabc5cfcf4a9ed3639ce67edf813ead0001a681df0c2b1e4",
-    "rsvrg/chordal-mean/paired/exp": "da01cf8f828371107f0c2c3a4f456e1dd66aae84ed95088e2550f3140cd6f917",
-    "rsvrg/chordal-mean/paired/retract": "aa50c7bdd8afe72758c63d5da2e984c63a0558e7e5602d8dbcfa85538fd31fcf",
-    "rsvrg/least-squares/paired/exp": "eb492c032c970ce13eac539e77d60a0463da8a522ba3760163bc91f5f33a169c",
-    "rsvrg/least-squares/paired/retract": "84943467ab08fbe4acf89b2d592d8d3e2b6c63d7eaa32f35a0d8da9a6f93c664",
+    "spider/chordal-mean/paired/exp": "48ec486f7ccd6af14e899b62c7a954d93965b988bf35f563dd0e975857d162da",
+    "spider/chordal-mean/paired/retract": "b22fac13d88cace898b185343cc0346c37b815184997ba09263cba571c977f83",
+    "spider/least-squares/paired/exp": "07e2a77faa63a1fe200a7d57c6b8530775892916518b1bf5647782d9e81609c5",
+    "spider/least-squares/paired/retract": "855fb5a0baf8fda5281b6b434bde04466452c867c94601ea35707344fa1e9baf",
+    "rsvrg/chordal-mean/paired/exp": "7c1e5b65a37c0922f9809148ee3539d9990abd49e60038e0d76c7c2e54dde477",
+    "rsvrg/chordal-mean/paired/retract": "9e1493dc3ed33cc59e1aa75f50e4fb919f87f45144fd6e203bbac38efc0042e5",
+    "rsvrg/least-squares/paired/exp": "994eafa7920e13549a73e3628bbfcd67383d761f0d6a607e5a27160a2ce69d3e",
+    "rsvrg/least-squares/paired/retract": "624b9ad40fea39871154ac3740809050f19aad65f42d58bf1581d7e7cae96bc3",
 }
 FROZEN_GOLDEN = {
     "spider-eps0.05": "651b5ec585333f893ac2910f4da60f06aba3e6c1979d44eb568c300df18e7004",
@@ -263,9 +263,9 @@ FROZEN_GOLDEN = {
     "spider-gd2": "ba87cc0f077197a776e5f72130059509c05fa302218e614b399568ef45d1c020",
 }
 PROBE_GOLDEN = {
-    "spider-eps0.05": "d86315c7c46421d4ea38cae9425cf1ccf94736c8373bc86126bfac02e3550568",
-    "spider-eps0.04": "0ca782aa4d8f56b070d3a9650bfd43b87df2e0ece82cc6a3a5dbac0ed95cecdb",
-    "spider-gd2": "3e4aa04cd4d8c6307f40a97b804554588d17494603b2d506f78ab5110d977a5f",
+    "spider-eps0.05": "80f7a92ebd6e97658dc686ad6f6a130fe0ba4c84c9a801eefb3983275a6697a5",
+    "spider-eps0.04": "36b9c7249dbd36de6f04a65e87bba63f3624213d6b866c65c5a1a5893dd4d04e",
+    "spider-gd2": "86e05e4802c402f6bf9d562653f2d4cb24c05e1069f37e3d12d42b3e91c51ee1",
 }
 
 
@@ -327,7 +327,7 @@ def test_tau_sweeps_hold_with_two_blas_threads():
 # the README quick-start instance; tau's walk and the probe values run on
 # the Gram matrix (a GEMM) and its one symmetric eigendecomposition
 PROBE_ARGS = ["probe", "--d", "20", "--n", "200", "--delta", "0.5", "--seed", "1"]
-PROBE_OUTPUT_GOLDEN = "6951d0ec87e77318415d78921ec90baa3a31e4cdfdd8e4c1e5146cb382face94"
+PROBE_OUTPUT_GOLDEN = "d5cbc3fa2ac9add917614d30407705c56a1771b0a733f68865191a95ce9bb941"
 _PROBE_OUTPUT = """
 import contextlib, hashlib, io, json, sys
 sys.path[:0] = sys.argv[1:3]

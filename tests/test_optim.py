@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import rspider as r
-from rspider.geometry import Euclidean, ManifoldPoint, Sphere, TangentVector
-from rspider.oracle import ComponentObjective, FiniteSumObjective
+from rspider.geometry import ManifoldPoint, Sphere, TangentVector
+from rspider.oracle import FiniteSumObjective
 from rspider.optim import (
     _DRAW_BLOCK,
     GdConfig,
@@ -25,6 +25,7 @@ from rspider.optim import (
     spider_gd2,
     spider_nonconvex,
 )
+from problems import chordal_mean_problem, least_squares_problem
 
 
 def diag21_problem():
@@ -239,7 +240,7 @@ class TestSpiderNonconvex:
         # n=None: anchors draw S1 with replacement, corrections are uncapped
         P = desk_problem(d=8, n=40, delta=0.4, seed=30)
         x0 = P.manifold.random_point(np.random.default_rng(7))
-        sigma_sq = 2.0 * r.variance_bound_estimate(P, x0, m=2000, seed=1)
+        sigma_sq = 2.0 * r.variance_bound_estimate(P, x0)
         cfg = params_stochastic(sigma_sq, 0.3, 1.0, P.L_hint, seed=9)
         assert cfg.n is None
         f0 = P.value(x0)
@@ -292,8 +293,8 @@ class TestEstimatorStatistics:
             P, x0, cfg, max_ifo=6 * P.n,
             on_correction=lambda st: states.append(st) if len(states) < 12 else None,
         )
-        for i, st in enumerate(states):
-            rep = r.variance_probe(P, st, resamples=200, seed=100 + i)
+        for st in states:
+            rep = r.variance_probe(P, st)
             assert rep.statistic <= 2 * eps**2
 
     def test_expected_descent(self):
@@ -519,7 +520,7 @@ _TALLY_PROBLEM = desk_problem(d=6, n=25, delta=0.4, seed=31)
 )
 def test_ifo_tally_property(seed, map_mode, q, eps):
     # every solver built on the shared correction step tallies exactly what
-    # the counter charged, and the probe replaying that step charges nothing
+    # the counter charged, and the variance probe charges nothing
     P = _TALLY_PROBLEM
     n, L = P.n, P.L_hint
     x0 = P.manifold.random_point(np.random.default_rng(seed))
@@ -547,7 +548,7 @@ def test_ifo_tally_property(seed, map_mode, q, eps):
         assert all(rec.epoch == rec.ifo / n for rec in trace.records)
     for state in states[:3]:
         calls = P.counter.calls
-        r.variance_probe(P, state, resamples=5, seed=seed)
+        r.variance_probe(P, state)
         assert P.counter.calls == calls
 
 
@@ -607,30 +608,6 @@ def test_index_helper_matches_sized_draws():
             assert indices.take(1).tolist() == [int(scalar.integers(0, n))]
 
 
-def chordal_mean_problem(d=4, n=30, seed=0):
-    # f_i(x) = |x - a_i|^2 / 2 on the sphere: not the PCA quadratic
-    a = np.random.default_rng(seed).standard_normal((n, d)) + 1.0
-    return ComponentObjective(
-        Sphere(d),
-        [lambda x, ai=ai: 0.5 * float((x - ai) @ (x - ai)) for ai in a],
-        [lambda x, ai=ai: x - ai for ai in a],
-        L_hint=2.0,
-    )
-
-
-def least_squares_problem(d=4, n=30, seed=0):
-    # f_i(x) = (a_i^T x - b_i)^2 / 2 on R^d; the solution is far from unit norm
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, d))
-    b = a @ np.full(d, 3.0) + 0.1 * rng.standard_normal(n)
-    return ComponentObjective(
-        Euclidean(d),
-        [lambda x, ai=ai, bi=bi: 0.5 * float(ai @ x - bi) ** 2 for ai, bi in zip(a, b)],
-        [lambda x, ai=ai, bi=bi: ai * float(ai @ x - bi) for ai, bi in zip(a, b)],
-        L_hint=float(max(ai @ ai for ai in a)),
-    )
-
-
 @pytest.mark.parametrize("make", [chordal_mean_problem, least_squares_problem])
 @pytest.mark.parametrize("algo", ["spider", "spider-gd1", "spider-gd2", "rsvrg", "rsgd"])
 def test_solvers_run_off_the_pca_path(monkeypatch, make, algo):
@@ -686,15 +663,11 @@ def test_solvers_run_off_the_pca_path(monkeypatch, make, algo):
 _EDGE_PROBLEM = desk_problem(d=20, n=200, delta=0.5, seed=0)
 
 
-@pytest.mark.parametrize("map_mode", ["exp", "retract"])
-@pytest.mark.parametrize("algo", ["spider", "spider-gd1", "spider-gd2", "rsvrg", "rsgd"])
-def test_runs_construct_no_checked_values(monkeypatch, algo, map_mode):
+def _assert_no_checked_values(monkeypatch, P, x0, algo, map_mode):
     # checked points and tangents exist only at the edges: x0 is checked
     # before the run, and what a run builds (iterates, oracle arguments,
     # records, FrozenState, the returned point) is a trusted wrap
-    P = _EDGE_PROBLEM
     n, L = P.n, P.L_hint
-    x0 = P.manifold.random_point(np.random.default_rng(3))
     checked = {ManifoldPoint: 0, TangentVector: 0}
     for cls in checked:
         def counted(self, *args, cls=cls, init=cls.__init__):
@@ -722,6 +695,23 @@ def test_runs_construct_no_checked_values(monkeypatch, algo, map_mode):
     assert checked == {ManifoldPoint: 0, TangentVector: 0}
 
 
+@pytest.mark.parametrize("map_mode", ["exp", "retract"])
+@pytest.mark.parametrize("algo", ["spider", "spider-gd1", "spider-gd2", "rsvrg", "rsgd"])
+def test_runs_construct_no_checked_values(monkeypatch, algo, map_mode):
+    P = _EDGE_PROBLEM
+    x0 = P.manifold.random_point(np.random.default_rng(3))
+    _assert_no_checked_values(monkeypatch, P, x0, algo, map_mode)
+
+
+@pytest.mark.parametrize("make", [chordal_mean_problem, least_squares_problem])
+@pytest.mark.parametrize("algo", ["spider", "spider-gd1", "spider-gd2", "rsvrg", "rsgd"])
+def test_off_pca_runs_construct_no_checked_values(monkeypatch, make, algo):
+    # the charged path of any row-kernel objective, not only PcaProblem's
+    P = make()
+    x0 = P.manifold.point(np.random.default_rng(1).standard_normal(P.manifold.d))
+    _assert_no_checked_values(monkeypatch, P, x0, algo, "exp")
+
+
 class TestDegenerateSteps:
     def test_exp_step_onto_the_antipode(self):
         # f = -2 x_1^2 at 45 degrees: the gradient has norm 2, so a step of
@@ -747,7 +737,7 @@ class TestDegenerateSteps:
             def _grad(self, rows, x):
                 return 2.0 * x.coords
 
-        P = Radial(Sphere(3), 4)
+        P = Radial(Sphere(3), np.zeros((4, 1)))
         x0 = P.manifold.point([1.0, 2.0, 2.0])
         with pytest.raises(OptimizerError, match=r"degenerate step at iteration 3: retraction"):
             rsgd(P, x0, lambda k: 0.1 if k < 3 else 0.5, T=5, map_mode="retract")

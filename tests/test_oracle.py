@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import rspider as r
-from rspider.geometry import Euclidean
 from rspider.oracle import (
     _eigenvector_factors,
     _orthonormal,
     packed_spectrum,
     problem_from_spectrum,
 )
+from problems import LinearSum, chordal_mean_problem
 
 
 def diag21_problem():
@@ -74,7 +74,7 @@ class TestPcaValue:
         rng = np.random.default_rng(1)
         P = r.PcaProblem(rng.standard_normal((4, 7)))
         x = P.manifold.random_point(rng)
-        direct = sum(P.component_value(i, x) for i in range(P.n)) / P.n
+        direct = sum(-float(P.Z[:, i] @ x.coords) ** 2 for i in range(P.n)) / P.n
         assert P.value(x) == pytest.approx(direct, rel=1e-13)
 
     def test_value_is_free(self):
@@ -133,8 +133,6 @@ class TestComponentGradients:
         for i in (1.7, 2.0):
             with pytest.raises(IndexError, match="integer"):
                 P.component_rgrad(i, x)
-            with pytest.raises(IndexError, match="integer"):
-                P.component_value(i, x)
         assert P.counter.calls == 0
         # integer scalars and integer arrays of any width still pass
         g = P.minibatch_rgrad([1, 2], x).coords
@@ -147,24 +145,13 @@ def _pca_objective():
     return r.generate_gap_matrix(r.SyntheticSpec(d=12, n=40, delta=0.3, seed=5))
 
 
-def _component_objective():
-    # the same components as _pca_objective, one pair of callables each
-    P = _pca_objective()
-    cols = [P.Z[:, i].copy() for i in range(P.n)]
-    return r.ComponentObjective(
-        P.manifold,
-        values=[(lambda x, z=z: -float(z @ x) ** 2) for z in cols],
-        grads=[(lambda x, z=z: -2.0 * float(z @ x) * z) for z in cols],
-        L_hint=P.L_hint,
-    )
-
-
 def _linear_sum():
     return LinearSum(np.random.default_rng(5).standard_normal((12, 40)))
 
 
-# every objective shares the base's gather and charged path
-OBJECTIVES = {"pca": _pca_objective, "components": _component_objective,
+# every objective shares the base's gather and charged path; "components" is
+# the chordal mean, a second sphere objective beside the PCA quadratic
+OBJECTIVES = {"pca": _pca_objective, "components": chordal_mean_problem,
               "linear-sum": _linear_sum}
 
 
@@ -237,7 +224,6 @@ class TestMinibatch:
         for _ in range(5):
             x = P.manifold.random_point(rng)
             assert P.value(x) == Q.value(x) and P._probe(x) == Q._probe(x)
-            assert P.component_value(3, x) == Q.component_value(3, x)
             for grad in (
                 lambda O: O.full_rgrad(x),
                 lambda O: O.component_rgrad(3, x),
@@ -264,24 +250,6 @@ def test_minibatch_is_mean_of_component_gradients(d, extra, batch, seed):
         g = P.minibatch_rgrad(idx, x).coords
     scale = np.mean([np.linalg.norm(c) for c in singles])
     assert np.linalg.norm(g - np.mean(singles, axis=0)) <= 1e-12 * scale
-
-
-class LinearSum(r.FiniteSumObjective):
-    """f_i(x) = c_i . x on R^d: implements only L_hint and the two kernels."""
-
-    def __init__(self, C):
-        super().__init__(Euclidean(C.shape[0]), C.T)  # row i is c_i
-        self.C = C
-
-    @property
-    def L_hint(self):
-        return 0.0
-
-    def _value(self, rows, x):
-        return float((rows @ x.coords).mean())
-
-    def _grad(self, rows, x):
-        return rows.mean(axis=0)
 
 
 class TestMinimalObjective:
@@ -504,28 +472,29 @@ class TestVarianceBound:
     def test_single_component(self):
         P = r.PcaProblem(np.array([[1.0], [0.5]]))
         x = P.manifold.random_point(np.random.default_rng(0))
-        assert r.variance_bound_estimate(P, x, m=10) == 0.0
+        assert r.variance_bound_estimate(P, x) == 0.0
 
     def test_zero_at_critical_point(self):
         P = diag21_problem()
         x = P.manifold.point([1.0, 0.0])
-        assert r.variance_bound_estimate(P, x, m=50) <= 1e-28
+        assert r.variance_bound_estimate(P, x) <= 1e-28
 
     def test_matches_exhaustive_enumeration(self):
-        P = r.generate_gap_matrix(r.SyntheticSpec(d=5, n=12, delta=0.3, seed=6))
-        x = P.manifold.random_point(np.random.default_rng(7))
-        with P.counter.paused():
-            gbar = P.full_rgrad(x)
-            exact = np.mean(
-                [(P.component_rgrad(i, x) - gbar)._sq for i in range(P.n)]
-            )
-        est = r.variance_bound_estimate(P, x, m=10_000, seed=11)
-        assert est == pytest.approx(exact, rel=0.05)
+        # sigma^2 is the mean over every component of |g_i - grad f|^2
+        spec = r.SyntheticSpec(d=5, n=12, delta=0.3, seed=6)
+        for P in (r.generate_gap_matrix(spec), *(make() for make in OBJECTIVES.values())):
+            x = P.manifold.random_point(np.random.default_rng(7))
+            with P.counter.paused():
+                gbar = P.full_rgrad(x)
+                exact = np.mean(
+                    [(P.component_rgrad(i, x) - gbar)._sq for i in range(P.n)]
+                )
+            assert r.variance_bound_estimate(P, x) == pytest.approx(exact, rel=1e-12)
 
     def test_counter_free(self):
         P = diag21_problem()
         x = P.manifold.point([0.6, 0.8])
-        r.variance_bound_estimate(P, x, m=25)
+        r.variance_bound_estimate(P, x)
         assert P.counter.calls == 0
 
 
