@@ -250,8 +250,7 @@ def run_cell(cfg: ExperimentConfig, delta: float, seed: int,
 
 def _run_cell(cfg: ExperimentConfig, P: PcaProblem, f_star: float, tau: float | None,
               delta: float, seed: int, algo: str) -> list[CsvRow]:
-    """One cell on a built instance; the instance's counter restarts at zero."""
-    P.counter.reset()
+    """One cell on a built instance; its run counts the oracle calls from its own zero."""
     x0 = _draw_x0(P, seed)
     max_ifo = int(math.ceil(cfg.epochs * P.n - 1e-9))
     map_mode = "retract" if algo == "vrpca" else cfg.map_mode

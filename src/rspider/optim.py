@@ -1,7 +1,7 @@
 """Variance-reduced stochastic optimizers on geodesic manifolds.
 
 Every variance-reduced solver here is a schedule around one estimator step,
-:func:`_correct`: the transported difference g(x) - transport(y -> x,
+:meth:`_Run.estimate`: the transported difference g(x) - transport(y -> x,
 g(y) - ref) of one sampled gradient evaluated at two points. The recursive
 solver takes y = the previous iterate and ref = its running surrogate,
 re-anchored every ``q`` steps; SVRG takes y = a snapshot and ref = the
@@ -9,10 +9,10 @@ snapshot's full gradient. Two restart schemes give linear convergence on
 gradient-dominated objectives; both are stage schedules for one driver,
 :func:`_restarts`, around the recursive solver. Every solver, the SGD
 baseline included, runs on one :class:`_Run`, which keeps its index stream,
-oracle tallies, step count, budget and checkpoint records and takes every
-step (:meth:`_Run.step`: sample, estimate, tally, move, record); an SGD
-step is a one-sample anchor, and SVRG's snapshot gradient is a full-pass
-anchor without the move (:meth:`_Run.estimate`).
+oracle tallies, step count, budget and records (the start, each checkpoint
+and the end) and takes every step (:meth:`_Run.step`: sample, estimate,
+tally, move, record); an SGD step is a one-sample anchor, and SVRG's
+snapshot gradient is a full-pass anchor without the move.
 
 The loops run on raw coordinate arrays through the manifold's raw operations
 (``_exp``, ``_retract``, ``_transport``, ``_dist``). Iterates are wrapped as
@@ -183,10 +183,12 @@ class FrozenState:
 class _Run:
     """What every solver run shares: the checked start, the map mode of its
     steps, the sampled index stream ``indices``, the IFO ``tallies``, the
-    budget ``max_ifo``, the count of steps taken ``steps`` and one record per
-    crossed checkpoint boundary (free evaluations). Every solver step is
-    :meth:`step`; records, :class:`FrozenState` and error messages take
-    their iteration number from ``steps``.
+    budget ``max_ifo``, the count of steps taken ``steps`` and the records:
+    one at the start, one per crossed checkpoint boundary and one at the end
+    (:meth:`trace`), all free evaluations. Every estimator evaluation is
+    :meth:`estimate` and every solver step is :meth:`step`; records,
+    :class:`FrozenState` and error messages take their iteration number from
+    ``steps``.
 
     ``seed`` feeds two streams: ``indices`` serves every sampled index from
     ``default_rng(seed)``, and ``picks``, seeded from ``(seed, _PICK_TAG)``,
@@ -215,6 +217,7 @@ class _Run:
         self.steps = 0
         self._last = (0.0, 0)  # (length, batch) of the latest step
         self._next_idx = 0
+        self.after_step(x0, 0.0, 0)  # the start record
 
     def spent(self) -> int:
         """Calls charged since the run started."""
@@ -225,16 +228,37 @@ class _Run:
         return self.max_ifo is not None and self.spent() >= self.max_ifo
 
     def estimate(self, x, y, ref, size, cap):
-        """The tallied estimate g(x) - transport(y -> x, g(y) - ref) on the
-        next ``size``-sample batch (:func:`_batch` with ``cap``, then
-        :func:`_correct`; ``y=None`` is an anchor). Returns its coordinates
-        at x, their squared norm and the samples charged per evaluation."""
-        grad, idx, batch = _batch(self.obj, self.indices, size, cap)
-        v, v_sq = _correct(self.obj, grad, x, y, ref, self.steps, *idx)
+        """The estimator step g(x) - transport(y -> x, g(y) - ref), tallied.
+
+        ``x`` and ``y`` are points, ``ref`` tangent coordinates at ``y``; an
+        anchor has no previous point (``y=None``) and is g(x) alone. g is one
+        sample's mean gradient: the deterministic full pass when ``cap`` (n in
+        finite-sum mode) is not None and ``size >= cap``, else the mean over
+        the next ``size`` uniform draws with replacement from ``indices``,
+        prepared once for both evaluations. Every evaluation is charged.
+        Returns the estimate's coordinates at x, their squared norm and the
+        samples charged per evaluation.
+        """
+        obj = self.obj
+        if cap is not None and size >= cap:
+            rows, batch = None, obj.n
+        else:
+            rows, batch = obj._prepare(self.indices.take(size)), size
+        g_x = obj.full_rgrad(x) if rows is None else obj.minibatch_rgrad(rows, x)
         if y is None:
             self.tallies["anchor"] += batch
-        else:
-            self.tallies["correction"] += 2 * batch
+            return g_x.coords, g_x._sq, batch
+        g_y = obj.full_rgrad(y) if rows is None else obj.minibatch_rgrad(rows, y)
+        try:
+            v = g_x.coords - obj.manifold._transport(y.coords, x.coords, g_y.coords - ref)
+        except GeometryError as e:
+            raise OptimizerError(f"transport failed at iteration {self.steps}: {e}") from e
+        v_sq = float(v.dot(v))
+        if not math.isfinite(v_sq):  # also a non-finite g(y) - ref or transport, carried into v
+            raise OptimizerError(
+                f"transport failed at iteration {self.steps}: tangent coordinates must be finite"
+            )
+        self.tallies["correction"] += 2 * batch
         return v, v_sq, batch
 
     def step(self, x, y, ref, size, cap, eta):
@@ -272,15 +296,16 @@ class _Run:
             self._snap(x, step_dist, batch, self._next_idx * self.every)
             self._next_idx += 1
 
-    def final(self, x, picked=False):
-        """The end record at ``x``: the latest step's length and batch, or 0.0
-        and 0 for a uniform pick (``picked``), which no single step ends at."""
+    def trace(self, x, algo, config, picked=False, **extra) -> RunTrace:
+        """The end record at the returned point ``x``, then the records and
+        the run's meta: the common keys, ``extra``, and ``ifo_breakdown``
+        last. The end record carries the latest step's length and batch, or
+        0.0 and 0 for a uniform pick (``picked``), which no single step ends
+        at."""
         self._snap(x, *((0.0, 0) if picked else self._last), None)
-
-    def trace(self, algo, config, **extra) -> RunTrace:
-        """The records and the run's meta, ``extra`` after the common keys."""
         meta = {"algo": algo, "config": config, "seed": self.seed, "n": self.obj.n,
-                "checkpoint_every": self.every, "ifo": self.spent(), **extra}
+                "checkpoint_every": self.every, "ifo": self.spent(), **extra,
+                "ifo_breakdown": self.tallies}
         return RunTrace(records=self.records, meta=meta)
 
 
@@ -313,43 +338,6 @@ class _Indices:
         return np.concatenate((rest, self._block[:short]))
 
 
-def _batch(obj, indices, size, cap):
-    """A ``size``-sample batch as (gradient entry point, its index arguments,
-    samples charged per evaluation): the deterministic full pass when ``cap``
-    (n in finite-sum mode) is not None and ``size >= cap``, else the next
-    ``size`` uniform draws with replacement from ``indices`` (an
-    :class:`_Indices`), prepared once for both evaluations."""
-    if cap is not None and size >= cap:
-        return obj.full_rgrad, (), obj.n
-    return obj.minibatch_rgrad, (obj._prepare(indices.take(size)),), size
-
-
-def _correct(obj, grad, x, y, ref, k, *idx):
-    """The estimator step: grad(x) - transport(y -> x, grad(y) - ref).
-
-    ``x`` and ``y`` are points, ``ref`` tangent coordinates at ``y``; an
-    anchor has no previous point (``y=None``) and is grad(x) alone.
-    ``grad(*idx, p)`` evaluates one sample at p, as :func:`_batch` returns
-    it: ``obj.full_rgrad`` with no index, or ``obj.minibatch_rgrad`` with the
-    batch ``obj._prepare`` made of an index multiset. Every evaluation is
-    charged. Returns the estimate's coordinates at x and their squared norm.
-    """
-    g_x = grad(*idx, x)
-    if y is None:
-        return g_x.coords, g_x._sq
-    g_y = grad(*idx, y)
-    try:
-        v = g_x.coords - obj.manifold._transport(y.coords, x.coords, g_y.coords - ref)
-    except GeometryError as e:
-        raise OptimizerError(f"transport failed at iteration {k}: {e}") from e
-    v_sq = float(v.dot(v))
-    if not math.isfinite(v_sq):  # also a non-finite g(y) - ref or transport, carried into v
-        raise OptimizerError(
-            f"transport failed at iteration {k}: tangent coordinates must be finite"
-        )
-    return v, v_sq
-
-
 def _spider_core(run, x0, cfg: SpiderConfig, budget, *, on_correction=None, pick=True):
     """Run up to ``cfg.T`` steps of the recursive estimator from ``x0`` on
     ``run``, which counts, tallies and records them and moves by its own map
@@ -362,11 +350,8 @@ def _spider_core(run, x0, cfg: SpiderConfig, budget, *, on_correction=None, pick
     ``run.indices`` and the pick from ``run.picks``, so ``pick`` does not
     change the iterates.
     """
-    obj = run.obj
-    if cfg.n is not None and cfg.n != obj.n:
-        raise ValueError(f"config n={cfg.n} does not match the objective's n={obj.n}")
     sample_only = cfg.n is None
-    cap = None if sample_only else obj.n
+    cap = None if sample_only else run.obj.n
     x = x_out = x0
     x_prev = v = None
     step_len = 0.0
@@ -412,13 +397,11 @@ def spider_nonconvex(
     ``on_correction``, when given, receives a :class:`FrozenState` right
     before each correction step is sampled.
     """
+    if cfg.n is not None and cfg.n != obj.n:
+        raise ValueError(f"config n={cfg.n} does not match the objective's n={obj.n}")
     run = _Run(obj, x0, cfg.seed, checkpoint_every, max_ifo, cfg.map_mode)
-    if cfg.T >= 1:
-        run.after_step(x0, 0.0, 0)
     x_rand = _spider_core(run, x0, cfg, 2.0 * cfg.eps**2, on_correction=on_correction)
-    run.final(x_rand, picked=True)
-    return x_rand, run.trace("spider", asdict(cfg), steps=run.steps,
-                             ifo_breakdown=run.tallies)
+    return x_rand, run.trace(x_rand, "spider", asdict(cfg), picked=True, steps=run.steps)
 
 
 def params_stochastic(sigma_sq, eps, M, L, **kwargs) -> SpiderConfig:
@@ -474,8 +457,6 @@ def _restarts(run, x0, cfg: GdConfig, q, stage, *, pick, on_correction=None):
     """
     n = run.obj.n
     x, stages = x0, []
-    if cfg.K >= 1:
-        run.after_step(x0, 0.0, 0)
     for t in range(1, cfg.K + 1):
         if run.exhausted():
             break
@@ -487,7 +468,6 @@ def _restarts(run, x0, cfg: GdConfig, q, stage, *, pick, on_correction=None):
             {"stage": t, "eps": eps, "eta": inner.eta, "T": T, "steps": run.steps - start,
              "ifo_end": run.spent()}
         )
-    run.final(x, picked=pick)
     return x, stages
 
 
@@ -515,7 +495,7 @@ def spider_gd1(
 
     q = max(1, _ceil_tol(math.sqrt(obj.n)))
     x, stages = _restarts(run, x0, cfg, q, stage, pick=True)
-    return x, run.trace("spider-gd1", asdict(cfg), stages=stages, ifo_breakdown=run.tallies)
+    return x, run.trace(x, "spider-gd1", asdict(cfg), picked=True, stages=stages)
 
 
 def spider_gd2(
@@ -546,10 +526,7 @@ def spider_gd2(
         return math.sqrt(delta), q, delta
 
     x, stages = _restarts(run, x0, cfg, q, stage, pick=False, on_correction=on_correction)
-    return x, run.trace(
-        "spider-gd2", asdict(cfg), q=q, delta0=delta0, stages=stages,
-        ifo_breakdown=run.tallies,
-    )
+    return x, run.trace(x, "spider-gd2", asdict(cfg), q=q, delta0=delta0, stages=stages)
 
 
 def rsgd(
@@ -576,15 +553,12 @@ def rsgd(
     run = _Run(obj, x0, seed, checkpoint_every, max_ifo, map_mode)
     eta_fn = eta if callable(eta) else (lambda k: eta)
     x = x0
-    if T >= 1:
-        run.after_step(x0, 0.0, 0)
     for k in range(T):
         if run.exhausted():
             break
         x, _, _ = run.step(x, None, None, 1, None, float(eta_fn(k)))
-    run.final(x)
     config = {"eta": eta if not callable(eta) else repr(eta), "T": T}
-    return x, run.trace("rsgd", config, map_mode=map_mode, ifo_breakdown=run.tallies)
+    return x, run.trace(x, "rsgd", config, map_mode=map_mode)
 
 
 def rsvrg(
@@ -616,8 +590,6 @@ def rsvrg(
         raise ValueError("inner loop length must be >= 1")
     run = _Run(obj, x0, seed, checkpoint_every, max_ifo, map_mode)
     x = x0
-    if epochs >= 1:
-        run.after_step(x0, 0.0, 0)
     for _s in range(epochs):
         if run.exhausted():
             break
@@ -628,6 +600,5 @@ def rsvrg(
             if run.exhausted():
                 break
             x, _, _ = run.step(x, x_snap, mu, 1, None, eta)
-    run.final(x)
     config = {"eta": eta, "epochs": epochs, "inner_len": m, "map_mode": map_mode}
-    return x, run.trace("rsvrg", config, ifo_breakdown=run.tallies)
+    return x, run.trace(x, "rsvrg", config)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import rspider as r
 from rspider.diagnostics import CONVERGED, STALLED, epochs_to_double
 from rspider.geometry import Sphere
 from rspider.oracle import _eigenvector_factors, packed_spectrum, problem_from_spectrum
-from rspider.optim import FrozenState, SpiderConfig, _correct, params_finite, spider_nonconvex
+from rspider.optim import FrozenState, SpiderConfig, _Run, params_finite, spider_nonconvex
 from problems import LinearSum, chordal_mean_problem
 
 
@@ -227,17 +228,22 @@ class TestGramPath:
 
 def _enumerated_variance(P, st):
     # E|v - grad f(x)|^2 over every ordered draw of s2 indices (all n^s2 of
-    # them), each run through the solvers' own correction step; a finite-sum
-    # batch that reaches n is the one full pass
+    # them), each served to the solvers' own estimator step by the run's
+    # index stream; a finite-sum batch that reaches n is the one full pass
     x, y, ref = st.x_curr, st.x_prev, st.v_prev.coords
+    cap = None if st.sample_only else P.n
     with P.counter.paused():
         target = P.full_rgrad(x).coords
-        if not st.sample_only and st.s2 >= P.n:
-            draws = [(P.full_rgrad, ())]
+        run = _Run(P, x, 0, 1.0, None, "exp")
+        run.steps = st.k
+        if cap is not None and st.s2 >= cap:
+            draws = [()]  # the full pass draws no index
         else:
-            draws = [(P.minibatch_rgrad, (P._prepare(np.array(idx)),))
-                     for idx in itertools.product(range(P.n), repeat=st.s2)]
-        errs = [_correct(P, grad, x, y, ref, st.k, *idx)[0] - target for grad, idx in draws]
+            draws = itertools.product(range(P.n), repeat=st.s2)
+        errs = []
+        for idx in draws:
+            run.indices = SimpleNamespace(take=lambda size, idx=idx: np.array(idx))
+            errs.append(run.estimate(x, y, ref, st.s2, cap)[0] - target)
     return float(np.mean([e @ e for e in errs]))
 
 

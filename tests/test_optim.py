@@ -131,10 +131,13 @@ class TestSpiderNonconvex:
         cfg = SpiderConfig(L=2.0, eps=0.1, q=1, S1=2, T=0, n=2)
         x, trace = spider_nonconvex(P, x0, cfg)
         assert x is x0
-        # no step runs, so the run is its final record alone, at x0
-        assert len(trace.records) == 1
-        rec = trace.records[0]
-        assert (rec.k, rec.ifo, rec.boundary, rec.step_dist, rec.batch) == (0, 0, None, 0.0, 0)
+        # no step runs, so the run is its start and end records, both at x0
+        assert len(trace.records) == 2
+        start, end = trace.records
+        assert (start.k, start.ifo, start.boundary, start.step_dist, start.batch) == (
+            0, 0, 0.0, 0.0, 0)
+        assert (end.k, end.ifo, end.boundary, end.step_dist, end.batch) == (0, 0, None, 0.0, 0)
+        assert (start.f, start.grad_sq) == (end.f, end.grad_sq) == P._probe(x0)
         assert P.counter.calls == 0 == trace.meta["ifo"]
 
     def test_reduces_to_gradient_descent_when_single_component(self):
@@ -791,15 +794,17 @@ def test_tracing_never_touches_the_counter(seed, algo, map_mode):
 
 @pytest.mark.parametrize("solver", [spider_gd1, spider_gd2])
 def test_zero_restart_stages_return_x0(solver):
-    # K = 0: no stage runs, so the run is its final record alone
+    # K = 0: no stage runs, so the run is its start and end records, both at x0
     P = diag21_problem()
     x0 = P.manifold.point([0.6, 0.8])
     x, trace = solver(P, x0, GdConfig(M0=1.0, tau=1.0, L=2.0, K=0))
     assert x is x0
     assert P.counter.calls == 0 == trace.meta["ifo"]
-    assert len(trace.records) == 1
-    rec = trace.records[0]
-    assert (rec.k, rec.ifo, rec.boundary, rec.batch) == (0, 0, None, 0)
+    assert len(trace.records) == 2
+    start, end = trace.records
+    assert (start.k, start.ifo, start.boundary, start.batch) == (0, 0, 0.0, 0)
+    assert (end.k, end.ifo, end.boundary, end.batch) == (0, 0, None, 0)
+    assert (start.f, start.grad_sq) == (end.f, end.grad_sq) == P._probe(x0)
     assert trace.meta["stages"] == []
 
 
