@@ -301,9 +301,12 @@ def epochs_to_double(
     iterable of (epoch, objective value) pairs sampled on a uniform checkpoint
     grid of spacing ``step``; ``window`` must be a whole number of those
     steps. With c the multiplicative error factor over one window, the
-    estimate is log(2) / log(1/c) * window. Windows without progress
-    (c >= 1) give STALLED (inf); windows starting at or crossing the
-    measurement floor give CONVERGED (nan).
+    estimate is log(2) / log(1/c) * (e1 - e0), where e0 and e1 are the
+    epochs recorded at the window's two ends: a solver whose checkpoints land
+    past their nominal epochs (a capped correction costs 2n calls) is
+    measured on the epochs it spent, not on ``window``. Windows without progress (c >= 1) give STALLED
+    (inf); windows starting at or crossing the measurement floor give
+    CONVERGED (nan).
     """
     if f_star == 0:
         raise ValueError("the optimum value must be nonzero for relative accuracy")
@@ -327,7 +330,7 @@ def epochs_to_double(
     out = []
     for i in range(len(pairs) - m):
         e0, f0 = pairs[i]
-        _e1, f1 = pairs[i + m]
+        e1, f1 = pairs[i + m]
         a0 = _accuracy(f0, f_star)
         a1 = _accuracy(f1, f_star)
         if a0 <= 1e-15:
@@ -339,5 +342,5 @@ def epochs_to_double(
         elif c >= 1.0:
             out.append((e0, STALLED))
         else:
-            out.append((e0, math.log(2.0) / math.log(1.0 / c) * window))
+            out.append((e0, math.log(2.0) / math.log(1.0 / c) * (e1 - e0)))
     return out

@@ -365,6 +365,16 @@ class TestEpochsToDouble:
         out = epochs_to_double(pairs, f_star=-1.0, window=5.0)
         assert out[0][1] == pytest.approx(2.5, rel=1e-12)
 
+    def test_drifted_grid_is_measured_on_recorded_epochs(self):
+        # checkpoints that land past their nominal epochs (0, 1, 2, 3, 4 on a
+        # unit grid) span more epochs than the window: an error that halves
+        # every epoch reads 1.0 on each window, not window / span
+        epochs = [0.0, 1.25, 2.5, 3.0, 4.5]
+        pairs = [(e, -1.0 + 0.5**e) for e in epochs]
+        out = epochs_to_double(pairs, f_star=-1.0, window=2.0, step=1.0)
+        assert [e for e, _ in out] == epochs[:3]
+        assert [v for _, v in out] == pytest.approx([1.0, 1.0, 1.0], rel=1e-12)
+
     def test_stalled(self):
         pairs = [(float(t), -1.0 + 0.125) for t in range(0, 11)]
         out = epochs_to_double(pairs, f_star=-1.0, window=5.0)

@@ -224,12 +224,12 @@ SWEEP_GOLDEN = {
     "rsvrg/paired/retract": "7e59286becfbbee047e91b9f84869008e45c554417d52277a0a575838c08661f",
     "vrpca/paired/exp": "87164ca52e240c09859bd25ba856c054aac9b6a65bda81b7636dfc31686fe3d6",
     "vrpca/paired/retract": "87164ca52e240c09859bd25ba856c054aac9b6a65bda81b7636dfc31686fe3d6",
-    "spider/paired/exp": "15908e6dd931a1d55595635470d56dde9b920fd3e9c882ad13acf26d9a4abcd6",
-    "spider/paired/retract": "2c917162215937faedbcb2d07625f5919620e4cda670e75e8a15852bcdbb6e23",
-    "spider-gd1/paired/exp": "cd8bd1d5b8f215291bd763d5897cce2208cc6f708763e87b010ea76301381b8a",
-    "spider-gd1/paired/retract": "e35a036c891026977624ec3509b7df2a0dd4b92f23a3743c23694f8f63cda4b4",
-    "spider-gd2/paired/exp": "0e6c31adf4ec5a37c632e907714a814ace0bba86e63bf5c743b4f8db82dc326d",
-    "spider-gd2/paired/retract": "2dc070d453eb4650d6dd7fe55a9ac1e49aa9726433eb31bdd5dbd132c6cbd8ba",
+    "spider/paired/exp": "b80a8b25fc33fde61f1da69a261ea49260a12718f955433859db708e06a6eee1",
+    "spider/paired/retract": "45a916c830871dfacbd9bd9fc96f685db024ce1422aec9f59554b25ea399694b",
+    "spider-gd1/paired/exp": "43f1d3aef20480167133ec704a1ca99a27bd4cd5a1b2658fa776d29d8ffde337",
+    "spider-gd1/paired/retract": "08ad4de43f119c1dd6aed137138f5ec97903188520d50faff9581520f9f781ed",
+    "spider-gd2/paired/exp": "0d194f4b0da11e0070095d793b889a879bbdcd9f3f548a5748e9af6aa439ec7a",
+    "spider-gd2/paired/retract": "3a7c65ec1b9c11f75faa9393789885e3d0caf39e430eef8961bc3919337cb8bd",
 }
 TRACE_GOLDEN = {
     "spider/paired/exp": "431535bce077735cf7197ab91fa87e670bae323fd4ac86e73fdccf25926f7204",
