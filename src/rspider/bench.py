@@ -232,7 +232,8 @@ def run_cell(cfg: ExperimentConfig, delta: float, seed: int,
              algo: str | None = None) -> list[CsvRow]:
     """Run one (algorithm, gap, seed) cell and return its checkpoint rows.
 
-    The row grid covers nominal epochs 0, step, ..., epochs; if the run ends
+    The row grid covers the nominal epochs 0, step, 2 step, ... that do not
+    pass the budget ``epochs``; if the run ends
     before the budget, trailing grid rows repeat the final state. Identical
     inputs produce identical rows. The cell runs on the path a sweep takes,
     and an exception in it is raised here.
@@ -256,8 +257,8 @@ def _run_cell(cfg: ExperimentConfig, P: PcaProblem, f_star: float, tau: float | 
     map_mode = "retract" if algo == "vrpca" else cfg.map_mode
     trace = _run_algo(cfg, algo, P, f_star, x0, seed, max_ifo, tau, map_mode)
 
-    # boundary records come in order, one per grid epoch from 0
-    grid = int(round(cfg.epochs / cfg.checkpoint_every)) + 1
+    # boundary records come in order, one per grid epoch from 0 up to the budget
+    grid = int(math.floor(cfg.epochs / cfg.checkpoint_every + 1e-9)) + 1
     recs = [r for r in trace.records if r.boundary is not None][:grid]
     recs += [trace.records[-1]] * (grid - len(recs))
 

@@ -23,6 +23,7 @@ trusted points only to be handed to the oracle, the run's records and
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -204,6 +205,9 @@ class _Run:
         if x0.manifold != obj.manifold:
             raise ValueError("x0 does not live on the objective's manifold")
         _check_positive("checkpoint interval", checkpoint_every)
+        integral = isinstance(max_ifo, numbers.Integral) and not isinstance(max_ifo, bool)
+        if max_ifo is not None and not (integral and max_ifo >= 0):
+            raise ValueError(f"max_ifo must be None or an integer >= 0, got {max_ifo!r}")
         self.obj = obj
         self.seed = seed
         self.map_mode = map_mode

@@ -56,6 +56,13 @@ class TestRunCell:
         rows = run_cell(cfg, 0.2, 0)
         assert len(rows) == 5
 
+    @pytest.mark.parametrize("epochs,count", [(2.5, 3), (3.5, 4), (3.7, 4)])
+    def test_fractional_budget_rows_stop_at_the_budget(self, epochs, count):
+        # one row per whole checkpoint step inside the budget, none past it
+        rows = run_cell(tiny_cfg(epochs=epochs, checkpoint_every=1.0), 0.2, 0)
+        assert len(rows) == count
+        assert [row.epoch for row in rows] == [float(k) for k in range(count)]
+
     def test_rows_deterministic(self):
         cfg = tiny_cfg()
         lines1 = [row.to_line() for row in run_cell(cfg, 0.2, 0)]

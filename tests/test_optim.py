@@ -808,6 +808,30 @@ def test_zero_restart_stages_return_x0(solver):
     assert trace.meta["stages"] == []
 
 
+@pytest.mark.parametrize("max_ifo", [-5, 2.5, True, math.nan, "10"])
+@pytest.mark.parametrize("algo", ["spider", "spider-gd1", "spider-gd2", "rsvrg", "rsgd"])
+def test_budget_must_be_none_or_a_whole_count(algo, max_ifo):
+    # a negative, fractional, boolean, nan or text budget fails before any call
+    P = desk_problem(d=6, n=25, delta=0.4, seed=21)
+    x0 = P.manifold.random_point(np.random.default_rng(10))
+    gd = GdConfig(M0=1.0, tau=1.0, L=P.L_hint, K=1)
+    solvers = {
+        "spider": lambda kw: spider_nonconvex(P, x0, params_finite(P.n, 0.1, 1.0, P.L_hint), **kw),
+        "spider-gd1": lambda kw: spider_gd1(P, x0, gd, **kw),
+        "spider-gd2": lambda kw: spider_gd2(P, x0, gd, **kw),
+        "rsvrg": lambda kw: rsvrg(P, x0, 0.01, epochs=1, **kw),
+        "rsgd": lambda kw: rsgd(P, x0, 0.01, T=5, **kw),
+    }
+    with pytest.raises(ValueError, match="max_ifo must be None or an integer >= 0"):
+        solvers[algo](dict(max_ifo=max_ifo))
+    assert P.counter.calls == 0
+    # the accepted budgets: none, zero and any integral count
+    for ok in (None, 0, np.int64(3)):
+        P.counter.reset()
+        _, trace = solvers[algo](dict(max_ifo=ok))
+        assert ok is None or trace.meta["ifo"] <= ok + 2 * P.n
+
+
 @pytest.mark.parametrize("every", [0.0, -1.0, math.nan, math.inf])
 def test_checkpoint_interval_must_be_finite_and_positive(every):
     P = desk_problem(d=6, n=25, delta=0.4, seed=21)
