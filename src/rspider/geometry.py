@@ -23,6 +23,11 @@ Sphere transport from x to y along their geodesic is the closed form
 tangent space at y. It takes ``1 + <x, y>`` as ``|x + y|^2 / 2``: near
 antipodes ``x + y`` cancels exactly, while ``1 + <x, y>`` would lose most of
 its digits. Transport from x to the same array returns ``v`` itself.
+
+Sphere angles never come from ``acos(<x, y>)``, which rounds every angle
+below about 2e-8 to 0. The distance is ``2 asin(|y - x| / 2)``, from the
+chord, and the logarithm takes its angle as ``atan2(|u|, <x, y>)``, where
+``u = y - <x, y> x``.
 """
 
 from __future__ import annotations
@@ -306,7 +311,7 @@ class Sphere(Manifold):
         un = math.sqrt(float(u.dot(u)))  # equals sin(theta); resolves tiny angles
         if un < _ZERO_ANGLE:
             return TangentVector._raw(x, np.zeros(self.d))
-        theta = math.acos(min(1.0, max(-1.0, c)))
+        theta = math.atan2(un, c)
         return TangentVector._raw(x, (theta / un) * u)
 
     def _exp(self, x, v, v_sq):
@@ -343,7 +348,8 @@ class Sphere(Manifold):
             raise AntipodalError(
                 f"distance ill-conditioned for (nearly) antipodal points: <x, y> = {c}"
             )
-        return math.acos(min(1.0, max(-1.0, c)))
+        diff = y - x  # the chord, 2 sin(theta / 2)
+        return 2.0 * math.asin(min(1.0, 0.5 * math.sqrt(float(diff.dot(diff)))))
 
     # perfbench/tracing.py wraps these names in Sphere.__dict__
     exp = Manifold.exp

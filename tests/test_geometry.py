@@ -289,6 +289,20 @@ class TestDist:
             math.pi / 2, abs=1e-15
         )
 
+    def test_small_angles_keep_their_digits(self):
+        # exp then dist (and log, above its 1e-9 short-circuit) returns a
+        # tangent's length, where acos(<x, y>) would read 0 below about 2e-8
+        S = Sphere(4)
+        rng = np.random.default_rng(16)
+        for length in np.geomspace(1e-9, 1e-6, 13):
+            for _ in range(20):
+                x = S.random_point(rng)
+                v = S.random_tangent(x, rng, scale=1.0)
+                y = S.exp(x, v * (length / v.norm()))
+                assert S.dist(x, y) == pytest.approx(length, rel=1e-6)
+                if length > 1e-9:
+                    assert S.log(x, y).norm() == pytest.approx(length, rel=1e-6)
+
     def test_symmetry(self):
         rng = np.random.default_rng(15)
         for _ in range(50):

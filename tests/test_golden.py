@@ -233,27 +233,27 @@ SWEEP_GOLDEN = {
 }
 TRACE_GOLDEN = {
     "spider/paired/exp": "431535bce077735cf7197ab91fa87e670bae323fd4ac86e73fdccf25926f7204",
-    "spider/paired/retract": "f196033ac94b246811424b99ed55d527ba86400db6bc124a6b8c6a5928e64de0",
+    "spider/paired/retract": "1484046481995ff970af2756b218f0f33fed8a4637ce3da53109c27d391684ae",
     "spider-subsampled/paired/exp": "6a335b0dabb07b02937346a041d104eaaaa0c48c3018bf577cd4bd7c0e1e87ef",
-    "spider-subsampled/paired/retract": "316ef17a84ca98af628f707ebdd91efe3cf09fbdf97826f639aefc72c712d658",
+    "spider-subsampled/paired/retract": "e9f18a4cae3e4feb24688e309171076c847bdbc8256e3e570d6a6088cf9d1d8e",
     "spider-sampled/paired/exp": "8a5f4574342087e77d94e67370a84eb9cdc556e96be87c9ff1ba959d0b365a5b",
-    "spider-sampled/paired/retract": "98ca8fadf7a8e2c4d4f0adef89424bdc95e24ddc59b1a8863423ee1f90db335d",
+    "spider-sampled/paired/retract": "e9154f8fd3f991e5206a55c4792773aab4e2fd80cb34b92c4a4b8f5bfef3ce9e",
     "spider-gd1/paired/exp": "bb7af15e00efc86d5f113b5feb86f6c0bb3264c11451f92a287c417e4722b027",
-    "spider-gd1/paired/retract": "806e838a9899934170cea5f0a3c61e10ec59e2eaa821181a78679760c0e51a5e",
+    "spider-gd1/paired/retract": "069da43f09bfb59649c96fddc96f165953a65fcd1fa311de414421d02ea4181f",
     "spider-gd2/paired/exp": "4e15a08761fb1eb114736e94baf39eeffa7fdd3f1a67114633f28650b9a639b6",
-    "spider-gd2/paired/retract": "9324d9860d50daae0c063367a94e32ed165c5b0a64432d173ffffb7896cb5c50",
+    "spider-gd2/paired/retract": "71e78528e08c01f626b6adc7fab68e65cc1854157b6cee9d74b177335340316d",
     "rsvrg/paired/exp": "c52a793c9da2eb596ef3eeddef487000541cbc50346e127ce48f7b69fe06ec7e",
-    "rsvrg/paired/retract": "acdae3bbdde91856dfb3d8b403b0cf180f4f1d3f3ff13ec0758330eaad3470c1",
+    "rsvrg/paired/retract": "21252f7a5b16407fab4209bcce7384b0413edc154479852a4d810a0d6f31f2e7",
     "rsgd/paired/exp": "1276f5914977152edecdfb0e624c80ab68cfab031ad1184474701ad505a55567",
-    "rsgd/paired/retract": "11ba6c040d824e52c54d73e73efe3bff3d11c0cc7437661355848fd26c74f682",
+    "rsgd/paired/retract": "971f0a0a6ca29a107903e0634548255ae122355c07c4871ce55f2822ebcaf274",
 }
 OFF_PCA_GOLDEN = {
     "spider/chordal-mean/paired/exp": "48ec486f7ccd6af14e899b62c7a954d93965b988bf35f563dd0e975857d162da",
-    "spider/chordal-mean/paired/retract": "b22fac13d88cace898b185343cc0346c37b815184997ba09263cba571c977f83",
+    "spider/chordal-mean/paired/retract": "2f3ae16e899ee26397cd7b2455302b109220dd2602c4db48f45e4b344cd6282d",
     "spider/least-squares/paired/exp": "07e2a77faa63a1fe200a7d57c6b8530775892916518b1bf5647782d9e81609c5",
     "spider/least-squares/paired/retract": "855fb5a0baf8fda5281b6b434bde04466452c867c94601ea35707344fa1e9baf",
     "rsvrg/chordal-mean/paired/exp": "7c1e5b65a37c0922f9809148ee3539d9990abd49e60038e0d76c7c2e54dde477",
-    "rsvrg/chordal-mean/paired/retract": "9e1493dc3ed33cc59e1aa75f50e4fb919f87f45144fd6e203bbac38efc0042e5",
+    "rsvrg/chordal-mean/paired/retract": "452c00c696e8e0e3c018545b3b1970ccf754a23ff76e756f1fd3a5312a7d955c",
     "rsvrg/least-squares/paired/exp": "994eafa7920e13549a73e3628bbfcd67383d761f0d6a607e5a27160a2ce69d3e",
     "rsvrg/least-squares/paired/retract": "624b9ad40fea39871154ac3740809050f19aad65f42d58bf1581d7e7cae96bc3",
 }
@@ -327,7 +327,7 @@ def test_tau_sweeps_hold_with_two_blas_threads():
 # the README quick-start instance; tau's walk and the probe values run on
 # the Gram matrix (a GEMM) and its one symmetric eigendecomposition
 PROBE_ARGS = ["probe", "--d", "20", "--n", "200", "--delta", "0.5", "--seed", "1"]
-PROBE_OUTPUT_GOLDEN = "d5cbc3fa2ac9add917614d30407705c56a1771b0a733f68865191a95ce9bb941"
+PROBE_OUTPUT_GOLDEN = "2714cbba533f4c9c3acfa5a0193cbbbff8d74a3bff534c2e07bafc7c52f1733a"
 _PROBE_OUTPUT = """
 import contextlib, hashlib, io, json, sys
 sys.path[:0] = sys.argv[1:3]
