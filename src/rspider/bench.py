@@ -233,10 +233,10 @@ def run_cell(cfg: ExperimentConfig, delta: float, seed: int,
     """Run one (algorithm, gap, seed) cell and return its checkpoint rows.
 
     The row grid covers the nominal epochs 0, step, 2 step, ... that do not
-    pass the budget ``epochs``; if the run ends
-    before the budget, trailing grid rows repeat the final state. Identical
-    inputs produce identical rows. The cell runs on the path a sweep takes,
-    and an exception in it is raised here.
+    pass the budget ``epochs``; if the run ends before the budget, trailing
+    grid rows repeat the final state. Identical inputs produce identical
+    rows. The cell runs on the path a sweep takes, and an exception in it is
+    raised here.
     """
     algo = cfg.algo[0] if algo is None else algo
     delta = float(delta)

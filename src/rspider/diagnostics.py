@@ -304,9 +304,9 @@ def epochs_to_double(
     estimate is log(2) / log(1/c) * (e1 - e0), where e0 and e1 are the
     epochs recorded at the window's two ends: a solver whose checkpoints land
     past their nominal epochs (a capped correction costs 2n calls) is
-    measured on the epochs it spent, not on ``window``. Windows without progress (c >= 1) give STALLED
-    (inf); windows starting at or crossing the measurement floor give
-    CONVERGED (nan).
+    measured on the epochs it spent, not on ``window``. Windows without
+    progress (c >= 1) give STALLED (inf); windows starting at or crossing the
+    measurement floor give CONVERGED (nan).
     """
     if f_star == 0:
         raise ValueError("the optimum value must be nonzero for relative accuracy")

@@ -235,7 +235,6 @@ def _enumerated_variance(P, st):
     with P.counter.paused():
         target = P.full_rgrad(x).coords
         run = _Run(P, x, 0, 1.0, None, "exp")
-        run.steps = st.k
         if cap is not None and st.s2 >= cap:
             draws = [()]  # the full pass draws no index
         else:
