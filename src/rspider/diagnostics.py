@@ -175,11 +175,11 @@ def pl_constant_estimate(
     the ratio peaks. Points with |grad|^2 below 1e-12 carry no information
     (0/0 at optima) and are excluded.
 
-    For a :class:`PcaProblem`, u_1 and u_2 come from the one cached
-    eigendecomposition of the instance's d x d Gram matrix A, and every
-    probe point is evaluated on A, so no pass streams Z; other objectives
-    are evaluated through their uncharged ``_probe``. The oracle counter is
-    never charged.
+    Every point is evaluated by the objective's uncharged ``_probe``, the
+    one that serves the checkpoint records. For a :class:`PcaProblem`, u_1
+    and u_2 come from the one cached eigendecomposition of the instance's
+    d x d Gram matrix A, and ``_probe`` reads A, so no pass streams Z. The
+    oracle counter is never charged.
     """
     man = obj.manifold
     if isinstance(points, numbers.Integral) and not isinstance(points, bool):
@@ -199,11 +199,10 @@ def pl_constant_estimate(
             pts.append(man.exp(center, u._scaled(-r)))
     else:
         pts = list(points)
-    probe = obj._gram_probe if isinstance(obj, PcaProblem) else obj._probe
     ratios = []
     excluded = 0
     for p in pts:
-        f, g_sq = probe(p)
+        f, g_sq = obj._probe(p)
         if g_sq < _MIN_GRAD_SQ:
             excluded += 1
             continue

@@ -144,8 +144,10 @@ class FiniteSumObjective(ABC):
         return _Batch(self._rows.take(idx, axis=0))
 
     def _probe(self, x: ManifoldPoint) -> tuple[float, float]:
-        """f(x) and |grad f(x)|^2, uncharged: the tracer's checkpoint values.
-        The one optional speed hook: override it where one pass gives both."""
+        """f(x) and |grad f(x)|^2, uncharged: every checkpoint record's values
+        and the domination ratios of ``pl_constant_estimate``. An objective
+        with a cheaper closed form overrides it (:class:`PcaProblem` reads
+        its Gram matrix)."""
         return self.value(x), TangentVector._raw(x, self._grad(self._rows, x))._sq
 
     def _checked(self, idx) -> np.ndarray:
@@ -167,7 +169,9 @@ class PcaProblem(FiniteSumObjective):
     ``A = (1/n) Z Z^T``. For synthetic instances the spectrum of A is known
     and the optimal value ``f_star = -lambda_1`` is exposed. The minimizer is
     the leading eigenvector of A (up to sign). The charged oracle and
-    :meth:`value` read the components; only uncharged spectral probes read A.
+    :meth:`value` read the components. The uncharged reads go to A, formed
+    on first use and kept: :meth:`_probe` (every checkpoint's f and
+    |grad f|^2, and the domination ratios) and the top eigenpairs.
 
     The rows are the components: row i is z_i, so a minibatch gathers whole
     rows. :attr:`Z` is their d x n transpose (a view); ``__init__`` accepts Z
@@ -220,22 +224,10 @@ class PcaProblem(FiniteSumObjective):
         # a gather keeps C order, so a batch covering 1..n reproduces the
         # exact full-gradient arithmetic
         x_arr = x.coords
-        return self._kernel(rows, x_arr, rows.dot(x_arr))
-
-    @staticmethod
-    def _kernel(rows, x_arr, w):
-        # mean tangent gradient over the rows, given w = rows x
-        g = w.dot(rows)
+        g = rows.dot(x_arr).dot(rows)
         g *= -2.0 / rows.shape[0]
         g -= x_arr.dot(g) * x_arr
         return g
-
-    def _probe(self, x):
-        # value(x) and full_rgrad(x) both start from rows x: one pass over the
-        # rows gives the same bits as the two
-        w = self._rows.dot(x.coords)
-        g = self._kernel(self._rows, x.coords, w)
-        return -float(w.dot(w)) / self.n, TangentVector._raw(x, g)._sq
 
     def _gram(self) -> np.ndarray:
         """A = (1/n) Z Z^T (d x d), formed with one GEMM on first use and kept."""
@@ -244,14 +236,14 @@ class PcaProblem(FiniteSumObjective):
             self._A /= self.n
         return self._A
 
-    def _gram_probe(self, x: ManifoldPoint) -> tuple[float, float]:
-        # f = -x^T A x and grad f = 2 (x^T A x) x - 2 A x: _probe's values to
-        # rounding, without a pass over the rows
+    def _probe(self, x):
+        # f = -x^T A x and grad f = 2 (x^T A x) x - 2 A x: value(x) and
+        # |full_rgrad(x)|^2 to rounding, without a pass over the rows
         x = x.coords
-        ax = self._gram() @ x
-        q = float(x @ ax)
+        ax = self._gram().dot(x)
+        q = float(x.dot(ax))
         g = 2.0 * (q * x - ax)
-        return -q, float(g @ g)
+        return -q, float(g.dot(g))
 
     def _top_eigs(self) -> tuple[float, np.ndarray, np.ndarray]:
         """(lambda_1, u_1, u_2) of A from one symmetric eigendecomposition, kept."""

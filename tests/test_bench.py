@@ -275,7 +275,8 @@ class TestRunSweep:
         assert not res.failures
         assert calls == {"qr": 2, "tau": 3}  # one U and one V; one tau per gap
 
-    def test_gram_formed_once_per_gap_and_only_for_tau(self, monkeypatch):
+    def test_gram_formed_once_per_gap(self, monkeypatch):
+        # tau and every checkpoint of every cell of a gap read one Gram matrix
         import rspider.oracle as oracle
 
         formed = []
@@ -292,11 +293,11 @@ class TestRunSweep:
             delta_list=(0.2, 0.1), seeds=(0, 1), epochs=1.0,
         ))
         assert not res.failures
-        assert len(formed) == 2  # one Gram matrix per gap, for its tau
+        assert len(formed) == 2  # one Gram matrix per gap
         res = run_sweep(tiny_cfg(algo=("rsvrg", "spider"), delta_list=(0.2, 0.1),
                                  seeds=(0, 1), epochs=1.0))
         assert not res.failures
-        assert len(formed) == 2  # sweeps that need no tau never form one
+        assert len(formed) == 4  # a sweep without tau forms one per gap too
 
     def test_cell_exception_fails_only_that_cell(self, monkeypatch):
         import rspider.bench as bench

@@ -218,34 +218,34 @@ def _ids(cases):
 STATE_CASES = ("spider-eps0.05", "spider-eps0.04", "spider-gd2")
 
 SWEEP_GOLDEN = {
-    "rsgd/paired/exp": "b47ed3071ade91e4bce11f6f469713412d8a8577e71ad54db0a2e00f42bb09ea",
-    "rsgd/paired/retract": "3822d5d096fb634cd4b5cc429c3d41908aeba8f19930622053a77e93377246eb",
-    "rsvrg/paired/exp": "db75c1b163a347fb97a25578a4a88af45f31d256d34a53f27f69791ec71f7c15",
-    "rsvrg/paired/retract": "7e59286becfbbee047e91b9f84869008e45c554417d52277a0a575838c08661f",
-    "vrpca/paired/exp": "87164ca52e240c09859bd25ba856c054aac9b6a65bda81b7636dfc31686fe3d6",
-    "vrpca/paired/retract": "87164ca52e240c09859bd25ba856c054aac9b6a65bda81b7636dfc31686fe3d6",
-    "spider/paired/exp": "b80a8b25fc33fde61f1da69a261ea49260a12718f955433859db708e06a6eee1",
-    "spider/paired/retract": "45a916c830871dfacbd9bd9fc96f685db024ce1422aec9f59554b25ea399694b",
-    "spider-gd1/paired/exp": "43f1d3aef20480167133ec704a1ca99a27bd4cd5a1b2658fa776d29d8ffde337",
-    "spider-gd1/paired/retract": "08ad4de43f119c1dd6aed137138f5ec97903188520d50faff9581520f9f781ed",
-    "spider-gd2/paired/exp": "0d194f4b0da11e0070095d793b889a879bbdcd9f3f548a5748e9af6aa439ec7a",
-    "spider-gd2/paired/retract": "3a7c65ec1b9c11f75faa9393789885e3d0caf39e430eef8961bc3919337cb8bd",
+    "rsgd/paired/exp": "137f0bfd7baa02e4fe180611579a3f2729a5302badf21a3d301f600b38866663",
+    "rsgd/paired/retract": "30676d3ea9224fd57304e4828a9a431804657a6d2d4568a4ec51944d28f5a4f9",
+    "rsvrg/paired/exp": "47cd93fd8bca929e0e37d97a77c1ae881305f24dd6d408d1818044c789c64fea",
+    "rsvrg/paired/retract": "522f0eac2807a2c4d09e07cdbe5edeed1459090da47b420b064491e4fddf8bd7",
+    "vrpca/paired/exp": "52dcdabeb3e58fac653437f9035c7d617d9d18f04961dcf8f43650c5e378463d",
+    "vrpca/paired/retract": "52dcdabeb3e58fac653437f9035c7d617d9d18f04961dcf8f43650c5e378463d",
+    "spider/paired/exp": "c0cadf7a1590e54c52e7f254b36f03e24a6567c7d26855f5463d551b062351ee",
+    "spider/paired/retract": "84398f73eda7e225753e38979db3c30b0fdf0ddc2abaf82e9606424e156ae811",
+    "spider-gd1/paired/exp": "fcc6abd4d18fcf738d0aef1845df81b8535af64b80371232baf4fca90ff558fc",
+    "spider-gd1/paired/retract": "4c1654b9ff99e5460fc9712aaa8ec3398b408423d3b1128e8223885760a11849",
+    "spider-gd2/paired/exp": "3645c17e346d2da57ab9cb02ab66791646fda4a948f11fe4787a23f47143c904",
+    "spider-gd2/paired/retract": "1ba18d4d3d0aa31b373d6f5a551209a24591224fb151479c9f78bd1b93fa3a23",
 }
 TRACE_GOLDEN = {
-    "spider/paired/exp": "431535bce077735cf7197ab91fa87e670bae323fd4ac86e73fdccf25926f7204",
-    "spider/paired/retract": "1484046481995ff970af2756b218f0f33fed8a4637ce3da53109c27d391684ae",
-    "spider-subsampled/paired/exp": "6a335b0dabb07b02937346a041d104eaaaa0c48c3018bf577cd4bd7c0e1e87ef",
-    "spider-subsampled/paired/retract": "e9f18a4cae3e4feb24688e309171076c847bdbc8256e3e570d6a6088cf9d1d8e",
-    "spider-sampled/paired/exp": "8a5f4574342087e77d94e67370a84eb9cdc556e96be87c9ff1ba959d0b365a5b",
-    "spider-sampled/paired/retract": "e9154f8fd3f991e5206a55c4792773aab4e2fd80cb34b92c4a4b8f5bfef3ce9e",
-    "spider-gd1/paired/exp": "bb7af15e00efc86d5f113b5feb86f6c0bb3264c11451f92a287c417e4722b027",
-    "spider-gd1/paired/retract": "069da43f09bfb59649c96fddc96f165953a65fcd1fa311de414421d02ea4181f",
-    "spider-gd2/paired/exp": "4e15a08761fb1eb114736e94baf39eeffa7fdd3f1a67114633f28650b9a639b6",
-    "spider-gd2/paired/retract": "71e78528e08c01f626b6adc7fab68e65cc1854157b6cee9d74b177335340316d",
-    "rsvrg/paired/exp": "c52a793c9da2eb596ef3eeddef487000541cbc50346e127ce48f7b69fe06ec7e",
-    "rsvrg/paired/retract": "21252f7a5b16407fab4209bcce7384b0413edc154479852a4d810a0d6f31f2e7",
-    "rsgd/paired/exp": "1276f5914977152edecdfb0e624c80ab68cfab031ad1184474701ad505a55567",
-    "rsgd/paired/retract": "971f0a0a6ca29a107903e0634548255ae122355c07c4871ce55f2822ebcaf274",
+    "spider/paired/exp": "4bed66e3059a532fcd35044cc9ca1b186b94696d561d06588c8572e8e4a73695",
+    "spider/paired/retract": "604e4d58567821ccc47106f5efa74ec6fbc92ad9d959896b73ec259148434b4a",
+    "spider-subsampled/paired/exp": "268d70c3776ffe8bced997d74accf2313ecfb88017a0e25e6f6d6e0249b68777",
+    "spider-subsampled/paired/retract": "2440e462b4c7c5cec8d3343ab231c1a37e6812de49a8866748b7a02cbae31b27",
+    "spider-sampled/paired/exp": "56bf20a3fc54fa9f275127974677cfff828360e7fc3c2c15d6caf5a8b427a051",
+    "spider-sampled/paired/retract": "f87a0f2aabb0e1dedb996255395a205465938023dd108dac7465fcfbaac3b99f",
+    "spider-gd1/paired/exp": "adae289e527726361f7d9f06bc38af505da943a3d082b90496567f5c102765b0",
+    "spider-gd1/paired/retract": "a1b87781ab53f9f7b286dd769a25644b691fa333aeb996fa26e7b79f03b8fd52",
+    "spider-gd2/paired/exp": "eff66733defbc04df9d19de82706f8072d8b20c42c198ee5330943fbd393bfd1",
+    "spider-gd2/paired/retract": "561f7f0c7f9c0c04998efca833953c42fb04a7db38d8c665ab22eb73d9bd6bbc",
+    "rsvrg/paired/exp": "0190c2d1fe8e3e00b6922e11d021a586042da0b03dd4048933b30a7e071838ca",
+    "rsvrg/paired/retract": "295d5d5469511b3751fe8428fcf4f8ebd237d83c8bb07348a0d33ee47a9178f9",
+    "rsgd/paired/exp": "12496f79775445b2c19a0126ea6cee7545bb5c2d87e75e62c9cdd2fc29c1937d",
+    "rsgd/paired/retract": "75de1b358e5b635be933e14a1d4310b11d3942c9c81116c139207e2d20b96041",
 }
 OFF_PCA_GOLDEN = {
     "spider/chordal-mean/paired/exp": "48ec486f7ccd6af14e899b62c7a954d93965b988bf35f563dd0e975857d162da",

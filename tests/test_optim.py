@@ -187,7 +187,7 @@ class TestSpiderNonconvex:
         x, trace = spider_nonconvex(P, x0, cfg, max_ifo=30 * P.n)
         last = trace.records[-1]
         assert last.boundary is None and last.k == trace.meta["steps"]
-        assert last.f == P.value(x)
+        assert (last.f, last.grad_sq) == P._probe(x)
         assert (last.step_dist, last.batch) == (0.0, 0)
 
     def test_determinism(self):
