@@ -39,6 +39,7 @@ from .optim import (
     GdConfig,
     OptimizerError,
     RunTrace,
+    _check_count,
     _check_modes,
     _check_positive,
     params_finite,
@@ -129,9 +130,13 @@ class ExperimentConfig:
         self.delta_list = tuple(float(x) for x in self.delta_list)
         if not self.delta_list:
             raise ValueError("need at least one eigengap")
-        self.seeds = tuple(int(s) for s in self.seeds)
+        self.seeds = tuple(self.seeds)
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for seed in self.seeds:
+            _check_count("seed", seed, 0)
+        _check_count("data_seed", self.data_seed, 0)
+        self.seeds = tuple(int(s) for s in self.seeds)  # numpy integers as ints
         if not (math.isfinite(self.epochs) and self.epochs >= 0):
             raise ValueError(f"epoch budget must be finite and >= 0, got {self.epochs!r}")
         _check_positive("checkpoint interval", self.checkpoint_every)
@@ -142,11 +147,12 @@ class ExperimentConfig:
             raise ValueError("spectrum must be 'packed' or 'geometric'")
         if self.tail is None:
             self.tail = 0.5 if self.spectrum == "packed" else 0.9
+        _check_count("d", self.d, 2)
+        _check_count("n", self.n, 1)
         _check_samples(self.d, self.n)
         for delta in self.delta_list:
             _spectrum(self, delta)  # raises on a gap its spectrum cannot hold
-        if self.workers < 1:
-            raise ValueError("need at least one worker")
+        _check_count("workers", self.workers, 1)
         _checkpoint_steps(self.window, self.checkpoint_every)
         if self.fit_window is not None:
             _checkpoint_steps(self.fit_window, self.checkpoint_every, "fit_window", least=0)

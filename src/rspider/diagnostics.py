@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import ManifoldPoint
 from .oracle import FiniteSumObjective, PcaProblem, _row_grads
-from .optim import FrozenState, RunTrace
+from .optim import FrozenState, RunTrace, _check_count
 
 __all__ = [
     "CONVERGED",
@@ -39,12 +39,6 @@ _MIN_GRAD_SQ = 1e-12  # |grad f|^2 below this gives no domination ratio (0/0 at 
 # variance_probe's bound, in units of eps^2: the variance lemma's own bound on
 # a finite-sum epoch (see variance_probe), not room for noise
 _VARIANCE_BOUND = 2.0
-
-
-def _check_count(name: str, k: int):
-    # every probe rejects an empty sample before it evaluates anything
-    if k < 1:
-        raise ValueError(f"{name} must be at least 1, got {k!r}")
 
 
 @dataclass
@@ -89,7 +83,7 @@ def fd_gradient_check(
     (f(exp(x, t v)) - f(exp(x, -t v))) / (2 t). The statistic is the largest
     absolute error; central differencing makes it decay as t^2.
     """
-    _check_count("trials", trials)
+    _check_count("trials", trials, 1)
     if not 0.0 < t_step <= 1e-3:
         raise ValueError("t_step must lie in (0, 1e-3]")
     man = obj.manifold
@@ -126,7 +120,7 @@ def smoothness_probe(
     stays below ``bound`` (default: the objective's smoothness hint). Raises
     ValueError when every pair is too close to measure.
     """
-    _check_count("pairs", pairs)
+    _check_count("pairs", pairs, 1)
     if bound is None:
         bound = obj.L_hint
     man = obj.manifold
@@ -168,12 +162,13 @@ def pl_constant_estimate(
     """Empirical gradient-domination constant: max of (f(x) - f*) / |grad f(x)|^2.
 
     ``points`` is either an explicit sequence of points or, for a
-    :class:`PcaProblem`, a sample count (any integer but a bool): points are
-    then drawn in the geodesic ball of radius pi/4 around the top
-    eigenvector u_1. Uniform directions alone dilute the flat mode in high
-    dimension, so sampling also walks the second eigendirection u_2, where
-    the ratio peaks. Points with |grad|^2 below 1e-12 carry no information
-    (0/0 at optima) and are excluded.
+    :class:`PcaProblem`, a sample count (any number but a bool is taken for
+    one, and must be an integer of at least 1): points are then drawn in the
+    geodesic ball of radius pi/4 around the top eigenvector u_1. Uniform
+    directions alone dilute the flat mode in high dimension, so sampling
+    also walks the second eigendirection u_2, where the ratio peaks. Points
+    with |grad|^2 below 1e-12 carry no information (0/0 at optima) and are
+    excluded.
 
     Every point is evaluated by the objective's uncharged ``_probe``, the
     one that serves the checkpoint records. For a :class:`PcaProblem`, u_1
@@ -182,8 +177,8 @@ def pl_constant_estimate(
     oracle counter is never charged.
     """
     man = obj.manifold
-    if isinstance(points, numbers.Integral) and not isinstance(points, bool):
-        _check_count("points", points)
+    if isinstance(points, numbers.Number) and not isinstance(points, bool):
+        _check_count("points", points, 1)
         if not isinstance(obj, PcaProblem):
             raise ValueError("sampling needs a PcaProblem; pass explicit points instead")
         _, u1, u2 = obj._top_eigs()

@@ -61,6 +61,17 @@ def _check_modes(map_mode: str):
         raise ValueError(f"map_mode must be one of {MAP_MODES}")
 
 
+def _check_count(what, value, least, *, or_none=False):
+    """Raise ValueError unless ``value`` is an integer (a ``numbers.Integral``
+    but not a bool) of at least ``least``; ``or_none`` also accepts None.
+    Every count option is checked here, before any work."""
+    if or_none and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        kind = "None or an integer" if or_none else f"at least {least}: an integer {what}"
+        raise ValueError(f"{what} must be {kind} >= {least}, got {value!r}")
+
+
 def _check_positive(what, value):
     """Raise ValueError unless ``value`` is finite and positive."""
     if not (math.isfinite(value) and value > 0):
@@ -113,8 +124,9 @@ class SpiderConfig:
     def __post_init__(self):
         _check_positive("L", self.L)
         _check_positive("eps", self.eps)
-        if self.q < 1 or self.S1 < 1 or self.T < 0:
-            raise ValueError("need q >= 1, S1 >= 1, T >= 0")
+        _check_count("q", self.q, 1)
+        _check_count("S1", self.S1, 1)
+        _check_count("T", self.T, 0)
         if self.eta is None:
             self.eta = 1.0 / (2.0 * self.L)
         _check_positive("step size", self.eta)
@@ -139,8 +151,7 @@ class GdConfig:
     def __post_init__(self):
         for what in ("M0", "tau", "L"):
             _check_positive(what, getattr(self, what))
-        if self.K < 0:
-            raise ValueError("need K >= 0")
+        _check_count("K", self.K, 0)
         _check_modes(self.map_mode)
 
 
@@ -205,9 +216,7 @@ class _Run:
         if x0.manifold != obj.manifold:
             raise ValueError("x0 does not live on the objective's manifold")
         _check_positive("checkpoint interval", checkpoint_every)
-        integral = isinstance(max_ifo, numbers.Integral) and not isinstance(max_ifo, bool)
-        if max_ifo is not None and not (integral and max_ifo >= 0):
-            raise ValueError(f"max_ifo must be None or an integer >= 0, got {max_ifo!r}")
+        _check_count("max_ifo", max_ifo, 0, or_none=True)
         self.obj = obj
         self.seed = seed
         self.map_mode = map_mode
@@ -552,8 +561,7 @@ def rsgd(
     _check_modes(map_mode)
     if not callable(eta):
         _check_positive("step size", eta)
-    if T < 0:
-        raise ValueError("need T >= 0")
+    _check_count("T", T, 0)
     run = _Run(obj, x0, seed, checkpoint_every, max_ifo, map_mode)
     eta_fn = eta if callable(eta) else (lambda k: eta)
     x = x0
@@ -587,11 +595,9 @@ def rsvrg(
     """
     _check_modes(map_mode)
     _check_positive("step size", eta)
-    if epochs < 0:
-        raise ValueError("need epochs >= 0")
-    m = obj.n if inner_len is None else int(inner_len)
-    if m < 1:
-        raise ValueError("inner loop length must be >= 1")
+    _check_count("epochs", epochs, 0)
+    _check_count("inner_len", inner_len, 1, or_none=True)
+    m = obj.n if inner_len is None else inner_len
     run = _Run(obj, x0, seed, checkpoint_every, max_ifo, map_mode)
     x = x0
     for _s in range(epochs):

@@ -808,6 +808,62 @@ def test_zero_restart_stages_return_x0(solver):
     assert trace.meta["stages"] == []
 
 
+def _count_calls():
+    # each call passes one count that is not an integer of the least allowed size
+    from rspider.bench import ExperimentConfig
+
+    P = desk_problem(d=6, n=30, delta=0.4, seed=21)
+    x0 = P.manifold.random_point(np.random.default_rng(3))
+    spider = dict(L=1.0, eps=0.1, q=2, S1=5, T=10, n=30)
+    bad = {f"spider-{k}={v!r}": (lambda k=k, v=v: SpiderConfig(**{**spider, k: v}))
+           for k, v in (("q", 2.5), ("q", True), ("S1", 2.5), ("S1", True), ("T", 2.5),
+                        ("T", True))}
+    bad.update({
+        "gd-K=2.5": lambda: GdConfig(M0=1.0, tau=1.0, L=1.0, K=2.5),
+        "rsgd-T=2.5": lambda: rsgd(P, x0, 0.01, T=2.5),
+        "rsvrg-epochs=2.5": lambda: rsvrg(P, x0, 0.01, epochs=2.5),
+        "rsvrg-inner_len=2.5": lambda: rsvrg(P, x0, 0.01, epochs=1, inner_len=2.5),
+        "rsvrg-inner_len='3'": lambda: rsvrg(P, x0, 0.01, epochs=1, inner_len="3"),
+        "rsvrg-inner_len=0": lambda: rsvrg(P, x0, 0.01, epochs=1, inner_len=0),
+        "experiment-n=40.5": lambda: ExperimentConfig(d=6, n=40.5),
+        "experiment-d=6.0": lambda: ExperimentConfig(d=6.0, n=40),
+        "experiment-seeds=(0.7, 1)": lambda: ExperimentConfig(d=6, n=40, seeds=(0.7, 1)),
+        "experiment-seeds=(-1,)": lambda: ExperimentConfig(d=6, n=40, seeds=(-1,)),
+        "experiment-data_seed=-1": lambda: ExperimentConfig(d=6, n=40, data_seed=-1),
+        "experiment-workers=1.5": lambda: ExperimentConfig(d=6, n=40, workers=1.5),
+        "fd-trials=2.5": lambda: r.fd_gradient_check(P, x0, trials=2.5),
+        "smoothness-pairs=2.5": lambda: r.smoothness_probe(P, pairs=2.5),
+        "pl-points=2.5": lambda: r.pl_constant_estimate(P, P.f_star, 2.5),
+    })
+    return P, bad
+
+
+@pytest.mark.parametrize("case", list(_count_calls()[1]))
+def test_count_options_must_be_integers(case):
+    # a fractional, boolean, text or too small count fails with ValueError
+    # before any oracle call, Gram matrix or run
+    P, bad = _count_calls()
+    with pytest.raises(ValueError, match="must be"):
+        bad[case]()
+    assert P.counter.calls == 0 and P._A is None
+
+
+def test_numpy_integer_counts_are_accepted():
+    from rspider.bench import ExperimentConfig
+
+    P = desk_problem(d=6, n=30, delta=0.4, seed=21)
+    x0 = P.manifold.random_point(np.random.default_rng(3))
+    i = np.int64
+    cfg = SpiderConfig(L=P.L_hint, eps=0.1, q=i(2), S1=i(30), T=i(4), n=30)
+    ref = SpiderConfig(L=P.L_hint, eps=0.1, q=2, S1=30, T=4, n=30)
+    assert np.array_equal(spider_nonconvex(P, x0, cfg)[0].coords,
+                          spider_nonconvex(P, x0, ref)[0].coords)
+    x, trace = rsvrg(P, x0, 0.01, epochs=i(1), inner_len=i(3), max_ifo=i(100))
+    assert trace.meta["config"]["inner_len"] == 3
+    exp = ExperimentConfig(d=i(6), n=i(40), seeds=(i(0), i(2)), data_seed=i(1), workers=i(1))
+    assert exp.seeds == (0, 2) and all(type(s) is int for s in exp.seeds)
+
+
 @pytest.mark.parametrize("max_ifo", [-5, 2.5, True, math.nan, "10"])
 @pytest.mark.parametrize("algo", ["spider", "spider-gd1", "spider-gd2", "rsvrg", "rsgd"])
 def test_budget_must_be_none_or_a_whole_count(algo, max_ifo):
