@@ -27,7 +27,9 @@ its digits. Transport from x to the same array returns ``v`` itself.
 Sphere angles never come from ``acos(<x, y>)``, which rounds every angle
 below about 2e-8 to 0. The distance is ``2 asin(|y - x| / 2)``, from the
 chord, and the logarithm takes its angle as ``atan2(|u|, <x, y>)``, where
-``u = y - <x, y> x``.
+``u = y - <x, y> x``. The logarithm computes both on unit copies of x and y,
+since a point kept within ``_UNIT_TOL`` of unit norm would leave u a normal
+part of that size, and it returns 0 only when |u| is at rounding level.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ _UNIT_TOL = 1e-9        # |norm - 1| accepted without renormalizing
 _ANTIPODAL_COS = -1.0 + 1e-8
 _ANTIPODAL_SQ = 2.0 * (1.0 + _ANTIPODAL_COS)  # the same bound on |x + y|^2
 _EXP_SMALL = 1e-8       # below this angle exp falls back to normalize(x + v)
-_ZERO_ANGLE = 1e-9      # below this angle log short-circuits
+_ROUNDING_SIN = 1e-15   # at or below this |u| (sin of the angle) log returns 0
 
 
 class ManifoldPoint:
@@ -302,14 +304,16 @@ class Sphere(Manifold):
 
     def log(self, x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
         self._check_pair(x, y)
-        c = float(x.coords.dot(y.coords))
+        xs = x.coords / math.sqrt(float(x.coords.dot(x.coords)))
+        ys = y.coords / math.sqrt(float(y.coords.dot(y.coords)))
+        c = float(xs.dot(ys))
         if c <= _ANTIPODAL_COS:
             raise AntipodalError(
                 f"logarithm undefined for (nearly) antipodal points: <x, y> = {c}"
             )
-        u = y.coords - c * x.coords
+        u = ys - c * xs
         un = math.sqrt(float(u.dot(u)))  # equals sin(theta); resolves tiny angles
-        if un < _ZERO_ANGLE:
+        if un <= _ROUNDING_SIN:
             return TangentVector._raw(x, np.zeros(self.d))
         theta = math.atan2(un, c)
         return TangentVector._raw(x, (theta / un) * u)

@@ -101,6 +101,30 @@ class TestLog:
             w = S3.log(x, S3.exp(x, v))
             assert np.linalg.norm(w.coords - v.coords) <= 1e-9 * (1 + v.norm())
 
+    @pytest.mark.parametrize("delta", [-9.9e-10, -8e-10, -1e-12, 1e-12, 8e-10, 9.9e-10])
+    def test_nearly_unit_point_logs_to_zero(self, delta):
+        # a point kept within the unit tolerance of norm 1 is its own log's
+        # base: nothing of its normal direction comes back as a tangent
+        rng = np.random.default_rng(11)
+        for d in (2, 3, 10, 50):
+            S = Sphere(d)
+            for _ in range(20):
+                z = rng.standard_normal(d)
+                x = S.point(z / np.linalg.norm(z) * (1.0 + delta))
+                assert abs(np.linalg.norm(x.coords) - (1.0 + delta)) <= 1e-15
+                assert S.log(x, x).norm() <= 1e-15
+
+    @pytest.mark.parametrize("length", [1e-14, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1e-3])
+    def test_tiny_angle_round_trip(self, length):
+        # angles far below 1e-9 are resolved, not rounded to a zero tangent
+        rng = np.random.default_rng(12)
+        for d in (2, 3, 10, 50):
+            S = Sphere(d)
+            for _ in range(20):
+                x = S.random_point(rng)
+                v = S.random_tangent(x, rng, scale=length)
+                assert np.linalg.norm(S.log(x, S.exp(x, v)).coords - v.coords) <= 2e-15
+
     def test_antipodal_rejected(self):
         x = S3.point(e(0, 3))
         y = S3.point(-e(0, 3))
