@@ -30,9 +30,8 @@ print(f"{'epoch':>7} {'calls':>8} {'f':>12} {'|grad|^2':>11} {'batch':>6}")
 for rec in trace.records:
     if rec.boundary is not None and rec.boundary % 500 == 0:
         print(f"{rec.epoch:7.2f} {rec.ifo:8d} {rec.f:12.8f} {rec.grad_sq:11.2e} {rec.batch:6d}")
-with P.counter.paused():
-    g = P.full_rgrad(x_out)
-print(f"returned (randomized) iterate: f = {P.value(x_out):.8f}, |grad|^2 = {g._sq:.2e}")
+f_out, g_sq = P._probe(x_out)  # uncharged
+print(f"returned (randomized) iterate: f = {f_out:.8f}, |grad|^2 = {g_sq:.2e}")
 print(f"oracle calls {trace.meta['ifo']} = anchors {trace.meta['ifo_breakdown']['anchor']}"
       f" + corrections {trace.meta['ifo_breakdown']['correction']}")
 
@@ -44,7 +43,6 @@ for st in states:
           f"pass={rep.passed}")
 
 # sample-only schedule: anchors re-draw S1 components instead of enumerating
-P.counter.reset()
 sigma_sq = 2.0 * r.variance_bound_estimate(P, x0)  # safety factor 2
 scfg = params_stochastic(sigma_sq, 0.2, gap0, P.L_hint, seed=6)
 print(f"\nsample-only schedule (2 sigma^2 = {sigma_sq:.3f}): "

@@ -25,18 +25,16 @@ K = 5
 print(f"initial gap M0 = {M0:.4f}, stages K = {K}, guarantee 2^-K M0 = {2.0**-K * M0:.5f}\n")
 
 for name, runner in (("stage-restarted", spider_gd1), ("single-loop", spider_gd2)):
-    P.counter.reset()
     cfg = GdConfig(M0=M0, tau=tau, L=P.L_hint, K=K, seed=1)
     x, trace = runner(P, x0, cfg)
     gap = P.value(x) - f_star
     print(f"{name:>16}: final gap {gap:.3e}  (<= guarantee: {gap <= 2.0**-K * M0})"
-          f"  oracle calls {P.counter.calls}")
+          f"  oracle calls {trace.meta['ifo']}")
     if name == "single-loop":
         bound = K * (P.n + 100 * P.L_hint**2 * tau**2)
         print(f"{'':>16}  call bound K(n + 100 L^2 tau^2) = {bound:.0f}")
 
 # gap halving stage by stage (variance budget halves at every anchor)
-P.counter.reset()
 cfg = GdConfig(M0=M0, tau=tau, L=P.L_hint, K=K, seed=1)
 _, trace = spider_gd2(P, x0, cfg, checkpoint_every=trace.meta["q"] / P.n)
 print("\nsingle-loop trajectory (one line per epoch of q steps):")

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Diagnostic probes: checking the assumptions the solvers rely on.
 
-Every probe evaluates the objective with accounting paused and serializes
-to the flat key=value block that gets appended to run logs.
+Every probe evaluates the objective without charging the oracle counter and
+serializes to the flat key=value block that gets appended to run logs.
 """
 
 import numpy as np

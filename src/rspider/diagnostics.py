@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import ManifoldPoint
 from .oracle import FiniteSumObjective, PcaProblem, _row_grads
-from .optim import FrozenState, RunTrace, _check_count
+from .optim import FrozenState, RunTrace, _check_count, _check_positive
 
 __all__ = [
     "CONVERGED",
@@ -88,15 +88,14 @@ def fd_gradient_check(
         raise ValueError("t_step must lie in (0, 1e-3]")
     man = obj.manifold
     rng = np.random.default_rng(seed)
-    with obj.counter.paused():
-        g = obj.full_rgrad(x)
-        errs = []
-        for _ in range(trials):
-            v = man.random_tangent(x, rng)
-            lhs = man.inner(g, v)
-            fp = obj.value(man.exp(x, v._scaled(t_step)))
-            fm = obj.value(man.exp(x, v._scaled(-t_step)))
-            errs.append(abs(lhs - (fp - fm) / (2.0 * t_step)))
+    g = obj._exact_grad(x)
+    errs = []
+    for _ in range(trials):
+        v = man.random_tangent(x, rng)
+        lhs = man.inner(g, v)
+        fp = obj.value(man.exp(x, v._scaled(t_step)))
+        fm = obj.value(man.exp(x, v._scaled(-t_step)))
+        errs.append(abs(lhs - (fp - fm) / (2.0 * t_step)))
     return ProbeReport(
         name="fd_gradient_check",
         samples=trials,
@@ -118,30 +117,31 @@ def smoothness_probe(
     Over random geodesic pairs (x, y) with dist <= radius, measures
     |grad f(x) - transport(grad f(y))| / dist(x, y). Passes when the maximum
     stays below ``bound`` (default: the objective's smoothness hint). Raises
-    ValueError when every pair is too close to measure.
+    ValueError unless ``radius`` is finite and positive, and when every pair
+    is too close to measure.
     """
     _check_count("pairs", pairs, 1)
+    _check_positive("radius", radius)
     if bound is None:
         bound = obj.L_hint
     man = obj.manifold
     rng = np.random.default_rng(seed)
     worst = 0.0
     used = 0
-    with obj.counter.paused():
-        for _ in range(pairs):
-            x = man.random_point(rng)
-            r = float(rng.uniform(0.0, radius))
-            if r < 1e-12:
-                continue
-            y = man.exp(x, man.random_tangent(x, rng, scale=r))
-            gx = obj.full_rgrad(x)
-            gy = obj.full_rgrad(y)
-            den = man.dist(x, y)
-            if den < 1e-12:
-                continue
-            num = (gx - man.transport(y, x, gy)).norm()
-            worst = max(worst, num / den)
-            used += 1
+    for _ in range(pairs):
+        x = man.random_point(rng)
+        r = float(rng.uniform(0.0, radius))
+        if r < 1e-12:
+            continue
+        y = man.exp(x, man.random_tangent(x, rng, scale=r))
+        gx = obj._exact_grad(x)
+        gy = obj._exact_grad(y)
+        den = man.dist(x, y)
+        if den < 1e-12:
+            continue
+        num = (gx - man.transport(y, x, gy)).norm()
+        worst = max(worst, num / den)
+        used += 1
     if used == 0:
         raise ValueError("every probe pair is too close to measure: no smoothness ratio")
     return ProbeReport(
@@ -162,13 +162,13 @@ def pl_constant_estimate(
     """Empirical gradient-domination constant: max of (f(x) - f*) / |grad f(x)|^2.
 
     ``points`` is either an explicit sequence of points or, for a
-    :class:`PcaProblem`, a sample count (any number but a bool is taken for
-    one, and must be an integer of at least 1): points are then drawn in the
-    geodesic ball of radius pi/4 around the top eigenvector u_1. Uniform
-    directions alone dilute the flat mode in high dimension, so sampling
-    also walks the second eigendirection u_2, where the ratio peaks. Points
-    with |grad|^2 below 1e-12 carry no information (0/0 at optima) and are
-    excluded.
+    :class:`PcaProblem`, a sample count (any number is taken for one, and
+    must be an integer of at least 1, not a bool, else ValueError): points
+    are then drawn in the geodesic ball of radius pi/4 around the top
+    eigenvector u_1. Uniform directions alone dilute the flat mode in high
+    dimension, so sampling also walks the second eigendirection u_2, where
+    the ratio peaks. Points with |grad|^2 below 1e-12 carry no information
+    (0/0 at optima) and are excluded.
 
     Every point is evaluated by the objective's uncharged ``_probe``, the
     one that serves the checkpoint records. For a :class:`PcaProblem`, u_1
@@ -177,7 +177,7 @@ def pl_constant_estimate(
     oracle counter is never charged.
     """
     man = obj.manifold
-    if isinstance(points, numbers.Number) and not isinstance(points, bool):
+    if isinstance(points, numbers.Number):
         _check_count("points", points, 1)
         if not isinstance(obj, PcaProblem):
             raise ValueError("sampling needs a PcaProblem; pass explicit points instead")
@@ -244,7 +244,7 @@ def variance_probe(obj: FiniteSumObjective, frozen: FrozenState) -> ProbeReport:
     """
     man = obj.manifold
     x, y = frozen.x_curr.coords, frozen.x_prev.coords
-    err = frozen.v_prev.coords - obj._grad(obj._rows, frozen.x_prev)
+    err = frozen.v_prev.coords - obj._exact_grad(frozen.x_prev).coords
     carried = float(err.dot(err))
     sampling = 0.0
     if frozen.sample_only or frozen.s2 < obj.n:

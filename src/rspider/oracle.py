@@ -7,13 +7,13 @@ computation (rows z_i), seeded synthetic instances with a controlled
 eigengap, and the exact gradient variance over the rows.
 
 Accounting convention: every sampled component gradient charges one call
-per evaluation point. Plain objective values are free, so tracing and
-probing never distort the measured cost.
+per evaluation point, and only the charged path writes the counter. Plain
+objective values and the kernels are free, so tracing and probing never
+distort the measured cost.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import struct
 from dataclasses import dataclass
@@ -39,28 +39,15 @@ __all__ = [
 
 
 class IfoCounter:
-    """Counts component-gradient evaluations (one per component per point)."""
+    """Counts component-gradient evaluations (one per component per point).
 
-    __slots__ = ("calls", "_pause_depth")
+    ``calls`` only grows, and only :meth:`FiniteSumObjective._charged` writes
+    it; a run's own cost is the difference of two reads.
+    """
+
+    __slots__ = ("calls",)
 
     def __init__(self):
-        self.calls = 0
-        self._pause_depth = 0
-
-    def add(self, k: int):
-        if self._pause_depth == 0:
-            self.calls += int(k)
-
-    @contextlib.contextmanager
-    def paused(self):
-        """Suspend accounting; used for trace/probe evaluations."""
-        self._pause_depth += 1
-        try:
-            yield self
-        finally:
-            self._pause_depth -= 1
-
-    def reset(self):
         self.calls = 0
 
     def __repr__(self):
@@ -134,10 +121,16 @@ class FiniteSumObjective(ABC):
         return self._charged(self._rows, x)
 
     def _charged(self, rows: np.ndarray, x: ManifoldPoint) -> TangentVector:
-        # the one metered path: every charged gradient is evaluated here
+        # the one metered path: every charged gradient is evaluated here, and
+        # nothing else writes the counter
         g = self._grad(rows, x)
-        self.counter.add(rows.shape[0])
+        self.counter.calls += rows.shape[0]
         return TangentVector._raw(x, g)
+
+    def _exact_grad(self, x: ManifoldPoint) -> TangentVector:
+        """grad f(x) from the full-pass kernel, uncharged: the probes' read of
+        what :meth:`full_rgrad` returns, to the bit."""
+        return TangentVector._raw(x, self._grad(self._rows, x))
 
     def _prepare(self, idx: np.ndarray) -> _Batch:
         """The batch of indices a solver drew in range, for ``minibatch_rgrad``."""
@@ -148,7 +141,7 @@ class FiniteSumObjective(ABC):
         and the domination ratios of ``pl_constant_estimate``. An objective
         with a cheaper closed form overrides it (:class:`PcaProblem` reads
         its Gram matrix)."""
-        return self.value(x), TangentVector._raw(x, self._grad(self._rows, x))._sq
+        return self.value(x), self._exact_grad(x)._sq
 
     def _checked(self, idx) -> np.ndarray:
         """Raw component indices as an index array: integers in [0, n)."""

@@ -83,7 +83,6 @@ def test_criterion_2_gradient_correctness():
 def test_criterion_3_variance_bound(desk_instance):
     t0 = time.perf_counter()
     P = desk_instance
-    P.counter.reset()
     eps = 0.05
     x0 = P.manifold.random_point(np.random.default_rng(11))
     gap = P.value(x0) - P.f_star
@@ -109,16 +108,13 @@ def test_criterion_4_nonconvex_guarantees(desk_instance):
     L = P.L_hint
     grad_sqs, ifo_ok = [], []
     for seed in range(seeds):
-        P.counter.reset()
         x0 = P.manifold.random_point(np.random.default_rng(1000 + seed))
         gap = P.value(x0) - P.f_star
         cfg = params_finite(P.n, eps, gap, L, seed=seed)
-        x_out, _ = spider_nonconvex(P, x0, cfg)
-        with P.counter.paused():
-            g = P.full_rgrad(x_out)
-        grad_sqs.append(g._sq)
+        x_out, trace = spider_nonconvex(P, x0, cfg)
+        grad_sqs.append(P._exact_grad(x_out)._sq)
         bound = P.n + 8.0 * gap * L * (3.0 + math.sqrt(P.n)) / eps**2
-        ifo_ok.append(P.counter.calls <= bound)
+        ifo_ok.append(trace.meta["ifo"] <= bound)
     assert float(np.mean(grad_sqs)) <= 10.0 * eps**2 * 1.2
     assert all(ifo_ok)
     _report(4, "nonconvex output and oracle cost", time.perf_counter() - t0)
@@ -134,14 +130,13 @@ def test_criterion_5_gradient_dominated(desk_instance):
     for runner, check_ifo in ((spider_gd1, False), (spider_gd2, True)):
         ratios = []
         for seed in range(seeds):
-            P.counter.reset()
             x0 = P.manifold.random_point(np.random.default_rng(2000 + seed))
             m0 = P.value(x0) - f_star
             cfg = GdConfig(M0=m0, tau=tau, L=L, K=K, seed=seed)
-            x, _ = runner(P, x0, cfg)
+            x, trace = runner(P, x0, cfg)
             ratios.append((P.value(x) - f_star) / m0)
             if check_ifo:
-                assert P.counter.calls <= K * (P.n + 100.0 * L**2 * tau**2)
+                assert trace.meta["ifo"] <= K * (P.n + 100.0 * L**2 * tau**2)
         assert float(np.mean(ratios)) <= 1.5 * 2.0**-K
     _report(5, "restart linear convergence", time.perf_counter() - t0)
 

@@ -35,8 +35,7 @@ class TestFdGradientCheck:
         s = 1.0 / math.sqrt(2.0)
         x = P.manifold.point([s, s])
         v = P.manifold.tangent(x, [-s, s])
-        with P.counter.paused():
-            g = P.full_rgrad(x)
+        g = P._exact_grad(x)
         assert P.manifold.inner(g, v) == pytest.approx(1.0, abs=1e-14)
 
     def test_second_order_decay(self):
@@ -78,20 +77,31 @@ class TestSmoothnessProbe:
         P = diag21_problem()
         man = P.manifold
         rng = np.random.default_rng(2)
-        with P.counter.paused():
-            for _ in range(20):
-                x = man.random_point(rng)
-                y = man.exp(x, man.random_tangent(x, rng, scale=0.5))
-                gx, gy = P.full_rgrad(x), P.full_rgrad(y)
-                a = (gx - man.transport(y, x, gy)).norm()
-                b = (gy - man.transport(x, y, gx)).norm()
-                assert abs(a - b) <= 1e-10
+        for _ in range(20):
+            x = man.random_point(rng)
+            y = man.exp(x, man.random_tangent(x, rng, scale=0.5))
+            gx, gy = P._exact_grad(x), P._exact_grad(y)
+            a = (gx - man.transport(y, x, gy)).norm()
+            b = (gy - man.transport(x, y, gx)).norm()
+            assert abs(a - b) <= 1e-10
 
     def test_default_bound_is_smoothness_hint(self):
         P = diag21_problem()
         rep = r.smoothness_probe(P, pairs=50, radius=0.5, seed=3)
         assert rep.bound == P.L_hint
         assert rep.passed
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0, 0.0])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        # checked before any draw or gradient: numpy's uniform would raise its
+        # own error for the first three, and a zero radius skips every pair
+        P = r.generate_gap_matrix(r.SyntheticSpec(d=6, n=20, delta=0.4, seed=6))
+        evaluated = []
+        grad = P._grad
+        P._grad = lambda rows, y: evaluated.append(rows) or grad(rows, y)
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            r.smoothness_probe(P, pairs=8, radius=radius)
+        assert evaluated == []
 
     def test_all_pairs_skipped_raises(self):
         # every geodesic radius drawn below the 1e-12 floor: nothing measured
@@ -140,7 +150,7 @@ class TestPlConstantEstimate:
         got = r.pl_constant_estimate(P, P.f_star, np.int64(16), seed=2)
         assert (got.samples, got.statistic) == (ref.samples, ref.statistic)
         Q = problem_from_spectrum(packed_spectrum(12, 0.1), 40, seed=6)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="points must be"):
             r.pl_constant_estimate(Q, Q.f_star, True)
         assert Q._A is None
 
@@ -149,7 +159,6 @@ def _charged_tau(P, u, count, seed, radius=math.pi / 4):
     # reference domination estimate: the probe points pl_constant_estimate
     # draws, placed from the known eigenvectors u[:, 0] (center) and u[:, 1]
     # (slow direction) and evaluated by the charged oracle's value/full_rgrad
-    # with the counter paused
     man = P.manifold
     center = man.point(u[:, 0])
     rng = np.random.default_rng(seed)
@@ -161,8 +170,7 @@ def _charged_tau(P, u, count, seed, radius=math.pi / 4):
     for rad in np.linspace(radius / 8.0, radius, 8):
         pts.append(man.exp(center, slow._scaled(rad)))
         pts.append(man.exp(center, slow._scaled(-rad)))
-    with P.counter.paused():
-        return max((P.value(p) - P.f_star) / P.full_rgrad(p)._sq for p in pts)
+    return max((P.value(p) - P.f_star) / P.full_rgrad(p)._sq for p in pts)
 
 
 def _gap_instances():
@@ -220,10 +228,10 @@ class TestGramPath:
         P = problem_from_spectrum(packed_spectrum(12, 0.1), 40, seed=6)
         r.pl_constant_estimate(P, P.f_star, 16, seed=0)
         assert P.counter.calls == 0
-        P.counter.add(5)
+        P.full_rgrad(P.manifold.random_point(np.random.default_rng(0)))
         r.pl_constant_estimate(P, P.f_star, 16, seed=1)
         r.leading_eigpair(P)
-        assert P.counter.calls == 5
+        assert P.counter.calls == P.n
 
 
 def _enumerated_variance(P, st):
@@ -232,17 +240,16 @@ def _enumerated_variance(P, st):
     # index stream; a finite-sum batch that reaches n is the one full pass
     x, y, ref = st.x_curr, st.x_prev, st.v_prev.coords
     cap = None if st.sample_only else P.n
-    with P.counter.paused():
-        target = P.full_rgrad(x).coords
-        run = _Run(P, x, 0, 1.0, None, "exp")
-        if cap is not None and st.s2 >= cap:
-            draws = [()]  # the full pass draws no index
-        else:
-            draws = itertools.product(range(P.n), repeat=st.s2)
-        errs = []
-        for idx in draws:
-            run.indices = SimpleNamespace(take=lambda size, idx=idx: np.array(idx))
-            errs.append(run.estimate(x, y, ref, st.s2, cap)[0] - target)
+    target = P.full_rgrad(x).coords
+    run = _Run(P, x, 0, 1.0, None, "exp")
+    if cap is not None and st.s2 >= cap:
+        draws = [()]  # the full pass draws no index
+    else:
+        draws = itertools.product(range(P.n), repeat=st.s2)
+    errs = []
+    for idx in draws:
+        run.indices = SimpleNamespace(take=lambda size, idx=idx: np.array(idx))
+        errs.append(run.estimate(x, y, ref, st.s2, cap)[0] - target)
     return float(np.mean([e @ e for e in errs]))
 
 
@@ -260,8 +267,7 @@ class TestVarianceProbe:
         man = P.manifold
         rng = np.random.default_rng(seed)
         x_prev = man.random_point(rng)
-        with P.counter.paused():
-            v_prev = P.full_rgrad(x_prev)
+        v_prev = P._exact_grad(x_prev)
         x_curr = man.exp(x_prev, man.random_tangent(x_prev, rng, scale=0.05))
         return FrozenState(k=1, x_prev=x_prev, x_curr=x_curr, v_prev=v_prev,
                            s2=s2, eps=0.05)
@@ -284,12 +290,13 @@ class TestVarianceProbe:
         for sample_only, s2 in [(False, 1), (False, 2), (False, 3), (True, 4), (True, 5),
                                 (False, 4), (False, 9)]:
             case = dataclasses.replace(st, s2=s2, sample_only=sample_only)
+            calls = P.counter.calls  # the charged enumeration below moves it
             rep = r.variance_probe(P, case)
+            assert P.counter.calls == calls
             assert rep.statistic == pytest.approx(_enumerated_variance(P, case), rel=1e-12)
             assert rep.statistic == rep.details["carried"] + rep.details["sampling"]
             if s2 >= P.n and not sample_only:
                 assert rep.details["sampling"] == 0.0
-        assert P.counter.calls == 0
 
     def test_two_component_enumeration(self):
         # n=2, s2=1: the exact population variance is the average over both draws
@@ -297,14 +304,13 @@ class TestVarianceProbe:
         P = r.PcaProblem(Z)
         st = self._state_with_exact_carry(P, s2=1, seed=3)
         man = P.manifold
-        with P.counter.paused():
-            target = P.full_rgrad(st.x_curr)
-            vals = []
-            for i in range(2):
-                v = P.minibatch_rgrad([i], st.x_curr) - man.transport(
-                    st.x_prev, st.x_curr, P.minibatch_rgrad([i], st.x_prev) - st.v_prev
-                )
-                vals.append((v - target)._sq)
+        target = P.full_rgrad(st.x_curr)
+        vals = []
+        for i in range(2):
+            v = P.minibatch_rgrad([i], st.x_curr) - man.transport(
+                st.x_prev, st.x_curr, P.minibatch_rgrad([i], st.x_prev) - st.v_prev
+            )
+            vals.append((v - target)._sq)
         exact = sum(vals) / 2.0
         assert r.variance_probe(P, st).statistic == pytest.approx(exact, rel=1e-12)
 
@@ -405,10 +411,10 @@ class TestEpochsToDouble:
 def test_count_below_one_rejected_before_any_work(probe, count):
     P = r.generate_gap_matrix(r.SyntheticSpec(d=6, n=20, delta=0.4, seed=6))
     x = P.manifold.random_point(np.random.default_rng(1))
+    P.minibatch_rgrad(np.arange(5), x)  # a real charge of 5 calls
     evaluated = []
     grad = P._grad
     P._grad = lambda rows, y: evaluated.append(rows) or grad(rows, y)
-    P.counter.add(5)
     calls = {
         "fd_gradient_check": lambda: r.fd_gradient_check(P, x, trials=count),
         "smoothness_probe": lambda: r.smoothness_probe(P, pairs=count),
@@ -418,6 +424,33 @@ def test_count_below_one_rejected_before_any_work(probe, count):
         calls[probe]()
     assert evaluated == [] and P._A is None  # no gradient, no Gram matrix
     assert P.counter.calls == 5
+
+
+@pytest.mark.parametrize("free", [
+    "value", "_probe", "leading_eigpair", "fd_gradient_check", "smoothness_probe",
+    "pl_constant_estimate", "variance_bound_estimate", "variance_probe",
+])
+def test_free_evaluations_leave_the_counter(free):
+    # only the charged oracle writes the counter: after a real charge, no
+    # free evaluation moves it
+    P = r.generate_gap_matrix(r.SyntheticSpec(d=6, n=20, delta=0.4, seed=6))
+    man, rng = P.manifold, np.random.default_rng(3)
+    x = man.random_point(rng)
+    y = man.exp(x, man.random_tangent(x, rng, scale=0.1))
+    st = FrozenState(k=1, x_prev=x, x_curr=y, v_prev=P.full_rgrad(x), s2=4, eps=0.05)
+    assert P.counter.calls == P.n
+    calls = {
+        "value": lambda: P.value(y),
+        "_probe": lambda: P._probe(y),
+        "leading_eigpair": lambda: r.leading_eigpair(P),
+        "fd_gradient_check": lambda: r.fd_gradient_check(P, y, trials=4),
+        "smoothness_probe": lambda: r.smoothness_probe(P, pairs=4),
+        "pl_constant_estimate": lambda: r.pl_constant_estimate(P, P.f_star, 8),
+        "variance_bound_estimate": lambda: r.variance_bound_estimate(P, y),
+        "variance_probe": lambda: r.variance_probe(P, st),
+    }
+    calls[free]()
+    assert P.counter.calls == P.n
 
 
 class TestProbeReport:

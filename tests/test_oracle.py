@@ -41,17 +41,21 @@ def power_deflation_gap(A, iters=20000):
 
 
 class TestIfoCounter:
-    def test_counting_and_pause(self):
-        c = r.IfoCounter()
-        c.add(3)
-        with c.paused():
-            c.add(100)
-            with c.paused():
-                c.add(7)
-        c.add(2)
-        assert c.calls == 5
-        c.reset()
+    def test_counting(self):
+        # one call per row per evaluation point, through every charged entry
+        P = diag21_problem()
+        x = P.manifold.point([0.6, 0.8])
+        c = P.counter
         assert c.calls == 0
+        P.component_rgrad(1, x)
+        assert c.calls == 1
+        P.minibatch_rgrad([0, 1, 1], x)
+        assert c.calls == 1 + 3
+        P.minibatch_rgrad(P._prepare(np.array([1, 0])), x)
+        assert c.calls == 1 + 3 + 2
+        P.full_rgrad(x)
+        assert c.calls == 1 + 3 + 2 + P.n
+        assert repr(c) == "IfoCounter(calls=8)"
 
 
 class TestPcaValue:
@@ -177,12 +181,11 @@ class TestMinibatch:
         P = r.generate_gap_matrix(r.SyntheticSpec(d=6, n=30, delta=0.4, seed=8))
         rng = np.random.default_rng(4)
         x = P.manifold.random_point(rng)
-        with P.counter.paused():
-            target = P.full_rgrad(x).coords
-            draws = 100_000
-            idx = rng.integers(0, P.n, size=draws)
-            singles = np.stack([P.component_rgrad(int(i), x).coords for i in range(P.n)])
-            samples = singles[idx]
+        target = P.full_rgrad(x).coords
+        draws = 100_000
+        idx = rng.integers(0, P.n, size=draws)
+        singles = np.stack([P.component_rgrad(int(i), x).coords for i in range(P.n)])
+        samples = singles[idx]
         mean = samples.mean(axis=0)
         se = samples.std(axis=0, ddof=1) / math.sqrt(draws)
         assert np.all(np.abs(mean - target) <= 3.0 * se + 1e-12)
@@ -252,9 +255,8 @@ def test_minibatch_is_mean_of_component_gradients(d, extra, batch, seed):
     P = r.PcaProblem(rng.standard_normal((d, d + extra)))
     x = P.manifold.random_point(rng)
     idx = rng.integers(0, P.n, size=batch)
-    with P.counter.paused():
-        singles = [P.component_rgrad(int(i), x).coords for i in idx]
-        g = P.minibatch_rgrad(idx, x).coords
+    singles = [P.component_rgrad(int(i), x).coords for i in idx]
+    g = P.minibatch_rgrad(idx, x).coords
     scale = np.mean([np.linalg.norm(c) for c in singles])
     assert np.linalg.norm(g - np.mean(singles, axis=0)) <= 1e-12 * scale
 
@@ -312,14 +314,6 @@ class TestMinimalObjective:
             obj.minibatch_rgrad([-1], x)
         with pytest.raises(IndexError):
             obj.component_rgrad(obj.n, x)
-        assert obj.counter.calls == 0
-
-    def test_paused_counter_charges_nothing(self):
-        obj, x = self.obj, self.x
-        with obj.counter.paused():
-            obj.component_rgrad(0, x)
-            obj.minibatch_rgrad([0, 1], x)
-            obj.full_rgrad(x)
         assert obj.counter.calls == 0
 
 
@@ -451,9 +445,7 @@ class TestLeadingEigpair:
         lam, v = r.leading_eigpair(P)
         assert lam == pytest.approx(1.0, abs=1e-7)
         assert P.value(v) == pytest.approx(-lam, abs=1e-10)
-        with P.counter.paused():
-            g = P.full_rgrad(v)
-        assert g.norm() <= 1e-6
+        assert P._exact_grad(v).norm() <= 1e-6
 
     def test_counter_untouched(self):
         P = diag21_problem()
@@ -515,11 +507,8 @@ class TestVarianceBound:
         spec = r.SyntheticSpec(d=5, n=12, delta=0.3, seed=6)
         for P in (r.generate_gap_matrix(spec), *(make() for make in OBJECTIVES.values())):
             x = P.manifold.random_point(np.random.default_rng(7))
-            with P.counter.paused():
-                gbar = P.full_rgrad(x)
-                exact = np.mean(
-                    [(P.component_rgrad(i, x) - gbar)._sq for i in range(P.n)]
-                )
+            gbar = P.full_rgrad(x)
+            exact = np.mean([(P.component_rgrad(i, x) - gbar)._sq for i in range(P.n)])
             assert r.variance_bound_estimate(P, x) == pytest.approx(exact, rel=1e-12)
 
     def test_counter_free(self):
