@@ -12,21 +12,22 @@ from pathlib import Path
 
 from rspider.bench import ExperimentConfig, fit_line, run_sweep
 
-out = Path(tempfile.mkdtemp()) / "sweep.csv"
-cfg = ExperimentConfig(
-    algo=("rsvrg",),
-    d=50,
-    n=500,
-    delta_list=tuple(2e-2 / k for k in (1, 2, 3, 4)),
-    seeds=(0, 1),
-    epochs=20.0,
-    eta=0.01,
-    out_path=str(out),
-)
-print(f"sweep: d={cfg.d}, n={cfg.n}, gaps {[round(d, 5) for d in cfg.delta_list]}, "
-      f"{len(cfg.seeds)} seeds, {cfg.epochs:.0f} epochs")
-res = run_sweep(cfg)
-print(f"wrote {out} ({len(res.rows)} rows) and {out}.summary.csv\n")
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "sweep.csv"
+    cfg = ExperimentConfig(
+        algo=("rsvrg",),
+        d=50,
+        n=500,
+        delta_list=tuple(2e-2 / k for k in (1, 2, 3, 4)),
+        seeds=(0, 1),
+        epochs=20.0,
+        eta=0.01,
+        out_path=str(out),
+    )
+    print(f"sweep: d={cfg.d}, n={cfg.n}, gaps {[round(d, 5) for d in cfg.delta_list]}, "
+          f"{len(cfg.seeds)} seeds, {cfg.epochs:.0f} epochs")
+    res = run_sweep(cfg)
+    print(f"wrote {out} ({len(res.rows)} rows) and {out}.summary.csv\n")
 
 w_index = 3 + 2  # third window column: start epoch 10
 print(f"{'delta':>10} {'1/delta':>9} {'median epochs-to-double @10':>28}")

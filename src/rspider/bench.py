@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .diagnostics import _checkpoint_steps, epochs_to_double, pl_constant_estimate
+from ._checks import MAP_MODES, _check_count, _check_modes, _check_positive
+from .diagnostics import _accuracy, _checkpoint_steps, epochs_to_double, pl_constant_estimate
 from .geometry import ManifoldPoint
 from .oracle import (
     PcaProblem,
@@ -35,13 +36,9 @@ from .oracle import (
     variance_bound_estimate,
 )
 from .optim import (
-    MAP_MODES,
     GdConfig,
     OptimizerError,
     RunTrace,
-    _check_count,
-    _check_modes,
-    _check_positive,
     params_finite,
     rsgd,
     rsvrg,
@@ -268,7 +265,7 @@ def _run_cell(cfg: ExperimentConfig, P: PcaProblem, f_star: float, tau: float | 
     recs = [r for r in trace.records if r.boundary is not None][:grid]
     recs += [trace.records[-1]] * (grid - len(recs))
 
-    if len(recs) > round(cfg.window / cfg.checkpoint_every):
+    if len(recs) > _checkpoint_steps(cfg.window, cfg.checkpoint_every):
         ests = epochs_to_double(
             [(r.epoch, r.f) for r in recs], f_star, window=cfg.window,
             step=cfg.checkpoint_every,
@@ -290,7 +287,7 @@ def _run_cell(cfg: ExperimentConfig, P: PcaProblem, f_star: float, tau: float | 
                 epoch=r.epoch,
                 ifo=r.ifo,
                 f_value=r.f,
-                accuracy=(r.f - f_star) / abs(f_star),
+                accuracy=_accuracy(r.f, f_star),
                 grad_sq=r.grad_sq,
                 epochs_to_double=etd,
             )

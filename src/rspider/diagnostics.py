@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import _check_count, _check_positive
 from .geometry import ManifoldPoint
 from .oracle import FiniteSumObjective, PcaProblem, _row_grads
-from .optim import FrozenState, RunTrace, _check_count, _check_positive
+from .optim import FrozenState, RunTrace
 
 __all__ = [
     "CONVERGED",
@@ -84,6 +85,7 @@ def fd_gradient_check(
     absolute error; central differencing makes it decay as t^2.
     """
     _check_count("trials", trials, 1)
+    _check_count("seed", seed, 0)
     if not 0.0 < t_step <= 1e-3:
         raise ValueError("t_step must lie in (0, 1e-3]")
     man = obj.manifold
@@ -122,6 +124,7 @@ def smoothness_probe(
     """
     _check_count("pairs", pairs, 1)
     _check_positive("radius", radius)
+    _check_count("seed", seed, 0)
     if bound is None:
         bound = obj.L_hint
     man = obj.manifold
@@ -176,6 +179,7 @@ def pl_constant_estimate(
     d x d Gram matrix A, and ``_probe`` reads A, so no pass streams Z. The
     oracle counter is never charged.
     """
+    _check_count("seed", seed, 0)
     man = obj.manifold
     if isinstance(points, numbers.Number):
         _check_count("points", points, 1)
@@ -291,11 +295,13 @@ def epochs_to_double(
 ) -> list[tuple[float, float]]:
     """Per-window estimate of how many epochs the run needs to halve its error.
 
-    ``trace`` is a :class:`RunTrace` (its checkpoint records are used) or an
-    iterable of (epoch, objective value) pairs sampled on a uniform checkpoint
-    grid of spacing ``step``; ``window`` must be a whole number of those
-    steps. With c the multiplicative error factor over one window, the
-    estimate is log(2) / log(1/c) * (e1 - e0), where e0 and e1 are the
+    ``trace`` is a :class:`RunTrace` (its checkpoint records are used, on
+    the spacing in ``meta["checkpoint_every"]``) or an iterable of (epoch,
+    objective value) pairs recorded on a checkpoint grid of spacing ``step``,
+    which is then required: recorded epochs drift off the nominal grid, so
+    the spacing cannot be read from them. ``window`` must be a whole number
+    of those steps. With c the multiplicative error factor over one window,
+    the estimate is log(2) / log(1/c) * (e1 - e0), where e0 and e1 are the
     epochs recorded at the window's two ends: a solver whose checkpoints land
     past their nominal epochs (a capped correction costs 2n calls) is
     measured on the epochs it spent, not on ``window``. Windows without
@@ -309,13 +315,11 @@ def epochs_to_double(
         if step is None:
             step = float(trace.meta.get("checkpoint_every", 1.0))
     else:
-        pairs = [(float(e), float(f)) for e, f in trace]
         if step is None:
-            if len(pairs) < 2:
-                raise ValueError("need at least two checkpoints")
-            step = (pairs[-1][0] - pairs[0][0]) / (len(pairs) - 1)
-    if step <= 0:
-        raise ValueError("checkpoint spacing must be positive")
+            raise ValueError("step must be given with (epoch, f) pairs: their checkpoint "
+                             "spacing in epochs")
+        pairs = [(float(e), float(f)) for e, f in trace]
+    _check_positive("step", step)
     m = _checkpoint_steps(window, step)
     if len(pairs) < m + 1:
         raise ValueError(

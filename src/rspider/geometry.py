@@ -39,6 +39,8 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from ._checks import _check_count
+
 __all__ = [
     "AntipodalError",
     "Euclidean",
@@ -171,11 +173,11 @@ class Manifold(ABC):
     """Shared interface: metric, exponential map, logarithm, transport."""
 
     __slots__ = ("d",)
+    _MIN_D = 1  # the least ambient dimension
 
     def __init__(self, d: int):
-        if int(d) < 1:
-            raise GeometryError("ambient dimension must be >= 1")
-        self.d = int(d)
+        _check_count("d", d, self._MIN_D)
+        self.d = int(d)  # numpy integers as ints
 
     def __eq__(self, other):
         return type(self) is type(other) and self.d == other.d
@@ -281,11 +283,7 @@ class Sphere(Manifold):
     """Unit hypersphere S^{d-1} embedded in R^d (requires d >= 2)."""
 
     __slots__ = ()
-
-    def __init__(self, d: int):
-        super().__init__(d)
-        if self.d < 2:
-            raise GeometryError("the sphere needs ambient dimension >= 2")
+    _MIN_D = 2
 
     def _clean_point(self, coords: np.ndarray) -> np.ndarray:
         sq = float(coords.dot(coords))

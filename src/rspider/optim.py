@@ -23,12 +23,12 @@ trusted points only to be handed to the oracle, the run's records and
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ._checks import _check_count, _check_modes, _check_positive
 from .geometry import GeometryError, ManifoldPoint, TangentVector
 from .oracle import FiniteSumObjective
 
@@ -49,33 +49,9 @@ __all__ = [
     "spider_nonconvex",
 ]
 
-MAP_MODES = ("exp", "retract")
-
 
 class OptimizerError(RuntimeError):
     """An optimizer run aborted (degenerate geometry or invalid state)."""
-
-
-def _check_modes(map_mode: str):
-    if map_mode not in MAP_MODES:
-        raise ValueError(f"map_mode must be one of {MAP_MODES}")
-
-
-def _check_count(what, value, least, *, or_none=False):
-    """Raise ValueError unless ``value`` is an integer (a ``numbers.Integral``
-    but not a bool) of at least ``least``; ``or_none`` also accepts None.
-    Every count option is checked here, before any work."""
-    if or_none and value is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        kind = "None or an integer" if or_none else f"at least {least}: an integer {what}"
-        raise ValueError(f"{what} must be {kind} >= {least}, got {value!r}")
-
-
-def _check_positive(what, value):
-    """Raise ValueError unless ``value`` is finite and positive."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{what} must be finite and positive, got {value!r}")
 
 
 def _ceil_tol(x: float) -> int:
@@ -127,10 +103,10 @@ class SpiderConfig:
         _check_count("q", self.q, 1)
         _check_count("S1", self.S1, 1)
         _check_count("T", self.T, 0)
+        _check_count("n", self.n, 1, or_none=True)
         if self.eta is None:
             self.eta = 1.0 / (2.0 * self.L)
         _check_positive("step size", self.eta)
-        _check_modes(self.map_mode)
 
 
 @dataclass
@@ -152,7 +128,6 @@ class GdConfig:
         for what in ("M0", "tau", "L"):
             _check_positive(what, getattr(self, what))
         _check_count("K", self.K, 0)
-        _check_modes(self.map_mode)
 
 
 @dataclass
@@ -197,10 +172,11 @@ class _Run:
     steps, the sampled index stream ``indices``, the IFO ``tallies``, the
     budget ``max_ifo``, the count of steps taken ``steps`` and the records:
     one at the start, one per crossed checkpoint boundary and one at the end
-    (:meth:`trace`), all free evaluations. Every estimator evaluation is
-    :meth:`estimate` and every solver step is :meth:`step`; records,
-    :class:`FrozenState` and error messages take their iteration number from
-    ``steps``.
+    (:meth:`trace`), all free evaluations. It checks the run options of
+    every solver, ``seed`` and ``map_mode`` among them, before any work.
+    Every estimator evaluation is :meth:`estimate` and every solver step is
+    :meth:`step`; records, :class:`FrozenState` and error messages take
+    their iteration number from ``steps``.
 
     ``seed`` feeds two streams: ``indices`` serves every sampled index from
     ``default_rng(seed)``, and ``picks``, seeded from ``(seed, _PICK_TAG)``,
@@ -217,6 +193,8 @@ class _Run:
             raise ValueError("x0 does not live on the objective's manifold")
         _check_positive("checkpoint interval", checkpoint_every)
         _check_count("max_ifo", max_ifo, 0, or_none=True)
+        _check_count("seed", seed, 0)
+        _check_modes(map_mode)
         self.obj = obj
         self.seed = seed
         self.map_mode = map_mode
@@ -443,18 +421,17 @@ def params_stochastic(sigma_sq, eps, M, L, **kwargs) -> SpiderConfig:
 def params_finite(n, eps, M, L, **kwargs) -> SpiderConfig:
     """Finite-sum schedule: full-gradient anchors, q = ceil(sqrt(n)),
     eta = 1/(2L), T = ceil(4 M L / eps^2)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_count("n", n, 1)
     for what, value in (("eps", eps), ("M", M), ("L", L)):
         _check_positive(what, value)
     return SpiderConfig(
         L=L,
         eps=eps,
         q=max(1, _ceil_tol(math.sqrt(n))),
-        S1=int(n),
+        S1=n,
         T=_ceil_tol(4.0 * M * L / eps**2),
         eta=1.0 / (2.0 * L),
-        n=int(n),
+        n=n,
         **kwargs,
     )
 
@@ -558,7 +535,6 @@ def rsgd(
     ``eta`` is a constant or a callable k -> step size; only a constant is
     checked up front.
     """
-    _check_modes(map_mode)
     if not callable(eta):
         _check_positive("step size", eta)
     _check_count("T", T, 0)
@@ -593,7 +569,6 @@ def rsvrg(
     normalization (x + v)/|x + v|, the classical power-method-flavored
     approximation of the exponential update.
     """
-    _check_modes(map_mode)
     _check_positive("step size", eta)
     _check_count("epochs", epochs, 0)
     _check_count("inner_len", inner_len, 1, or_none=True)

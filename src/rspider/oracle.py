@@ -21,6 +21,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from ._checks import _check_count
 from .geometry import Manifold, ManifoldPoint, Sphere, TangentVector
 
 __all__ = [
@@ -267,8 +268,9 @@ class SyntheticSpec:
     tail: float = 0.9
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("need ambient dimension >= 2")
+        _check_count("d", self.d, 2)
+        _check_count("n", self.n, 1)
+        _check_count("seed", self.seed, 0)
         _check_samples(self.d, self.n)
         if not 0.0 < self.delta < 1.0:
             raise ValueError("eigengap must satisfy 0 < delta < lambda_1 = 1")
@@ -352,6 +354,9 @@ def problem_from_spectrum(lam, n: int, seed: int) -> PcaProblem:
     """
     lam = np.asarray(lam, dtype=np.float64)
     d = lam.shape[0]
+    _check_count("d", d, 2)
+    _check_count("n", n, 1)
+    _check_count("seed", seed, 0)
     _check_samples(d, n)
     if lam[0] <= 0 or np.any(np.diff(lam) > 0) or np.any(lam < 0):
         raise ValueError("spectrum must be nonincreasing and nonnegative")
@@ -371,8 +376,7 @@ def packed_spectrum(d: int, delta: float, tail: float = 0.5) -> np.ndarray:
     epochs and leaves the delta-limited mode as the visible bottleneck while
     the trace (hence the gradient noise) stays small.
     """
-    if d < 2:
-        raise ValueError("need ambient dimension >= 2")
+    _check_count("d", d, 2)
     if not 0.0 < delta < 0.25:
         raise ValueError("packed spectrum needs 0 < delta < 0.25")
     if not 0.0 < tail < 1.0:

@@ -362,12 +362,12 @@ class TestVarianceProbe:
 class TestEpochsToDouble:
     def test_exact_halving(self):
         pairs = [(float(t), -1.0 + 0.5 ** (t / 5.0)) for t in range(0, 31, 1)]
-        out = epochs_to_double(pairs, f_star=-1.0, window=5.0)
+        out = epochs_to_double(pairs, f_star=-1.0, window=5.0, step=1.0)
         assert out[0][1] == pytest.approx(5.0, rel=1e-12)
 
     def test_quartering(self):
         pairs = [(float(t), -1.0 + 0.25 ** (t / 5.0)) for t in range(0, 11)]
-        out = epochs_to_double(pairs, f_star=-1.0, window=5.0)
+        out = epochs_to_double(pairs, f_star=-1.0, window=5.0, step=1.0)
         assert out[0][1] == pytest.approx(2.5, rel=1e-12)
 
     def test_drifted_grid_is_measured_on_recorded_epochs(self):
@@ -382,18 +382,18 @@ class TestEpochsToDouble:
 
     def test_stalled(self):
         pairs = [(float(t), -1.0 + 0.125) for t in range(0, 11)]
-        out = epochs_to_double(pairs, f_star=-1.0, window=5.0)
+        out = epochs_to_double(pairs, f_star=-1.0, window=5.0, step=1.0)
         assert out[0][1] == STALLED
 
     def test_converged_sentinel(self):
         pairs = [(float(t), -1.0 + (1e-16 if t else 1e-3)) for t in range(0, 11)]
-        out = epochs_to_double(pairs, f_star=-1.0, window=5.0)
+        out = epochs_to_double(pairs, f_star=-1.0, window=5.0, step=1.0)
         assert math.isnan(out[0][1])
         assert math.isnan(CONVERGED)
 
     def test_too_few_checkpoints(self):
         with pytest.raises(ValueError):
-            epochs_to_double([(0.0, -0.5), (1.0, -0.6)], f_star=-1.0, window=5.0)
+            epochs_to_double([(0.0, -0.5), (1.0, -0.6)], f_star=-1.0, window=5.0, step=1.0)
 
     def test_accepts_run_trace(self):
         P = r.generate_gap_matrix(r.SyntheticSpec(d=6, n=20, delta=0.4, seed=9))
@@ -403,6 +403,20 @@ class TestEpochsToDouble:
         out = epochs_to_double(trace, f_star=P.f_star, window=2.0)
         assert len(out) >= 1
         assert all(e >= 0 for e, _ in out)
+
+    def test_pairs_need_their_step(self):
+        # a spider run's boundary records drift off the unit grid (13 of them,
+        # the last at epoch 12.248), so no spacing can be read from the epochs
+        P = r.generate_gap_matrix(r.SyntheticSpec(d=50, n=500, delta=0.1, seed=0))
+        x0 = P.manifold.random_point(np.random.default_rng(0))
+        cfg = params_finite(P.n, 0.05, P.value(x0) - P.f_star, P.L_hint, seed=0)
+        _, trace = spider_nonconvex(P, x0, cfg, max_ifo=12 * P.n)
+        pairs = [(rec.epoch, rec.f) for rec in trace.records if rec.boundary is not None]
+        with pytest.raises(ValueError, match="step must be given"):
+            epochs_to_double(pairs, f_star=P.f_star, window=5.0)
+        every = trace.meta["checkpoint_every"]
+        assert (epochs_to_double(pairs, f_star=P.f_star, window=5.0, step=every)
+                == epochs_to_double(trace, f_star=P.f_star, window=5.0))
 
 
 @pytest.mark.parametrize("count", [0, -3])

@@ -799,7 +799,8 @@ def test_zero_restart_stages_return_x0(solver):
 
 
 def _count_calls():
-    # each call passes one count that is not an integer of the least allowed size
+    # each call passes one count, seed or dimension that is not an integer of
+    # the least allowed size, or one map mode that is not a mode
     from rspider.bench import ExperimentConfig
 
     P = desk_problem(d=6, n=30, delta=0.4, seed=21)
@@ -824,14 +825,48 @@ def _count_calls():
         "fd-trials=2.5": lambda: r.fd_gradient_check(P, x0, trials=2.5),
         "smoothness-pairs=2.5": lambda: r.smoothness_probe(P, pairs=2.5),
         "pl-points=2.5": lambda: r.pl_constant_estimate(P, P.f_star, 2.5),
+        "sphere-d=2.5": lambda: Sphere(2.5),
+        "sphere-d=True": lambda: Sphere(True),
+        "euclidean-d=True": lambda: r.Euclidean(True),
+        "spec-n=200.5": lambda: r.SyntheticSpec(d=6, n=200.5, delta=0.4, seed=7),
+        "problem_from_spectrum-n=200.7":
+            lambda: r.problem_from_spectrum(r.packed_spectrum(6, 0.1), 200.7, 0),
+        "problem_from_spectrum-d=1": lambda: r.problem_from_spectrum([1.0], 30, 0),
+        "problem_from_spectrum-d=0": lambda: r.problem_from_spectrum([], 30, 0),
+        "params_finite-n=200.5": lambda: params_finite(200.5, 0.1, 1.0, 1.0),
+        "params_finite-n=True": lambda: params_finite(True, 0.1, 1.0, 1.0),
+        "spider-n=200.5": lambda: SpiderConfig(**{**spider, "n": 200.5}),
+        "spider-n=0": lambda: SpiderConfig(**{**spider, "n": 0}),
     })
+    gd = dict(M0=1.0, tau=1.0, L=1.0, K=1)
+    solvers = {
+        "spider": lambda kw: spider_nonconvex(P, x0, SpiderConfig(**spider, **kw)),
+        "spider-gd1": lambda kw: spider_gd1(P, x0, GdConfig(**gd, **kw)),
+        "spider-gd2": lambda kw: spider_gd2(P, x0, GdConfig(**gd, **kw)),
+        "rsgd": lambda kw: rsgd(P, x0, 0.01, T=5, **kw),
+        "rsvrg": lambda kw: rsvrg(P, x0, 0.01, epochs=1, **kw),
+    }
+    probes = {
+        "fd": lambda kw: r.fd_gradient_check(P, x0, **kw),
+        "smoothness": lambda kw: r.smoothness_probe(P, **kw),
+        "pl": lambda kw: r.pl_constant_estimate(P, P.f_star, 8, **kw),
+    }
+    for name, call in {**solvers, **probes}.items():
+        for seed in (-1, 2.5, True):
+            bad[f"{name}-seed={seed!r}"] = lambda call=call, seed=seed: call(dict(seed=seed))
+    for name, call in solvers.items():
+        bad[f"{name}-map_mode='bogus'"] = lambda call=call: call(dict(map_mode="bogus"))
+    for seed in (7.9, -1, True):
+        bad[f"spec-seed={seed!r}"] = lambda seed=seed: r.SyntheticSpec(d=6, n=30, delta=0.4,
+                                                                       seed=seed)
     return P, bad
 
 
 @pytest.mark.parametrize("case", list(_count_calls()[1]))
 def test_count_options_must_be_integers(case):
-    # a fractional, boolean, text or too small count fails with ValueError
-    # before any oracle call, Gram matrix or run
+    # a fractional, boolean, text or too small count, seed or dimension, or
+    # an unknown map mode, fails with ValueError before any oracle call, Gram
+    # matrix, instance build or run
     P, bad = _count_calls()
     with pytest.raises(ValueError, match="must be"):
         bad[case]()
