@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._checks import MAP_MODES, _check_count, _check_modes, _check_positive
+from ._checks import _check_count, _check_modes, _check_positive
 from .diagnostics import _accuracy, _checkpoint_steps, epochs_to_double, pl_constant_estimate
 from .geometry import ManifoldPoint
 from .oracle import (
@@ -86,7 +86,8 @@ def _default_deltas() -> tuple[float, ...]:
 
 @dataclass
 class ExperimentConfig:
-    """Sweep description; every field has a desk-scale default.
+    """Sweep description; every field has a desk-scale default and is one
+    ``bench``/``run`` flag, ``--<field-name>`` (``--out`` for ``out_path``).
 
     ``data_seed`` drives the instance's eigenvector geometry (shared by all
     gaps of a sweep); the per-cell ``seeds`` drive the initializer and the
@@ -462,7 +463,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _value_parser(tp):
-    """Config-file parser for one annotated field type (``X | None`` parses X)."""
+    """Flag parser for one annotated field type (``X | None`` parses X)."""
     args = [a for a in typing.get_args(tp) if a is not type(None)]
     if typing.get_origin(tp) is tuple:
         item = args[0]
@@ -470,105 +471,49 @@ def _value_parser(tp):
     return args[0] if args else tp
 
 
-_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
-
-# the single-value aliases of the CLI and the config file: alias -> (field, type)
-_ALIASES = {"delta": ("delta_list", float), "seed": ("seeds", int), "out": ("out_path", str)}
-
-_CONFIG_PARSERS = {
-    **{k: _value_parser(tp) for k, tp in _FIELD_TYPES.items()},
-    **{alias: tp for alias, (_field, tp) in _ALIASES.items()},
-}
+# the fields not spelled just --<field-name>; a field's spellings share its one dest
+_SPELLINGS = {"delta_list": ("--delta-list", "--delta"), "seeds": ("--seeds", "--seed"),
+              "out_path": ("--out",)}
 
 
-def _add_instance_flags(p):
-    p.add_argument("--d", type=int, default=None, help="ambient dimension")
-    p.add_argument("--n", type=int, default=None, help="number of data columns")
-    p.add_argument("--delta", type=float, default=None, help="eigengap of the instance")
-    p.add_argument("--tail", type=float, default=None, help="spectrum decay below the gap")
-
-
-def _add_run_flags(p):
-    p.add_argument("--algo", default=None, help="algorithm(s), comma separated")
-    p.add_argument("--delta-list", type=_CONFIG_PARSERS["delta_list"], default=None,
-                   help="comma-separated eigengaps")
-    p.add_argument("--epochs", type=float, default=None, help="budget in oracle epochs")
-    p.add_argument("--seed", type=int, default=None, help="single run seed")
-    p.add_argument("--seeds", type=_CONFIG_PARSERS["seeds"], default=None,
-                   help="comma-separated run seeds")
-    p.add_argument("--eta", type=float, default=None, help="step size override")
-    p.add_argument("--map-mode", choices=MAP_MODES, default=None)
-    p.add_argument("--checkpoint-every", type=float, default=None)
-    p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--out", default=None, help="output CSV path")
-    p.add_argument("--workers", type=int, default=None)
+def _add_field_flags(p, cls):
+    """One flag per field of the dataclass ``cls``; the last spelling given wins."""
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        names = _SPELLINGS.get(f.name, ("--" + f.name.replace("_", "-"),))
+        p.add_argument(*names, dest=f.name, type=_value_parser(hints[f.name]), default=None)
 
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="rspider", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd")
-    pb = sub.add_parser("bench", help="run a sweep and write CSV + summary")
-    _add_instance_flags(pb)
-    _add_run_flags(pb)
-    pr = sub.add_parser("run", help="run a single cell and write CSV")
-    _add_instance_flags(pr)
-    _add_run_flags(pr)
+    for cmd, text in (("bench", "run a sweep and write CSV + summary"),
+                      ("run", "run a single cell and write CSV")):
+        _add_field_flags(sub.add_parser(cmd, help=text), ExperimentConfig)
     pp = sub.add_parser("probe", help="run diagnostic probes on an instance")
-    _add_instance_flags(pp)
-    pp.add_argument("--seed", type=int, default=None)
-    pp.add_argument("--out", default=None, help="append probe reports to this file")
     pg = sub.add_parser("gen", help="generate an instance and dump its matrix")
-    _add_instance_flags(pg)
-    pg.add_argument("--seed", type=int, default=None)
-    pg.add_argument("--out", default=None, help="binary dump path")
     for sp in (pp, pg):
-        sp.set_defaults(d=100, n=2000, delta=1e-2, tail=0.9, seed=0)
+        _add_field_flags(sp, SyntheticSpec)
+        sp.set_defaults(d=100, n=2000, delta=1e-2, seed=0)
+    pp.add_argument("--out", default=None, help="append probe reports to this file")
+    pg.add_argument("--out", default=None, help="binary dump path")
     return p
 
 
-def _read_config_file(path) -> dict:
-    out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise _UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in _CONFIG_PARSERS:
-                raise _UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                out[key] = _CONFIG_PARSERS[key](val)
-            except ValueError as e:
-                raise _UsageError(f"{path}:{lineno}: bad value for {key}: {e}")
-    return out
+def _build(cls, ns):
+    """The dataclass ``cls`` from the flags given, over its defaults.
 
-
-def _resolve_aliases(values: dict) -> dict:
-    """Move each alias onto its field; the field itself wins within one source."""
-    for alias, (name, _tp) in _ALIASES.items():
-        if alias in values:
-            val = values.pop(alias)
-            is_tuple = typing.get_origin(_FIELD_TYPES[name]) is tuple
-            values.setdefault(name, (val,) if is_tuple else val)
-    return values
-
-
-def _build_config(ns) -> ExperimentConfig:
-    """Merge defaults, config file, then explicit flags (flags win)."""
-    merged = _resolve_aliases(_read_config_file(ns.config)) if ns.config else {}
-    flags = {k: v for k, v in vars(ns).items() if v is not None and k not in ("cmd", "config")}
-    merged.update(_resolve_aliases(flags))
+    A value the dataclass rejects is a usage error.
+    """
+    given = {f.name: getattr(ns, f.name) for f in fields(cls) if getattr(ns, f.name) is not None}
     try:
-        return ExperimentConfig(**merged)
+        return cls(**given)
     except (TypeError, ValueError) as e:
         raise _UsageError(str(e))
 
 
 def _cmd_bench(ns) -> int:
-    cfg = _build_config(ns)
+    cfg = _build(ExperimentConfig, ns)
     if not cfg.out_path:
         raise _UsageError("bench requires --out")
     result = run_sweep(cfg)
@@ -585,7 +530,7 @@ def _cmd_bench(ns) -> int:
 
 
 def _cmd_run(ns) -> int:
-    cfg = _build_config(ns)
+    cfg = _build(ExperimentConfig, ns)
     if not cfg.out_path:
         raise _UsageError("run requires --out")
     if len(cfg.algo) != 1 or len(cfg.delta_list) != 1 or len(cfg.seeds) != 1:
@@ -597,12 +542,13 @@ def _cmd_run(ns) -> int:
 
 
 def _cmd_probe(ns) -> int:
-    P = generate_gap_matrix(SyntheticSpec(ns.d, ns.n, ns.delta, seed=ns.seed, tail=ns.tail))
-    x = _draw_x0(P, ns.seed)
+    spec = _build(SyntheticSpec, ns)
+    P = generate_gap_matrix(spec)
+    x = _draw_x0(P, spec.seed)
     reports = [
-        diagnostics.fd_gradient_check(P, x, trials=100, t_step=1e-6, seed=ns.seed),
-        diagnostics.smoothness_probe(P, pairs=64, radius=0.5, seed=ns.seed),
-        diagnostics.pl_constant_estimate(P, P.f_star, 128, seed=ns.seed),
+        diagnostics.fd_gradient_check(P, x, trials=100, t_step=1e-6, seed=spec.seed),
+        diagnostics.smoothness_probe(P, pairs=64, radius=0.5, seed=spec.seed),
+        diagnostics.pl_constant_estimate(P, P.f_star, 128, seed=spec.seed),
     ]
     text = "\n".join(r.to_text() for r in reports)
     sigma_sq = variance_bound_estimate(P, x)
@@ -619,9 +565,9 @@ def _cmd_probe(ns) -> int:
 def _cmd_gen(ns) -> int:
     if not ns.out:
         raise _UsageError("gen requires --out")
-    P = generate_gap_matrix(SyntheticSpec(ns.d, ns.n, ns.delta, seed=ns.seed, tail=ns.tail))
-    save_problem(P, ns.out)
-    print(f"wrote {ns.out} (d={ns.d}, n={ns.n}, delta={ns.delta}, seed={ns.seed})")
+    spec = _build(SyntheticSpec, ns)
+    save_problem(generate_gap_matrix(spec), ns.out)
+    print(f"wrote {ns.out} (d={spec.d}, n={spec.n}, delta={spec.delta}, seed={spec.seed})")
     return 0
 
 
@@ -644,10 +590,10 @@ def cli_main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[ns.cmd](ns)
-    except (_UsageError, ValueError) as e:
+    except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (OptimizerError, RuntimeError, OSError) as e:
+    except (OptimizerError, RuntimeError, OSError, ValueError) as e:
         print(f"failure: {e}", file=sys.stderr)
         return 2
 

@@ -39,7 +39,6 @@ __all__ = [
     "RunTrace",
     "SpiderConfig",
     "TraceRecord",
-    "correction_batch_size",
     "params_finite",
     "params_stochastic",
     "rsgd",
@@ -60,21 +59,15 @@ def _ceil_tol(x: float) -> int:
 
 
 def _batch_size(q, L, step_len, budget, n):
-    raw = q * L**2 * step_len**2 / budget
-    if n is not None:
-        raw = min(float(n), raw)
-    return max(1, _ceil_tol(raw))
-
-
-def correction_batch_size(
-    q: int, L: float, step_len: float, eps: float, n: int | None = None
-) -> int:
-    """Samples for one correction step: ceil(min(n, q L^2 step^2 / (2 eps^2))).
+    """Samples for one correction step: ceil(min(n, q L^2 step^2 / budget)).
 
     Clamped to at least one sample; a zero-length step would otherwise skip
     the correction and break the estimator recursion.
     """
-    return _batch_size(q, L, step_len, 2.0 * eps**2, n)
+    raw = q * L**2 * step_len**2 / budget
+    if n is not None:
+        raw = min(float(n), raw)
+    return max(1, _ceil_tol(raw))
 
 
 @dataclass

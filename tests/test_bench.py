@@ -1,8 +1,10 @@
+import argparse
 import math
 import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -454,44 +456,45 @@ class TestCli:
         text = out.read_text()
         assert text.count("probe=fd_gradient_check") == 2
 
-    def test_config_file_with_flag_override(self, tmp_path):
-        conf = tmp_path / "exp.conf"
-        conf.write_text(
-            "# experiment settings\n"
-            "algo = rsgd\n"
-            "d = 10\n"
-            "n = 30\n"
-            "delta_list = 0.2\n"
-            "epochs = 2\n"
-            "seeds = 0\n"
-            "eta = 0.05\n"
-        )
-        out1 = tmp_path / "c1.csv"
-        assert cli_main(["bench", "--config", str(conf), "--out", str(out1)]) == 0
-        rows = out1.read_text().splitlines()
-        assert len(rows) == 4 and rows[1].startswith("rsgd,")
-        out2 = tmp_path / "c2.csv"
-        assert (
-            cli_main(
-                ["bench", "--config", str(conf), "--algo", "rsvrg",
-                 "--out", str(out2)]
-            )
-            == 0
-        )
-        assert out2.read_text().splitlines()[1].startswith("rsvrg,")
+    @pytest.mark.parametrize("cmd", ["bench", "run"])
+    def test_one_flag_per_config_field(self, cmd):
+        import rspider.bench as bench
 
-    def test_bad_config_key_exits_one(self, tmp_path):
-        conf = tmp_path / "bad.conf"
-        conf.write_text("nonsense_key = 3\n")
-        assert cli_main(["bench", "--config", str(conf), "--out", "x.csv"]) == 1
+        sub = next(a for a in bench._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = [a.dest for a in sub.choices[cmd]._actions if a.dest != "help"]
+        assert sorted(dests) == sorted(f.name for f in fields(ExperimentConfig))
 
+    def test_every_flag_reaches_the_config(self, monkeypatch):
+        import rspider.bench as bench
+
+        seen = []
+        monkeypatch.setattr(bench, "run_sweep",
+                            lambda cfg: seen.append(cfg) or bench.SweepResult([], [], [], []))
+        given = {
+            "algo": ("spider", "rsgd"), "d": 10, "n": 50, "delta_list": (0.2, 0.1),
+            "epochs": 3.5, "seeds": (4, 5), "map_mode": "retract", "eta": 0.05,
+            "checkpoint_every": 0.5, "out_path": "x.csv", "spectrum": "geometric",
+            "tail": 0.8, "workers": 2, "data_seed": 7, "window": 1.5, "fit_window": 2.0,
+        }
+        assert sorted(given) == sorted(f.name for f in fields(ExperimentConfig))
+        argv = ["bench"]
+        for name, value in given.items():
+            flag = "--out" if name == "out_path" else "--" + name.replace("_", "-")
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            argv += [flag, text]
+        assert cli_main(argv) == 2  # the recorder returns no rows
+        default = ExperimentConfig()
+        for name, value in given.items():
+            assert getattr(seen[0], name) == value != getattr(default, name), name
+
+    # keys the sweep configuration used to take, each spelled as a flag
     @pytest.mark.parametrize("key", ["eps", "tau", "timing", "L", "M0", "K", "ifo_convention"])
     def test_removed_config_key_exits_one(self, tmp_path, capsys, key):
-        conf = tmp_path / "old.conf"
-        conf.write_text(f"{key} = 1\n")
+        flag = "--" + key.replace("_", "-")
         out = tmp_path / "x.csv"
-        assert cli_main(["bench", "--config", str(conf), "--out", str(out)]) == 1
-        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert cli_main(["bench", flag, "1", "--out", str(out)]) == 1
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_removed_ifo_convention_flag_exits_one(self, tmp_path, capsys):
@@ -532,37 +535,24 @@ class TestCli:
         assert len(lines) == 1 and "python -m rspider`" in lines[0], proc.stderr
         assert not any(tmp_path.iterdir())
 
-    def test_alias_precedence(self, tmp_path, monkeypatch):
+    def test_alias_precedence(self, monkeypatch):
         import rspider.bench as bench
 
         seen = []
-
-        def record(cfg):
-            seen.append(cfg)
-            return bench.SweepResult([], [], [], [])
-
-        monkeypatch.setattr(bench, "run_sweep", record)
-        conf = tmp_path / "p.conf"
-        conf.write_text(
-            "d = 10\nn = 30\nepochs = 1\n"
-            "delta = 0.05\ndelta_list = 0.2,0.1\nseed = 3\nout = file.csv\n"
-        )
+        monkeypatch.setattr(bench, "run_sweep",
+                            lambda cfg: seen.append(cfg) or bench.SweepResult([], [], [], []))
 
         def cfg_for(*flags):
-            cli_main(["bench", "--config", str(conf), *flags])
+            cli_main(["bench", "--d", "10", "--n", "30", "--epochs", "1", "--out", "x.csv",
+                      *flags])
             return seen.pop()
 
-        # the file's delta_list beats the file's delta
-        assert cfg_for().delta_list == (0.2, 0.1)
-        # --delta beats the file's delta_list; --delta-list beats --delta
-        assert cfg_for("--delta", "0.15").delta_list == (0.15,)
-        assert cfg_for("--delta", "0.15", "--delta-list", "0.2,0.05").delta_list == (0.2, 0.05)
-        # the file's seed and out stand until a flag overrides them
-        cfg = cfg_for()
-        assert (cfg.seeds, cfg.out_path) == ((3,), "file.csv")
-        assert cfg_for("--seed", "4").seeds == (4,)
-        assert cfg_for("--seed", "4", "--seeds", "5,6").seeds == (5, 6)
-        assert cfg_for("--out", "flag.csv").out_path == "flag.csv"
+        # two spellings of one field: the last one given wins
+        assert cfg_for("--delta", "0.05", "--delta-list", "0.2,0.1").delta_list == (0.2, 0.1)
+        assert cfg_for("--delta-list", "0.2,0.1", "--delta", "0.15").delta_list == (0.15,)
+        assert cfg_for("--seed", "3", "--seeds", "5,6").seeds == (5, 6)
+        assert cfg_for("--seeds", "5,6", "--seed", "4").seeds == (4,)
+        assert cfg_for("--out", "a.csv", "--out", "b.csv").out_path == "b.csv"
 
     def test_window_off_grid_fails_before_any_cell(self, tmp_path, monkeypatch, capsys):
         import rspider.bench as bench
@@ -664,6 +654,29 @@ class TestCli:
              "--out", str(tmp_path / "no" / "such" / "dir" / "o.csv")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("cmd", ["bench", "probe"])
+    def test_linalg_failure_exits_two(self, tmp_path, monkeypatch, capsys, cmd):
+        import rspider.oracle as oracle
+
+        def ill_conditioned(*a, **k):
+            raise np.linalg.LinAlgError("draw too ill-conditioned")
+
+        monkeypatch.setattr(oracle, "_orthonormal", ill_conditioned)
+        argv = [cmd, "--d", "10", "--n", "30", "--delta", "0.2", "--seed", "0"]
+        if cmd == "bench":
+            argv += ["--epochs", "1", "--out", str(tmp_path / "x.csv")]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == "failure: draw too ill-conditioned\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cmd", ["probe", "gen"])
+    def test_bad_instance_flag_exits_one(self, tmp_path, capsys, cmd):
+        out = tmp_path / "x.out"
+        assert cli_main([cmd, "--d", "10", "--n", "30", "--delta", "1.5",
+                         "--out", str(out)]) == 1
+        assert "eigengap must satisfy" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cli_rerun_byte_identical(self, tmp_path):
         args = [

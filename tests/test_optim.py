@@ -15,8 +15,8 @@ from rspider.optim import (
     SpiderConfig,
     _Indices,
     _Run,
+    _batch_size,
     _spider_core,
-    correction_batch_size,
     params_finite,
     params_stochastic,
     rsgd,
@@ -38,17 +38,20 @@ def desk_problem(d=10, n=60, delta=0.4, seed=5):
 
 
 class TestBatchSize:
+    # budget 2 eps^2 at eps 0.1: ceil(min(n, q L^2 step^2 / budget)), at least one
+    BUDGET = 2.0 * 0.1**2
+
     def test_hand_example(self):
-        assert correction_batch_size(10, 2.0, 0.05, 0.1, n=500) == 5
+        assert _batch_size(10, 2.0, 0.05, self.BUDGET, 500) == 5
 
     def test_cap_at_n(self):
-        assert correction_batch_size(10, 2.0, 10.0, 0.1, n=500) == 500
+        assert _batch_size(10, 2.0, 10.0, self.BUDGET, 500) == 500
 
     def test_uncapped_without_n(self):
-        assert correction_batch_size(10, 2.0, 10.0, 0.1, n=None) == 200000
+        assert _batch_size(10, 2.0, 10.0, self.BUDGET, None) == 200000
 
     def test_zero_step_clamped(self):
-        assert correction_batch_size(10, 2.0, 0.0, 0.1, n=500) == 1
+        assert _batch_size(10, 2.0, 0.0, self.BUDGET, 500) == 1
 
 
 class TestSchedules:
