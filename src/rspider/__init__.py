@@ -62,7 +62,7 @@ __version__ = "0.1.0"
 
 # the command-line module loads on first use, so ``python -m rspider.bench``
 # finds it unimported and can point to ``python -m rspider`` instead
-_BENCH_NAMES = ("ExperimentConfig", "cli_main", "run_cell", "run_sweep")
+_BENCH_NAMES = ("ExperimentConfig", "cli_main", "run_sweep")
 
 
 def __getattr__(name):

@@ -57,7 +57,6 @@ __all__ = [
     "cli_main",
     "fit_line",
     "main",
-    "run_cell",
     "run_sweep",
 ]
 
@@ -75,11 +74,6 @@ _SPIDER_EPS = 0.05  # gradient-norm target of the nonconvex solver
 _GD_STAGES = 20  # restart stages of spider-gd1 and spider-gd2
 
 
-def _check_algo(algo: str):
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
-
-
 def _default_deltas() -> tuple[float, ...]:
     return tuple(1e-2 / k for k in range(1, 9))
 
@@ -87,7 +81,8 @@ def _default_deltas() -> tuple[float, ...]:
 @dataclass
 class ExperimentConfig:
     """Sweep description; every field has a desk-scale default and is one
-    ``bench``/``run`` flag, ``--<field-name>`` (``--out`` for ``out_path``).
+    ``bench`` flag, ``--<field-name>`` (``--out`` for ``out_path``). A single
+    cell runs as a one-cell sweep: one algorithm, one gap and one seed.
 
     ``data_seed`` drives the instance's eigenvector geometry (shared by all
     gaps of a sweep); the per-cell ``seeds`` drive the initializer and the
@@ -122,7 +117,8 @@ class ExperimentConfig:
         else:
             self.algo = tuple(self.algo)
         for a in self.algo:
-            _check_algo(a)
+            if a not in ALGORITHMS:
+                raise ValueError(f"unknown algorithm {a!r}; choose from {ALGORITHMS}")
         if not self.algo:
             raise ValueError("need at least one algorithm")
         self.delta_list = tuple(float(x) for x in self.delta_list)
@@ -232,30 +228,14 @@ def _run_algo(cfg: ExperimentConfig, algo: str, P: PcaProblem, f_star: float, x0
     return trace
 
 
-def run_cell(cfg: ExperimentConfig, delta: float, seed: int,
-             algo: str | None = None) -> list[CsvRow]:
-    """Run one (algorithm, gap, seed) cell and return its checkpoint rows.
-
-    The row grid covers the nominal epochs 0, step, 2 step, ... that do not
-    pass the budget ``epochs``; if the run ends before the budget, trailing
-    grid rows repeat the final state. Identical inputs produce identical
-    rows. The cell runs on the path a sweep takes, and an exception in it is
-    raised here.
-    """
-    algo = cfg.algo[0] if algo is None else algo
-    delta = float(delta)
-    _check_algo(algo)
-    _spectrum(cfg, delta)  # raises on a gap its spectrum cannot hold
-    factors = _eigenvector_factors(cfg.d, cfg.n, cfg.data_seed)
-    out = _gap_outcomes(cfg, factors, delta, [(0, algo, seed)])[0]
-    if isinstance(out, Exception):
-        raise out
-    return out
-
-
 def _run_cell(cfg: ExperimentConfig, P: PcaProblem, f_star: float, tau: float | None,
               delta: float, seed: int, algo: str) -> list[CsvRow]:
-    """One cell on a built instance; its run counts the oracle calls from its own zero."""
+    """One cell on a built instance; its run counts the oracle calls from its own zero.
+
+    The rows cover the nominal epochs 0, step, 2 step, ... that do not pass
+    the budget ``epochs``; if the run ends before the budget, trailing grid
+    rows repeat its end record.
+    """
     x0 = _draw_x0(P, seed)
     max_ifo = int(math.ceil(cfg.epochs * P.n - 1e-9))
     map_mode = "retract" if algo == "vrpca" else cfg.map_mode
@@ -487,9 +467,8 @@ def _add_field_flags(p, cls):
 def _build_parser() -> _Parser:
     p = _Parser(prog="rspider", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd")
-    for cmd, text in (("bench", "run a sweep and write CSV + summary"),
-                      ("run", "run a single cell and write CSV")):
-        _add_field_flags(sub.add_parser(cmd, help=text), ExperimentConfig)
+    _add_field_flags(sub.add_parser("bench", help="run a sweep and write CSV + summary"),
+                     ExperimentConfig)
     pp = sub.add_parser("probe", help="run diagnostic probes on an instance")
     pg = sub.add_parser("gen", help="generate an instance and dump its matrix")
     for sp in (pp, pg):
@@ -529,18 +508,6 @@ def _cmd_bench(ns) -> int:
     return 0 if result.rows else 2
 
 
-def _cmd_run(ns) -> int:
-    cfg = _build(ExperimentConfig, ns)
-    if not cfg.out_path:
-        raise _UsageError("run requires --out")
-    if len(cfg.algo) != 1 or len(cfg.delta_list) != 1 or len(cfg.seeds) != 1:
-        raise _UsageError("run expects a single algo, delta and seed")
-    rows = run_cell(cfg, cfg.delta_list[0], cfg.seeds[0])
-    _write_csv(cfg.out_path, CSV_COLUMNS, (r.to_line() for r in rows))
-    print(f"wrote {cfg.out_path} ({len(rows)} rows)")
-    return 0
-
-
 def _cmd_probe(ns) -> int:
     spec = _build(SyntheticSpec, ns)
     P = generate_gap_matrix(spec)
@@ -571,7 +538,7 @@ def _cmd_gen(ns) -> int:
     return 0
 
 
-_COMMANDS = {"bench": _cmd_bench, "run": _cmd_run, "probe": _cmd_probe, "gen": _cmd_gen}
+_COMMANDS = {"bench": _cmd_bench, "probe": _cmd_probe, "gen": _cmd_gen}
 
 
 def cli_main(argv=None) -> int:

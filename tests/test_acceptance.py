@@ -5,6 +5,7 @@ criterion (a failed assertion marks the criterion FAIL). Desk-scale
 configurations keep the full suite in the minutes range.
 """
 
+import dataclasses
 import math
 import time
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import rspider as r
-from rspider.bench import ExperimentConfig, cli_main, fit_line, run_cell, run_sweep
+from rspider.bench import ExperimentConfig, cli_main, fit_line, run_sweep
 from rspider.geometry import Sphere
 from rspider.optim import GdConfig, params_finite, spider_gd1, spider_gd2, spider_nonconvex
 
@@ -171,8 +172,8 @@ def test_criterion_7_snapshot_vs_normalized_update():
     t0 = time.perf_counter()
     cfg = ExperimentConfig(algo=("rsvrg",), d=100, n=2000, delta_list=(1e-2,),
                            seeds=(3,), epochs=30.0)
-    rows_exp = run_cell(cfg, 1e-2, 3, algo="rsvrg")
-    rows_ret = run_cell(cfg, 1e-2, 3, algo="vrpca")
+    rows_exp = run_sweep(cfg).rows
+    rows_ret = run_sweep(dataclasses.replace(cfg, algo=("vrpca",))).rows
     for j in range(5, 31):
         a, b = rows_exp[j].accuracy, rows_ret[j].accuracy
         assert b > 0

@@ -2,9 +2,10 @@ import argparse
 import math
 import multiprocessing
 import os
+import hashlib
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ from rspider.bench import (
     _spectrum,
     cli_main,
     fit_line,
-    run_cell,
     run_sweep,
 )
 from rspider.diagnostics import epochs_to_double
@@ -46,45 +46,45 @@ def sweep_instance(cfg, delta):
 
 class TestRunCell:
     def test_zero_epoch_budget(self):
-        cfg = tiny_cfg(epochs=0.0)
-        rows = run_cell(cfg, 0.2, 0)
+        rows = run_sweep(tiny_cfg(epochs=0.0)).rows
         assert len(rows) == 1
         assert rows[0].epoch == 0.0
         assert rows[0].ifo == 0
         assert rows[0].accuracy > 0.0  # random initializer is not optimal
 
     def test_row_count_matches_grid(self):
-        cfg = tiny_cfg(epochs=4.0, checkpoint_every=1.0)
-        rows = run_cell(cfg, 0.2, 0)
+        rows = run_sweep(tiny_cfg(epochs=4.0, checkpoint_every=1.0)).rows
         assert len(rows) == 5
 
     @pytest.mark.parametrize("epochs,count", [(2.5, 3), (3.5, 4), (3.7, 4)])
     def test_fractional_budget_rows_stop_at_the_budget(self, epochs, count):
         # one row per whole checkpoint step inside the budget, none past it
-        rows = run_cell(tiny_cfg(epochs=epochs, checkpoint_every=1.0), 0.2, 0)
+        rows = run_sweep(tiny_cfg(epochs=epochs, checkpoint_every=1.0)).rows
         assert len(rows) == count
         assert [row.epoch for row in rows] == [float(k) for k in range(count)]
 
     def test_rows_deterministic(self):
         cfg = tiny_cfg()
-        lines1 = [row.to_line() for row in run_cell(cfg, 0.2, 0)]
-        lines2 = [row.to_line() for row in run_cell(cfg, 0.2, 0)]
+        lines1 = [row.to_line() for row in run_sweep(cfg).rows]
+        lines2 = [row.to_line() for row in run_sweep(cfg).rows]
         assert lines1 == lines2
 
     def test_epoch_equals_ifo_over_n(self):
-        cfg = tiny_cfg(algo=("spider",), epochs=3.0)
-        for row in run_cell(cfg, 0.2, 1):
+        cfg = tiny_cfg(algo=("spider",), epochs=3.0, seeds=(1,))
+        for row in run_sweep(cfg).rows:
             assert abs(row.epoch - row.ifo / cfg.n) <= 1e-12
 
     def test_accuracy_nonnegative(self):
-        for algo in ("rsgd", "rsvrg", "spider", "spider-gd1", "spider-gd2"):
-            rows = run_cell(tiny_cfg(algo=(algo,), epochs=3.0), 0.2, 2)
-            assert all(row.accuracy >= -1e-12 for row in rows)
+        res = run_sweep(tiny_cfg(algo=("rsgd", "rsvrg", "spider", "spider-gd1", "spider-gd2"),
+                                 epochs=3.0, seeds=(2,)))
+        assert not res.failures
+        assert all(row.accuracy >= -1e-12 for row in res.rows)
 
     def test_rsvrg_close_to_vrpca(self):
-        cfg = tiny_cfg(d=20, n=80, epochs=6.0, eta=0.02)
-        a = run_cell(cfg, 0.2, 3, algo="rsvrg")
-        b = run_cell(cfg, 0.2, 3, algo="vrpca")
+        rows = run_sweep(tiny_cfg(algo=("rsvrg", "vrpca"), d=20, n=80, epochs=6.0, eta=0.02,
+                                  seeds=(3,))).rows
+        a = [row for row in rows if row.algo == "rsvrg"]
+        b = [row for row in rows if row.algo == "vrpca"]
         ratio = a[5].accuracy / b[5].accuracy
         assert 0.5 <= ratio <= 2.0
 
@@ -115,14 +115,14 @@ class TestRunCell:
         monkeypatch.setattr(bench, "_eigenvector_factors",
                             lambda *a: builds.append(a) or real(*a))
         with pytest.raises(ValueError, match=msg):
-            run_cell(tiny_cfg(), delta, 0, algo=algo)
+            run_sweep(tiny_cfg(algo=(algo,), delta_list=(delta,)))
         assert builds == []
 
     def test_all_algorithms_produce_rows(self):
-        for algo in ("rsgd", "rsvrg", "vrpca", "spider", "spider-gd1", "spider-gd2"):
-            rows = run_cell(tiny_cfg(algo=(algo,), epochs=2.0), 0.2, 4)
-            assert len(rows) == 3
-            assert rows[0].algo == algo
+        algos = ("rsgd", "rsvrg", "vrpca", "spider", "spider-gd1", "spider-gd2")
+        res = run_sweep(tiny_cfg(algo=algos, epochs=2.0, seeds=(4,)))
+        assert not res.failures
+        assert [row.algo for row in res.rows] == [algo for algo in algos for _ in range(3)]
 
 
 class TestWindows:
@@ -139,7 +139,7 @@ class TestWindows:
 
     def test_window_of_whole_checkpoint_steps_is_accepted(self):
         cfg = tiny_cfg(checkpoint_every=2.0, window=4.0, epochs=10.0)
-        assert len(run_cell(cfg, 0.2, 0)) == 6
+        assert len(run_sweep(cfg).rows) == 6
         pairs = [(float(e), -1.0 + 0.5 ** (e / 4.0)) for e in range(0, 11, 2)]
         out = epochs_to_double(pairs, f_star=-1.0, window=4.0, step=2.0)
         assert [e for e, _ in out] == [0.0, 2.0, 4.0, 6.0]
@@ -236,9 +236,9 @@ class TestRunSweep:
         assert "delta=0.1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_cells_match_run_cell_alone(self, workers):
+    def test_cells_match_one_cell_sweeps(self, workers):
         # the shared instance, counter and tau give every cell the rows it
-        # gets when run alone
+        # gets when run alone, as a one-cell sweep
         cfg = tiny_cfg(
             algo=("rsvrg", "spider", "spider-gd1", "spider-gd2"),
             delta_list=(0.2, 0.1), seeds=(0, 1), epochs=3.0, workers=workers,
@@ -250,8 +250,9 @@ class TestRunSweep:
             swept.setdefault((row.algo, row.delta, row.seed), []).append(row.to_line())
         assert len(swept) == 4 * 2 * 2
         for (algo, delta, seed), lines in swept.items():
-            alone = run_cell(cfg, delta, seed, algo=algo)
-            assert lines == [row.to_line() for row in alone]
+            alone = run_sweep(replace(cfg, algo=(algo,), delta_list=(delta,), seeds=(seed,),
+                                      workers=1))
+            assert lines == [row.to_line() for row in alone.rows]
 
     def test_factors_once_per_sweep_and_tau_once_per_gap(self, monkeypatch):
         import rspider.bench as bench
@@ -415,17 +416,26 @@ class TestCli:
     def test_bench_requires_out(self):
         assert cli_main(["bench", "--algo", "rsgd"]) == 1
 
-    def test_run_single_cell(self, tmp_path):
+    # sha256 of the CSVs that the former single-cell command `run` wrote for
+    # these two cells; a one-cell sweep writes the same bytes
+    @pytest.mark.parametrize("flags,digest", [
+        (["--algo", "spider-gd2", "--d", "20", "--n", "200", "--spectrum", "geometric",
+          "--delta", "0.5", "--data-seed", "7", "--epochs", "12", "--seed", "3"],
+         "a05fe9458de129262b9508a9abdd5c5dc2b8d2b6c42d698bc14a98d768e97cae"),
+        (["--algo", "vrpca", "--d", "10", "--n", "30", "--delta", "0.2", "--epochs", "3",
+          "--seed", "1"],
+         "ec097e181ecac55002772606bd9f53d8f6aef11cc1e0f532ecc99b4d3a2060d0"),
+    ], ids=["spider-gd2", "vrpca"])
+    def test_one_cell_sweep_csv(self, tmp_path, flags, digest):
         out = tmp_path / "cell.csv"
-        code = cli_main(
-            [
-                "run", "--algo", "rsgd", "--d", "10", "--n", "30",
-                "--delta", "0.2", "--epochs", "2", "--seed", "3",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        assert len(out.read_text().splitlines()) == 4
+        assert cli_main(["bench", *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_run_is_not_a_command(self, tmp_path, capsys):
+        out = tmp_path / "cell.csv"
+        assert cli_main(["run", "--d", "10", "--n", "30", "--out", str(out)]) == 1
+        assert "invalid choice: 'run'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gen_writes_loadable_dump(self, tmp_path):
         out = tmp_path / "data.rspd"
@@ -456,7 +466,7 @@ class TestCli:
         text = out.read_text()
         assert text.count("probe=fd_gradient_check") == 2
 
-    @pytest.mark.parametrize("cmd", ["bench", "run"])
+    @pytest.mark.parametrize("cmd", ["bench"])
     def test_one_flag_per_config_field(self, cmd):
         import rspider.bench as bench
 

@@ -182,7 +182,7 @@ class TestSpiderNonconvex:
 
     def test_final_record_describes_the_returned_pick(self):
         # the run stops on its 30-epoch budget, well after its pick was drawn,
-        # and run_cell repeats the final record for the grid rows after that
+        # and a sweep repeats the final record for the grid rows after that
         P = r.generate_gap_matrix(r.SyntheticSpec(d=20, n=200, delta=0.5, seed=0))
         x0 = P.manifold.random_point(np.random.default_rng(1))
         cfg = params_finite(P.n, 0.05, P.value(x0) - P.f_star, P.L_hint)
