@@ -178,7 +178,10 @@ class _Run:
 
     The counter when the run starts is its zero, so a run on an objective
     that has already been charged still reports, and is budgeted by, only its
-    own calls (:meth:`spent`).
+    own calls (:meth:`spent`). The budget is exact: :meth:`clip` cuts the
+    last draw to the calls left, and a run with one call left when a
+    correction is due stops there (:meth:`exhausted`), so a run charges
+    ``max_ifo - 1`` or ``max_ifo`` calls when it runs out.
     """
 
     def __init__(self, obj, x0, seed, checkpoint_every, max_ifo, map_mode):
@@ -200,6 +203,7 @@ class _Run:
         self.records: list[TraceRecord] = []
         self.steps = 0
         self._last = (0.0, 0)  # (length, batch) of the latest step
+        self._over = False
         self._next_idx = 0
         self.after_step(x0, 0.0, 0)  # the start record
 
@@ -207,9 +211,22 @@ class _Run:
         """Calls charged since the run started."""
         return self.obj.counter.calls - self.calls0
 
-    def exhausted(self) -> bool:
-        """Whether the run has spent its budget (never, without one)."""
-        return self.max_ifo is not None and self.spent() >= self.max_ifo
+    def exhausted(self, paired=False) -> bool:
+        """Whether the run is over: its budget cannot pay one sample of the
+        next estimate, one call for an anchor or two for a ``paired``
+        correction. A run without a budget never is; a run that was once
+        stays over, so a refused correction also ends the loops around it."""
+        if not self._over and self.max_ifo is not None:
+            self._over = self.max_ifo - self.spent() < (2 if paired else 1)
+        return self._over
+
+    def clip(self, size, paired) -> int:
+        """``size`` cut to what the budget can still pay: all the calls left
+        for an anchor, half of them for a ``paired`` correction."""
+        if self.max_ifo is None:
+            return size
+        left = self.max_ifo - self.spent()
+        return min(size, left // 2 if paired else left)
 
     def estimate(self, x, y, ref, size, cap):
         """The estimator step g(x) - transport(y -> x, g(y) - ref), tallied.
@@ -219,11 +236,13 @@ class _Run:
         sample's mean gradient: the deterministic full pass when ``cap`` (n in
         finite-sum mode) is not None and ``size >= cap``, else the mean over
         the next ``size`` uniform draws with replacement from ``indices``,
-        prepared once for both evaluations. Every evaluation is charged.
-        Returns the estimate's coordinates at x, their squared norm and the
-        samples charged per evaluation.
+        prepared once for both evaluations. ``size`` is first cut by
+        :meth:`clip`, so a full pass the budget cannot pay becomes a draw.
+        Every evaluation is charged. Returns the estimate's coordinates at x,
+        their squared norm and the samples charged per evaluation.
         """
         obj = self.obj
+        size = self.clip(size, y is not None)
         if cap is not None and size >= cap:
             rows, batch = None, obj.n
         else:
@@ -340,15 +359,14 @@ def _spider_core(run, x0, cfg: SpiderConfig, budget, *, on_correction=None, pick
     x_prev = v = None
     step_len = 0.0
     for k in range(cfg.T):
-        if run.exhausted():
+        if run.exhausted(paired=k % cfg.q != 0):
             break
         if k % cfg.q:
             y, size = x_prev, _batch_size(cfg.q, cfg.L, step_len, budget, cap)
-            if on_correction is not None:
+            if on_correction is not None:  # the state holds the batch drawn, cut to the budget
                 frozen_v = TangentVector._raw(x_prev, v)
-                on_correction(
-                    FrozenState(run.steps, x_prev, x, frozen_v, size, cfg.eps, sample_only)
-                )
+                on_correction(FrozenState(run.steps, x_prev, x, frozen_v, run.clip(size, True),
+                                          cfg.eps, sample_only))
         else:
             y, size = None, cfg.S1  # an anchor: no previous point
         x_next, step_len, v = run.step(x, y, v, size, cap, cfg.eta)
@@ -575,7 +593,7 @@ def rsvrg(
         mu, _, batch = run.estimate(x_snap, None, None, obj.n, obj.n)
         run.after_step(x, 0.0, batch)
         for _i in range(m):
-            if run.exhausted():
+            if run.exhausted(paired=True):
                 break
             x, _, _ = run.step(x, x_snap, mu, 1, None, eta)
     config = {"eta": eta, "epochs": epochs, "inner_len": m, "map_mode": map_mode}

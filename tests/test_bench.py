@@ -254,6 +254,25 @@ class TestRunSweep:
                                       workers=1))
             assert lines == [row.to_line() for row in alone.rows]
 
+    def test_cells_spend_no_more_than_their_budget(self, monkeypatch):
+        # a 12-epoch cell at d=50, n=500 where a full anchor or a capped
+        # correction at the end of a run used to overspend by up to 2n calls
+        import rspider.optim as optim
+
+        traces = []
+        trace = optim._Run.trace
+        monkeypatch.setattr(optim._Run, "trace",
+                            lambda run, *a, **k: traces.append(trace(run, *a, **k)) or traces[-1])
+        res = run_sweep(ExperimentConfig(
+            algo=("spider", "spider-gd1", "spider-gd2", "rsvrg"), d=50, n=500,
+            delta_list=(0.1,), spectrum="geometric", data_seed=0, seeds=(0,), epochs=12.0,
+        ))
+        assert not res.failures
+        assert [t.meta["algo"] for t in traces] == ["spider", "spider-gd1", "spider-gd2", "rsvrg"]
+        for t in traces:
+            assert t.meta["ifo"] <= 6000, t.meta["algo"]
+            assert sum(rec.boundary is not None for rec in t.records) == 13, t.meta["algo"]
+
     def test_factors_once_per_sweep_and_tau_once_per_gap(self, monkeypatch):
         import rspider.bench as bench
         import rspider.oracle as oracle
@@ -417,11 +436,13 @@ class TestCli:
         assert cli_main(["bench", "--algo", "rsgd"]) == 1
 
     # sha256 of the CSVs that the former single-cell command `run` wrote for
-    # these two cells; a one-cell sweep writes the same bytes
+    # these two cells, which a one-cell sweep wrote as well; the spider-gd2
+    # digest was re-recorded when the budget became exact, which moved its
+    # last row (12.05 -> 12.0 epochs) and one epochs_to_double
     @pytest.mark.parametrize("flags,digest", [
         (["--algo", "spider-gd2", "--d", "20", "--n", "200", "--spectrum", "geometric",
           "--delta", "0.5", "--data-seed", "7", "--epochs", "12", "--seed", "3"],
-         "a05fe9458de129262b9508a9abdd5c5dc2b8d2b6c42d698bc14a98d768e97cae"),
+         "f62af792bd6ef45caff168247abf52daf6b0c0ce55400a421f0ab7354b8123e6"),
         (["--algo", "vrpca", "--d", "10", "--n", "30", "--delta", "0.2", "--epochs", "3",
           "--seed", "1"],
          "ec097e181ecac55002772606bd9f53d8f6aef11cc1e0f532ecc99b4d3a2060d0"),

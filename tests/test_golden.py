@@ -224,18 +224,18 @@ SWEEP_GOLDEN = {
     "rsvrg/paired/retract": "522f0eac2807a2c4d09e07cdbe5edeed1459090da47b420b064491e4fddf8bd7",
     "vrpca/paired/exp": "52dcdabeb3e58fac653437f9035c7d617d9d18f04961dcf8f43650c5e378463d",
     "vrpca/paired/retract": "52dcdabeb3e58fac653437f9035c7d617d9d18f04961dcf8f43650c5e378463d",
-    "spider/paired/exp": "c0cadf7a1590e54c52e7f254b36f03e24a6567c7d26855f5463d551b062351ee",
-    "spider/paired/retract": "84398f73eda7e225753e38979db3c30b0fdf0ddc2abaf82e9606424e156ae811",
-    "spider-gd1/paired/exp": "fcc6abd4d18fcf738d0aef1845df81b8535af64b80371232baf4fca90ff558fc",
-    "spider-gd1/paired/retract": "4c1654b9ff99e5460fc9712aaa8ec3398b408423d3b1128e8223885760a11849",
-    "spider-gd2/paired/exp": "3645c17e346d2da57ab9cb02ab66791646fda4a948f11fe4787a23f47143c904",
-    "spider-gd2/paired/retract": "1ba18d4d3d0aa31b373d6f5a551209a24591224fb151479c9f78bd1b93fa3a23",
+    "spider/paired/exp": "77aac682107ac5472f7fd46c5e7305ce94b64f40651670fd9fe21e0ceb9a6c40",
+    "spider/paired/retract": "32d9030e01996e288721d874001e66ba343de58d07d00eee62ed617680aa4b34",
+    "spider-gd1/paired/exp": "9135a82f4e4c56f7135857bcaa31351095637807906b66bb5d7633e1bd61bf06",
+    "spider-gd1/paired/retract": "b4e24e51e7cc2787ce0d2cfc73e046de50fb0fcddb6b58935df5188638ef0ded",
+    "spider-gd2/paired/exp": "299244a3aeac3cedec7a78eb94a2df4e72a517a0a1e4e8c2d5e2f647c4365e77",
+    "spider-gd2/paired/retract": "fb8659e34aacd763ecaf337e4346319696bc7ef87b6f6479e17f21d261e6f771",
 }
 TRACE_GOLDEN = {
-    "spider/paired/exp": "4bed66e3059a532fcd35044cc9ca1b186b94696d561d06588c8572e8e4a73695",
-    "spider/paired/retract": "604e4d58567821ccc47106f5efa74ec6fbc92ad9d959896b73ec259148434b4a",
-    "spider-subsampled/paired/exp": "268d70c3776ffe8bced997d74accf2313ecfb88017a0e25e6f6d6e0249b68777",
-    "spider-subsampled/paired/retract": "2440e462b4c7c5cec8d3343ab231c1a37e6812de49a8866748b7a02cbae31b27",
+    "spider/paired/exp": "1f1449f0816e86a1967b9d1d3821399eb4982b6e4475c5a27c6de85389855dc7",
+    "spider/paired/retract": "25a539f91ea85217cbecc5bdd48dc236cbca0d2812795891ef80286758fbba1e",
+    "spider-subsampled/paired/exp": "6a88123d9c06c010b6e7af173d80611fab79d07f0c41ba999ef70ab2a92ff7f6",
+    "spider-subsampled/paired/retract": "9630fe08ab6200dec294525066f784e30791ed3f295bd2649b49b3f29758cfbb",
     "spider-sampled/paired/exp": "56bf20a3fc54fa9f275127974677cfff828360e7fc3c2c15d6caf5a8b427a051",
     "spider-sampled/paired/retract": "f87a0f2aabb0e1dedb996255395a205465938023dd108dac7465fcfbaac3b99f",
     "spider-gd1/paired/exp": "adae289e527726361f7d9f06bc38af505da943a3d082b90496567f5c102765b0",
@@ -249,7 +249,7 @@ TRACE_GOLDEN = {
 }
 OFF_PCA_GOLDEN = {
     "spider/chordal-mean/paired/exp": "48ec486f7ccd6af14e899b62c7a954d93965b988bf35f563dd0e975857d162da",
-    "spider/chordal-mean/paired/retract": "2f3ae16e899ee26397cd7b2455302b109220dd2602c4db48f45e4b344cd6282d",
+    "spider/chordal-mean/paired/retract": "4e910cd10707043ed469cdece22470453425bc2d0643ee4a4cb841767bf82f91",
     "spider/least-squares/paired/exp": "07e2a77faa63a1fe200a7d57c6b8530775892916518b1bf5647782d9e81609c5",
     "spider/least-squares/paired/retract": "855fb5a0baf8fda5281b6b434bde04466452c867c94601ea35707344fa1e9baf",
     "rsvrg/chordal-mean/paired/exp": "7c1e5b65a37c0922f9809148ee3539d9990abd49e60038e0d76c7c2e54dde477",
@@ -258,7 +258,7 @@ OFF_PCA_GOLDEN = {
     "rsvrg/least-squares/paired/retract": "624b9ad40fea39871154ac3740809050f19aad65f42d58bf1581d7e7cae96bc3",
 }
 FROZEN_GOLDEN = {
-    "spider-eps0.05": "651b5ec585333f893ac2910f4da60f06aba3e6c1979d44eb568c300df18e7004",
+    "spider-eps0.05": "bffa914c1423e69bbda433705409fd3640902de0b15b90486ee484024b56c25b",
     "spider-eps0.04": "3cefc7e3547e0e42e5443a2888e444072d4646d319cebd97bc55168bd3173f7e",
     "spider-gd2": "ba87cc0f077197a776e5f72130059509c05fa302218e614b399568ef45d1c020",
 }

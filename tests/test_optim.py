@@ -231,7 +231,7 @@ class TestSpiderNonconvex:
         x0 = P.manifold.random_point(np.random.default_rng(5))
         cfg = params_finite(P.n, 0.05, 1.0, P.L_hint, seed=7)
         spider_nonconvex(P, x0, cfg, max_ifo=3 * P.n)
-        assert P.counter.calls <= 3 * P.n + 2 * P.n  # at most one step overshoot
+        assert P.counter.calls == 3 * P.n  # the last draw is cut to the calls left
 
     def test_retraction_mode(self):
         P = desk_problem()
@@ -251,7 +251,7 @@ class TestSpiderNonconvex:
         x, trace = spider_nonconvex(P, x0, cfg, max_ifo=30 * P.n)
         tallies = trace.meta["ifo_breakdown"]
         anchors = tallies["anchor"]
-        assert anchors % cfg.S1 == 0 and anchors > 0  # sampled anchors, not full
+        assert anchors >= cfg.S1 > P.n  # sampled anchors, not full passes of n
         assert P.value(x) < f0
 
 
@@ -547,6 +547,57 @@ def test_ifo_tally_property(seed, map_mode, q, eps):
         calls = P.counter.calls
         r.variance_probe(P, state)
         assert P.counter.calls == calls
+
+
+_BUDGET_PROBLEM = desk_problem(d=5, n=21, delta=0.4, seed=35)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=hst.integers(0, 2**16),
+    algo=hst.sampled_from(("spider", "spider-sampled", "spider-gd1", "spider-gd2", "rsvrg",
+                           "rsgd")),
+    map_mode=hst.sampled_from(("exp", "retract")),
+    max_ifo=hst.integers(0, 8 * 21),
+    q=hst.integers(1, 6),
+    size=hst.integers(1, 21 + 3),
+    eps=hst.floats(0.02, 0.5),
+)
+def test_budget_is_exact_property(seed, algo, map_mode, max_ifo, q, size, eps):
+    # on a schedule that outlasts the budget, a run charges max_ifo calls, or
+    # max_ifo - 1 when a correction is due with one call left; the odd n makes
+    # both ends reachable
+    P = _BUDGET_PROBLEM
+    n, L = P.n, P.L_hint
+    x0 = P.manifold.random_point(np.random.default_rng(seed))
+    modes = dict(map_mode=map_mode, seed=seed)
+    kw = dict(max_ifo=max_ifo, checkpoint_every=0.5)
+    endless = 10**6
+    if algo.startswith("spider-gd"):
+        gd = GdConfig(M0=eps, tau=q / (4.0 * L * math.log(4.0)), L=L, K=endless, **modes)
+        x, trace = (spider_gd1 if algo == "spider-gd1" else spider_gd2)(P, x0, gd, **kw)
+    elif algo.startswith("spider"):
+        cap = None if algo == "spider-sampled" else n
+        cfg = SpiderConfig(L=L, eps=eps, q=q, S1=size, T=endless, n=cap, **modes)
+        x, trace = spider_nonconvex(P, x0, cfg, **kw)
+    elif algo == "rsvrg":
+        x, trace = rsvrg(P, x0, 0.01, epochs=endless, inner_len=size, **modes, **kw)
+    else:
+        x, trace = rsgd(P, x0, 0.01, T=endless, **modes, **kw)
+    assert max_ifo - 1 <= trace.meta["ifo"] <= max_ifo
+    tallies = trace.meta["ifo_breakdown"]
+    assert trace.meta["ifo"] == tallies["anchor"] + tallies["correction"] == trace.records[-1].ifo
+
+
+def test_one_call_left_for_a_correction_ends_the_run():
+    # n = 21: the snapshot and five corrections leave one call of 32 when a
+    # sixth correction is due, so the run stops there instead of taking a
+    # one-sample snapshot that no correction could follow
+    P = _BUDGET_PROBLEM
+    x0 = P.manifold.random_point(np.random.default_rng(2))
+    _, trace = rsvrg(P, x0, 0.01, epochs=3, inner_len=10, seed=1, max_ifo=32)
+    assert trace.meta["ifo"] == 31
+    assert trace.meta["ifo_breakdown"] == {"anchor": 21, "correction": 10}
 
 
 def test_meta_ifo_is_the_runs_own_charge():
