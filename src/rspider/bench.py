@@ -232,9 +232,8 @@ def _run_cell(cfg: ExperimentConfig, P: PcaProblem, f_star: float, tau: float | 
               delta: float, seed: int, algo: str) -> list[CsvRow]:
     """One cell on a built instance; its run counts the oracle calls from its own zero.
 
-    The rows cover the nominal epochs 0, step, 2 step, ... that do not pass
-    the budget ``epochs``; if the run ends before the budget, trailing grid
-    rows repeat its end record.
+    Its rows are the grid epochs 0, step, 2 step, ... inside the budget; the
+    end record fills the grid rows after a run that ends early.
     """
     x0 = _draw_x0(P, seed)
     max_ifo = int(math.ceil(cfg.epochs * P.n - 1e-9))
@@ -438,17 +437,33 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
+    def error(self, message):  # a flag error ends with the usage line of its parser
+        raise _UsageError(f"{message}\n{self.format_usage().rstrip()}")
+
+
+class _Command(_Parser):
+    """A subcommand's parser. It rejects the arguments it does not know
+    itself, so that error carries its usage line, not the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error("unrecognized arguments: " + " ".join(extra))
+        return ns, extra
 
 
 def _value_parser(tp):
-    """Flag parser for one annotated field type (``X | None`` parses X)."""
+    """Flag parser for one annotated field type (``X | None`` parses X); a
+    tuple field takes a comma list, named for argparse's error messages."""
     args = [a for a in typing.get_args(tp) if a is not type(None)]
-    if typing.get_origin(tp) is tuple:
-        item = args[0]
-        return lambda s: tuple(item(x.strip()) for x in s.split(",") if x.strip())
-    return args[0] if args else tp
+    if typing.get_origin(tp) is not tuple:
+        return args[0] if args else tp
+    item = args[0]
+
+    def parse(s):
+        return tuple(item(x.strip()) for x in s.split(",") if x.strip())
+    parse.__name__ = f"comma-separated {item.__name__} list"
+    return parse
 
 
 # the fields not spelled just --<field-name>; a field's spellings share its one dest
@@ -466,7 +481,7 @@ def _add_field_flags(p, cls):
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="rspider", description=__doc__.splitlines()[0])
-    sub = p.add_subparsers(dest="cmd")
+    sub = p.add_subparsers(dest="cmd", parser_class=_Command)
     _add_field_flags(sub.add_parser("bench", help="run a sweep and write CSV + summary"),
                      ExperimentConfig)
     pp = sub.add_parser("probe", help="run diagnostic probes on an instance")
@@ -546,17 +561,12 @@ def cli_main(argv=None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        print(parser.format_usage(), end="", file=sys.stderr)
-        return 1
+        if ns.cmd is None:
+            print(parser.format_usage(), end="", file=sys.stderr)
+            return 1
+        return _COMMANDS[ns.cmd](ns)
     except SystemExit as e:  # --help
         return 0 if (e.code or 0) == 0 else 1
-    if ns.cmd is None:
-        print(parser.format_usage(), end="", file=sys.stderr)
-        return 1
-    try:
-        return _COMMANDS[ns.cmd](ns)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -213,9 +213,8 @@ class _Run:
 
     def exhausted(self, paired=False) -> bool:
         """Whether the run is over: its budget cannot pay one sample of the
-        next estimate, one call for an anchor or two for a ``paired``
-        correction. A run without a budget never is; a run that was once
-        stays over, so a refused correction also ends the loops around it."""
+        next estimate (one call, two if ``paired``), now or at an earlier
+        check, so a refused correction also ends the loops around it."""
         if not self._over and self.max_ifo is not None:
             self._over = self.max_ifo - self.spent() < (2 if paired else 1)
         return self._over

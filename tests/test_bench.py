@@ -1,8 +1,8 @@
 import argparse
+import hashlib
 import math
 import multiprocessing
 import os
-import hashlib
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -386,6 +386,37 @@ class TestCli:
 
     def test_unknown_flag_exits_one(self, capsys):
         assert cli_main(["bench", "--bogus"]) == 1
+
+    def test_bad_list_value_names_the_list(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli_main(["bench", "--seeds", "1,x", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: argument --seeds/--seed: invalid comma-separated int list value: '1,x'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,usage", [
+        (["bench", "--seeds", "1,x"], "usage: rspider bench [-h] [--algo ALGO]"),
+        (["bench", "--bogus", "1"], "usage: rspider bench [-h] [--algo ALGO]"),
+        (["probe", "--delta", "x"], "usage: rspider probe [-h] [--d D]"),
+        (["gen", "--bogus"], "usage: rspider gen [-h] [--d D]"),
+        (["--bogus", "bench"], "usage: rspider [-h] {bench,probe,gen} ..."),
+    ])
+    def test_flag_error_prints_the_usage_of_its_command(self, capsys, argv, usage):
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: ") and err[1].startswith(usage)
+
+    def test_readme_documents_exactly_the_subcommands(self):
+        import rspider.bench as bench
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```")[0]
+        documented = {line.split()[1] for line in block.splitlines()
+                      if line.startswith("rspider ")}
+        sub = next(a for a in bench._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert documented == set(sub.choices) == {"bench", "probe", "gen"}
 
     def test_missing_subcommand_exits_one(self):
         assert cli_main([]) == 1
