@@ -18,12 +18,12 @@ print(f"instance d={P.d}, n={P.n}; initial optimality gap {gap0:.4f}")
 
 # finite-sum schedule: full-gradient anchors every ceil(sqrt(n)) steps
 eps = 0.05
-cfg = params_finite(P.n, eps, gap0, P.L_hint, seed=5)
+cfg = params_finite(P.n, eps, gap0, P.L_hint)
 print(f"\nfinite-sum schedule: eta={cfg.eta:.4f}, q={cfg.q}, S1={cfg.S1}, T={cfg.T}")
 
 states = []
 x_out, trace = spider_nonconvex(
-    P, x0, cfg, checkpoint_every=100.0,
+    P, x0, cfg, seed=5, checkpoint_every=100.0,
     on_correction=lambda st: states.append(st) if st.s2 < P.n and len(states) < 3 else None,
 )
 print(f"{'epoch':>7} {'calls':>8} {'f':>12} {'|grad|^2':>11} {'batch':>6}")
@@ -44,9 +44,9 @@ for st in states:
 
 # sample-only schedule: anchors re-draw S1 components instead of enumerating
 sigma_sq = 2.0 * r.variance_bound_estimate(P, x0)  # safety factor 2
-scfg = params_stochastic(sigma_sq, 0.2, gap0, P.L_hint, seed=6)
+scfg = params_stochastic(sigma_sq, 0.2, gap0, P.L_hint)
 print(f"\nsample-only schedule (2 sigma^2 = {sigma_sq:.3f}): "
       f"S1={scfg.S1}, q={scfg.q}, T={scfg.T}")
-x_sto, st_trace = spider_nonconvex(P, x0, scfg, max_ifo=40 * P.n)
+x_sto, st_trace = spider_nonconvex(P, x0, scfg, seed=6, max_ifo=40 * P.n)
 print(f"after {st_trace.meta['ifo']} calls: f = {P.value(x_sto):.6f} "
       f"(started at {P.value(x0):.6f})")

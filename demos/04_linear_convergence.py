@@ -25,8 +25,8 @@ K = 5
 print(f"initial gap M0 = {M0:.4f}, stages K = {K}, guarantee 2^-K M0 = {2.0**-K * M0:.5f}\n")
 
 for name, runner in (("stage-restarted", spider_gd1), ("single-loop", spider_gd2)):
-    cfg = GdConfig(M0=M0, tau=tau, L=P.L_hint, K=K, seed=1)
-    x, trace = runner(P, x0, cfg)
+    cfg = GdConfig(M0=M0, tau=tau, L=P.L_hint, K=K)
+    x, trace = runner(P, x0, cfg, seed=1)
     gap = P.value(x) - f_star
     print(f"{name:>16}: final gap {gap:.3e}  (<= guarantee: {gap <= 2.0**-K * M0})"
           f"  oracle calls {trace.meta['ifo']}")
@@ -35,8 +35,8 @@ for name, runner in (("stage-restarted", spider_gd1), ("single-loop", spider_gd2
         print(f"{'':>16}  call bound K(n + 100 L^2 tau^2) = {bound:.0f}")
 
 # gap halving stage by stage (variance budget halves at every anchor)
-cfg = GdConfig(M0=M0, tau=tau, L=P.L_hint, K=K, seed=1)
-_, trace = spider_gd2(P, x0, cfg, checkpoint_every=trace.meta["q"] / P.n)
+cfg = GdConfig(M0=M0, tau=tau, L=P.L_hint, K=K)
+_, trace = spider_gd2(P, x0, cfg, seed=1, checkpoint_every=trace.meta["q"] / P.n)
 print("\nsingle-loop trajectory (one line per epoch of q steps):")
 seen = set()
 for rec in trace.records:

@@ -112,10 +112,7 @@ class ExperimentConfig:
     fit_window: float | None = None
 
     def __post_init__(self):
-        if isinstance(self.algo, str):
-            self.algo = tuple(a.strip() for a in self.algo.split(",") if a.strip())
-        else:
-            self.algo = tuple(self.algo)
+        self.algo = tuple(self.algo)
         for a in self.algo:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}; choose from {ALGORITHMS}")
@@ -201,30 +198,24 @@ def _spectrum(cfg: ExperimentConfig, delta: float) -> np.ndarray:
 
 def _run_algo(cfg: ExperimentConfig, algo: str, P: PcaProblem, f_star: float, x0,
               seed: int, max_ifo: int, tau: float | None, map_mode: str) -> RunTrace:
-    ckpt = cfg.checkpoint_every
+    opts = dict(seed=seed, map_mode=map_mode, checkpoint_every=cfg.checkpoint_every,
+                max_ifo=max_ifo)
     if algo == "rsgd":
         eta = cfg.eta if cfg.eta is not None else 1.0 / (2.0 * P.L_hint)
-        _, trace = rsgd(
-            P, x0, eta, T=max_ifo, seed=seed, map_mode=map_mode,
-            checkpoint_every=ckpt, max_ifo=max_ifo,
-        )
+        _, trace = rsgd(P, x0, eta, T=max_ifo, **opts)
     elif algo in ("rsvrg", "vrpca"):
         eta = cfg.eta if cfg.eta is not None else DEFAULT_SVRG_ETA
         outer = max(1, math.ceil(max_ifo / P.n) + 1)
-        _, trace = rsvrg(
-            P, x0, eta, epochs=outer, map_mode=map_mode, seed=seed,
-            checkpoint_every=ckpt, max_ifo=max_ifo,
-        )
+        _, trace = rsvrg(P, x0, eta, epochs=outer, **opts)
     else:  # spider, spider-gd1, spider-gd2: M0 is the initial gap
         gap = max(P.value(x0) - f_star, 1e-12)
         if algo == "spider":
-            scfg = params_finite(P.n, _SPIDER_EPS, gap, P.L_hint, seed=seed, map_mode=map_mode)
-            _, trace = spider_nonconvex(P, x0, scfg, checkpoint_every=ckpt, max_ifo=max_ifo)
+            scfg = params_finite(P.n, _SPIDER_EPS, gap, P.L_hint)
+            _, trace = spider_nonconvex(P, x0, scfg, **opts)
         else:
-            gcfg = GdConfig(M0=gap, tau=tau, L=P.L_hint, K=_GD_STAGES, map_mode=map_mode,
-                            seed=seed)
+            gcfg = GdConfig(M0=gap, tau=tau, L=P.L_hint, K=_GD_STAGES)
             runner = spider_gd1 if algo == "spider-gd1" else spider_gd2
-            _, trace = runner(P, x0, gcfg, checkpoint_every=ckpt, max_ifo=max_ifo)
+            _, trace = runner(P, x0, gcfg, **opts)
     return trace
 
 

@@ -75,9 +75,8 @@ class SpiderConfig:
     """Schedule for the recursive variance-reduced solver.
 
     ``n = None`` selects sample-only mode: anchors draw ``S1`` components
-    with replacement and correction batches are not capped at n. ``seed``
-    feeds two streams: one draws the sampled indices, the other the
-    reservoir pick of the returned iterate.
+    with replacement and correction batches are not capped at n. The step
+    size is the read-only :attr:`eta`, 1/(2L).
     """
 
     L: float
@@ -85,10 +84,7 @@ class SpiderConfig:
     q: int
     S1: int
     T: int
-    eta: float | None = None  # defaults to 1/(2L)
     n: int | None = None
-    map_mode: str = "exp"
-    seed: int = 0
 
     def __post_init__(self):
         _check_positive("L", self.L)
@@ -97,9 +93,12 @@ class SpiderConfig:
         _check_count("S1", self.S1, 1)
         _check_count("T", self.T, 0)
         _check_count("n", self.n, 1, or_none=True)
-        if self.eta is None:
-            self.eta = 1.0 / (2.0 * self.L)
-        _check_positive("step size", self.eta)
+        _check_positive("step size", self.eta)  # 1/(2L) overflows for a subnormal L
+
+    @property
+    def eta(self) -> float:
+        """The step size of every solver step, 1/(2L)."""
+        return 1.0 / (2.0 * self.L)
 
 
 @dataclass
@@ -114,8 +113,6 @@ class GdConfig:
     tau: float
     L: float
     K: int
-    map_mode: str = "exp"
-    seed: int = 0
 
     def __post_init__(self):
         for what in ("M0", "tau", "L"):
@@ -184,7 +181,7 @@ class _Run:
     ``max_ifo - 1`` or ``max_ifo`` calls when it runs out.
     """
 
-    def __init__(self, obj, x0, seed, checkpoint_every, max_ifo, map_mode):
+    def __init__(self, obj, x0, seed, map_mode, checkpoint_every, max_ifo):
         if x0.manifold != obj.manifold:
             raise ValueError("x0 does not live on the objective's manifold")
         _check_positive("checkpoint interval", checkpoint_every)
@@ -305,8 +302,8 @@ class _Run:
         0.0 and 0 for a uniform pick (``picked``), which no single step ends
         at."""
         self._snap(x, *((0.0, 0) if picked else self._last), None)
-        meta = {"algo": algo, "config": config, "seed": self.seed, "n": self.obj.n,
-                "checkpoint_every": self.every, "ifo": self.spent(), **extra,
+        meta = {"algo": algo, "config": config, "seed": self.seed, "map_mode": self.map_mode,
+                "n": self.obj.n, "checkpoint_every": self.every, "ifo": self.spent(), **extra,
                 "ifo_breakdown": self.tallies}
         return RunTrace(records=self.records, meta=meta)
 
@@ -354,6 +351,7 @@ def _spider_core(run, x0, cfg: SpiderConfig, budget, *, on_correction=None, pick
     """
     sample_only = cfg.n is None
     cap = None if sample_only else run.obj.n
+    eta = cfg.eta
     x = x_out = x0
     x_prev = v = None
     step_len = 0.0
@@ -368,7 +366,7 @@ def _spider_core(run, x0, cfg: SpiderConfig, budget, *, on_correction=None, pick
                                           cfg.eps, sample_only))
         else:
             y, size = None, cfg.S1  # an anchor: no previous point
-        x_next, step_len, v = run.step(x, y, v, size, cap, cfg.eta)
+        x_next, step_len, v = run.step(x, y, v, size, cap, eta)
         if pick and run.picks.random() * (k + 1) < 1.0:
             x_out = x_next  # reservoir pick: uniform over produced iterates
         x_prev, x = x, x_next
@@ -380,6 +378,8 @@ def spider_nonconvex(
     x0: ManifoldPoint,
     cfg: SpiderConfig,
     *,
+    seed: int = 0,
+    map_mode: str = "exp",
     checkpoint_every: float = 1.0,
     max_ifo: int | None = None,
     on_correction=None,
@@ -391,7 +391,7 @@ def spider_nonconvex(
     steps apply a transported paired-minibatch correction whose size adapts
     to the squared length of the previous step. Returns a uniformly random
     iterate from the produced sequence plus the run trace, whose final record
-    describes that iterate (step length 0, batch 0). ``cfg.seed`` seeds both
+    describes that iterate (step length 0, batch 0). ``seed`` seeds both
     the index draws and, through a separate stream, that pick, so the pick
     does not change which batches are drawn.
 
@@ -400,12 +400,12 @@ def spider_nonconvex(
     """
     if cfg.n is not None and cfg.n != obj.n:
         raise ValueError(f"config n={cfg.n} does not match the objective's n={obj.n}")
-    run = _Run(obj, x0, cfg.seed, checkpoint_every, max_ifo, cfg.map_mode)
+    run = _Run(obj, x0, seed, map_mode, checkpoint_every, max_ifo)
     x_rand = _spider_core(run, x0, cfg, 2.0 * cfg.eps**2, on_correction=on_correction)
     return x_rand, run.trace(x_rand, "spider", asdict(cfg), picked=True, steps=run.steps)
 
 
-def params_stochastic(sigma_sq, eps, M, L, **kwargs) -> SpiderConfig:
+def params_stochastic(sigma_sq, eps, M, L) -> SpiderConfig:
     """Sample-only schedule: S1 = ceil(2 sigma^2/eps^2), eta = 1/(2L),
     q = ceil(1/eps), T = ceil(4 M L / eps^2)."""
     if not (math.isfinite(sigma_sq) and sigma_sq >= 0):
@@ -422,13 +422,11 @@ def params_stochastic(sigma_sq, eps, M, L, **kwargs) -> SpiderConfig:
         q=max(1, _ceil_tol(1.0 / eps)),
         S1=s1,
         T=_ceil_tol(4.0 * M * L / eps**2),
-        eta=1.0 / (2.0 * L),
         n=None,
-        **kwargs,
     )
 
 
-def params_finite(n, eps, M, L, **kwargs) -> SpiderConfig:
+def params_finite(n, eps, M, L) -> SpiderConfig:
     """Finite-sum schedule: full-gradient anchors, q = ceil(sqrt(n)),
     eta = 1/(2L), T = ceil(4 M L / eps^2)."""
     _check_count("n", n, 1)
@@ -440,9 +438,7 @@ def params_finite(n, eps, M, L, **kwargs) -> SpiderConfig:
         q=max(1, _ceil_tol(math.sqrt(n))),
         S1=n,
         T=_ceil_tol(4.0 * M * L / eps**2),
-        eta=1.0 / (2.0 * L),
         n=n,
-        **kwargs,
     )
 
 
@@ -476,6 +472,8 @@ def spider_gd1(
     x0: ManifoldPoint,
     cfg: GdConfig,
     *,
+    seed: int = 0,
+    map_mode: str = "exp",
     checkpoint_every: float = 1.0,
     max_ifo: int | None = None,
 ) -> tuple[ManifoldPoint, RunTrace]:
@@ -486,7 +484,7 @@ def spider_gd1(
     T_t = ceil(4 M_t L / eps_t^2) inner iterations. The trace concatenates
     stage traces; stage boundaries are recorded in ``meta["stages"]``.
     """
-    run = _Run(obj, x0, cfg.seed, checkpoint_every, max_ifo, cfg.map_mode)
+    run = _Run(obj, x0, seed, map_mode, checkpoint_every, max_ifo)
 
     def stage(t):
         eps = math.sqrt(cfg.M0 / (2.0**t * 10.0 * cfg.tau))
@@ -503,6 +501,8 @@ def spider_gd2(
     x0: ManifoldPoint,
     cfg: GdConfig,
     *,
+    seed: int = 0,
+    map_mode: str = "exp",
     checkpoint_every: float = 1.0,
     max_ifo: int | None = None,
     on_correction=None,
@@ -517,7 +517,7 @@ def spider_gd2(
     the stage table in ``meta["stages"]`` lists eps_t = sqrt(delta_t).
     Returns the final iterate.
     """
-    run = _Run(obj, x0, cfg.seed, checkpoint_every, max_ifo, cfg.map_mode)
+    run = _Run(obj, x0, seed, map_mode, checkpoint_every, max_ifo)
     q = max(1, _ceil_tol(4.0 * cfg.L * cfg.tau * math.log(4.0)))
     delta0 = cfg.M0 / (4.0 * cfg.tau)
 
@@ -534,8 +534,8 @@ def rsgd(
     x0: ManifoldPoint,
     eta,
     T: int,
-    seed: int = 0,
     *,
+    seed: int = 0,
     map_mode: str = "exp",
     checkpoint_every: float = 1.0,
     max_ifo: int | None = None,
@@ -548,7 +548,7 @@ def rsgd(
     if not callable(eta):
         _check_positive("step size", eta)
     _check_count("T", T, 0)
-    run = _Run(obj, x0, seed, checkpoint_every, max_ifo, map_mode)
+    run = _Run(obj, x0, seed, map_mode, checkpoint_every, max_ifo)
     eta_fn = eta if callable(eta) else (lambda k: eta)
     x = x0
     for k in range(T):
@@ -556,7 +556,7 @@ def rsgd(
             break
         x, _, _ = run.step(x, None, None, 1, None, float(eta_fn(k)))
     config = {"eta": eta if not callable(eta) else repr(eta), "T": T}
-    return x, run.trace(x, "rsgd", config, map_mode=map_mode)
+    return x, run.trace(x, "rsgd", config)
 
 
 def rsvrg(
@@ -566,8 +566,8 @@ def rsvrg(
     epochs: int,
     inner_len: int | None = None,
     *,
-    map_mode: str = "exp",
     seed: int = 0,
+    map_mode: str = "exp",
     checkpoint_every: float = 1.0,
     max_ifo: int | None = None,
 ) -> tuple[ManifoldPoint, RunTrace]:
@@ -575,25 +575,28 @@ def rsvrg(
 
     Each outer epoch takes a full gradient at a snapshot point, then runs
     ``inner_len`` single-sample steps whose estimator subtracts the
-    transported snapshot correction. In "retract" mode the update is the
-    normalization (x + v)/|x + v|, the classical power-method-flavored
-    approximation of the exponential update.
+    transported snapshot correction. Past the first epoch, a snapshot the
+    budget cannot pay with one step after it (n + 2 calls) is not taken:
+    the epoch keeps the current snapshot, so the calls left buy inner steps.
+    In "retract" mode the update is the normalization (x + v)/|x + v|, the
+    classical power-method-flavored approximation of the exponential update.
     """
     _check_positive("step size", eta)
     _check_count("epochs", epochs, 0)
     _check_count("inner_len", inner_len, 1, or_none=True)
     m = obj.n if inner_len is None else inner_len
-    run = _Run(obj, x0, seed, checkpoint_every, max_ifo, map_mode)
+    run = _Run(obj, x0, seed, map_mode, checkpoint_every, max_ifo)
     x = x0
-    for _s in range(epochs):
+    for s in range(epochs):
         if run.exhausted():
             break
-        x_snap = x
-        mu, _, batch = run.estimate(x_snap, None, None, obj.n, obj.n)
-        run.after_step(x, 0.0, batch)
+        if s == 0 or max_ifo is None or max_ifo - run.spent() >= obj.n + 2:
+            x_snap = x
+            mu, _, batch = run.estimate(x_snap, None, None, obj.n, obj.n)
+            run.after_step(x, 0.0, batch)
         for _i in range(m):
             if run.exhausted(paired=True):
                 break
             x, _, _ = run.step(x, x_snap, mu, 1, None, eta)
-    config = {"eta": eta, "epochs": epochs, "inner_len": m, "map_mode": map_mode}
+    config = {"eta": eta, "epochs": epochs, "inner_len": m}
     return x, run.trace(x, "rsvrg", config)

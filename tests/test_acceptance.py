@@ -87,14 +87,14 @@ def test_criterion_3_variance_bound(desk_instance):
     eps = 0.05
     x0 = P.manifold.random_point(np.random.default_rng(11))
     gap = P.value(x0) - P.f_star
-    cfg = params_finite(P.n, eps, gap, P.L_hint, seed=5)
+    cfg = params_finite(P.n, eps, gap, P.L_hint)
     states = []
 
     def hook(st):
         if st.k % cfg.q == 7 and len(states) < 10:  # mid-epoch snapshots
             states.append(st)
 
-    spider_nonconvex(P, x0, cfg, on_correction=hook)
+    spider_nonconvex(P, x0, cfg, seed=5, on_correction=hook)
     assert len(states) == 10
     for i, st in enumerate(states):
         rep = r.variance_probe(P, st)
@@ -111,8 +111,8 @@ def test_criterion_4_nonconvex_guarantees(desk_instance):
     for seed in range(seeds):
         x0 = P.manifold.random_point(np.random.default_rng(1000 + seed))
         gap = P.value(x0) - P.f_star
-        cfg = params_finite(P.n, eps, gap, L, seed=seed)
-        x_out, trace = spider_nonconvex(P, x0, cfg)
+        cfg = params_finite(P.n, eps, gap, L)
+        x_out, trace = spider_nonconvex(P, x0, cfg, seed=seed)
         grad_sqs.append(P._exact_grad(x_out)._sq)
         bound = P.n + 8.0 * gap * L * (3.0 + math.sqrt(P.n)) / eps**2
         ifo_ok.append(trace.meta["ifo"] <= bound)
@@ -133,8 +133,8 @@ def test_criterion_5_gradient_dominated(desk_instance):
         for seed in range(seeds):
             x0 = P.manifold.random_point(np.random.default_rng(2000 + seed))
             m0 = P.value(x0) - f_star
-            cfg = GdConfig(M0=m0, tau=tau, L=L, K=K, seed=seed)
-            x, trace = runner(P, x0, cfg)
+            cfg = GdConfig(M0=m0, tau=tau, L=L, K=K)
+            x, trace = runner(P, x0, cfg, seed=seed)
             ratios.append((P.value(x) - f_star) / m0)
             if check_ifo:
                 assert trace.meta["ifo"] <= K * (P.n + 100.0 * L**2 * tau**2)

@@ -38,6 +38,12 @@ def tiny_cfg(**kw):
     return ExperimentConfig(**base)
 
 
+def readme_block(section, lang):
+    """The first ``lang`` code block under README's ``## <section>`` heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split(f"\n## {section}\n", 1)[1].split(f"```{lang}\n", 1)[1].split("```")[0]
+
+
 def sweep_instance(cfg, delta):
     """The instance a sweep builds for one gap."""
     factors = _eigenvector_factors(cfg.d, cfg.n, cfg.data_seed)
@@ -87,6 +93,15 @@ class TestRunCell:
         b = [row for row in rows if row.algo == "vrpca"]
         ratio = a[5].accuracy / b[5].accuracy
         assert 0.5 <= ratio <= 2.0
+
+    def test_rsvrg_budget_tail_buys_inner_steps(self):
+        # criterion 9's rsvrg shape: one 3n-call epoch leaves n calls of the
+        # 4-epoch budget, too few for a snapshot and a step after it, so the
+        # cell spends them on steps from the last snapshot and its epoch-4 row
+        # moves on from epoch 3's
+        rows = run_sweep(tiny_cfg(d=20, n=60, eta=0.02)).rows
+        assert [row.ifo for row in rows] == [0, 60, 120, 180, 240]
+        assert rows[4].f_value < rows[3].f_value - 0.1
 
     def test_instances_share_geometry_across_gaps(self):
         cfg = tiny_cfg()
@@ -410,13 +425,20 @@ class TestCli:
     def test_readme_documents_exactly_the_subcommands(self):
         import rspider.bench as bench
 
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```")[0]
+        block = readme_block("Command line", "sh")
         documented = {line.split()[1] for line in block.splitlines()
                       if line.startswith("rspider ")}
         sub = next(a for a in bench._build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         assert documented == set(sub.choices) == {"bench", "probe", "gen"}
+
+    def test_readme_quick_start_runs(self, capsys):
+        scope = {}
+        exec(compile(readme_block("Quick start", "python"), "README.md", "exec"), scope)
+        trace = scope["trace"]
+        assert (trace.meta["seed"], trace.meta["map_mode"]) == (1, "exp")
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == str(trace.meta["ifo_breakdown"])
 
     def test_missing_subcommand_exits_one(self):
         assert cli_main([]) == 1

@@ -241,7 +241,7 @@ def _enumerated_variance(P, st):
     x, y, ref = st.x_curr, st.x_prev, st.v_prev.coords
     cap = None if st.sample_only else P.n
     target = P.full_rgrad(x).coords
-    run = _Run(P, x, 0, 1.0, None, "exp")
+    run = _Run(P, x, seed=0, map_mode="exp", checkpoint_every=1.0, max_ifo=None)
     if cap is not None and st.s2 >= cap:
         draws = [()]  # the full pass draws no index
     else:
@@ -331,9 +331,9 @@ class TestVarianceProbe:
         P = r.generate_gap_matrix(r.SyntheticSpec(d=10, n=60, delta=0.4, seed=5))
         x0 = P.manifold.random_point(np.random.default_rng(8))
         sampled, finite = [], []
-        cfg = SpiderConfig(L=P.L_hint, eps=0.05, q=8, S1=P.n, T=24, n=None, seed=2)
-        spider_nonconvex(P, x0, cfg, on_correction=sampled.append)
-        spider_nonconvex(P, x0, params_finite(P.n, 0.04, 1.0, P.L_hint, seed=2),
+        cfg = SpiderConfig(L=P.L_hint, eps=0.05, q=8, S1=P.n, T=24, n=None)
+        spider_nonconvex(P, x0, cfg, seed=2, on_correction=sampled.append)
+        spider_nonconvex(P, x0, params_finite(P.n, 0.04, 1.0, P.L_hint), seed=2,
                          max_ifo=5 * P.n, on_correction=finite.append)
         assert sampled and all(st.sample_only and st.s2 >= P.n for st in sampled)
         assert finite and not any(st.sample_only for st in finite)
@@ -398,8 +398,8 @@ class TestEpochsToDouble:
     def test_accepts_run_trace(self):
         P = r.generate_gap_matrix(r.SyntheticSpec(d=6, n=20, delta=0.4, seed=9))
         x0 = P.manifold.random_point(np.random.default_rng(10))
-        cfg = params_finite(P.n, 0.1, 1.0, P.L_hint, seed=11)
-        _, trace = spider_nonconvex(P, x0, cfg, checkpoint_every=0.5, max_ifo=8 * P.n)
+        cfg = params_finite(P.n, 0.1, 1.0, P.L_hint)
+        _, trace = spider_nonconvex(P, x0, cfg, seed=11, checkpoint_every=0.5, max_ifo=8 * P.n)
         out = epochs_to_double(trace, f_star=P.f_star, window=2.0)
         assert len(out) >= 1
         assert all(e >= 0 for e, _ in out)
@@ -409,8 +409,8 @@ class TestEpochsToDouble:
         # the last at epoch 12.248), so no spacing can be read from the epochs
         P = r.generate_gap_matrix(r.SyntheticSpec(d=50, n=500, delta=0.1, seed=0))
         x0 = P.manifold.random_point(np.random.default_rng(0))
-        cfg = params_finite(P.n, 0.05, P.value(x0) - P.f_star, P.L_hint, seed=0)
-        _, trace = spider_nonconvex(P, x0, cfg, max_ifo=12 * P.n)
+        cfg = params_finite(P.n, 0.05, P.value(x0) - P.f_star, P.L_hint)
+        _, trace = spider_nonconvex(P, x0, cfg, seed=0, max_ifo=12 * P.n)
         pairs = [(rec.epoch, rec.f) for rec in trace.records if rec.boundary is not None]
         with pytest.raises(ValueError, match="step must be given"):
             epochs_to_double(pairs, f_star=P.f_star, window=5.0)

@@ -99,42 +99,37 @@ def _trace_chunks(x, trace):
                rec.batch, rec.boundary)
 
 
-def _gd_config(P, M0, tau, K, map_mode, seed):
-    return GdConfig(M0=M0, tau=tau, L=P.L_hint, K=K, seed=seed, map_mode=map_mode)
+def _gd_config(P, M0, tau, K):
+    return GdConfig(M0=M0, tau=tau, L=P.L_hint, K=K)
 
 
 def trace_digest(solver, map_mode) -> str:
     P = _problem()
     x0 = _x0(P, 3)
+    kw = dict(map_mode=map_mode, checkpoint_every=0.25)
+    spider = dict(seed=4, max_ifo=12 * P.n, **kw)
     if solver == "spider":
-        cfg = params_finite(P.n, 0.04, 1.0, P.L_hint, seed=4, map_mode=map_mode)
-        x, trace = spider_nonconvex(P, x0, cfg, checkpoint_every=0.25,
-                                    max_ifo=12 * P.n)
+        cfg = params_finite(P.n, 0.04, 1.0, P.L_hint)
+        x, trace = spider_nonconvex(P, x0, cfg, **spider)
     elif solver == "spider-subsampled":
         # finite-sum mode with drawn anchors (S1 < n); corrections are both
         # drawn and full passes
-        cfg = dataclasses.replace(
-            params_finite(P.n, 0.1, 1.0, P.L_hint, seed=4, map_mode=map_mode), S1=P.n // 4,
-        )
-        x, trace = spider_nonconvex(P, x0, cfg, checkpoint_every=0.25,
-                                    max_ifo=12 * P.n)
+        cfg = dataclasses.replace(params_finite(P.n, 0.1, 1.0, P.L_hint), S1=P.n // 4)
+        x, trace = spider_nonconvex(P, x0, cfg, **spider)
     elif solver == "spider-sampled":
-        cfg = params_stochastic(0.5, 0.3, 1.0, P.L_hint, seed=4, map_mode=map_mode)
-        x, trace = spider_nonconvex(P, x0, cfg, checkpoint_every=0.25,
-                                    max_ifo=12 * P.n)
+        cfg = params_stochastic(0.5, 0.3, 1.0, P.L_hint)
+        x, trace = spider_nonconvex(P, x0, cfg, **spider)
     elif solver == "spider-gd1":
-        cfg = _gd_config(P, 0.5, 0.01, 3, map_mode, seed=6)
-        x, trace = spider_gd1(P, x0, cfg, checkpoint_every=0.25, max_ifo=12 * P.n)
+        cfg = _gd_config(P, 0.5, 0.01, 3)
+        x, trace = spider_gd1(P, x0, cfg, seed=6, max_ifo=12 * P.n, **kw)
     elif solver == "spider-gd2":
-        cfg = _gd_config(P, 0.02, 0.05, 5, map_mode, seed=6)
-        x, trace = spider_gd2(P, x0, cfg, checkpoint_every=0.25)
+        cfg = _gd_config(P, 0.02, 0.05, 5)
+        x, trace = spider_gd2(P, x0, cfg, seed=6, **kw)
     elif solver == "rsgd":
         # T crosses two index-block boundaries
-        x, trace = rsgd(P, x0, eta=0.01, T=2500, seed=7, map_mode=map_mode,
-                        checkpoint_every=0.25)
+        x, trace = rsgd(P, x0, eta=0.01, T=2500, seed=7, **kw)
     else:
-        x, trace = rsvrg(P, x0, eta=0.01, epochs=3, inner_len=40, seed=7,
-                         map_mode=map_mode, checkpoint_every=0.25)
+        x, trace = rsvrg(P, x0, eta=0.01, epochs=3, inner_len=40, seed=7, **kw)
     return _sha(_trace_chunks(x, trace))
 
 
@@ -148,13 +143,13 @@ def off_pca_digest(solver, problem, map_mode) -> str:
     P = OFF_PCA_PROBLEMS[problem]()
     n, L = P.n, P.L_hint
     x0 = P.manifold.point(np.random.default_rng(1).standard_normal(P.manifold.d))
-    kw = dict(max_ifo=20 * n, checkpoint_every=0.5)
+    kw = dict(seed=2, map_mode=map_mode, max_ifo=20 * n, checkpoint_every=0.5)
     if solver == "spider":
         f0 = P.value(x0)
-        cfg = params_finite(n, 0.05, f0, L, seed=2, map_mode=map_mode)
+        cfg = params_finite(n, 0.05, f0, L)
         x, trace = spider_nonconvex(P, x0, cfg, **kw)
     else:
-        x, trace = rsvrg(P, x0, eta=0.1 / L, epochs=5, seed=2, map_mode=map_mode, **kw)
+        x, trace = rsvrg(P, x0, eta=0.1 / L, epochs=5, **kw)
     return _sha(_trace_chunks(x, trace))
 
 
@@ -167,11 +162,10 @@ def _frozen_states(solver):
     states = []
     if solver.startswith("spider-eps"):
         eps = float(solver[len("spider-eps"):])
-        cfg = params_finite(P.n, eps, 1.0, P.L_hint, seed=2)
-        spider_nonconvex(P, x0, cfg, max_ifo=20 * P.n, on_correction=states.append)
+        cfg = params_finite(P.n, eps, 1.0, P.L_hint)
+        spider_nonconvex(P, x0, cfg, seed=2, max_ifo=20 * P.n, on_correction=states.append)
     else:
-        spider_gd2(P, x0, _gd_config(P, 0.02, 0.05, 5, "exp", seed=2),
-                   on_correction=states.append)
+        spider_gd2(P, x0, _gd_config(P, 0.02, 0.05, 5), seed=2, on_correction=states.append)
     return P, states
 
 

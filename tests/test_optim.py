@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -89,17 +91,18 @@ class TestSchedules:
         with pytest.raises(ValueError):
             GdConfig(M0=1.0, tau=0.0, L=1.0, K=1)
         cfg = SpiderConfig(L=2.0, eps=0.1, q=3, S1=2, T=5)
-        assert cfg.eta == 0.25  # defaults to 1/(2L)
+        assert cfg.eta == 0.25  # always 1/(2L)
 
-    @pytest.mark.parametrize("eta", [0.0, -0.01, math.nan, math.inf])
-    def test_config_rejects_bad_step(self, eta):
-        with pytest.raises(ValueError, match="step size"):
-            SpiderConfig(L=1.0, eps=0.1, q=1, S1=1, T=1, eta=eta)
+    @pytest.mark.parametrize("L", [1e-310, 5e-324])
+    def test_config_rejects_a_step_that_overflows(self, L):
+        # L is finite and positive, but its step 1/(2L) is not
+        with pytest.raises(ValueError, match="step size must be finite and positive"):
+            SpiderConfig(L=L, eps=0.1, q=1, S1=1, T=1)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("field", ["L", "eps"])
     def test_spider_config_rejects_non_positive(self, field, bad):
-        kw = dict(L=1.0, eps=0.1, q=1, S1=1, T=1, eta=0.5)
+        kw = dict(L=1.0, eps=0.1, q=1, S1=1, T=1)
         with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
             SpiderConfig(**{**kw, field: bad})
 
@@ -148,9 +151,9 @@ class TestSpiderNonconvex:
         P = r.PcaProblem(Z)
         x0 = P.manifold.random_point(np.random.default_rng(4))
         x_sgd, _ = rsgd(P, x0, eta=0.1, T=15, seed=0)
-        cfg = SpiderConfig(L=5.0, eps=0.1, q=1, S1=1, T=15, eta=0.1, n=1, seed=0)
-        x_last = _spider_core(_Run(P, x0, 0, 1.0, None, cfg.map_mode), x0, cfg,
-                              2.0 * cfg.eps**2, pick=False)
+        cfg = SpiderConfig(L=5.0, eps=0.1, q=1, S1=1, T=15, n=1)  # step 1/(2L) = 0.1
+        run = _Run(P, x0, seed=0, map_mode="exp", checkpoint_every=1.0, max_ifo=None)
+        x_last = _spider_core(run, x0, cfg, 2.0 * cfg.eps**2, pick=False)
         assert np.array_equal(x_sgd.coords, x_last.coords)
 
     def test_reservoir_pick_leaves_the_iterates(self):
@@ -158,10 +161,10 @@ class TestSpiderNonconvex:
         # does not sample the same batches and visit the same iterates
         P = desk_problem()
         x0 = P.manifold.random_point(np.random.default_rng(1))
-        cfg = params_finite(P.n, 0.1, 1.0, P.L_hint, seed=5)
+        cfg = params_finite(P.n, 0.1, 1.0, P.L_hint)
         runs = []
         for pick in (True, False):
-            run = _Run(P, x0, cfg.seed, 0.25, 8 * P.n, cfg.map_mode)
+            run = _Run(P, x0, seed=5, map_mode="exp", checkpoint_every=0.25, max_ifo=8 * P.n)
             _spider_core(run, x0, cfg, 2.0 * cfg.eps**2, pick=pick)
             runs.append((run.steps, run.records, dict(run.tallies)))
         assert runs[0] == runs[1]
@@ -172,8 +175,8 @@ class TestSpiderNonconvex:
         P = diag21_problem()
         s = 1.0 / math.sqrt(2.0)
         x0 = P.manifold.point([s, s])
-        cfg = SpiderConfig(L=2.0, eps=0.1, q=1, S1=2, T=12, eta=0.25, n=2, seed=3)
-        _, trace = spider_nonconvex(P, x0, cfg, checkpoint_every=1.0 / P.n)
+        cfg = SpiderConfig(L=2.0, eps=0.1, q=1, S1=2, T=12, n=2)
+        _, trace = spider_nonconvex(P, x0, cfg, seed=3, checkpoint_every=1.0 / P.n)
         # one value per iterate; the end-of-run record describes the pick
         fs = {rec.k: rec.f for rec in trace.records if rec.boundary is not None}
         vals = [fs[k] for k in sorted(fs)]
@@ -195,10 +198,10 @@ class TestSpiderNonconvex:
     def test_determinism(self):
         P = desk_problem()
         x0 = P.manifold.random_point(np.random.default_rng(1))
-        cfg = params_finite(P.n, 0.1, 1.0, P.L_hint, seed=9)
-        x1, t1 = spider_nonconvex(P, x0, cfg)
+        cfg = params_finite(P.n, 0.1, 1.0, P.L_hint)
+        x1, t1 = spider_nonconvex(P, x0, cfg, seed=9)
         calls1 = P.counter.calls
-        x2, t2 = spider_nonconvex(P, x0, cfg)
+        x2, t2 = spider_nonconvex(P, x0, cfg, seed=9)
         assert np.array_equal(x1.coords, x2.coords)
         assert P.counter.calls - calls1 == calls1
         assert len(t1.records) == len(t2.records)
@@ -210,8 +213,8 @@ class TestSpiderNonconvex:
     def test_ifo_reconciliation(self):
         P = desk_problem()
         x0 = P.manifold.random_point(np.random.default_rng(2))
-        cfg = params_finite(P.n, 0.1, 1.0, P.L_hint, seed=4)
-        _, trace = spider_nonconvex(P, x0, cfg)
+        cfg = params_finite(P.n, 0.1, 1.0, P.L_hint)
+        _, trace = spider_nonconvex(P, x0, cfg, seed=4)
         tallies = trace.meta["ifo_breakdown"]
         assert trace.meta["ifo"] == tallies["anchor"] + tallies["correction"]
         assert P.counter.calls == trace.meta["ifo"]
@@ -229,15 +232,15 @@ class TestSpiderNonconvex:
     def test_budget_stop(self):
         P = desk_problem()
         x0 = P.manifold.random_point(np.random.default_rng(5))
-        cfg = params_finite(P.n, 0.05, 1.0, P.L_hint, seed=7)
-        spider_nonconvex(P, x0, cfg, max_ifo=3 * P.n)
+        cfg = params_finite(P.n, 0.05, 1.0, P.L_hint)
+        spider_nonconvex(P, x0, cfg, seed=7, max_ifo=3 * P.n)
         assert P.counter.calls == 3 * P.n  # the last draw is cut to the calls left
 
     def test_retraction_mode(self):
         P = desk_problem()
         x0 = P.manifold.random_point(np.random.default_rng(6))
-        cfg = params_finite(P.n, 0.1, 1.0, P.L_hint, seed=8, map_mode="retract")
-        x, _ = spider_nonconvex(P, x0, cfg, max_ifo=5 * P.n)
+        cfg = params_finite(P.n, 0.1, 1.0, P.L_hint)
+        x, _ = spider_nonconvex(P, x0, cfg, seed=8, map_mode="retract", max_ifo=5 * P.n)
         assert abs(np.linalg.norm(x.coords) - 1.0) <= 1e-9
 
     def test_sample_only_mode(self):
@@ -245,10 +248,10 @@ class TestSpiderNonconvex:
         P = desk_problem(d=8, n=40, delta=0.4, seed=30)
         x0 = P.manifold.random_point(np.random.default_rng(7))
         sigma_sq = 2.0 * r.variance_bound_estimate(P, x0)
-        cfg = params_stochastic(sigma_sq, 0.3, 1.0, P.L_hint, seed=9)
+        cfg = params_stochastic(sigma_sq, 0.3, 1.0, P.L_hint)
         assert cfg.n is None
         f0 = P.value(x0)
-        x, trace = spider_nonconvex(P, x0, cfg, max_ifo=30 * P.n)
+        x, trace = spider_nonconvex(P, x0, cfg, seed=9, max_ifo=30 * P.n)
         tallies = trace.meta["ifo_breakdown"]
         anchors = tallies["anchor"]
         assert anchors >= cfg.S1 > P.n  # sampled anchors, not full passes of n
@@ -259,9 +262,9 @@ class TestEstimatorStatistics:
     def _frozen_state(self, P, seed=0):
         states = []
         x0 = P.manifold.random_point(np.random.default_rng(seed))
-        cfg = params_finite(P.n, 0.05, 1.0, P.L_hint, seed=seed)
+        cfg = params_finite(P.n, 0.05, 1.0, P.L_hint)
         spider_nonconvex(
-            P, x0, cfg, max_ifo=40 * P.n,
+            P, x0, cfg, seed=seed, max_ifo=40 * P.n,
             on_correction=lambda st: states.append(st) if len(states) < 8 else None,
         )
         return states
@@ -290,9 +293,9 @@ class TestEstimatorStatistics:
         eps = 0.1
         x0 = P.manifold.random_point(np.random.default_rng(2))
         states = []
-        cfg = params_finite(P.n, eps, 1.0, P.L_hint, seed=3)
+        cfg = params_finite(P.n, eps, 1.0, P.L_hint)
         spider_nonconvex(
-            P, x0, cfg, max_ifo=6 * P.n,
+            P, x0, cfg, seed=3, max_ifo=6 * P.n,
             on_correction=lambda st: states.append(st) if len(states) < 12 else None,
         )
         for st in states:
@@ -327,8 +330,8 @@ class TestGd1:
         # stage accuracy schedule: sqrt(M0 / (2^t * 10 tau))
         P = desk_problem(d=6, n=25, delta=0.4, seed=14)
         x0 = P.manifold.random_point(np.random.default_rng(3))
-        cfg = GdConfig(M0=1.0, tau=10.0, L=P.L_hint, K=2, seed=1)
-        _, trace = spider_gd1(P, x0, cfg, max_ifo=2 * P.n)
+        cfg = GdConfig(M0=1.0, tau=10.0, L=P.L_hint, K=2)
+        _, trace = spider_gd1(P, x0, cfg, seed=1, max_ifo=2 * P.n)
         eps = [s["eps"] for s in trace.meta["stages"]]
         assert eps[0] == pytest.approx(math.sqrt(1.0 / 200.0), abs=1e-12)
         if len(eps) > 1:
@@ -338,8 +341,8 @@ class TestGd1:
         # T_t = ceil(4 M_t L / eps_t^2) with M_t = M0 / 2^(t-1) collapses to 80 L tau
         P = desk_problem(d=6, n=25, delta=0.4, seed=15)
         x0 = P.manifold.random_point(np.random.default_rng(4))
-        cfg = GdConfig(M0=0.7, tau=0.9, L=2.0, K=3, seed=2)
-        _, trace = spider_gd1(P, x0, cfg)
+        cfg = GdConfig(M0=0.7, tau=0.9, L=2.0, K=3)
+        _, trace = spider_gd1(P, x0, cfg, seed=2)
         for s in trace.meta["stages"]:
             assert s["T"] == math.ceil(80 * 2.0 * 0.9 - 1e-6)
 
@@ -358,8 +361,8 @@ class TestGd2:
         # k, and the last stage ends at the run's charge (no budget binds)
         P = desk_problem(d=6, n=25, delta=0.4, seed=18)
         x0 = P.manifold.random_point(np.random.default_rng(7))
-        cfg = GdConfig(M0=0.05, tau=1.0, L=P.L_hint, K=4, seed=5)
-        _, trace = spider_gd2(P, x0, cfg, checkpoint_every=0.5)
+        cfg = GdConfig(M0=0.05, tau=1.0, L=P.L_hint, K=4)
+        _, trace = spider_gd2(P, x0, cfg, seed=5, checkpoint_every=0.5)
         stages = trace.meta["stages"]
         assert [s["stage"] for s in stages] == [1, 2, 3, 4]
         assert all(s["T"] == s["steps"] == trace.meta["q"] for s in stages)
@@ -372,15 +375,15 @@ class TestGd2:
     def test_initial_variance_budget(self):
         P = desk_problem(d=6, n=25, delta=0.4, seed=18)
         x0 = P.manifold.random_point(np.random.default_rng(7))
-        cfg = GdConfig(M0=1.0, tau=10.0, L=P.L_hint, K=1, seed=5)
-        _, trace = spider_gd2(P, x0, cfg, max_ifo=P.n)
+        cfg = GdConfig(M0=1.0, tau=10.0, L=P.L_hint, K=1)
+        _, trace = spider_gd2(P, x0, cfg, seed=5, max_ifo=P.n)
         assert trace.meta["delta0"] == pytest.approx(0.025, abs=1e-15)
 
     def test_epoch_length_formula(self):
         P = desk_problem(d=6, n=25, delta=0.4, seed=19)
         x0 = P.manifold.random_point(np.random.default_rng(8))
-        cfg = GdConfig(M0=1.0, tau=10.0, L=1.0, K=1, seed=6)
-        _, trace = spider_gd2(P, x0, cfg, max_ifo=P.n)
+        cfg = GdConfig(M0=1.0, tau=10.0, L=1.0, K=1)
+        _, trace = spider_gd2(P, x0, cfg, seed=6, max_ifo=P.n)
         assert trace.meta["q"] == 56  # ceil(40 log 4)
 
     def test_stationary_step_clamps_batch(self):
@@ -388,8 +391,8 @@ class TestGd2:
         P = diag21_problem()
         x0 = P.manifold.point([1.0, 0.0])
         seen = []
-        cfg = GdConfig(M0=1.0, tau=1.0, L=2.0, K=1, seed=7)
-        spider_gd2(P, x0, cfg, on_correction=lambda st: seen.append(st.s2))
+        cfg = GdConfig(M0=1.0, tau=1.0, L=2.0, K=1)
+        spider_gd2(P, x0, cfg, seed=7, on_correction=lambda st: seen.append(st.s2))
         assert seen and seen[0] == 1
 
     def test_linear_convergence_small(self):
@@ -399,8 +402,8 @@ class TestGd2:
         x0 = P.manifold.random_point(np.random.default_rng(9))
         M0 = P.value(x0) - f_star
         K = 4
-        cfg = GdConfig(M0=M0, tau=tau, L=P.L_hint, K=K, seed=8)
-        x, _ = spider_gd2(P, x0, cfg)
+        cfg = GdConfig(M0=M0, tau=tau, L=P.L_hint, K=K)
+        x, _ = spider_gd2(P, x0, cfg, seed=8)
         assert P.value(x) - f_star <= 1.5 * 2.0**-K * M0
 
 
@@ -523,19 +526,18 @@ def test_ifo_tally_property(seed, map_mode, q, eps):
     x0 = P.manifold.random_point(np.random.default_rng(seed))
     modes = dict(map_mode=map_mode, seed=seed)
     tau = q / (4.0 * L * math.log(4.0))  # spider-gd2 then runs stages of ~q steps
-    gd = GdConfig(M0=eps, tau=tau, L=L, K=3, **modes)
+    gd = GdConfig(M0=eps, tau=tau, L=L, K=3)
     states = []
     runs = [
         lambda: spider_nonconvex(
-            P, x0, SpiderConfig(L=L, eps=eps, q=q, S1=n, T=60, n=n, **modes),
+            P, x0, SpiderConfig(L=L, eps=eps, q=q, S1=n, T=60, n=n), **modes,
             max_ifo=8 * n, checkpoint_every=0.5, on_correction=states.append,
         ),
-        lambda: spider_gd1(P, x0, gd, max_ifo=8 * n, checkpoint_every=0.5),
-        lambda: spider_gd2(P, x0, gd, max_ifo=8 * n, checkpoint_every=0.5),
-        lambda: rsvrg(P, x0, eta=0.01, epochs=3, inner_len=5 * q, seed=seed,
-                      map_mode=map_mode, checkpoint_every=0.5),
-        lambda: rsgd(P, x0, eta=0.01, T=10 * q, seed=seed, map_mode=map_mode,
-                     checkpoint_every=0.5),
+        lambda: spider_gd1(P, x0, gd, **modes, max_ifo=8 * n, checkpoint_every=0.5),
+        lambda: spider_gd2(P, x0, gd, **modes, max_ifo=8 * n, checkpoint_every=0.5),
+        lambda: rsvrg(P, x0, eta=0.01, epochs=3, inner_len=5 * q, **modes,
+                      checkpoint_every=0.5),
+        lambda: rsgd(P, x0, eta=0.01, T=10 * q, **modes, checkpoint_every=0.5),
     ]
     for run in runs:
         calls0 = P.counter.calls
@@ -570,20 +572,19 @@ def test_budget_is_exact_property(seed, algo, map_mode, max_ifo, q, size, eps):
     P = _BUDGET_PROBLEM
     n, L = P.n, P.L_hint
     x0 = P.manifold.random_point(np.random.default_rng(seed))
-    modes = dict(map_mode=map_mode, seed=seed)
-    kw = dict(max_ifo=max_ifo, checkpoint_every=0.5)
+    kw = dict(seed=seed, map_mode=map_mode, max_ifo=max_ifo, checkpoint_every=0.5)
     endless = 10**6
     if algo.startswith("spider-gd"):
-        gd = GdConfig(M0=eps, tau=q / (4.0 * L * math.log(4.0)), L=L, K=endless, **modes)
+        gd = GdConfig(M0=eps, tau=q / (4.0 * L * math.log(4.0)), L=L, K=endless)
         x, trace = (spider_gd1 if algo == "spider-gd1" else spider_gd2)(P, x0, gd, **kw)
     elif algo.startswith("spider"):
         cap = None if algo == "spider-sampled" else n
-        cfg = SpiderConfig(L=L, eps=eps, q=q, S1=size, T=endless, n=cap, **modes)
+        cfg = SpiderConfig(L=L, eps=eps, q=q, S1=size, T=endless, n=cap)
         x, trace = spider_nonconvex(P, x0, cfg, **kw)
     elif algo == "rsvrg":
-        x, trace = rsvrg(P, x0, 0.01, epochs=endless, inner_len=size, **modes, **kw)
+        x, trace = rsvrg(P, x0, 0.01, epochs=endless, inner_len=size, **kw)
     else:
-        x, trace = rsgd(P, x0, 0.01, T=endless, **modes, **kw)
+        x, trace = rsgd(P, x0, 0.01, T=endless, **kw)
     assert max_ifo - 1 <= trace.meta["ifo"] <= max_ifo
     tallies = trace.meta["ifo_breakdown"]
     assert trace.meta["ifo"] == tallies["anchor"] + tallies["correction"] == trace.records[-1].ifo
@@ -600,6 +601,68 @@ def test_one_call_left_for_a_correction_ends_the_run():
     assert trace.meta["ifo_breakdown"] == {"anchor": 21, "correction": 10}
 
 
+def test_unaffordable_snapshot_leaves_the_rest_to_inner_steps():
+    # n = 21: the first epoch spends 21 + 2 * 10 = 41 calls. With 56, the 15
+    # left cannot pay a snapshot and one step (n + 2 = 23), so the run keeps
+    # its snapshot and takes seven more steps, not a clipped snapshot that
+    # buys none; with 64, the 23 left pay a second snapshot and one step
+    P = _BUDGET_PROBLEM
+    x0 = P.manifold.random_point(np.random.default_rng(2))
+    _, trace = rsvrg(P, x0, 0.01, epochs=5, inner_len=10, seed=1, max_ifo=56)
+    assert trace.meta["ifo_breakdown"] == {"anchor": 21, "correction": 34}
+    assert trace.meta["ifo"] == 55 and trace.records[-1].k == 17
+    _, trace = rsvrg(P, x0, 0.01, epochs=5, inner_len=10, seed=1, max_ifo=64)
+    assert trace.meta["ifo_breakdown"] == {"anchor": 42, "correction": 22}
+    assert trace.meta["ifo"] == 64 and trace.records[-1].k == 11
+
+
+SOLVERS = {"spider": spider_nonconvex, "spider-gd1": spider_gd1, "spider-gd2": spider_gd2,
+           "rsvrg": rsvrg, "rsgd": rsgd}
+
+
+@pytest.mark.parametrize("algo", SOLVERS)
+def test_solvers_share_one_set_of_run_options(algo):
+    # every solver takes the same keyword-only run options, with the same
+    # defaults, and hands them to its run; on_correction is a hook, not one
+    params = inspect.signature(SOLVERS[algo]).parameters.values()
+    options = [(p.name, p.default) for p in params
+               if p.kind is p.KEYWORD_ONLY and p.name != "on_correction"]
+    assert options == [("seed", 0), ("map_mode", "exp"), ("checkpoint_every", 1.0),
+                       ("max_ifo", None)]
+
+
+@pytest.mark.parametrize("map_mode", ["exp", "retract"])
+@pytest.mark.parametrize("algo", SOLVERS)
+def test_meta_carries_the_run_options(algo, map_mode):
+    P = desk_problem(d=6, n=25, delta=0.4, seed=21)
+    x0 = P.manifold.random_point(np.random.default_rng(10))
+    schedule = {
+        "spider": (params_finite(P.n, 0.1, 1.0, P.L_hint),),
+        "spider-gd1": (GdConfig(M0=1.0, tau=1.0, L=P.L_hint, K=1),),
+        "spider-gd2": (GdConfig(M0=1.0, tau=1.0, L=P.L_hint, K=1),),
+        "rsvrg": (0.01, 1),
+        "rsgd": (0.01, 5),
+    }[algo]
+    _, trace = SOLVERS[algo](P, x0, *schedule, seed=3, map_mode=map_mode,
+                             checkpoint_every=0.5, max_ifo=2 * P.n)
+    meta = trace.meta
+    assert (meta["seed"], meta["map_mode"], meta["checkpoint_every"]) == (3, map_mode, 0.5)
+    assert not {"seed", "map_mode"} & set(meta["config"])
+
+
+def test_configs_hold_only_the_schedule():
+    assert [f.name for f in dataclasses.fields(SpiderConfig)] == ["L", "eps", "q", "S1", "T",
+                                                                 "n"]
+    assert [f.name for f in dataclasses.fields(GdConfig)] == ["M0", "tau", "L", "K"]
+    cfg = params_finite(100, 0.1, 1.0, 2.0)
+    with pytest.raises(AttributeError):
+        cfg.eta = 0.5  # the step is always 1/(2L)
+    for schedule in (lambda: params_finite(100, 0.1, 1.0, 2.0, seed=1),
+                     lambda: params_stochastic(1.0, 0.1, 1.0, 2.0, map_mode="exp")):
+        with pytest.raises(TypeError):
+            schedule()
+
+
 def test_meta_ifo_is_the_runs_own_charge():
     # back-to-back runs on one instance without a counter reset are each
     # budgeted by, and report, only the calls they charged themselves: the
@@ -607,13 +670,13 @@ def test_meta_ifo_is_the_runs_own_charge():
     P = desk_problem(d=10, n=60)
     n, L = P.n, P.L_hint
     x0 = P.manifold.random_point(np.random.default_rng(7))
-    gd = GdConfig(M0=0.1, tau=4.0 / (4.0 * L * math.log(4.0)), L=L, K=40, seed=1)
+    gd = GdConfig(M0=0.1, tau=4.0 / (4.0 * L * math.log(4.0)), L=L, K=40)
     budget = dict(max_ifo=3 * n, checkpoint_every=0.5)
     runs = {
-        "spider": lambda: spider_nonconvex(P, x0, params_finite(n, 0.1, 1.0, L, seed=2),
+        "spider": lambda: spider_nonconvex(P, x0, params_finite(n, 0.1, 1.0, L), seed=2,
                                            **budget),
-        "spider-gd1": lambda: spider_gd1(P, x0, gd, **budget),
-        "spider-gd2": lambda: spider_gd2(P, x0, gd, **budget),
+        "spider-gd1": lambda: spider_gd1(P, x0, gd, seed=1, **budget),
+        "spider-gd2": lambda: spider_gd2(P, x0, gd, seed=1, **budget),
         "rsvrg": lambda: rsvrg(P, x0, eta=0.01, epochs=5, seed=3, **budget),
         "rsgd": lambda: rsgd(P, x0, 0.01, T=10 * n, seed=4, **budget),
     }
@@ -673,18 +736,18 @@ def test_solvers_run_off_the_pca_path(monkeypatch, make, algo):
     n, L = P.n, P.L_hint
     x0 = P.manifold.point(np.random.default_rng(1).standard_normal(P.manifold.d))
     f0 = P.value(x0)
-    kw = dict(max_ifo=20 * n, checkpoint_every=0.5)
-    gd = GdConfig(M0=f0, tau=1.0, L=L, K=5, seed=2)
+    kw = dict(seed=2, max_ifo=20 * n, checkpoint_every=0.5)
+    gd = GdConfig(M0=f0, tau=1.0, L=L, K=5)
     if algo == "spider":
-        x, trace = spider_nonconvex(P, x0, params_finite(n, 0.05, f0, L, seed=2), **kw)
+        x, trace = spider_nonconvex(P, x0, params_finite(n, 0.05, f0, L), **kw)
     elif algo == "spider-gd1":
         x, trace = spider_gd1(P, x0, gd, **kw)
     elif algo == "spider-gd2":
         x, trace = spider_gd2(P, x0, gd, **kw)
     elif algo == "rsvrg":
-        x, trace = rsvrg(P, x0, eta=0.1 / L, epochs=5, seed=2, **kw)
+        x, trace = rsvrg(P, x0, eta=0.1 / L, epochs=5, **kw)
     else:
-        x, trace = rsgd(P, x0, 0.1 / L, T=10 * n, seed=2, **kw)
+        x, trace = rsgd(P, x0, 0.1 / L, T=10 * n, **kw)
     assert trace.meta["ifo"] == P.counter.calls > 0
     tallies = trace.meta["ifo_breakdown"]
     assert tallies["anchor"] + tallies["correction"] == trace.meta["ifo"]
@@ -722,20 +785,19 @@ def _assert_no_checked_values(monkeypatch, P, x0, algo, map_mode):
 
         monkeypatch.setattr(cls, "__init__", counted)
     states = []
-    kw = dict(max_ifo=4 * n, checkpoint_every=0.5)
-    gd = GdConfig(M0=0.1, tau=4.0 / (4.0 * L * math.log(4.0)), L=L, K=3,
-                  map_mode=map_mode, seed=1)
+    kw = dict(seed=1, map_mode=map_mode, max_ifo=4 * n, checkpoint_every=0.5)
+    gd = GdConfig(M0=0.1, tau=4.0 / (4.0 * L * math.log(4.0)), L=L, K=3)
     if algo == "spider":
-        cfg = params_finite(n, 0.1, 1.0, L, map_mode=map_mode, seed=1)
+        cfg = params_finite(n, 0.1, 1.0, L)
         spider_nonconvex(P, x0, cfg, on_correction=states.append, **kw)
     elif algo == "spider-gd1":
         spider_gd1(P, x0, gd, **kw)
     elif algo == "spider-gd2":
         spider_gd2(P, x0, gd, on_correction=states.append, **kw)
     elif algo == "rsvrg":
-        rsvrg(P, x0, eta=0.01, epochs=3, seed=1, map_mode=map_mode, **kw)
+        rsvrg(P, x0, eta=0.01, epochs=3, **kw)
     else:
-        rsgd(P, x0, 0.01, T=2 * n, seed=1, map_mode=map_mode, **kw)
+        rsgd(P, x0, 0.01, T=2 * n, **kw)
     assert P.counter.calls > 0
     assert bool(states) == (algo in ("spider", "spider-gd2"))
     assert checked == {ManifoldPoint: 0, TangentVector: 0}
@@ -761,11 +823,13 @@ def test_off_pca_runs_construct_no_checked_values(monkeypatch, make, algo):
 class TestDegenerateSteps:
     def test_exp_step_onto_the_antipode(self):
         # f = -2 x_1^2 at 45 degrees: the gradient has norm 2, so a step of
-        # pi/2 lands exp on -x0, and the next correction cannot transport
+        # pi/2 (spider's 1/(2L) at L = 1/pi) lands exp on -x0, and the next
+        # correction cannot transport
         P = r.PcaProblem(np.array([[math.sqrt(2.0)], [0.0]]))
         x0 = P.manifold.point([1.0, 1.0])
         eta = math.pi / 2
-        cfg = SpiderConfig(L=1.0, eps=0.1, q=2, S1=1, T=3, eta=eta, n=1)
+        cfg = SpiderConfig(L=1.0 / math.pi, eps=0.1, q=2, S1=1, T=3, n=1)
+        assert cfg.eta == eta
         with pytest.raises(OptimizerError, match=r"transport failed at iteration 1: .*antipodal"):
             spider_nonconvex(P, x0, cfg)
         with pytest.raises(OptimizerError, match=r"transport failed at iteration 1: .*antipodal"):
@@ -787,9 +851,9 @@ class TestDegenerateSteps:
         x0 = P.manifold.point([1.0, 2.0, 2.0])
         with pytest.raises(OptimizerError, match=r"degenerate step at iteration 3: retraction"):
             rsgd(P, x0, lambda k: 0.1 if k < 3 else 0.5, T=5, map_mode="retract")
-        cfg = SpiderConfig(L=1.0, eps=0.1, q=2, S1=4, T=3, eta=0.5, n=4, map_mode="retract")
+        cfg = SpiderConfig(L=1.0, eps=0.1, q=2, S1=4, T=3, n=4)  # step 1/(2L) = 0.5
         with pytest.raises(OptimizerError, match=r"degenerate step at iteration 0: retraction"):
-            spider_nonconvex(P, x0, cfg)
+            spider_nonconvex(P, x0, cfg, map_mode="retract")
 
 
 _TRACE_PROBLEM = desk_problem(d=5, n=20, delta=0.4, seed=33)
@@ -807,25 +871,22 @@ def test_tracing_never_touches_the_counter(seed, algo, map_mode):
     P = _TRACE_PROBLEM
     n, L = P.n, P.L_hint
     x0 = P.manifold.random_point(np.random.default_rng(seed))
-    gd = GdConfig(M0=0.1, tau=4.0 / (4.0 * L * math.log(4.0)), L=L, K=3,
-                  map_mode=map_mode, seed=seed)
+    gd = GdConfig(M0=0.1, tau=4.0 / (4.0 * L * math.log(4.0)), L=L, K=3)
 
     def run(every):
         calls0 = P.counter.calls
-        kw = dict(checkpoint_every=every, max_ifo=6 * n)
+        kw = dict(seed=seed, map_mode=map_mode, checkpoint_every=every, max_ifo=6 * n)
         if algo == "spider":
-            cfg = SpiderConfig(L=L, eps=0.1, q=4, S1=n, T=60, n=n, map_mode=map_mode,
-                               seed=seed)
+            cfg = SpiderConfig(L=L, eps=0.1, q=4, S1=n, T=60, n=n)
             x, trace = spider_nonconvex(P, x0, cfg, **kw)
         elif algo == "spider-gd1":
             x, trace = spider_gd1(P, x0, gd, **kw)
         elif algo == "spider-gd2":
             x, trace = spider_gd2(P, x0, gd, **kw)
         elif algo == "rsvrg":
-            x, trace = rsvrg(P, x0, eta=0.01, epochs=3, inner_len=10, seed=seed,
-                             map_mode=map_mode, **kw)
+            x, trace = rsvrg(P, x0, eta=0.01, epochs=3, inner_len=10, **kw)
         else:
-            x, trace = rsgd(P, x0, 0.01, T=60, seed=seed, map_mode=map_mode, **kw)
+            x, trace = rsgd(P, x0, 0.01, T=60, **kw)
         boundaries = sum(rec.boundary is not None for rec in trace.records)
         return (P.counter.calls - calls0, trace.meta.get("ifo_breakdown"),
                 x.coords.tobytes()), boundaries
@@ -894,9 +955,9 @@ def _count_calls():
     })
     gd = dict(M0=1.0, tau=1.0, L=1.0, K=1)
     solvers = {
-        "spider": lambda kw: spider_nonconvex(P, x0, SpiderConfig(**spider, **kw)),
-        "spider-gd1": lambda kw: spider_gd1(P, x0, GdConfig(**gd, **kw)),
-        "spider-gd2": lambda kw: spider_gd2(P, x0, GdConfig(**gd, **kw)),
+        "spider": lambda kw: spider_nonconvex(P, x0, SpiderConfig(**spider), **kw),
+        "spider-gd1": lambda kw: spider_gd1(P, x0, GdConfig(**gd), **kw),
+        "spider-gd2": lambda kw: spider_gd2(P, x0, GdConfig(**gd), **kw),
         "rsgd": lambda kw: rsgd(P, x0, 0.01, T=5, **kw),
         "rsvrg": lambda kw: rsvrg(P, x0, 0.01, epochs=1, **kw),
     }
