@@ -7,6 +7,12 @@ CSV with per-gap epochs-to-double medians and a least-squares fit against
 the inverse gap. For a fixed BLAS thread count the entire output is a pure
 function of the configuration; across thread counts the BLAS reductions may
 sum in a different order and change the last bits.
+
+The rsvrg and vrpca cells of one task (with one worker, the whole sweep)
+run as one lockstep column block per algorithm, every (gap, seed) cell a
+row of one iterate array, so the task holds all its instances at once:
+G·n·d·8 bytes for G gaps, 12.8 MB for the default sweep. Each cell still
+gets the rows it gets alone, to the bit.
 """
 
 from __future__ import annotations
@@ -39,9 +45,9 @@ from .optim import (
     GdConfig,
     OptimizerError,
     RunTrace,
+    _rsvrg_columns,
     params_finite,
     rsgd,
-    rsvrg,
     spider_gd1,
     spider_gd2,
     spider_nonconvex,
@@ -69,6 +75,7 @@ DEFAULT_SVRG_ETA = 0.003
 _X0_TAG = 0x9E37  # distinguishes the initializer stream from the sampling stream
 
 _TAU_ALGOS = ("spider-gd1", "spider-gd2")  # the restart schemes that need tau
+_BLOCK_ALGOS = ("rsvrg", "vrpca")  # run as one column block per task
 
 _SPIDER_EPS = 0.05  # gradient-norm target of the nonconvex solver
 _GD_STAGES = 20  # restart stages of spider-gd1 and spider-gd2
@@ -196,6 +203,14 @@ def _spectrum(cfg: ExperimentConfig, delta: float) -> np.ndarray:
     return spec.target_spectrum()
 
 
+def _max_ifo(cfg: ExperimentConfig) -> int:
+    return int(math.ceil(cfg.epochs * cfg.n - 1e-9))
+
+
+def _map_mode(cfg: ExperimentConfig, algo: str) -> str:
+    return "retract" if algo == "vrpca" else cfg.map_mode
+
+
 def _run_algo(cfg: ExperimentConfig, algo: str, P: PcaProblem, f_star: float, x0,
               seed: int, max_ifo: int, tau: float | None, map_mode: str) -> RunTrace:
     opts = dict(seed=seed, map_mode=map_mode, checkpoint_every=cfg.checkpoint_every,
@@ -203,10 +218,6 @@ def _run_algo(cfg: ExperimentConfig, algo: str, P: PcaProblem, f_star: float, x0
     if algo == "rsgd":
         eta = cfg.eta if cfg.eta is not None else 1.0 / (2.0 * P.L_hint)
         _, trace = rsgd(P, x0, eta, T=max_ifo, **opts)
-    elif algo in ("rsvrg", "vrpca"):
-        eta = cfg.eta if cfg.eta is not None else DEFAULT_SVRG_ETA
-        outer = max(1, math.ceil(max_ifo / P.n) + 1)
-        _, trace = rsvrg(P, x0, eta, epochs=outer, **opts)
     else:  # spider, spider-gd1, spider-gd2: M0 is the initial gap
         gap = max(P.value(x0) - f_star, 1e-12)
         if algo == "spider":
@@ -221,16 +232,42 @@ def _run_algo(cfg: ExperimentConfig, algo: str, P: PcaProblem, f_star: float, x0
 
 def _run_cell(cfg: ExperimentConfig, P: PcaProblem, f_star: float, tau: float | None,
               delta: float, seed: int, algo: str) -> list[CsvRow]:
-    """One cell on a built instance; its run counts the oracle calls from its own zero.
+    """One cell on a built instance, run alone; its run counts its own oracle calls."""
+    map_mode = _map_mode(cfg, algo)
+    trace = _run_algo(cfg, algo, P, f_star, _draw_x0(P, seed), seed, _max_ifo(cfg), tau,
+                      map_mode)
+    return _cell_rows(cfg, trace, algo, map_mode, delta, seed, f_star)
 
-    Its rows are the grid epochs 0, step, 2 step, ... inside the budget; the
-    end record fills the grid rows after a run that ends early.
+
+def _run_block(cfg: ExperimentConfig, algo: str, cells) -> dict:
+    """One algorithm's ``(index, P, f_star, delta, seed)`` rsvrg or vrpca cells
+    as one column block (:func:`optim._rsvrg_columns`); every run spends the
+    cell budget, in ceil(budget / n) + 1 outer epochs at most.
+
+    Returns {index: rows, or the exception that failed the cell}. A run that
+    raises fails only its cell, and an exception that ends the whole block
+    fails all of them.
     """
-    x0 = _draw_x0(P, seed)
-    max_ifo = int(math.ceil(cfg.epochs * P.n - 1e-9))
-    map_mode = "retract" if algo == "vrpca" else cfg.map_mode
-    trace = _run_algo(cfg, algo, P, f_star, x0, seed, max_ifo, tau, map_mode)
+    map_mode = _map_mode(cfg, algo)
+    eta = cfg.eta if cfg.eta is not None else DEFAULT_SVRG_ETA
+    max_ifo = _max_ifo(cfg)
+    try:
+        ends = _rsvrg_columns(
+            [(P, _draw_x0(P, seed), seed) for _i, P, _f, _dl, seed in cells], eta,
+            max(1, math.ceil(max_ifo / cfg.n) + 1), map_mode=map_mode,
+            checkpoint_every=cfg.checkpoint_every, max_ifo=max_ifo)
+    except Exception as e:
+        ends = [e] * len(cells)
+    return {i: end if isinstance(end, Exception)
+            else _attempt(_cell_rows, cfg, end[1], algo, map_mode, delta, seed, f_star)
+            for (i, _P, f_star, delta, seed), end in zip(cells, ends)}
 
+
+def _cell_rows(cfg: ExperimentConfig, trace: RunTrace, algo: str, map_mode: str,
+               delta: float, seed: int, f_star: float) -> list[CsvRow]:
+    """A cell's CSV rows: the grid epochs 0, step, 2 step, ... inside the
+    budget; the end record fills the grid rows after a run that ends early.
+    """
     # boundary records come in order, one per grid epoch from 0 up to the budget
     grid = int(math.floor(cfg.epochs / cfg.checkpoint_every + 1e-9)) + 1
     recs = [r for r in trace.records if r.boundary is not None][:grid]
@@ -332,68 +369,92 @@ def _failure(e: Exception) -> str:
     return f"{type(e).__name__}: {e}"
 
 
-def _gap_outcomes(cfg: ExperimentConfig, factors, delta: float, cells) -> dict:
-    """Run one gap's ``(index, algo, seed)`` cells on that gap's instance.
-
-    Builds the instance from the sweep's eigenvector ``factors`` and finds
-    its optimum; tau is estimated once and shared by the gap's restart-scheme
-    cells. Returns {index: rows, or the exception that failed the cell}. An
-    exception in the build fails every cell, one in the tau estimate fails
-    the cells that need tau, and one in a cell fails only that cell.
-    """
+def _attempt(fn, *args):
+    """``fn(*args)``, or the exception it raised: what ends one cell's work."""
     try:
-        P = _problem_from_factors(_spectrum(cfg, delta), *factors, cfg.data_seed)
-        f_star = P.f_star
+        return fn(*args)
     except Exception as e:
-        return {i: e for i, _a, _s in cells}
-    tau = None
-    if any(algo in _TAU_ALGOS for _i, algo, _s in cells):
-        try:
-            tau = pl_constant_estimate(P, f_star, 128, seed=0).statistic
-        except Exception as e:
-            tau = e
-    out = {}
-    for i, algo, seed in cells:
-        try:
-            if algo in _TAU_ALGOS and isinstance(tau, Exception):
-                raise tau
-            out[i] = _run_cell(cfg, P, f_star, tau, delta, seed, algo)
-        except Exception as e:
-            out[i] = e
+        return e
+
+
+def _instance(cfg: ExperimentConfig, factors, delta: float):
+    P = _problem_from_factors(_spectrum(cfg, delta), *factors, cfg.data_seed)
+    return P, P.f_star
+
+
+def _tau(P: PcaProblem, f_star: float) -> float:
+    return pl_constant_estimate(P, f_star, 128, seed=0).statistic
+
+
+def _task_outcomes(cfg: ExperimentConfig, factors, cells) -> dict:
+    """Run one task's ``(index, algo, delta, seed)`` cells.
+
+    Builds each gap's instance once from the sweep's eigenvector ``factors``
+    and finds its optimum; tau is estimated once per gap and shared by that
+    gap's restart-scheme cells. The rsvrg and vrpca cells run as one column
+    block per algorithm (:func:`_run_block`), so the task holds all its
+    instances at once; the other cells run one at a time. Returns {index:
+    rows, or the exception that failed the cell}. An exception in a build
+    fails that gap's cells, one in the tau estimate fails the cells that need
+    tau, and one in a cell fails only that cell.
+    """
+    built, taus, blocks, out = {}, {}, {}, {}
+    for i, algo, delta, seed in cells:
+        if delta not in built:
+            built[delta] = _attempt(_instance, cfg, factors, delta)
+        gap = built[delta]
+        if isinstance(gap, Exception):
+            out[i] = gap
+        elif algo in _BLOCK_ALGOS:
+            blocks.setdefault(algo, []).append((i, *gap, delta, seed))
+        else:
+            tau = None
+            if algo in _TAU_ALGOS:
+                if delta not in taus:
+                    taus[delta] = _attempt(_tau, *gap)
+                tau = taus[delta]
+            out[i] = tau if isinstance(tau, Exception) else _attempt(
+                _run_cell, cfg, *gap, tau, delta, seed, algo)
+    for algo, block in blocks.items():
+        out.update(_run_block(cfg, algo, block))
     return out
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Execute every (algo, delta, seed) cell and write the CSV outputs.
 
-    The eigenvector factors are computed once per sweep and each gap's
-    instance is built once from them; the cells run grouped by gap, in this
-    process or, with ``workers > 1``, in a process pool. A cell that raises
-    is reported on stderr and skipped; the remaining cells are emitted in
-    deterministic (algo, delta, seed) order regardless of worker scheduling.
+    The eigenvector factors are computed once per sweep, and the cells run
+    as tasks, in this process or, with ``workers > 1``, in a process pool.
+    With one worker a single task holds the whole sweep; otherwise the gaps
+    are dealt over ``workers`` tasks, and with fewer gaps than workers each
+    gap's cells are split over several. A task builds each of its gaps'
+    instances once and runs its rsvrg and vrpca cells as one column block
+    per algorithm (:func:`_task_outcomes`). A cell that raises is reported
+    on stderr and skipped; the remaining cells are emitted in deterministic
+    (algo, delta, seed) order regardless of worker scheduling.
     """
     keys = []  # (algo, delta, seed) in CSV order
-    gaps = [[] for _ in cfg.delta_list]  # per gap: (index into keys, algo, seed)
+    gaps = [[] for _ in cfg.delta_list]  # per gap: (index into keys, algo, delta, seed)
     for algo in cfg.algo:
         for k, delta in enumerate(cfg.delta_list):
             for seed in cfg.seeds:
-                gaps[k].append((len(keys), algo, seed))
+                gaps[k].append((len(keys), algo, delta, seed))
                 keys.append((algo, delta, seed))
-    # with fewer gaps than workers, a gap's cells are split over several
-    # tasks, each of which builds the instance (and tau) for itself
-    split = -(-cfg.workers // len(gaps))
-    tasks = [(delta, cells[j::split]) for delta, cells in zip(cfg.delta_list, gaps)
-             for j in range(min(split, len(cells)))]
-    gap_task = functools.partial(
-        _gap_outcomes, cfg, _eigenvector_factors(cfg.d, cfg.n, cfg.data_seed)
+    deal = min(cfg.workers, len(gaps))  # tasks that hold whole gaps
+    split = -(-cfg.workers // len(gaps))  # tasks per gap
+    tasks = [[cell for k in range(t, len(gaps), deal) for cell in gaps[k][j::split]]
+             for t in range(deal) for j in range(split)]
+    task = functools.partial(
+        _task_outcomes, cfg, _eigenvector_factors(cfg.d, cfg.n, cfg.data_seed)
     )
+    tasks = [cells for cells in tasks if cells]
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(min(cfg.workers, len(tasks))) as pool:
-            gap_outs = list(pool.map(gap_task, *zip(*tasks)))
+            task_outs = list(pool.map(task, tasks))
     else:
-        gap_outs = map(gap_task, *zip(*tasks))  # lazy: one instance alive at a time
+        task_outs = map(task, tasks)
     outcomes = {i: _failure(out) if isinstance(out, Exception) else out
-                for gap_out in gap_outs for i, out in gap_out.items()}
+                for task_out in task_outs for i, out in task_out.items()}
     failures = [(*keys[i], msg) for i, msg in sorted(outcomes.items())
                 if isinstance(msg, str)]
     for algo, delta, seed, msg in failures:

@@ -12,7 +12,10 @@ baseline included, runs on one :class:`_Run`, which keeps its index stream,
 oracle tallies, step count, budget and records (the start, each checkpoint
 and the end) and takes every step (:meth:`_Run.step`: sample, estimate,
 tally, move, record); an SGD step is a one-sample anchor, and SVRG's
-snapshot gradient is a full-pass anchor without the move.
+snapshot gradient is a full-pass anchor without the move. SVRG's batches
+and budget do not depend on its iterates, so it runs many runs in lockstep
+as the rows of one array (:func:`_rsvrg_columns`); :func:`rsvrg` is the
+one-run case, and every row has the bits of a lone run's :meth:`_Run.step`.
 
 The loops run on raw coordinate arrays through the manifold's raw operations
 (``_exp``, ``_retract``, ``_transport``, ``_dist``). Iterates are wrapped as
@@ -22,6 +25,7 @@ trusted points only to be handed to the oracle, the run's records and
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -118,6 +122,8 @@ class GdConfig:
         for what in ("M0", "tau", "L"):
             _check_positive(what, getattr(self, what))
         _check_count("K", self.K, 0)
+        # the stages' step, SpiderConfig.eta, overflows for a subnormal L
+        _check_positive("step size", 1.0 / (2.0 * self.L))
 
 
 @dataclass
@@ -173,12 +179,13 @@ class _Run:
     draws the recursive solver's reservoir pick, so picking an iterate
     leaves the indices as they are.
 
-    The counter when the run starts is its zero, so a run on an objective
-    that has already been charged still reports, and is budgeted by, only its
-    own calls (:meth:`spent`). The budget is exact: :meth:`clip` cuts the
-    last draw to the calls left, and a run with one call left when a
-    correction is due stops there (:meth:`exhausted`), so a run charges
-    ``max_ifo - 1`` or ``max_ifo`` calls when it runs out.
+    A run counts its own calls in its tallies (:meth:`spent`), never on the
+    objective's counter, so a run on an objective that has already been
+    charged, or that other runs share, reports and is budgeted by only its
+    own calls. The budget is exact: :meth:`clip` cuts the last draw to the
+    calls left, and a run with one call left when a correction is due stops
+    there (:meth:`exhausted`), so a run charges ``max_ifo - 1`` or
+    ``max_ifo`` calls when it runs out.
     """
 
     def __init__(self, obj, x0, seed, map_mode, checkpoint_every, max_ifo):
@@ -195,7 +202,6 @@ class _Run:
         self.picks = np.random.default_rng(np.random.SeedSequence([seed, _PICK_TAG]))
         self.tallies = {"anchor": 0, "correction": 0}
         self.max_ifo = max_ifo
-        self.calls0 = obj.counter.calls
         self.every = float(checkpoint_every)
         self.records: list[TraceRecord] = []
         self.steps = 0
@@ -205,8 +211,8 @@ class _Run:
         self.after_step(x0, 0.0, 0)  # the start record
 
     def spent(self) -> int:
-        """Calls charged since the run started."""
-        return self.obj.counter.calls - self.calls0
+        """Calls the run has charged."""
+        return self.tallies["anchor"] + self.tallies["correction"]
 
     def exhausted(self, paired=False) -> bool:
         """Whether the run is over: its budget cannot pay one sample of the
@@ -248,8 +254,15 @@ class _Run:
             self.tallies["anchor"] += batch
             return g_x.coords, g_x._sq, batch
         g_y = obj.full_rgrad(y) if rows is None else obj.minibatch_rgrad(rows, y)
+        v, v_sq = self.correct(x.coords, y.coords, g_x.coords, g_y.coords, ref)
+        self.tallies["correction"] += 2 * batch
+        return v, v_sq, batch
+
+    def correct(self, x, y, g_x, g_y, ref):
+        """The correction g_x - transport(y -> x, g_y - ref) on raw arrays, and
+        its squared norm."""
         try:
-            v = g_x.coords - obj.manifold._transport(y.coords, x.coords, g_y.coords - ref)
+            v = g_x - self.obj.manifold._transport(y, x, g_y - ref)
         except GeometryError as e:
             raise OptimizerError(f"transport failed at iteration {self.steps}: {e}") from e
         v_sq = float(v.dot(v))
@@ -257,8 +270,7 @@ class _Run:
             raise OptimizerError(
                 f"transport failed at iteration {self.steps}: tangent coordinates must be finite"
             )
-        self.tallies["correction"] += 2 * batch
-        return v, v_sq, batch
+        return v, v_sq
 
     def step(self, x, y, ref, size, cap, eta):
         """One solver step: the :meth:`estimate` v, then a move from the
@@ -266,22 +278,25 @@ class _Run:
         ``steps`` and recorded. Returns the new point, the geodesic step
         length and v."""
         v, v_sq, batch = self.estimate(x, y, ref, size, cap)
-        man, s = self.obj.manifold, -eta
-        step = v * s
-        try:
-            if self.map_mode == "exp":
-                x_next = man._exp(x.coords, step, v_sq * (s * s))
-                step_len = eta * math.sqrt(v_sq)
-            else:
-                x_next = man._retract(x.coords, step)
-                step_len = man._dist(x.coords, x_next)
-        except GeometryError as e:
-            raise OptimizerError(f"degenerate step at iteration {self.steps}: {e}") from e
-        x_next = ManifoldPoint._raw(man, x_next)
+        x_next, step_len = self.move(x.coords, v, v_sq, eta)
+        x_next = ManifoldPoint._raw(self.obj.manifold, x_next)
         self.steps += 1
         self._last = (step_len, batch)
         self.after_step(x_next, step_len, batch)
         return x_next, step_len, v
+
+    def move(self, x, v, v_sq, eta):
+        """The raw point reached from ``x`` along ``-eta v`` by the run's map
+        mode, and the geodesic step length."""
+        man, s = self.obj.manifold, -eta
+        step = v * s
+        try:
+            if self.map_mode == "exp":
+                return man._exp(x, step, v_sq * (s * s)), eta * math.sqrt(v_sq)
+            x_next = man._retract(x, step)
+            return x_next, man._dist(x, x_next)
+        except GeometryError as e:
+            raise OptimizerError(f"degenerate step at iteration {self.steps}: {e}") from e
 
     def _snap(self, x, step_dist, batch, boundary):
         calls = self.spent()
@@ -289,9 +304,12 @@ class _Run:
         self.records.append(TraceRecord(self.steps, calls / self.obj.n, calls, f, g_sq,
                                         step_dist, batch, boundary))
 
+    def due(self) -> bool:
+        """Whether the run's spend has reached its next checkpoint boundary."""
+        return self.spent() / self.obj.n >= self._next_idx * self.every - 1e-12
+
     def after_step(self, x, step_dist, batch):
-        epoch = self.spent() / self.obj.n
-        while epoch >= self._next_idx * self.every - 1e-12:
+        while self.due():
             self._snap(x, step_dist, batch, self._next_idx * self.every)
             self._next_idx += 1
 
@@ -335,6 +353,19 @@ class _Indices:
         self._block = self.rng.integers(0, self.n, size=max(_DRAW_BLOCK, short))
         self._at = short
         return np.concatenate((rest, self._block[:short]))
+
+    def singles(self, count):
+        """The indices ``count`` successive ``take(1)`` calls return, as one array."""
+        parts = []
+        while count:
+            if self._at == self._block.size:
+                self._block = self.rng.integers(0, self.n, size=_DRAW_BLOCK)
+                self._at = 0
+            k = min(count, self._block.size - self._at)
+            parts.append(self._block[self._at:self._at + k])
+            self._at += k
+            count -= k
+        return np.concatenate(parts)
 
 
 def _spider_core(run, x0, cfg: SpiderConfig, budget, *, on_correction=None, pick=True):
@@ -580,23 +611,183 @@ def rsvrg(
     the epoch keeps the current snapshot, so the calls left buy inner steps.
     In "retract" mode the update is the normalization (x + v)/|x + v|, the
     classical power-method-flavored approximation of the exponential update.
+    The run is the one-column case of :func:`_rsvrg_columns`.
+    """
+    (end,) = _rsvrg_columns([(obj, x0, seed)], eta, epochs, inner_len, map_mode=map_mode,
+                            checkpoint_every=checkpoint_every, max_ifo=max_ifo)
+    if isinstance(end, Exception):
+        raise end
+    return end
+
+
+def _rsvrg_columns(starts, eta, epochs, inner_len=None, *, map_mode="exp",
+                   checkpoint_every=1.0, max_ifo=None) -> list:
+    """:func:`rsvrg` from every ``(obj, x0, seed)`` of ``starts`` at once, as
+    one lockstep column block.
+
+    The schedule's batch sizes (n per snapshot, one per inner step) and its
+    budget do not depend on the iterates, so all the runs spend alike and
+    one schedule advances them together (:class:`_Lockstep`). Each run keeps
+    its own :class:`_Run`: index stream, tallies and records. The objectives
+    share n and the manifold; the runs on one objective share its oracle
+    calls when they are consecutive in ``starts``. Returns, per start, its
+    ``(point, trace)`` or the exception that ended that run alone.
     """
     _check_positive("step size", eta)
     _check_count("epochs", epochs, 0)
     _check_count("inner_len", inner_len, 1, or_none=True)
-    m = obj.n if inner_len is None else inner_len
-    run = _Run(obj, x0, seed, map_mode, checkpoint_every, max_ifo)
-    x = x0
+    if not starts:
+        return []
+    first = starts[0][0]
+    if any(obj.n != first.n or obj.manifold != first.manifold for obj, _x, _s in starts):
+        raise ValueError("a column block needs one n and one manifold")
+    n = first.n
+    m = n if inner_len is None else inner_len
+    block = _Lockstep(starts, eta, map_mode, checkpoint_every, max_ifo)
     for s in range(epochs):
-        if run.exhausted():
+        if not block.runs or block.runs[0].exhausted():
             break
-        if s == 0 or max_ifo is None or max_ifo - run.spent() >= obj.n + 2:
-            x_snap = x
-            mu, _, batch = run.estimate(x_snap, None, None, obj.n, obj.n)
-            run.after_step(x, 0.0, batch)
+        if s == 0 or max_ifo is None or max_ifo - block.runs[0].spent() >= n + 2:
+            block.snapshot()
         for _i in range(m):
-            if run.exhausted(paired=True):
+            if not block.runs or block.runs[0].exhausted(paired=True):
                 break
-            x, _, _ = run.step(x, x_snap, mu, 1, None, eta)
-    config = {"eta": eta, "epochs": epochs, "inner_len": m}
-    return x, run.trace(x, "rsvrg", config)
+            block.step()
+    return block.ends({"eta": eta, "epochs": epochs, "inner_len": m})
+
+
+class _Lockstep:
+    """The live runs of an rsvrg column block, advanced one schedule step at
+    a time: row j of the S x d arrays ``x`` (iterates), ``y`` (snapshots) and
+    ``mu`` (the snapshots' full gradients) belongs to ``runs[j]``.
+
+    A snapshot is each run's own full-pass :meth:`_Run.estimate`. An inner
+    step draws each run's next index from its own stream, ``_DRAW_BLOCK``
+    steps ahead (:meth:`_Indices.singles`), and makes one charged
+    ``minibatch_rgrad`` call per objective and point set with a column batch;
+    the correction and the move are the manifold's column forms. Every row
+    gets the bits of its run's own :meth:`_Run.step`. A row that a check
+    flags (a non-finite gradient or correction, or a column form's mask) is
+    replayed by the run's own :meth:`_Run.correct` and :meth:`_Run.move` on
+    the same gradients: that raises as a lone run would, and ends that run
+    alone, or gives the row its value. Every run spends alike, so
+    ``runs[0]`` answers for all of them whether the budget is exhausted and
+    whether a checkpoint is due.
+    """
+
+    def __init__(self, starts, eta, map_mode, checkpoint_every, max_ifo):
+        self.man, self.eta, self.exp = starts[0][0].manifold, eta, map_mode == "exp"
+        self.failed = {}  # index into starts -> the exception that ended it
+        self.cols, self.runs, x = [], [], []
+        for c, (obj, x0, seed) in enumerate(starts):
+            try:
+                self.runs.append(_Run(obj, x0, seed, map_mode, checkpoint_every, max_ifo))
+            except Exception as e:
+                self.failed[c] = e
+                continue
+            self.cols.append(c)
+            x.append(x0.coords)
+        self.x = np.array(x)
+        self.y = self.mu = self.lens = self._draws = None
+        self._regroup()
+
+    def _regroup(self):
+        # (objective, row slice) for each stretch of runs on one objective
+        self.groups, j = [], 0
+        for obj, same in itertools.groupby(self.runs, key=lambda run: run.obj):
+            k = j + len(list(same))
+            self.groups.append((obj, slice(j, k)))
+            j = k
+
+    def _point(self, j):
+        return ManifoldPoint._raw(self.man, self.x[j])
+
+    def _drop(self, failed):
+        """End the runs at the rows of ``failed`` ({row: exception})."""
+        keep = [j for j in range(len(self.runs)) if j not in failed]
+        for j, e in failed.items():
+            self.failed[self.cols[j]] = e
+        self.cols = [self.cols[j] for j in keep]
+        self.runs = [self.runs[j] for j in keep]
+        same = self.y is self.x  # right after a snapshot
+        self.x, self.mu = self.x[keep], self.mu[keep]
+        self.y = self.x if same else self.y[keep]
+        if self.lens is not None:
+            self.lens = self.lens[keep]
+        if self._draws is not None:
+            self._draws = self._draws[:, keep]
+        self._regroup()
+
+    def snapshot(self):
+        mu, failed = np.empty_like(self.x), {}
+        for j, run in enumerate(self.runs):
+            x = self._point(j)
+            try:
+                mu[j], _, batch = run.estimate(x, None, None, run.obj.n, run.obj.n)
+                run.after_step(x, 0.0, batch)
+            except Exception as e:
+                failed[j] = e
+        self.y, self.mu = self.x, mu
+        if failed:
+            self._drop(failed)
+
+    def step(self):
+        if self._draws is None or self._at == len(self._draws):
+            self._draws = np.stack([run.indices.singles(_DRAW_BLOCK) for run in self.runs], 1)
+            self._at = 0
+        idx = self._draws[self._at]
+        self._at += 1
+        x, y, man, s = self.x, self.y, self.man, -self.eta
+        g_x, g_y = [], []
+        for obj, rows in self.groups:
+            batch = obj._prepare_columns(idx[rows])
+            g_x.append(obj.minibatch_rgrad(batch, x[rows]))
+            g_y.append(obj.minibatch_rgrad(batch, y[rows]))
+        g_x, g_y = np.concatenate(g_x), np.concatenate(g_y)
+        # a flagged row is replayed below, and raises or warns there as a run
+        # does; here its meaningless values must not warn
+        with np.errstate(all="ignore"):
+            t, flagged = man._transport_rows(y, x, g_y - self.mu)
+            v = g_x - t
+            v_sq = np.vecdot(v, v)
+            flagged |= ~np.isfinite(np.vecdot(g_x, g_x) + np.vecdot(g_y, g_y) + v_sq)
+            if self.exp:
+                x_next, bad = man._exp_rows(x, v * s, v_sq * (s * s))
+                lens = self.eta * np.sqrt(v_sq)
+            else:
+                x_next, bad = man._retract_rows(x, v * s)
+                lens, far = man._dist_rows(x, x_next)
+                bad |= far
+            flagged |= bad
+        failed = {}
+        for j in np.flatnonzero(flagged).tolist() if flagged.any() else ():
+            run, x_j = self.runs[j], x[j]
+            # on the step after a snapshot a run's y is its x, the very array,
+            # which transport returns v for
+            y_j = x_j if y is x else y[j]
+            try:
+                for base, g in ((x_j, g_x[j]), (y_j, g_y[j])):  # the oracle's finiteness check
+                    TangentVector._raw(ManifoldPoint._raw(man, base), g)
+                v_j, v_sq_j = run.correct(x_j, y_j, g_x[j], g_y[j], self.mu[j])
+                x_next[j], lens[j] = run.move(x_j, v_j, v_sq_j, self.eta)
+            except Exception as e:
+                failed[j] = e
+        for run in self.runs:
+            run.tallies["correction"] += 2
+            run.steps += 1
+        self.x, self.lens = x_next, lens
+        if failed:
+            self._drop(failed)
+        if self.runs and self.runs[0].due():
+            for j, run in enumerate(self.runs):
+                run.after_step(self._point(j), float(self.lens[j]), 1)
+
+    def ends(self, config) -> list:
+        """Per start of the block: its ``(point, trace)`` or its exception."""
+        out = dict(self.failed)
+        for j, run in enumerate(self.runs):
+            if self.lens is not None:  # the latest step's length and batch
+                run._last = (float(self.lens[j]), 1)
+            x = ManifoldPoint._raw(self.man, self.x[j].copy())
+            out[self.cols[j]] = (x, run.trace(x, "rsvrg", config))
+        return [out[c] for c in sorted(out)]

@@ -60,12 +60,21 @@ class _Batch:
     both its evaluations; ``minibatch_rgrad`` skips its index checks."""
 
     __slots__ = ("rows",)
+    columns = False  # a column batch evaluates row i at point i
 
     def __init__(self, rows: np.ndarray):
         self.rows = rows
 
     def __len__(self):  # the batch size perfbench/tracing.py reads with len()
         return self.rows.shape[0]
+
+
+class _Columns(_Batch):
+    """A column batch: one drawn row per run of a lockstep block, row i
+    evaluated at point i (:meth:`FiniteSumObjective._prepare_columns`)."""
+
+    __slots__ = ()
+    columns = True
 
 
 class FiniteSumObjective(ABC):
@@ -77,6 +86,9 @@ class FiniteSumObjective(ABC):
     ``_grad(rows, x)``, the mean tangent gradient as a raw array. The base
     checks raw indices, gathers their rows (``_prepare``) and charges
     ``counter`` through one path, one call per row; value calls are free.
+    A lockstep solver evaluates one row per run at once through the per-row
+    kernel ``_grads(rows, X)``, which stacks one-row ``_grad`` calls unless a
+    subclass gives it a vectorized form with the same bits.
     """
 
     def __init__(self, manifold: Manifold, rows):
@@ -111,22 +123,36 @@ class FiniteSumObjective(ABC):
         """Mean gradient over an index multiset (uniform-with-replacement draws).
 
         ``idx`` is an integer array, checked here, or a batch a solver
-        prepared from indices it drew in range (:meth:`_prepare`).
+        prepared from indices it drew in range (:meth:`_prepare`). For a
+        column batch (:meth:`_prepare_columns`) ``x`` is a k x p array of
+        points, and the result is the raw k x p array whose row i is row i's
+        gradient at ``x[i]``, unchecked: the caller checks it.
         """
         if not isinstance(idx, _Batch):
             idx = self._prepare(self._checked(idx))
-        return self._charged(idx.rows, x)
+        return self._charged(idx.rows, x, idx.columns)
 
     def full_rgrad(self, x: ManifoldPoint) -> TangentVector:
         """Exact mean gradient; charges n calls."""
         return self._charged(self._rows, x)
 
-    def _charged(self, rows: np.ndarray, x: ManifoldPoint) -> TangentVector:
+    def _charged(self, rows: np.ndarray, x, columns=False):
         # the one metered path: every charged gradient is evaluated here, and
         # nothing else writes the counter
+        if columns:
+            g = self._grads(rows, x)
+            self.counter.calls += rows.shape[0]
+            return g
         g = self._grad(rows, x)
         self.counter.calls += rows.shape[0]
         return TangentVector._raw(x, g)
+
+    def _grads(self, rows: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Row i's tangent gradient at the point ``X[i]``, raw: one one-row
+        :meth:`_grad` call per row, stacked."""
+        man = self.manifold
+        return np.stack([self._grad(rows[i:i + 1], ManifoldPoint._raw(man, X[i]))
+                         for i in range(rows.shape[0])])
 
     def _exact_grad(self, x: ManifoldPoint) -> TangentVector:
         """grad f(x) from the full-pass kernel, uncharged: the probes' read of
@@ -136,6 +162,10 @@ class FiniteSumObjective(ABC):
     def _prepare(self, idx: np.ndarray) -> _Batch:
         """The batch of indices a solver drew in range, for ``minibatch_rgrad``."""
         return _Batch(self._rows.take(idx, axis=0))
+
+    def _prepare_columns(self, idx: np.ndarray) -> _Columns:
+        """The column batch of one index per run, drawn in range."""
+        return _Columns(self._rows.take(idx, axis=0))
 
     def _probe(self, x: ManifoldPoint) -> tuple[float, float]:
         """f(x) and |grad f(x)|^2, uncharged: every checkpoint record's values
@@ -221,6 +251,14 @@ class PcaProblem(FiniteSumObjective):
         g = rows.dot(x_arr).dot(rows)
         g *= -2.0 / rows.shape[0]
         g -= x_arr.dot(g) * x_arr
+        return g
+
+    def _grads(self, rows, X):
+        # _grad on each row, vectorized: np.vecdot makes the one-row products'
+        # ddot calls, and a one-row mean is the product itself
+        g = np.vecdot(rows, X)[:, None] * rows
+        g *= -2.0
+        g -= np.vecdot(X, g)[:, None] * X
         return g
 
     def _gram(self) -> np.ndarray:

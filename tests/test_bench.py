@@ -242,8 +242,9 @@ class TestRunSweep:
                 raise OptimizerError("degenerate step at iteration 3")
             return real(cfg, P, f_star, tau, delta, *args)
 
+        # spider cells run one at a time, through _run_cell
         monkeypatch.setattr(bench, "_run_cell", flaky)
-        res = run_sweep(tiny_cfg(delta_list=(0.2, 0.1), epochs=2.0))
+        res = run_sweep(tiny_cfg(algo=("spider",), delta_list=(0.2, 0.1), epochs=2.0))
         assert len(res.failures) == 1
         assert res.failures[0][1] == 0.1
         assert res.failures[0][3] == "OptimizerError: degenerate step at iteration 3"
@@ -347,12 +348,69 @@ class TestRunSweep:
             return real(cfg, P, f_star, tau, delta, seed, *args)
 
         monkeypatch.setattr(bench, "_run_cell", flaky)
-        res = run_sweep(tiny_cfg(delta_list=(0.2, 0.1), seeds=(0, 1), epochs=1.0))
+        res = run_sweep(tiny_cfg(algo=("spider",), delta_list=(0.2, 0.1), seeds=(0, 1),
+                                 epochs=1.0))
         assert [(f[1], f[2], f[3]) for f in res.failures] == [
             (0.2, 1, "ValueError: all probe points are near-critical"),
             (0.1, 1, "ValueError: all probe points are near-critical"),
         ]
         assert {(row.delta, row.seed) for row in res.rows} == {(0.2, 0), (0.1, 0)}
+
+    @pytest.mark.parametrize("fault", ["transport", "gradient", "snapshot"])
+    def test_block_column_failure_matches_its_one_cell_sweep(self, monkeypatch, fault):
+        # the rsvrg and vrpca cells of a sweep run as column blocks; a fault
+        # tied to seed 1's start point ends that column alone, in every gap,
+        # with the message its one-cell sweep gives, and the other columns
+        # keep the rows of a sweep without the fault
+        import rspider.bench as bench
+        import rspider.geometry as geometry
+        import rspider.oracle as oracle
+
+        cfg = tiny_cfg(algo=("rsvrg", "vrpca"), delta_list=(0.2, 0.1), seeds=(0, 1, 2),
+                       epochs=2.0)
+        healthy = run_sweep(cfg)
+        x_bad = bench._draw_x0(sweep_instance(cfg, 0.2), 1).coords  # the same in every gap
+        if fault == "transport":  # from seed 1's first snapshot, at x_bad
+            rows, one = geometry.Sphere._transport_rows, geometry.Sphere._transport
+
+            def transport_rows(self, X, Y, V):
+                out, bad = rows(self, X, Y, V)
+                return out, bad | (X == x_bad).all(axis=1)
+
+            def transport(self, x, y, v):
+                if np.array_equal(x, x_bad):
+                    raise geometry.AntipodalError("forced")
+                return one(self, x, y, v)
+
+            monkeypatch.setattr(geometry.Sphere, "_transport_rows", transport_rows)
+            monkeypatch.setattr(geometry.Sphere, "_transport", transport)
+            message = "OptimizerError: transport failed at iteration 0: forced"
+        elif fault == "gradient":  # a non-finite component gradient at x_bad
+            grads = oracle.PcaProblem._grads
+
+            def nan_grads(self, rows, X):
+                g = grads(self, rows, X)
+                g[(X == x_bad).all(axis=1)] = np.nan
+                return g
+
+            monkeypatch.setattr(oracle.PcaProblem, "_grads", nan_grads)
+            message = "GeometryError: tangent coordinates must be finite"
+        else:  # a non-finite full gradient at x_bad: seed 1's first snapshot fails
+            grad = oracle.PcaProblem._grad
+
+            def nan_grad(self, rows, x):
+                g = grad(self, rows, x)
+                return g * np.nan if np.array_equal(x.coords, x_bad) else g
+
+            monkeypatch.setattr(oracle.PcaProblem, "_grad", nan_grad)
+            message = "GeometryError: tangent coordinates must be finite"
+        res = run_sweep(cfg)
+        assert res.failures == [(algo, delta, 1, message) for algo in cfg.algo
+                                for delta in cfg.delta_list]
+        for algo, delta, seed, msg in res.failures:
+            alone = run_sweep(replace(cfg, algo=(algo,), delta_list=(delta,), seeds=(seed,)))
+            assert alone.failures == [(algo, delta, seed, msg)]
+        assert res.rows == [row for row in healthy.rows if row.seed != 1]
 
     @pytest.mark.parametrize("workers", [
         1,
@@ -658,6 +716,7 @@ class TestCli:
 
         ran = []
         monkeypatch.setattr(bench, "_run_cell", lambda *a, **k: ran.append(a))
+        monkeypatch.setattr(bench, "_run_block", lambda *a, **k: ran.append(a))  # rsvrg cells
         out = tmp_path / "x.csv"
         code = cli_main(
             ["bench", "--d", "10", "--n", "50", "--delta-list", "0.1,0.3",

@@ -474,3 +474,89 @@ def test_raw_ops_keep_the_antipodal_check():
                lambda: S3.dist(x, y)):
         with pytest.raises(AntipodalError):
             op()
+
+
+# one row of a column-form case: what its point, tangent and second point are
+_ROW_KINDS = ("plain", "long", "small", "still", "nudged", "zero", "grazing", "nonfinite")
+
+
+def _column_case(M, rng, kind):
+    p = M.random_point(rng)
+    x = p.coords
+    if kind == "plain":
+        return x, M.random_tangent(p, rng, scale=0.5).coords, M.exp(p, M.random_tangent(
+            p, rng, scale=0.3)).coords
+    if kind == "long":
+        return x, M.random_tangent(p, rng, scale=2.5).coords, M.random_point(rng).coords
+    if kind in ("small", "still"):  # sphere exp's short branch; y equals x in another array
+        return x, M.random_tangent(p, rng, scale=1e-10 if kind == "small" else 0.0).coords, \
+            x.copy()
+    if kind == "nudged":  # x + v is 3e-9 off unit norm: renormalized on the sphere
+        return x, M.random_tangent(p, rng, scale=1e-12).coords + 3e-9 * x, x * (1 + 1e-8)
+    if kind == "zero":  # x + v = 0, and y antipodal to x
+        return x, -x, -x
+    if kind == "grazing":  # |x + v| about 1e-13: too short to retract along
+        return x, M.random_tangent(p, rng, scale=1e-13).coords - x, M.random_point(rng).coords
+    v = M.random_tangent(p, rng).coords
+    v[0] = np.nan
+    return x, v, M.random_point(rng).coords
+
+
+def _outcome(op, *args):
+    try:
+        return op(*args)
+    except (GeometryError, ValueError) as e:
+        return e
+
+
+def _assert_rows_match(column, one_d):
+    # row i has the 1-D op's bits, or is flagged where the 1-D op raises
+    out, bad = column
+    assert bad.dtype == bool and bad.shape == (len(one_d),)
+    for i, ref in enumerate(one_d):
+        if isinstance(ref, Exception):
+            assert bad[i], (i, ref)
+        else:
+            assert not bad[i], i
+            assert np.asarray(out[i]).tobytes() == np.asarray(ref, dtype=float).tobytes(), i
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    flat=hst.booleans(),
+    d=hst.integers(2, 8),
+    seed=hst.integers(0, 2**32 - 1),
+    kinds=hst.lists(hst.sampled_from(_ROW_KINDS), min_size=1, max_size=6),
+)
+def test_column_ops_equal_the_raw_ops_row_by_row(flat, d, seed, kinds):
+    # a lockstep block's column forms give every row the bits of the 1-D raw
+    # op, and flag exactly the rows on which the 1-D op raises
+    M = Euclidean(d) if flat else Sphere(d)
+    rng = np.random.default_rng(seed)
+    X, V, Y = (np.array(a) for a in zip(*(_column_case(M, rng, k) for k in kinds)))
+    rows = range(len(kinds))
+    with np.errstate(all="ignore"):  # as the block computes flagged rows
+        v_sq = np.vecdot(V, V)
+        cases = [
+            (M._exp_rows(X, V, v_sq), [_outcome(M._exp, X[i], V[i], float(v_sq[i])) for i in rows]),
+            (M._retract_rows(X, V), [_outcome(M._retract, X[i], V[i]) for i in rows]),
+            (M._transport_rows(X, Y, V), [_outcome(M._transport, X[i], Y[i], V[i]) for i in rows]),
+            (M._transport_rows(X, X, V), [_outcome(M._transport, x, x, v) for x, v in zip(X, V)]),
+            (M._dist_rows(X, Y), [_outcome(M._dist, X[i], Y[i]) for i in rows]),
+        ]
+    for column, one_d in cases:
+        _assert_rows_match(column, one_d)
+
+
+def test_column_clean_equals_clean_point_row_by_row():
+    # the sphere's point cleaning: kept within 1e-9 of unit norm, renormalized
+    # beyond it, rejected when zero or not finite
+    S = Sphere(3)
+    x = S.point([1.0, 2.0, 2.0]).coords
+    P = np.array([x, x * (1 + 5e-10), x * (1 + 5e-9), 3.0 * x, 0.0 * x, x + np.inf])
+    with np.errstate(all="ignore"):
+        out, bad = S._clean_rows(P)
+    assert bad.tolist() == [False, False, False, False, True, True]
+    for i in range(4):
+        assert out[i].tobytes() == S._clean_point(P[i]).tobytes()
+    assert out[1].tobytes() == P[1].tobytes() and out[2].tobytes() != P[2].tobytes()

@@ -18,6 +18,7 @@ from rspider.optim import (
     _Indices,
     _Run,
     _batch_size,
+    _rsvrg_columns,
     _spider_core,
     params_finite,
     params_stochastic,
@@ -95,9 +96,12 @@ class TestSchedules:
 
     @pytest.mark.parametrize("L", [1e-310, 5e-324])
     def test_config_rejects_a_step_that_overflows(self, L):
-        # L is finite and positive, but its step 1/(2L) is not
-        with pytest.raises(ValueError, match="step size must be finite and positive"):
-            SpiderConfig(L=L, eps=0.1, q=1, S1=1, T=1)
+        # L is finite and positive, but its step 1/(2L) is not; the restart
+        # schemes' config rejects it too, before a run forms anything
+        for make in (lambda: SpiderConfig(L=L, eps=0.1, q=1, S1=1, T=1),
+                     lambda: GdConfig(M0=1.0, tau=1.0, L=L, K=1)):
+            with pytest.raises(ValueError, match="step size must be finite and positive"):
+                make()
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("field", ["L", "eps"])
@@ -717,6 +721,81 @@ def test_index_helper_matches_sized_draws():
         indices = _Indices(block, n)
         for _ in range(2 * B + 5):
             assert indices.take(1).tolist() == [int(scalar.integers(0, n))]
+
+
+def test_singles_are_successive_single_takes():
+    # a lockstep block draws each run's next single indices a block at a
+    # time, after whatever sized draw (a clipped first snapshot) came first
+    for n in (7, 2000):
+        for head in (0, 5, _DRAW_BLOCK):
+            ahead, single = (_Indices(np.random.default_rng(n), n) for _ in range(2))
+            if head:
+                ahead.take(head)
+                single.take(head)
+            got = np.concatenate([ahead.singles(k) for k in (3, _DRAW_BLOCK, 2 * _DRAW_BLOCK + 1)])
+            assert got.tolist() == [int(single.take(1)[0]) for _ in range(got.size)]
+
+
+@pytest.mark.parametrize("map_mode", ["exp", "retract"])
+@pytest.mark.parametrize("max_ifo", [None, 15, 75])
+def test_column_block_runs_equal_lone_runs(map_mode, max_ifo):
+    # a block over two objectives that share n: every column ends at its lone
+    # run's point with its records and meta, and each objective's counter
+    # charges exactly its columns' calls. The budgets clip the first snapshot
+    # to a draw (15 < n) or end the second epoch mid-way (75)
+    P, Q = desk_problem(d=6, n=25, seed=40), desk_problem(d=6, n=25, delta=0.2, seed=41)
+    starts = [(obj, obj.manifold.random_point(np.random.default_rng(10 + s)), s)
+              for obj in (P, Q) for s in (0, 1, 2)]
+    kw = dict(map_mode=map_mode, checkpoint_every=0.5, max_ifo=max_ifo)
+    ends = _rsvrg_columns(starts, 0.05, 4, 10, **kw)
+    for obj in (P, Q):
+        assert obj.counter.calls == sum(trace.meta["ifo"] for (o, _x, _s), (_p, trace)
+                                        in zip(starts, ends) if o is obj)
+    for (obj, x0, seed), (x, trace) in zip(starts, ends):
+        x_alone, alone = rsvrg(obj, x0, 0.05, 4, 10, seed=seed, **kw)
+        assert x.coords.tobytes() == x_alone.coords.tobytes()
+        assert trace.records == alone.records and trace.meta == alone.meta
+
+
+@pytest.mark.parametrize("map_mode", ["exp", "retract"])
+def test_flagged_rows_replayed_without_a_fault_keep_their_bits(monkeypatch, map_mode):
+    # a row whose checks flag it is replayed by its run's own correction and
+    # move; when nothing is wrong the replay gives the row's value, the step
+    # after a snapshot included, where the run transports from x to x itself
+    P = desk_problem(d=6, n=25, seed=42)
+    starts = [(P, P.manifold.random_point(np.random.default_rng(20 + s)), s) for s in (0, 1)]
+    kw = dict(map_mode=map_mode, checkpoint_every=0.5)
+    alone = [rsvrg(obj, x0, 0.05, 3, 10, seed=seed, **kw) for obj, x0, seed in starts]
+    rows = Sphere._transport_rows
+
+    def flag_every_row(self, X, Y, V):
+        out, _bad = rows(self, X, Y, V)
+        return out, np.ones(len(V), dtype=bool)
+
+    monkeypatch.setattr(Sphere, "_transport_rows", flag_every_row)
+    for (x, trace), (x_alone, trace_alone) in zip(_rsvrg_columns(starts, 0.05, 3, 10, **kw),
+                                                  alone):
+        assert x.coords.tobytes() == x_alone.coords.tobytes()
+        assert trace.records == trace_alone.records
+
+
+def test_block_run_that_raises_ends_alone():
+    # f = -2 x_1^2: from 45 degrees a step of pi/2 lands exp on -x0, so that
+    # column's next correction cannot transport; the other columns go on and
+    # every column ends as its lone run does
+    P = r.PcaProblem(np.array([[math.sqrt(2.0)], [0.0]]))
+    starts = [(P, P.manifold.point(c), 0) for c in ([1.0, 0.3], [1.0, 1.0], [0.2, 1.0])]
+    ends = _rsvrg_columns(starts, math.pi / 2, 1, 2)
+    assert str(ends[1]).startswith("transport failed at iteration 1")
+    for (obj, x0, seed), end in zip(starts, ends):
+        try:
+            x, trace = rsvrg(obj, x0, math.pi / 2, 1, 2, seed=seed)
+        except OptimizerError as e:
+            assert type(end) is OptimizerError and str(end) == str(e)
+        else:
+            assert end[0].coords.tobytes() == x.coords.tobytes()
+            assert end[1].records == trace.records
+    assert not isinstance(ends[0], Exception)
 
 
 @pytest.mark.parametrize("make", [chordal_mean_problem, least_squares_problem])

@@ -261,6 +261,30 @@ def test_minibatch_is_mean_of_component_gradients(d, extra, batch, seed):
     assert np.linalg.norm(g - np.mean(singles, axis=0)) <= 1e-12 * scale
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    d=hst.integers(2, 30),
+    extra=hst.integers(0, 40),
+    k=hst.integers(1, 30),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_column_batch_has_the_one_row_bits(d, extra, k, seed):
+    # a column batch evaluates row i at point i in one charged call of k
+    # components; PcaProblem's vectorized kernel gives each row the bits of a
+    # one-component evaluation, as the default stacked kernel does
+    rng = np.random.default_rng(seed)
+    P = r.PcaProblem(rng.standard_normal((d, d + extra)))
+    X = np.array([P.manifold.random_point(rng).coords for _ in range(k)])
+    idx = rng.integers(0, P.n, size=k)
+    batch = P._prepare_columns(idx)
+    g = P.minibatch_rgrad(batch, X)
+    assert P.counter.calls == k == len(batch)
+    assert g.tobytes() == r.FiniteSumObjective._grads(P, batch.rows, X).tobytes()
+    for i in range(k):
+        one = P.component_rgrad(int(idx[i]), P.manifold.point(X[i]))
+        assert g[i].tobytes() == one.coords.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     d=hst.integers(2, 30),

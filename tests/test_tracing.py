@@ -58,10 +58,11 @@ def test_traced_sweep_covers_every_charging_path():
     # the six algorithms reach every charging path of the solver loops:
     # full-gradient anchors and capped full corrections, and prepared
     # minibatches, single-sample steps included; every correction charges
-    # both of its evaluations, and no solver charges through component_rgrad
+    # both of its evaluations, and no solver charges through component_rgrad.
+    # Two gaps make each rsvrg and vrpca column block span two instances.
     cfg = ExperimentConfig(
         algo=("rsgd", "spider", "spider-gd1", "spider-gd2", "rsvrg", "vrpca"),
-        d=10, n=30, delta_list=(0.2,), epochs=2.0, seeds=(0, 1), eta=0.05,
+        d=10, n=30, delta_list=(0.2, 0.1), epochs=2.0, seeds=(0, 1), eta=0.05,
     )
     log = traced_sweep(cfg)
     minibatch = oracle_spans(log, "minibatch_rgrad")
