@@ -10,8 +10,9 @@ sum in a different order and change the last bits.
 
 The rsvrg and vrpca cells of one task (with one worker, the whole sweep)
 run as one lockstep column block per algorithm, every (gap, seed) cell a
-row of one iterate array, so the task holds all its instances at once:
-G·n·d·8 bytes for G gaps, 12.8 MB for the default sweep. Each cell still
+row of one iterate array, so the task holds the instances of all their
+gaps at once: G·n·d·8 bytes for G gaps, 12.8 MB for the default sweep.
+A task without such cells holds one instance at a time. Each cell still
 gets the rows it gets alone, to the bit.
 """
 
@@ -387,22 +388,24 @@ def _tau(P: PcaProblem, f_star: float) -> float:
 
 
 def _task_outcomes(cfg: ExperimentConfig, factors, cells) -> dict:
-    """Run one task's ``(index, algo, delta, seed)`` cells.
+    """Run one task's ``(index, algo, delta, seed)`` cells, which come gap by
+    gap.
 
     Builds each gap's instance once from the sweep's eigenvector ``factors``
     and finds its optimum; tau is estimated once per gap and shared by that
     gap's restart-scheme cells. The rsvrg and vrpca cells run as one column
-    block per algorithm (:func:`_run_block`), so the task holds all its
-    instances at once; the other cells run one at a time. Returns {index:
-    rows, or the exception that failed the cell}. An exception in a build
-    fails that gap's cells, one in the tau estimate fails the cells that need
-    tau, and one in a cell fails only that cell.
+    block per algorithm (:func:`_run_block`), so the task holds the instances
+    of their gaps until the blocks run; the other cells run one at a time,
+    and an instance no block holds is let go when its gap's cells are done.
+    Returns {index: rows, or the exception that failed the cell}. An
+    exception in a build fails that gap's cells, one in the tau estimate
+    fails the cells that need tau, and one in a cell fails only that cell.
     """
-    built, taus, blocks, out = {}, {}, {}, {}
+    built, taus, blocks, out = (None, None), {}, {}, {}
     for i, algo, delta, seed in cells:
-        if delta not in built:
-            built[delta] = _attempt(_instance, cfg, factors, delta)
-        gap = built[delta]
+        if built[0] != delta:
+            built = (delta, _attempt(_instance, cfg, factors, delta))
+        gap = built[1]
         if isinstance(gap, Exception):
             out[i] = gap
         elif algo in _BLOCK_ALGOS:

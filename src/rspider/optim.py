@@ -304,12 +304,9 @@ class _Run:
         self.records.append(TraceRecord(self.steps, calls / self.obj.n, calls, f, g_sq,
                                         step_dist, batch, boundary))
 
-    def due(self) -> bool:
-        """Whether the run's spend has reached its next checkpoint boundary."""
-        return self.spent() / self.obj.n >= self._next_idx * self.every - 1e-12
-
     def after_step(self, x, step_dist, batch):
-        while self.due():
+        epoch = self.spent() / self.obj.n
+        while epoch >= self._next_idx * self.every - 1e-12:
             self._snap(x, step_dist, batch, self._next_idx * self.every)
             self._next_idx += 1
 
@@ -353,19 +350,6 @@ class _Indices:
         self._block = self.rng.integers(0, self.n, size=max(_DRAW_BLOCK, short))
         self._at = short
         return np.concatenate((rest, self._block[:short]))
-
-    def singles(self, count):
-        """The indices ``count`` successive ``take(1)`` calls return, as one array."""
-        parts = []
-        while count:
-            if self._at == self._block.size:
-                self._block = self.rng.integers(0, self.n, size=_DRAW_BLOCK)
-                self._at = 0
-            k = min(count, self._block.size - self._at)
-            parts.append(self._block[self._at:self._at + k])
-            self._at += k
-            count -= k
-        return np.concatenate(parts)
 
 
 def _spider_core(run, x0, cfg: SpiderConfig, budget, *, on_correction=None, pick=True):
@@ -663,7 +647,8 @@ class _Lockstep:
 
     A snapshot is each run's own full-pass :meth:`_Run.estimate`. An inner
     step draws each run's next index from its own stream, ``_DRAW_BLOCK``
-    steps ahead (:meth:`_Indices.singles`), and makes one charged
+    steps ahead (one ``take(_DRAW_BLOCK)``, the indices of as many
+    ``take(1)`` calls), and makes one charged
     ``minibatch_rgrad`` call per objective and point set with a column batch;
     the correction and the move are the manifold's column forms. Every row
     gets the bits of its run's own :meth:`_Run.step`. A row that a check
@@ -733,7 +718,7 @@ class _Lockstep:
 
     def step(self):
         if self._draws is None or self._at == len(self._draws):
-            self._draws = np.stack([run.indices.singles(_DRAW_BLOCK) for run in self.runs], 1)
+            self._draws = np.stack([run.indices.take(_DRAW_BLOCK) for run in self.runs], 1)
             self._at = 0
         idx = self._draws[self._at]
         self._at += 1
@@ -743,24 +728,27 @@ class _Lockstep:
             batch = obj._prepare_columns(idx[rows])
             g_x.append(obj.minibatch_rgrad(batch, x[rows]))
             g_y.append(obj.minibatch_rgrad(batch, y[rows]))
-        g_x, g_y = np.concatenate(g_x), np.concatenate(g_y)
+        if len(g_x) == 1:
+            (g_x,), (g_y,) = g_x, g_y
+        else:
+            g_x, g_y = np.concatenate(g_x), np.concatenate(g_y)
         # a flagged row is replayed below, and raises or warns there as a run
         # does; here its meaningless values must not warn
         with np.errstate(all="ignore"):
             t, flagged = man._transport_rows(y, x, g_y - self.mu)
             v = g_x - t
             v_sq = np.vecdot(v, v)
-            flagged |= ~np.isfinite(np.vecdot(g_x, g_x) + np.vecdot(g_y, g_y) + v_sq)
+            # a non-finite gradient of either point set carries into v, so the
+            # check of v_sq covers the oracle's too; the exp mask holds it
             if self.exp:
                 x_next, bad = man._exp_rows(x, v * s, v_sq * (s * s))
                 lens = self.eta * np.sqrt(v_sq)
             else:
                 x_next, bad = man._retract_rows(x, v * s)
                 lens, far = man._dist_rows(x, x_next)
-                bad |= far
-            flagged |= bad
+                bad = bad | far | ~np.isfinite(v_sq)
         failed = {}
-        for j in np.flatnonzero(flagged).tolist() if flagged.any() else ():
+        for j in (flagged | bad).nonzero()[0].tolist():
             run, x_j = self.runs[j], x[j]
             # on the step after a snapshot a run's y is its x, the very array,
             # which transport returns v for
@@ -778,9 +766,13 @@ class _Lockstep:
         self.x, self.lens = x_next, lens
         if failed:
             self._drop(failed)
-        if self.runs and self.runs[0].due():
-            for j, run in enumerate(self.runs):
-                run.after_step(self._point(j), float(self.lens[j]), 1)
+        if self.runs:  # every run spends alike: the first tells whether a checkpoint is due
+            first = self.runs[0]
+            at = first._next_idx
+            first.after_step(self._point(0), float(self.lens[0]), 1)
+            if first._next_idx > at:
+                for j in range(1, len(self.runs)):
+                    self.runs[j].after_step(self._point(j), float(self.lens[j]), 1)
 
     def ends(self, config) -> list:
         """Per start of the block: its ``(point, trace)`` or its exception."""

@@ -313,6 +313,32 @@ class TestRunSweep:
         assert not res.failures
         assert calls == {"qr": 2, "tau": 3}  # one U and one V; one tau per gap
 
+    def test_instances_held_only_for_column_blocks(self, monkeypatch):
+        # cells come gap by gap, so a gap's instance is let go before the next
+        # gap's is built unless a column block still holds it
+        import gc
+        import weakref
+
+        import rspider.bench as bench
+
+        built, alive_at_build, instance = [], [], bench._instance
+
+        def tracked(*args):
+            gc.collect()
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            P, f_star = instance(*args)
+            built.append(weakref.ref(P))
+            return P, f_star
+
+        monkeypatch.setattr(bench, "_instance", tracked)
+        for algos, most in ((("rsgd", "spider"), 1), (("rsvrg", "spider"), 2)):
+            built.clear()
+            alive_at_build.clear()
+            res = run_sweep(tiny_cfg(algo=algos, delta_list=(0.2, 0.1, 0.05), seeds=(0, 1),
+                                     epochs=1.0))
+            assert not res.failures
+            assert alive_at_build == [0, 1, most], algos
+
     def test_gram_formed_once_per_gap(self, monkeypatch):
         # tau and every checkpoint of every cell of a gap read one Gram matrix
         import rspider.oracle as oracle

@@ -721,19 +721,15 @@ def test_index_helper_matches_sized_draws():
         indices = _Indices(block, n)
         for _ in range(2 * B + 5):
             assert indices.take(1).tolist() == [int(scalar.integers(0, n))]
-
-
-def test_singles_are_successive_single_takes():
-    # a lockstep block draws each run's next single indices a block at a
-    # time, after whatever sized draw (a clipped first snapshot) came first
-    for n in (7, 2000):
-        for head in (0, 5, _DRAW_BLOCK):
+        # a lockstep block takes B single indices at once: from an empty
+        # stream, part-way through a block, and after an oversized draw (a
+        # clipped first snapshot), take(B) is B successive take(1) calls
+        for head in (0, 5, 2 * B + 7):
             ahead, single = (_Indices(np.random.default_rng(n), n) for _ in range(2))
-            if head:
-                ahead.take(head)
-                single.take(head)
-            got = np.concatenate([ahead.singles(k) for k in (3, _DRAW_BLOCK, 2 * _DRAW_BLOCK + 1)])
-            assert got.tolist() == [int(single.take(1)[0]) for _ in range(got.size)]
+            ahead.take(head)
+            single.take(head)
+            got = np.concatenate([ahead.take(B) for _ in range(3)])
+            assert got.tolist() == [int(single.take(1)[0]) for _ in range(3 * B)]
 
 
 @pytest.mark.parametrize("map_mode", ["exp", "retract"])
@@ -779,23 +775,53 @@ def test_flagged_rows_replayed_without_a_fault_keep_their_bits(monkeypatch, map_
         assert trace.records == trace_alone.records
 
 
-def test_block_run_that_raises_ends_alone():
+@pytest.mark.parametrize("bad", [0, 1])
+def test_block_run_that_raises_ends_alone(bad):
     # f = -2 x_1^2: from 45 degrees a step of pi/2 lands exp on -x0, so that
     # column's next correction cannot transport; the other columns go on and
-    # every column ends as its lone run does
+    # every column ends as its lone run does, with a record at every step
     P = r.PcaProblem(np.array([[math.sqrt(2.0)], [0.0]]))
-    starts = [(P, P.manifold.point(c), 0) for c in ([1.0, 0.3], [1.0, 1.0], [0.2, 1.0])]
-    ends = _rsvrg_columns(starts, math.pi / 2, 1, 2)
-    assert str(ends[1]).startswith("transport failed at iteration 1")
+    corners = [[1.0, 0.3], [0.2, 1.0]]
+    corners.insert(bad, [1.0, 1.0])
+    starts = [(P, P.manifold.point(c), 0) for c in corners]
+    ends = _rsvrg_columns(starts, math.pi / 2, 1, 2, checkpoint_every=0.5)
+    assert str(ends[bad]).startswith("transport failed at iteration 1")
     for (obj, x0, seed), end in zip(starts, ends):
         try:
-            x, trace = rsvrg(obj, x0, math.pi / 2, 1, 2, seed=seed)
+            x, trace = rsvrg(obj, x0, math.pi / 2, 1, 2, seed=seed, checkpoint_every=0.5)
         except OptimizerError as e:
             assert type(end) is OptimizerError and str(end) == str(e)
         else:
             assert end[0].coords.tobytes() == x.coords.tobytes()
             assert end[1].records == trace.records
-    assert not isinstance(ends[0], Exception)
+    assert sum(isinstance(end, Exception) for end in ends) == 1
+
+
+@pytest.mark.parametrize("map_mode", ["exp", "retract"])
+def test_block_run_whose_correction_overflows_ends_alone(monkeypatch, map_mode):
+    # a finite correction whose squared norm overflows ends its run with the
+    # lone step's message, even where a step of 1e-150 retracts it finitely
+    P = desk_problem(d=6, n=25, seed=40)
+    starts = [(P, P.manifold.random_point(np.random.default_rng(10 + s)), s) for s in range(3)]
+    x_bad = starts[1][1].coords
+    rows, one = Sphere._transport_rows, Sphere._transport
+
+    def transport_rows(self, X, Y, V):
+        out, bad = rows(self, X, Y, V)
+        out = out.copy()
+        out[(X == x_bad).all(axis=1)] = 1e160
+        return out, bad
+
+    def transport(self, x, y, v):
+        return np.full_like(v, 1e160) if np.array_equal(x, x_bad) else one(self, x, y, v)
+
+    monkeypatch.setattr(Sphere, "_transport_rows", transport_rows)
+    monkeypatch.setattr(Sphere, "_transport", transport)
+    with np.errstate(over="ignore"):  # else the replayed check's overflow warns first
+        ends = _rsvrg_columns(starts, 1e-150, 1, 3, map_mode=map_mode)
+    assert isinstance(ends[1], OptimizerError)
+    assert str(ends[1]) == "transport failed at iteration 0: tangent coordinates must be finite"
+    assert not isinstance(ends[0], Exception) and not isinstance(ends[2], Exception)
 
 
 @pytest.mark.parametrize("make", [chordal_mean_problem, least_squares_problem])
