@@ -12,8 +12,10 @@ The rsvrg and vrpca cells of one task (with one worker, the whole sweep)
 run as one lockstep column block per algorithm, every (gap, seed) cell a
 row of one iterate array, so the task holds the instances of all their
 gaps at once: G·n·d·8 bytes for G gaps, 12.8 MB for the default sweep.
-A task without such cells holds one instance at a time. Each cell still
-gets the rows it gets alone, to the bit.
+A task's instances share one oracle counter, so each inner step of a block
+is one charged gradient call per point set across all its gaps. A task
+without such cells holds one instance at a time. Each cell still gets the
+rows it gets alone, to the bit.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from ._checks import _check_count, _check_modes, _check_positive
 from .diagnostics import _accuracy, _checkpoint_steps, epochs_to_double, pl_constant_estimate
 from .geometry import ManifoldPoint
 from .oracle import (
+    IfoCounter,
     PcaProblem,
     SyntheticSpec,
     _check_samples,
@@ -397,14 +400,20 @@ def _task_outcomes(cfg: ExperimentConfig, factors, cells) -> dict:
     block per algorithm (:func:`_run_block`), so the task holds the instances
     of their gaps until the blocks run; the other cells run one at a time,
     and an instance no block holds is let go when its gap's cells are done.
+    Every instance gets the task's one counter, so a block's inner step is
+    one charged call per point set across its gaps; each run still counts
+    and budgets only its own calls.
     Returns {index: rows, or the exception that failed the cell}. An
     exception in a build fails that gap's cells, one in the tau estimate
     fails the cells that need tau, and one in a cell fails only that cell.
     """
     built, taus, blocks, out = (None, None), {}, {}, {}
+    counter = IfoCounter()
     for i, algo, delta, seed in cells:
         if built[0] != delta:
             built = (delta, _attempt(_instance, cfg, factors, delta))
+            if not isinstance(built[1], Exception):
+                built[1][0].counter = counter
         gap = built[1]
         if isinstance(gap, Exception):
             out[i] = gap

@@ -254,8 +254,15 @@ def variance_probe(obj: FiniteSumObjective, frozen: FrozenState) -> ProbeReport:
     if frozen.sample_only or frozen.s2 < obj.n:
         gy = _row_grads(obj, frozen.x_prev)
         d = _row_grads(obj, frozen.x_curr)
-        for i in range(obj.n):
-            d[i] -= man._transport(y, x, gy[i])
+        # every row moves from y to x in one column call; when y is x, one
+        # array passed twice keeps the 1-D op's identity shortcut
+        X = np.broadcast_to(x, gy.shape)
+        Y = X if y is x else np.broadcast_to(y, gy.shape)
+        with np.errstate(all="ignore"):  # a flagged row's values are replaced below
+            t, flagged = man._transport_rows(Y, X, gy)
+        for i in flagged.nonzero()[0].tolist():
+            t[i] = man._transport(y, x, gy[i])  # raises as the 1-D op does
+        d -= t
         d -= d.mean(axis=0)
         sampling = float(np.einsum("ij,ij->", d, d)) / (obj.n * frozen.s2)
     return ProbeReport(

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._checks import _check_count, _check_modes, _check_positive
 from .geometry import GeometryError, ManifoldPoint, TangentVector
-from .oracle import FiniteSumObjective
+from .oracle import FiniteSumObjective, _prepare_columns
 
 __all__ = [
     "FrozenState",
@@ -613,8 +613,11 @@ def _rsvrg_columns(starts, eta, epochs, inner_len=None, *, map_mode="exp",
     budget do not depend on the iterates, so all the runs spend alike and
     one schedule advances them together (:class:`_Lockstep`). Each run keeps
     its own :class:`_Run`: index stream, tallies and records. The objectives
-    share n and the manifold; the runs on one objective share its oracle
-    calls when they are consecutive in ``starts``. Returns, per start, its
+    share n, the manifold, the counter and the gradient kernels (``_grad``
+    and ``_grads``), so each point set of a step is one charged call for the
+    whole block; a block that mixes them raises ``ValueError`` before any
+    call. The rows of one objective's runs are gathered together when the
+    runs are consecutive in ``starts``. Returns, per start, its
     ``(point, trace)`` or the exception that ended that run alone.
     """
     _check_positive("step size", eta)
@@ -625,6 +628,10 @@ def _rsvrg_columns(starts, eta, epochs, inner_len=None, *, map_mode="exp",
     first = starts[0][0]
     if any(obj.n != first.n or obj.manifold != first.manifold for obj, _x, _s in starts):
         raise ValueError("a column block needs one n and one manifold")
+    kernels = (type(first)._grad, type(first)._grads)
+    if any(obj.counter is not first.counter or (type(obj)._grad, type(obj)._grads) != kernels
+           for obj, _x, _s in starts):
+        raise ValueError("a column block needs one counter and one gradient kernel")
     n = first.n
     m = n if inner_len is None else inner_len
     block = _Lockstep(starts, eta, map_mode, checkpoint_every, max_ifo)
@@ -648,16 +655,17 @@ class _Lockstep:
     A snapshot is each run's own full-pass :meth:`_Run.estimate`. An inner
     step draws each run's next index from its own stream, ``_DRAW_BLOCK``
     steps ahead (one ``take(_DRAW_BLOCK)``, the indices of as many
-    ``take(1)`` calls), and makes one charged
-    ``minibatch_rgrad`` call per objective and point set with a column batch;
-    the correction and the move are the manifold's column forms. Every row
-    gets the bits of its run's own :meth:`_Run.step`. A row that a check
-    flags (a non-finite gradient or correction, or a column form's mask) is
-    replayed by the run's own :meth:`_Run.correct` and :meth:`_Run.move` on
-    the same gradients: that raises as a lone run would, and ends that run
-    alone, or gives the row its value. Every run spends alike, so
-    ``runs[0]`` answers for all of them whether the budget is exhausted and
-    whether a checkpoint is due.
+    ``take(1)`` calls), gathers every run's row into one column batch (one
+    gather per objective) and makes one charged ``minibatch_rgrad`` call per
+    point set on the first run's objective, whose kernel and counter every
+    run shares; the correction and the move are the manifold's column
+    forms. Every row gets the bits of its run's own :meth:`_Run.step`. A row
+    that a check flags (a non-finite gradient or correction, or a column
+    form's mask) is replayed by the run's own :meth:`_Run.correct` and
+    :meth:`_Run.move` on the same gradients: that raises as a lone run
+    would, and ends that run alone, or gives the row its value. Every run
+    spends alike, so ``runs[0]`` answers for all of them whether the budget
+    is exhausted and whether a checkpoint is due.
     """
 
     def __init__(self, starts, eta, map_mode, checkpoint_every, max_ifo):
@@ -677,7 +685,8 @@ class _Lockstep:
         self._regroup()
 
     def _regroup(self):
-        # (objective, row slice) for each stretch of runs on one objective
+        # (objective, row slice) for each stretch of runs on one objective:
+        # one gather each
         self.groups, j = [], 0
         for obj, same in itertools.groupby(self.runs, key=lambda run: run.obj):
             k = j + len(list(same))
@@ -723,15 +732,10 @@ class _Lockstep:
         idx = self._draws[self._at]
         self._at += 1
         x, y, man, s = self.x, self.y, self.man, -self.eta
-        g_x, g_y = [], []
-        for obj, rows in self.groups:
-            batch = obj._prepare_columns(idx[rows])
-            g_x.append(obj.minibatch_rgrad(batch, x[rows]))
-            g_y.append(obj.minibatch_rgrad(batch, y[rows]))
-        if len(g_x) == 1:
-            (g_x,), (g_y,) = g_x, g_y
-        else:
-            g_x, g_y = np.concatenate(g_x), np.concatenate(g_y)
+        obj = self.groups[0][0]
+        batch = _prepare_columns([(o, idx[rows]) for o, rows in self.groups])
+        g_x = obj.minibatch_rgrad(batch, x)
+        g_y = obj.minibatch_rgrad(batch, y)
         # a flagged row is replayed below, and raises or warns there as a run
         # does; here its meaningless values must not warn
         with np.errstate(all="ignore"):

@@ -7,9 +7,10 @@ computation (rows z_i), seeded synthetic instances with a controlled
 eigengap, and the exact gradient variance over the rows.
 
 Accounting convention: every sampled component gradient charges one call
-per evaluation point, and only the charged path writes the counter. Plain
-objective values and the kernels are free, so tracing and probing never
-distort the measured cost.
+per evaluation point, and only the charged path writes the counter, the
+counter of the objective the call is made on. Objectives may share one
+counter by assignment. Plain objective values and the kernels are free, so
+tracing and probing never distort the measured cost.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class _Batch:
 
 class _Columns(_Batch):
     """A column batch: one drawn row per run of a lockstep block, row i
-    evaluated at point i (:meth:`FiniteSumObjective._prepare_columns`)."""
+    evaluated at point i (:func:`_prepare_columns`)."""
 
     __slots__ = ()
     columns = True
@@ -88,7 +89,12 @@ class FiniteSumObjective(ABC):
     ``counter`` through one path, one call per row; value calls are free.
     A lockstep solver evaluates one row per run at once through the per-row
     kernel ``_grads(rows, X)``, which stacks one-row ``_grad`` calls unless a
-    subclass gives it a vectorized form with the same bits.
+    subclass gives it a vectorized form with the same bits. The kernels read
+    only the rows, the points and the manifold, so objectives with the same
+    ``_grad`` and ``_grads`` on one manifold evaluate each other's rows alike:
+    a lockstep block over several of them that share one ``counter``
+    evaluates all its rows in one charged call on the first
+    (:func:`_prepare_columns`).
     """
 
     def __init__(self, manifold: Manifold, rows):
@@ -124,7 +130,7 @@ class FiniteSumObjective(ABC):
 
         ``idx`` is an integer array, checked here, or a batch a solver
         prepared from indices it drew in range (:meth:`_prepare`). For a
-        column batch (:meth:`_prepare_columns`) ``x`` is a k x p array of
+        column batch (:func:`_prepare_columns`) ``x`` is a k x p array of
         points, and the result is the raw k x p array whose row i is row i's
         gradient at ``x[i]``, unchecked: the caller checks it.
         """
@@ -163,10 +169,6 @@ class FiniteSumObjective(ABC):
         """The batch of indices a solver drew in range, for ``minibatch_rgrad``."""
         return _Batch(self._rows.take(idx, axis=0))
 
-    def _prepare_columns(self, idx: np.ndarray) -> _Columns:
-        """The column batch of one index per run, drawn in range."""
-        return _Columns(self._rows.take(idx, axis=0))
-
     def _probe(self, x: ManifoldPoint) -> tuple[float, float]:
         """f(x) and |grad f(x)|^2, uncharged: every checkpoint record's values
         and the domination ratios of ``pl_constant_estimate``. An objective
@@ -185,6 +187,14 @@ class FiniteSumObjective(ABC):
         if idx.min() < 0 or idx.max() >= self.n:
             raise IndexError(f"component index out of range [0, {self.n})")
         return idx.astype(np.intp, copy=False)
+
+
+def _prepare_columns(parts) -> _Columns:
+    """The column batch of a lockstep block: for each ``(objective, idx)`` of
+    ``parts`` in turn, the rows of its runs' indices, one per run, drawn in
+    range; one gather per objective."""
+    rows = [obj._rows.take(idx, axis=0) for obj, idx in parts]
+    return _Columns(rows[0] if len(rows) == 1 else np.concatenate(rows))
 
 
 class PcaProblem(FiniteSumObjective):
@@ -440,8 +450,9 @@ def leading_eigpair(P: PcaProblem) -> tuple[float, ManifoldPoint]:
 
 
 def _row_grads(obj: FiniteSumObjective, x: ManifoldPoint) -> np.ndarray:
-    """The n x d tangent gradients g_i(x), one uncharged one-row kernel call each."""
-    return np.stack([obj._grad(obj._rows[i:i + 1], x) for i in range(obj.n)])
+    """The n x d tangent gradients g_i(x), uncharged: one per-row kernel call
+    with every row at x, which gives each row the bits of a one-row ``_grad``."""
+    return obj._grads(obj._rows, np.broadcast_to(x.coords, (obj.n, x.coords.size)))
 
 
 def variance_bound_estimate(obj: FiniteSumObjective, x: ManifoldPoint) -> float:

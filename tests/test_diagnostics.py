@@ -352,6 +352,17 @@ class TestVarianceProbe:
             assert rep.details["sampling"] * s2 == pytest.approx(one.details["sampling"],
                                                                  rel=1e-14)
 
+    def test_antipodal_state_raises_the_transport_error(self):
+        # the probe transports every row in one column call; a flagged row is
+        # replayed by the 1-D op, so an antipodal state raises its error, and
+        # a state whose points are one array transports by the identity
+        P = r.generate_gap_matrix(r.SyntheticSpec(d=6, n=20, delta=0.4, seed=6))
+        st = self._state_with_exact_carry(P, s2=2, seed=3)
+        with pytest.raises(r.AntipodalError, match="transport undefined for"):
+            r.variance_probe(P, dataclasses.replace(st, x_curr=P.manifold.point(
+                -st.x_prev.coords)))
+        assert r.variance_probe(P, dataclasses.replace(st, x_curr=st.x_prev)).statistic == 0.0
+
     def test_bound_comes_from_state_eps(self):
         P = r.generate_gap_matrix(r.SyntheticSpec(d=6, n=20, delta=0.4, seed=8))
         st = self._state_with_exact_carry(P, s2=4, seed=7)

@@ -735,22 +735,75 @@ def test_index_helper_matches_sized_draws():
 @pytest.mark.parametrize("map_mode", ["exp", "retract"])
 @pytest.mark.parametrize("max_ifo", [None, 15, 75])
 def test_column_block_runs_equal_lone_runs(map_mode, max_ifo):
-    # a block over two objectives that share n: every column ends at its lone
-    # run's point with its records and meta, and each objective's counter
-    # charges exactly its columns' calls. The budgets clip the first snapshot
-    # to a draw (15 < n) or end the second epoch mid-way (75)
+    # a block over two objectives that share n and one counter: every column
+    # ends at its lone run's point with its records and meta, and the shared
+    # counter charges exactly the runs' calls. The budgets clip the first
+    # snapshot to a draw (15 < n) or end the second epoch mid-way (75)
     P, Q = desk_problem(d=6, n=25, seed=40), desk_problem(d=6, n=25, delta=0.2, seed=41)
+    Q.counter = P.counter
     starts = [(obj, obj.manifold.random_point(np.random.default_rng(10 + s)), s)
               for obj in (P, Q) for s in (0, 1, 2)]
     kw = dict(map_mode=map_mode, checkpoint_every=0.5, max_ifo=max_ifo)
     ends = _rsvrg_columns(starts, 0.05, 4, 10, **kw)
-    for obj in (P, Q):
-        assert obj.counter.calls == sum(trace.meta["ifo"] for (o, _x, _s), (_p, trace)
-                                        in zip(starts, ends) if o is obj)
+    assert P.counter.calls == sum(trace.meta["ifo"] for _x, trace in ends)
     for (obj, x0, seed), (x, trace) in zip(starts, ends):
         x_alone, alone = rsvrg(obj, x0, 0.05, 4, 10, seed=seed, **kw)
         assert x.coords.tobytes() == x_alone.coords.tobytes()
         assert trace.records == alone.records and trace.meta == alone.meta
+
+
+@pytest.mark.parametrize("map_mode", ["exp", "retract"])
+def test_block_step_is_one_charged_call_per_point_set(monkeypatch, map_mode):
+    # a block over three objectives that share one counter: every inner step
+    # charges one minibatch call per point set, on the first objective, with
+    # one row per column, and every column still ends at its lone run's bits
+    objs = [desk_problem(d=6, n=25, delta=delta, seed=40) for delta in (0.4, 0.3, 0.2)]
+    for obj in objs[1:]:
+        obj.counter = objs[0].counter
+    starts = [(obj, obj.manifold.random_point(np.random.default_rng(10 + s)), s)
+              for obj in objs for s in (0, 1)]
+    kw = dict(map_mode=map_mode, checkpoint_every=0.5)
+    alone = [rsvrg(obj, x0, 0.05, 2, 10, seed=seed, **kw) for obj, x0, seed in starts]
+    calls, minibatch = [], r.PcaProblem.minibatch_rgrad
+
+    def spy(obj, idx, x):
+        calls0 = obj.counter.calls
+        out = minibatch(obj, idx, x)
+        calls.append((obj, len(idx), obj.counter.calls - calls0))
+        return out
+
+    monkeypatch.setattr(r.PcaProblem, "minibatch_rgrad", spy)
+    before = objs[0].counter.calls
+    ends = _rsvrg_columns(starts, 0.05, 2, 10, **kw)
+    # 2 epochs of 10 inner steps, each evaluating x and then the snapshot y
+    assert calls == [(objs[0], len(starts), len(starts))] * (2 * 10 * 2)
+    assert objs[0].counter.calls - before == sum(trace.meta["ifo"] for _x, trace in ends)
+    for (x, trace), (x_alone, trace_alone) in zip(ends, alone):
+        assert x.coords.tobytes() == x_alone.coords.tobytes()
+        assert trace.records == trace_alone.records
+
+
+@pytest.mark.parametrize("other", ["counter", "kernel"])
+def test_block_over_mixed_counters_or_kernels_is_rejected(monkeypatch, other):
+    # the block evaluates every row through the first objective and charges
+    # its counter, so objectives that do not share both are refused before
+    # any call
+    P = desk_problem(d=6, n=25, seed=40)
+    if other == "counter":
+        Q = desk_problem(d=6, n=25, delta=0.2, seed=41)
+    else:
+        Q = chordal_mean_problem(d=6, n=25)
+        Q.counter = P.counter
+    assert Q.manifold == P.manifold and Q.n == P.n
+
+    def charged(*_args):
+        raise AssertionError("a mixed block charged a call")
+
+    monkeypatch.setattr(FiniteSumObjective, "_charged", charged)
+    starts = [(obj, obj.manifold.random_point(np.random.default_rng(10)), 0) for obj in (P, Q)]
+    with pytest.raises(ValueError, match="one counter and one gradient kernel"):
+        _rsvrg_columns(starts, 0.05, 2, 10)
+    assert P.counter.calls == Q.counter.calls == 0
 
 
 @pytest.mark.parametrize("map_mode", ["exp", "retract"])

@@ -10,6 +10,7 @@ import rspider as r
 from rspider.oracle import (
     _eigenvector_factors,
     _orthonormal,
+    _prepare_columns,
     packed_spectrum,
     problem_from_spectrum,
 )
@@ -271,17 +272,21 @@ def test_minibatch_is_mean_of_component_gradients(d, extra, batch, seed):
 def test_column_batch_has_the_one_row_bits(d, extra, k, seed):
     # a column batch evaluates row i at point i in one charged call of k
     # components; PcaProblem's vectorized kernel gives each row the bits of a
-    # one-component evaluation, as the default stacked kernel does
+    # one-component evaluation, as the default stacked kernel does. The
+    # batch gathers the first j rows from P and the rest from Q, which shares
+    # P's counter, and the call on P gives Q's rows Q's own bits
     rng = np.random.default_rng(seed)
-    P = r.PcaProblem(rng.standard_normal((d, d + extra)))
+    P, Q = (r.PcaProblem(rng.standard_normal((d, d + extra))) for _ in range(2))
+    Q.counter = P.counter
     X = np.array([P.manifold.random_point(rng).coords for _ in range(k)])
     idx = rng.integers(0, P.n, size=k)
-    batch = P._prepare_columns(idx)
+    j = int(rng.integers(0, k + 1))
+    batch = _prepare_columns([(P, idx[:j]), (Q, idx[j:])])
     g = P.minibatch_rgrad(batch, X)
     assert P.counter.calls == k == len(batch)
     assert g.tobytes() == r.FiniteSumObjective._grads(P, batch.rows, X).tobytes()
     for i in range(k):
-        one = P.component_rgrad(int(idx[i]), P.manifold.point(X[i]))
+        one = (P if i < j else Q).component_rgrad(int(idx[i]), P.manifold.point(X[i]))
         assert g[i].tobytes() == one.coords.tobytes()
 
 

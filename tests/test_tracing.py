@@ -68,3 +68,18 @@ def test_traced_sweep_covers_every_charging_path():
     minibatch = oracle_spans(log, "minibatch_rgrad")
     assert minibatch[0] > 0 and minibatch[1] == 0
     assert oracle_spans(log, "component_rgrad") == (0, 0)
+
+
+def test_block_step_is_one_charged_span_per_point_set():
+    # a sweep's instances share one counter, so each inner step of its rsvrg
+    # block is one charged minibatch call per point set over all its columns:
+    # 3 gaps x 2 seeds, every span of size 6, charging 6
+    cfg = ExperimentConfig(algo=("rsvrg",), d=10, n=30, delta_list=(0.2, 0.1, 0.05),
+                           epochs=2.0, seeds=(0, 1), eta=0.05)
+    log = traced_sweep(cfg)
+    columns = len(cfg.delta_list) * len(cfg.seeds)
+    mine = np.frombuffer(log.name, dtype=np.int32) == log._ids["oracle.minibatch_rgrad"]
+    ifo = np.frombuffer(log.ifo, dtype=np.int64)[mine]
+    size = np.frombuffer(log.size, dtype=np.int64)[mine]
+    assert mine.sum() > 0 and (ifo > 0).all()
+    assert (size == columns).all() and (ifo == columns).all()
