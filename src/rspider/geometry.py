@@ -82,6 +82,15 @@ _EXP_SMALL = 1e-8       # below this angle exp falls back to normalize(x + v)
 _ROUNDING_SIN = 1e-15   # at or below this |u| (sin of the angle) log returns 0
 
 
+def _tangent_sq(coords: np.ndarray) -> float:
+    """The squared norm of raw tangent coordinates, which every tangent
+    checks: GeometryError unless it is finite."""
+    sq = float(coords.dot(coords))
+    if not math.isfinite(sq):
+        raise GeometryError("tangent coordinates must be finite")
+    return sq
+
+
 class ManifoldPoint:
     """A point on a manifold, in ambient coordinates."""
 
@@ -129,23 +138,17 @@ class TangentVector:
         # parallel to the base; the raw ops keep their single projection
         project = base.manifold._project_tangent
         coords = project(base.coords, project(base.coords, coords))
-        sq = float(coords.dot(coords))
-        if not math.isfinite(sq):
-            raise GeometryError("tangent coordinates must be finite")
+        self._sq = _tangent_sq(coords)
         self.base = base
         self.coords = coords
-        self._sq = sq
 
     @classmethod
     def _raw(cls, base: ManifoldPoint, coords: np.ndarray) -> "TangentVector":
         # trusted path: coords already tangent at base
         v = object.__new__(cls)
+        v._sq = _tangent_sq(coords)
         v.base = base
         v.coords = coords
-        sq = float(coords.dot(coords))
-        if not math.isfinite(sq):
-            raise GeometryError("tangent coordinates must be finite")
-        v._sq = sq
         return v
 
     def norm(self) -> float:

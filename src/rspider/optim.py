@@ -17,10 +17,12 @@ and budget do not depend on its iterates, so it runs many runs in lockstep
 as the rows of one array (:func:`_rsvrg_columns`); :func:`rsvrg` is the
 one-run case, and every row has the bits of a lone run's :meth:`_Run.step`.
 
-The loops run on raw coordinate arrays through the manifold's raw operations
-(``_exp``, ``_retract``, ``_transport``, ``_dist``). Iterates are wrapped as
-trusted points only to be handed to the oracle, the run's records and
-:class:`FrozenState`; ``x0`` is checked once on entry.
+The loops carry iterates, gradients and the surrogate as raw coordinate
+arrays: the oracle's kernels take and return them, and the manifold's raw
+operations (``_exp``, ``_retract``, ``_transport``, ``_dist``) move them.
+``x0`` is checked once on entry. A point is wrapped, as a trusted point, only
+where it leaves the loop: in a checkpoint record, in the :class:`FrozenState`
+handed to an ``on_correction`` hook, and as the returned point.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._checks import _check_count, _check_modes, _check_positive
-from .geometry import GeometryError, ManifoldPoint, TangentVector
+from .geometry import GeometryError, ManifoldPoint, TangentVector, _tangent_sq
 from .oracle import FiniteSumObjective, _prepare_columns
 
 __all__ = [
@@ -164,28 +166,28 @@ class FrozenState:
 
 
 class _Run:
-    """What every solver run shares: the checked start, the map mode of its
-    steps, the sampled index stream ``indices``, the IFO ``tallies``, the
-    budget ``max_ifo``, the count of steps taken ``steps`` and the records:
-    one at the start, one per crossed checkpoint boundary and one at the end
-    (:meth:`trace`), all free evaluations. It checks the run options of
-    every solver, ``seed`` and ``map_mode`` among them, before any work.
-    Every estimator evaluation is :meth:`estimate` and every solver step is
-    :meth:`step`; records, :class:`FrozenState` and error messages take
+    """What every solver run shares: the checked start ``x0``, the map mode of
+    its steps, the sampled index stream ``indices``, the calls it has charged
+    (``spent``, ``anchored`` of them by anchors), the budget ``max_ifo``, the
+    count of steps taken ``steps`` and the records: one at the start, one
+    per crossed checkpoint boundary and one at the end (:meth:`trace`), all
+    free evaluations. It checks the run options of every solver, ``seed``
+    and ``map_mode`` among them, before any work. Every estimator evaluation
+    is :meth:`estimate` and every solver step is :meth:`step`, both on raw
+    coordinate arrays; records, :class:`FrozenState` and error messages take
     their iteration number from ``steps``.
 
     ``seed`` feeds two streams: ``indices`` serves every sampled index from
     ``default_rng(seed)``, and ``picks``, seeded from ``(seed, _PICK_TAG)``,
-    draws the recursive solver's reservoir pick, so picking an iterate
-    leaves the indices as they are.
+    serves the recursive solver's reservoir pick (:func:`_uniforms`), so
+    picking an iterate leaves the indices as they are.
 
-    A run counts its own calls in its tallies (:meth:`spent`), never on the
-    objective's counter, so a run on an objective that has already been
-    charged, or that other runs share, reports and is budgeted by only its
-    own calls. The budget is exact: :meth:`clip` cuts the last draw to the
-    calls left, and a run with one call left when a correction is due stops
-    there (:meth:`exhausted`), so a run charges ``max_ifo - 1`` or
-    ``max_ifo`` calls when it runs out.
+    A run counts its own calls, never on the objective's counter, so a run
+    on an objective that has already been charged, or that other runs
+    share, reports and is budgeted by only its own calls. The budget is
+    exact: :meth:`clip` cuts the last draw to the calls left, and a run with
+    one call left when a correction is due stops there (:meth:`exhausted`),
+    so a run charges ``max_ifo - 1`` or ``max_ifo`` calls when it runs out.
     """
 
     def __init__(self, obj, x0, seed, map_mode, checkpoint_every, max_ifo):
@@ -195,53 +197,63 @@ class _Run:
         _check_count("max_ifo", max_ifo, 0, or_none=True)
         _check_count("seed", seed, 0)
         _check_modes(map_mode)
-        self.obj = obj
+        self.obj, self.x0 = obj, x0
         self.seed = seed
         self.map_mode = map_mode
         self.indices = _Indices(np.random.default_rng(seed), obj.n)
-        self.picks = np.random.default_rng(np.random.SeedSequence([seed, _PICK_TAG]))
-        self.tallies = {"anchor": 0, "correction": 0}
+        self.picks = _uniforms(np.random.default_rng(np.random.SeedSequence([seed, _PICK_TAG])))
+        self.spent = self.anchored = 0
         self.max_ifo = max_ifo
         self.every = float(checkpoint_every)
         self.records: list[TraceRecord] = []
         self.steps = 0
         self._last = (0.0, 0)  # (length, batch) of the latest step
-        self._over = False
+        self.over = False  # set by exhausted() once the budget refuses an estimate
         self._next_idx = 0
-        self.after_step(x0, 0.0, 0)  # the start record
+        self.due = -1e-12  # the epoch from which the next checkpoint, at 0, is due
+        self.after_step(x0.coords, 0.0, 0)  # the start record
 
-    def spent(self) -> int:
-        """Calls the run has charged."""
-        return self.tallies["anchor"] + self.tallies["correction"]
+    @property
+    def tallies(self) -> dict:
+        """The calls charged by anchors and by corrections."""
+        return {"anchor": self.anchored, "correction": self.spent - self.anchored}
 
     def exhausted(self, paired=False) -> bool:
         """Whether the run is over: its budget cannot pay one sample of the
         next estimate (one call, two if ``paired``), now or at an earlier
         check, so a refused correction also ends the loops around it."""
-        if not self._over and self.max_ifo is not None:
-            self._over = self.max_ifo - self.spent() < (2 if paired else 1)
-        return self._over
+        if not self.over and self.max_ifo is not None:
+            self.over = self.max_ifo - self.spent < (2 if paired else 1)
+        return self.over
 
     def clip(self, size, paired) -> int:
         """``size`` cut to what the budget can still pay: all the calls left
         for an anchor, half of them for a ``paired`` correction."""
         if self.max_ifo is None:
             return size
-        left = self.max_ifo - self.spent()
+        left = self.max_ifo - self.spent
         return min(size, left // 2 if paired else left)
+
+    def point(self, x) -> ManifoldPoint:
+        """The raw point ``x`` handed back as a trusted point: ``x0`` itself
+        when no step moved the run."""
+        return self.x0 if x is self.x0.coords else ManifoldPoint._raw(self.obj.manifold, x)
 
     def estimate(self, x, y, ref, size, cap):
         """The estimator step g(x) - transport(y -> x, g(y) - ref), tallied.
 
-        ``x`` and ``y`` are points, ``ref`` tangent coordinates at ``y``; an
-        anchor has no previous point (``y=None``) and is g(x) alone. g is one
-        sample's mean gradient: the deterministic full pass when ``cap`` (n in
-        finite-sum mode) is not None and ``size >= cap``, else the mean over
-        the next ``size`` uniform draws with replacement from ``indices``,
-        prepared once for both evaluations. ``size`` is first cut by
-        :meth:`clip`, so a full pass the budget cannot pay becomes a draw.
-        Every evaluation is charged. Returns the estimate's coordinates at x,
-        their squared norm and the samples charged per evaluation.
+        ``x`` and ``y`` are raw points, ``ref`` tangent coordinates at ``y``;
+        an anchor has no previous point (``y=None``) and is g(x) alone. g is
+        one sample's mean gradient: the deterministic full pass when ``cap``
+        (n in finite-sum mode) is not None and ``size >= cap``, else the mean
+        over the next ``size`` uniform draws with replacement from
+        ``indices``, prepared once for both evaluations. ``size`` is first
+        cut by :meth:`clip`, so a full pass the budget cannot pay becomes a
+        draw. Every evaluation is charged, and comes back raw: an anchor's
+        squared norm and :meth:`correct` make the finiteness check of the
+        checked oracle, so a non-finite gradient still raises its
+        GeometryError. Returns the estimate's coordinates at x, their
+        squared norm and the samples charged per evaluation.
         """
         obj = self.obj
         size = self.clip(size, y is not None)
@@ -251,38 +263,50 @@ class _Run:
             rows, batch = obj._prepare(self.indices.take(size)), size
         g_x = obj.full_rgrad(x) if rows is None else obj.minibatch_rgrad(rows, x)
         if y is None:
-            self.tallies["anchor"] += batch
-            return g_x.coords, g_x._sq, batch
+            v_sq = _tangent_sq(g_x)
+            self.spent += batch
+            self.anchored += batch
+            return g_x, v_sq, batch
         g_y = obj.full_rgrad(y) if rows is None else obj.minibatch_rgrad(rows, y)
-        v, v_sq = self.correct(x.coords, y.coords, g_x.coords, g_y.coords, ref)
-        self.tallies["correction"] += 2 * batch
+        v, v_sq = self.correct(x, y, g_x, g_y, ref)
+        self.spent += 2 * batch
         return v, v_sq, batch
 
     def correct(self, x, y, g_x, g_y, ref):
         """The correction g_x - transport(y -> x, g_y - ref) on raw arrays, and
-        its squared norm."""
+        its squared norm.
+
+        A non-finite gradient raises the checked oracle's GeometryError, not
+        an OptimizerError: g_y before the transport's products, which warn on
+        an infinite entry, and g_x when the transport or the correction fails.
+        """
+        d = g_y - ref
+        if not math.isfinite(float(d.dot(d))):
+            _tangent_sq(g_y)
         try:
-            v = g_x - self.obj.manifold._transport(y, x, g_y - ref)
+            v = g_x - self.obj.manifold._transport(y, x, d)
         except GeometryError as e:
+            _tangent_sq(g_x)
             raise OptimizerError(f"transport failed at iteration {self.steps}: {e}") from e
         v_sq = float(v.dot(v))
         if not math.isfinite(v_sq):  # also a non-finite g(y) - ref or transport, carried into v
+            _tangent_sq(g_x)
             raise OptimizerError(
                 f"transport failed at iteration {self.steps}: tangent coordinates must be finite"
             )
         return v, v_sq
 
     def step(self, x, y, ref, size, cap, eta):
-        """One solver step: the :meth:`estimate` v, then a move from the
-        point ``x`` along ``-eta v`` by the run's map mode, counted in
-        ``steps`` and recorded. Returns the new point, the geodesic step
-        length and v."""
+        """One solver step from the raw point ``x``: the :meth:`estimate` v,
+        then a move along ``-eta v`` by the run's map mode, counted in
+        ``steps`` and recorded if a checkpoint is due. Returns the new raw
+        point, the geodesic step length and v."""
         v, v_sq, batch = self.estimate(x, y, ref, size, cap)
-        x_next, step_len = self.move(x.coords, v, v_sq, eta)
-        x_next = ManifoldPoint._raw(self.obj.manifold, x_next)
+        x_next, step_len = self.move(x, v, v_sq, eta)
         self.steps += 1
         self._last = (step_len, batch)
-        self.after_step(x_next, step_len, batch)
+        if self.spent / self.obj.n >= self.due:
+            self.after_step(x_next, step_len, batch)
         return x_next, step_len, v
 
     def move(self, x, v, v_sq, eta):
@@ -299,16 +323,18 @@ class _Run:
             raise OptimizerError(f"degenerate step at iteration {self.steps}: {e}") from e
 
     def _snap(self, x, step_dist, batch, boundary):
-        calls = self.spent()
         f, g_sq = self.obj._probe(x)
-        self.records.append(TraceRecord(self.steps, calls / self.obj.n, calls, f, g_sq,
+        self.records.append(TraceRecord(self.steps, self.spent / self.obj.n, self.spent, f, g_sq,
                                         step_dist, batch, boundary))
 
     def after_step(self, x, step_dist, batch):
-        epoch = self.spent() / self.obj.n
-        while epoch >= self._next_idx * self.every - 1e-12:
-            self._snap(x, step_dist, batch, self._next_idx * self.every)
+        """Record the raw point ``x`` at each checkpoint boundary the run's
+        calls have reached since the last record."""
+        while self.spent / self.obj.n >= self.due:
+            self._snap(ManifoldPoint._raw(self.obj.manifold, x), step_dist, batch,
+                       self._next_idx * self.every)
             self._next_idx += 1
+            self.due = self._next_idx * self.every - 1e-12
 
     def trace(self, x, algo, config, picked=False, **extra) -> RunTrace:
         """The end record at the returned point ``x``, then the records and
@@ -318,7 +344,7 @@ class _Run:
         at."""
         self._snap(x, *((0.0, 0) if picked else self._last), None)
         meta = {"algo": algo, "config": config, "seed": self.seed, "map_mode": self.map_mode,
-                "n": self.obj.n, "checkpoint_every": self.every, "ifo": self.spent(), **extra,
+                "n": self.obj.n, "checkpoint_every": self.every, "ifo": self.spent, **extra,
                 "ifo_breakdown": self.tallies}
         return RunTrace(records=self.records, meta=meta)
 
@@ -352,37 +378,49 @@ class _Indices:
         return np.concatenate((rest, self._block[:short]))
 
 
+def _uniforms(rng):
+    """The values of successive ``rng.random()`` calls, drawn ``_DRAW_BLOCK``
+    at a time: a block draw gives the same floats as that many scalar draws,
+    and costs about as much as one."""
+    while True:
+        yield from rng.random(_DRAW_BLOCK).tolist()
+
+
 def _spider_core(run, x0, cfg: SpiderConfig, budget, *, on_correction=None, pick=True):
-    """Run up to ``cfg.T`` steps of the recursive estimator from ``x0`` on
-    ``run``, which counts, tallies and records them and moves by its own map
-    mode.
+    """Run up to ``cfg.T`` steps of the recursive estimator from the raw
+    point ``x0`` on ``run``, which counts, tallies and records them and moves
+    by its own map mode.
 
     Every ``q``-th step re-anchors the surrogate ``v`` on ``S1`` samples;
     the others correct it with ceil(min(n, q L^2 step^2 / budget)) samples.
-    Returns the point handed on: a uniform pick over the produced iterates
-    with ``pick``, else the last iterate. The batches come from
+    Returns the raw point handed on: a uniform pick over the produced
+    iterates with ``pick``, else the last iterate. The batches come from
     ``run.indices`` and the pick from ``run.picks``, so ``pick`` does not
     change the iterates.
     """
     sample_only = cfg.n is None
     cap = None if sample_only else run.obj.n
-    eta = cfg.eta
+    eta, q, limit = cfg.eta, cfg.q, run.max_ifo
     x = x_out = x0
     x_prev = v = None
     step_len = 0.0
     for k in range(cfg.T):
-        if run.exhausted(paired=k % cfg.q != 0):
+        corrects = k % q != 0
+        if limit is not None and limit - run.spent < (2 if corrects else 1):  # run.exhausted()
+            run.over = True
             break
-        if k % cfg.q:
-            y, size = x_prev, _batch_size(cfg.q, cfg.L, step_len, budget, cap)
+        if corrects:
+            y, size = x_prev, _batch_size(q, cfg.L, step_len, budget, cap)
             if on_correction is not None:  # the state holds the batch drawn, cut to the budget
-                frozen_v = TangentVector._raw(x_prev, v)
-                on_correction(FrozenState(run.steps, x_prev, x, frozen_v, run.clip(size, True),
-                                          cfg.eps, sample_only))
+                man = run.obj.manifold
+                frozen_prev = ManifoldPoint._raw(man, x_prev)
+                on_correction(FrozenState(run.steps, frozen_prev, ManifoldPoint._raw(man, x),
+                                          TangentVector._raw(frozen_prev, v),
+                                          run.clip(size, True), cfg.eps, sample_only))
         else:
             y, size = None, cfg.S1  # an anchor: no previous point
         x_next, step_len, v = run.step(x, y, v, size, cap, eta)
-        if pick and run.picks.random() * (k + 1) < 1.0:
+        if pick and next(run.picks) * (k + 1) < 1.0:
             x_out = x_next  # reservoir pick: uniform over produced iterates
         x_prev, x = x, x_next
     return x_out if pick else x
@@ -416,7 +454,8 @@ def spider_nonconvex(
     if cfg.n is not None and cfg.n != obj.n:
         raise ValueError(f"config n={cfg.n} does not match the objective's n={obj.n}")
     run = _Run(obj, x0, seed, map_mode, checkpoint_every, max_ifo)
-    x_rand = _spider_core(run, x0, cfg, 2.0 * cfg.eps**2, on_correction=on_correction)
+    x_rand = run.point(_spider_core(run, x0.coords, cfg, 2.0 * cfg.eps**2,
+                                    on_correction=on_correction))
     return x_rand, run.trace(x_rand, "spider", asdict(cfg), picked=True, steps=run.steps)
 
 
@@ -464,10 +503,10 @@ def _restarts(run, x0, cfg: GdConfig, q, stage, *, pick, on_correction=None):
     anchors on the full gradient, steps with 1/(2L) and starts from the
     previous stage's output: its uniform pick with ``pick``, else its last
     iterate. The stages share ``run``, so its step count runs on across
-    them. Returns the last stage's output and the stage table.
+    them. Returns the last stage's output, as a point, and the stage table.
     """
     n = run.obj.n
-    x, stages = x0, []
+    x, stages = x0.coords, []
     for t in range(1, cfg.K + 1):
         if run.exhausted():
             break
@@ -477,9 +516,9 @@ def _restarts(run, x0, cfg: GdConfig, q, stage, *, pick, on_correction=None):
         x = _spider_core(run, x, inner, budget, on_correction=on_correction, pick=pick)
         stages.append(
             {"stage": t, "eps": eps, "eta": inner.eta, "T": T, "steps": run.steps - start,
-             "ifo_end": run.spent()}
+             "ifo_end": run.spent}
         )
-    return x, stages
+    return run.point(x), stages
 
 
 def spider_gd1(
@@ -557,20 +596,27 @@ def rsgd(
 ) -> tuple[ManifoldPoint, RunTrace]:
     """Baseline stochastic gradient descent: one sampled component per step.
 
-    ``eta`` is a constant or a callable k -> step size; only a constant is
-    checked up front.
+    ``eta`` is a constant or a callable k -> step size. A constant is
+    checked up front, a schedule's value at iteration k before step k: each
+    must be finite and positive.
     """
-    if not callable(eta):
+    schedule = callable(eta)
+    if not schedule:
         _check_positive("step size", eta)
     _check_count("T", T, 0)
     run = _Run(obj, x0, seed, map_mode, checkpoint_every, max_ifo)
-    eta_fn = eta if callable(eta) else (lambda k: eta)
-    x = x0
+    step = None if schedule else float(eta)
+    x = x0.coords
     for k in range(T):
-        if run.exhausted():
+        if max_ifo is not None and max_ifo - run.spent < 1:  # run.exhausted()
             break
-        x, _, _ = run.step(x, None, None, 1, None, float(eta_fn(k)))
-    config = {"eta": eta if not callable(eta) else repr(eta), "T": T}
+        if schedule:
+            step = float(eta(k))
+            if not 0.0 < step < math.inf:  # format the message only for a bad value
+                _check_positive(f"step size at iteration {k}", step)
+        x, _, _ = run.step(x, None, None, 1, None, step)
+    x = run.point(x)
+    config = {"eta": repr(eta) if schedule else eta, "T": T}
     return x, run.trace(x, "rsgd", config)
 
 
@@ -638,7 +684,7 @@ def _rsvrg_columns(starts, eta, epochs, inner_len=None, *, map_mode="exp",
     for s in range(epochs):
         if not block.runs or block.runs[0].exhausted():
             break
-        if s == 0 or max_ifo is None or max_ifo - block.runs[0].spent() >= n + 2:
+        if s == 0 or max_ifo is None or max_ifo - block.runs[0].spent >= n + 2:
             block.snapshot()
         for _i in range(m):
             if not block.runs or block.runs[0].exhausted(paired=True):
@@ -693,9 +739,6 @@ class _Lockstep:
             self.groups.append((obj, slice(j, k)))
             j = k
 
-    def _point(self, j):
-        return ManifoldPoint._raw(self.man, self.x[j])
-
     def _drop(self, failed):
         """End the runs at the rows of ``failed`` ({row: exception})."""
         keep = [j for j in range(len(self.runs)) if j not in failed]
@@ -715,7 +758,7 @@ class _Lockstep:
     def snapshot(self):
         mu, failed = np.empty_like(self.x), {}
         for j, run in enumerate(self.runs):
-            x = self._point(j)
+            x = self.x[j]
             try:
                 mu[j], _, batch = run.estimate(x, None, None, run.obj.n, run.obj.n)
                 run.after_step(x, 0.0, batch)
@@ -758,25 +801,20 @@ class _Lockstep:
             # which transport returns v for
             y_j = x_j if y is x else y[j]
             try:
-                for base, g in ((x_j, g_x[j]), (y_j, g_y[j])):  # the oracle's finiteness check
-                    TangentVector._raw(ManifoldPoint._raw(man, base), g)
                 v_j, v_sq_j = run.correct(x_j, y_j, g_x[j], g_y[j], self.mu[j])
                 x_next[j], lens[j] = run.move(x_j, v_j, v_sq_j, self.eta)
             except Exception as e:
                 failed[j] = e
         for run in self.runs:
-            run.tallies["correction"] += 2
+            run.spent += 2
             run.steps += 1
         self.x, self.lens = x_next, lens
         if failed:
             self._drop(failed)
-        if self.runs:  # every run spends alike: the first tells whether a checkpoint is due
-            first = self.runs[0]
-            at = first._next_idx
-            first.after_step(self._point(0), float(self.lens[0]), 1)
-            if first._next_idx > at:
-                for j in range(1, len(self.runs)):
-                    self.runs[j].after_step(self._point(j), float(self.lens[j]), 1)
+        # every run spends alike: the first tells whether a checkpoint is due
+        if self.runs and self.runs[0].spent / self.runs[0].obj.n >= self.runs[0].due:
+            for j, run in enumerate(self.runs):
+                run.after_step(self.x[j], float(self.lens[j]), 1)
 
     def ends(self, config) -> list:
         """Per start of the block: its ``(point, trace)`` or its exception."""

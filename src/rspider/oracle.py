@@ -83,10 +83,13 @@ class FiniteSumObjective(ABC):
 
     Row i of ``_rows``, a C-contiguous n x p array, holds what f_i reads. A
     subclass supplies ``L_hint`` and two uncounted kernels over a block of
-    rows: ``_value(rows, x)``, the mean component value, and
-    ``_grad(rows, x)``, the mean tangent gradient as a raw array. The base
-    checks raw indices, gathers their rows (``_prepare``) and charges
-    ``counter`` through one path, one call per row; value calls are free.
+    rows at a point given by its raw coordinate array ``x``:
+    ``_value(rows, x)``, the mean component value, and ``_grad(rows, x)``,
+    the mean tangent gradient as a raw array. The base checks raw indices,
+    gathers their rows (``_prepare``) and charges ``counter`` through one
+    path, one call per row; value calls are free. A charged call at a
+    checked point returns a checked tangent; at a raw coordinate array, the
+    iterate a solver carries, it returns the raw gradient, unchecked.
     A lockstep solver evaluates one row per run at once through the per-row
     kernel ``_grads(rows, X)``, which stacks one-row ``_grad`` calls unless a
     subclass gives it a vectorized form with the same bits. The kernels read
@@ -112,15 +115,16 @@ class FiniteSumObjective(ABC):
         """Estimated geodesic smoothness constant for the components."""
 
     @abstractmethod
-    def _value(self, rows: np.ndarray, x: ManifoldPoint) -> float:
-        """Mean value at x of the components in ``rows``."""
+    def _value(self, rows: np.ndarray, x: np.ndarray) -> float:
+        """Mean value at the raw point x of the components in ``rows``."""
 
     @abstractmethod
-    def _grad(self, rows: np.ndarray, x: ManifoldPoint) -> np.ndarray:
-        """Mean tangent gradient at x of the components in ``rows``, raw."""
+    def _grad(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Mean tangent gradient at the raw point x of the components in
+        ``rows``, raw."""
 
     def value(self, x: ManifoldPoint) -> float:
-        return self._value(self._rows, x)
+        return self._value(self._rows, x.coords)
 
     def component_rgrad(self, i: int, x: ManifoldPoint) -> TangentVector:
         return self._charged(self._prepare(self._checked([i])).rows, x)
@@ -129,17 +133,21 @@ class FiniteSumObjective(ABC):
         """Mean gradient over an index multiset (uniform-with-replacement draws).
 
         ``idx`` is an integer array, checked here, or a batch a solver
-        prepared from indices it drew in range (:meth:`_prepare`). For a
-        column batch (:func:`_prepare_columns`) ``x`` is a k x p array of
-        points, and the result is the raw k x p array whose row i is row i's
-        gradient at ``x[i]``, unchecked: the caller checks it.
+        prepared from indices it drew in range (:meth:`_prepare`). At a
+        checked point ``x`` the result is a checked tangent at ``x``; a
+        solver passes its iterate's raw coordinates instead and gets the raw
+        gradient back, unchecked: the caller checks it. For a column batch
+        (:func:`_prepare_columns`) ``x`` is a k x p array of points, and the
+        result is the raw k x p array whose row i is row i's gradient at
+        ``x[i]``, unchecked too.
         """
         if not isinstance(idx, _Batch):
             idx = self._prepare(self._checked(idx))
         return self._charged(idx.rows, x, idx.columns)
 
     def full_rgrad(self, x: ManifoldPoint) -> TangentVector:
-        """Exact mean gradient; charges n calls."""
+        """Exact mean gradient; charges n calls. Raw coordinates in give raw
+        coordinates out, as in :meth:`minibatch_rgrad`."""
         return self._charged(self._rows, x)
 
     def _charged(self, rows: np.ndarray, x, columns=False):
@@ -149,21 +157,20 @@ class FiniteSumObjective(ABC):
             g = self._grads(rows, x)
             self.counter.calls += rows.shape[0]
             return g
-        g = self._grad(rows, x)
+        point = isinstance(x, ManifoldPoint)
+        g = self._grad(rows, x.coords if point else x)
         self.counter.calls += rows.shape[0]
-        return TangentVector._raw(x, g)
+        return TangentVector._raw(x, g) if point else g
 
     def _grads(self, rows: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Row i's tangent gradient at the point ``X[i]``, raw: one one-row
         :meth:`_grad` call per row, stacked."""
-        man = self.manifold
-        return np.stack([self._grad(rows[i:i + 1], ManifoldPoint._raw(man, X[i]))
-                         for i in range(rows.shape[0])])
+        return np.stack([self._grad(rows[i:i + 1], X[i]) for i in range(rows.shape[0])])
 
     def _exact_grad(self, x: ManifoldPoint) -> TangentVector:
         """grad f(x) from the full-pass kernel, uncharged: the probes' read of
         what :meth:`full_rgrad` returns, to the bit."""
-        return TangentVector._raw(x, self._grad(self._rows, x))
+        return TangentVector._raw(x, self._grad(self._rows, x.coords))
 
     def _prepare(self, idx: np.ndarray) -> _Batch:
         """The batch of indices a solver drew in range, for ``minibatch_rgrad``."""
@@ -251,16 +258,15 @@ class PcaProblem(FiniteSumObjective):
         return self._l_component
 
     def _value(self, rows, x):
-        w = rows.dot(x.coords)
+        w = rows.dot(x)
         return -float(w.dot(w)) / rows.shape[0]
 
     def _grad(self, rows, x):
         # a gather keeps C order, so a batch covering 1..n reproduces the
         # exact full-gradient arithmetic
-        x_arr = x.coords
-        g = rows.dot(x_arr).dot(rows)
+        g = rows.dot(x).dot(rows)
         g *= -2.0 / rows.shape[0]
-        g -= x_arr.dot(g) * x_arr
+        g -= x.dot(g) * x
         return g
 
     def _grads(self, rows, X):

@@ -2,7 +2,8 @@
 
 Each subclasses ``FiniteSumObjective`` the way a new objective does: it
 passes its components as the n rows of one array and implements ``L_hint``
-plus the two vectorized kernels ``_value`` and ``_grad``.
+plus the two vectorized kernels ``_value`` and ``_grad``, which take the
+point as its raw coordinate array.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ class LinearSum(r.FiniteSumObjective):
         return 0.0
 
     def _value(self, rows, x):
-        return float((rows @ x.coords).mean())
+        return float((rows @ x).mean())
 
     def _grad(self, rows, x):
         return rows.mean(axis=0)
@@ -38,11 +39,11 @@ class ChordalMean(r.FiniteSumObjective):
         super().__init__(Sphere(a.shape[1]), a)
 
     def _value(self, rows, x):
-        diff = x.coords - rows
+        diff = x - rows
         return 0.5 * float(np.einsum("ij,ij->", diff, diff)) / rows.shape[0]
 
     def _grad(self, rows, x):
-        return self.manifold._project_tangent(x.coords, x.coords - rows.mean(axis=0))
+        return self.manifold._project_tangent(x, x - rows.mean(axis=0))
 
 
 class LeastSquares(r.FiniteSumObjective):
@@ -57,7 +58,7 @@ class LeastSquares(r.FiniteSumObjective):
         return self._L
 
     def _residuals(self, rows, x):
-        return rows[:, :-1] @ x.coords - rows[:, -1]
+        return rows[:, :-1] @ x - rows[:, -1]
 
     def _value(self, rows, x):
         res = self._residuals(rows, x)

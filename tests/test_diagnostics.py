@@ -206,12 +206,12 @@ class TestGramPath:
             L_hint = None
 
             def _value(self, rows, x):
-                w = rows @ x.coords
+                w = rows @ x
                 return -float(w @ w) / rows.shape[0]
 
             def _grad(self, rows, x):
-                g = -2.0 * (rows @ x.coords) @ rows / rows.shape[0]
-                return self.manifold._project_tangent(x.coords, g)
+                g = -2.0 * (rows @ x) @ rows / rows.shape[0]
+                return self.manifold._project_tangent(x, g)
 
         P = problem_from_spectrum(packed_spectrum(12, 0.1), 40, seed=6)
         obj = Quadratic(Sphere(P.d), P.Z.T)
@@ -238,10 +238,10 @@ def _enumerated_variance(P, st):
     # E|v - grad f(x)|^2 over every ordered draw of s2 indices (all n^s2 of
     # them), each served to the solvers' own estimator step by the run's
     # index stream; a finite-sum batch that reaches n is the one full pass
-    x, y, ref = st.x_curr, st.x_prev, st.v_prev.coords
+    x, y, ref = st.x_curr.coords, st.x_prev.coords, st.v_prev.coords
     cap = None if st.sample_only else P.n
-    target = P.full_rgrad(x).coords
-    run = _Run(P, x, seed=0, map_mode="exp", checkpoint_every=1.0, max_ifo=None)
+    target = P.full_rgrad(st.x_curr).coords
+    run = _Run(P, st.x_curr, seed=0, map_mode="exp", checkpoint_every=1.0, max_ifo=None)
     if cap is not None and st.s2 >= cap:
         draws = [()]  # the full pass draws no index
     else:

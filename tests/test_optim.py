@@ -20,6 +20,7 @@ from rspider.optim import (
     _batch_size,
     _rsvrg_columns,
     _spider_core,
+    _uniforms,
     params_finite,
     params_stochastic,
     rsgd,
@@ -157,8 +158,8 @@ class TestSpiderNonconvex:
         x_sgd, _ = rsgd(P, x0, eta=0.1, T=15, seed=0)
         cfg = SpiderConfig(L=5.0, eps=0.1, q=1, S1=1, T=15, n=1)  # step 1/(2L) = 0.1
         run = _Run(P, x0, seed=0, map_mode="exp", checkpoint_every=1.0, max_ifo=None)
-        x_last = _spider_core(run, x0, cfg, 2.0 * cfg.eps**2, pick=False)
-        assert np.array_equal(x_sgd.coords, x_last.coords)
+        x_last = _spider_core(run, x0.coords, cfg, 2.0 * cfg.eps**2, pick=False)
+        assert np.array_equal(x_sgd.coords, x_last)
 
     def test_reservoir_pick_leaves_the_iterates(self):
         # the pick draws from its own stream, so a run that picks and one that
@@ -169,7 +170,7 @@ class TestSpiderNonconvex:
         runs = []
         for pick in (True, False):
             run = _Run(P, x0, seed=5, map_mode="exp", checkpoint_every=0.25, max_ifo=8 * P.n)
-            _spider_core(run, x0, cfg, 2.0 * cfg.eps**2, pick=pick)
+            _spider_core(run, x0.coords, cfg, 2.0 * cfg.eps**2, pick=pick)
             runs.append((run.steps, run.records, dict(run.tallies)))
         assert runs[0] == runs[1]
         assert 0 < runs[0][2]["correction"] < runs[0][0] * 2 * P.n  # drawn batches
@@ -413,15 +414,25 @@ class TestGd2:
 
 class TestRsgd:
     def test_zero_step_size(self):
-        # a constant zero step is rejected up front; a schedule is not
-        # checked, and its zero steps leave the start point in place
+        # a constant zero step is rejected up front
         P = desk_problem(d=6, n=25, delta=0.4, seed=21)
         x0 = P.manifold.random_point(np.random.default_rng(10))
         with pytest.raises(ValueError, match="step size"):
             rsgd(P, x0, eta=0.0, T=7, seed=0)
         assert P.counter.calls == 0
-        x, _ = rsgd(P, x0, eta=lambda k: 0.0, T=7, seed=0)
-        assert np.array_equal(x.coords, x0.coords)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.05, math.nan, math.inf])
+    def test_schedule_step_must_be_finite_and_positive(self, bad):
+        # a schedule's value is checked before its step: unchecked, a zero
+        # step stands still, a negative one ascends and nan fails later as a
+        # non-finite point
+        P = desk_problem(d=10, n=50, delta=0.4, seed=21)
+        x0 = P.manifold.random_point(np.random.default_rng(10))
+        with pytest.raises(ValueError) as err:
+            rsgd(P, x0, eta=lambda k: 0.05 if k < 3 else bad, T=200, seed=0)
+        assert str(err.value) == (
+            f"step size at iteration 3 must be finite and positive, got {bad!r}")
+        assert P.counter.calls == 3
 
     def test_counter_equals_steps(self):
         P = desk_problem(d=6, n=25, delta=0.4, seed=22)
@@ -732,6 +743,15 @@ def test_index_helper_matches_sized_draws():
             assert got.tolist() == [int(single.take(1)[0]) for _ in range(3 * B)]
 
 
+def test_pick_stream_matches_scalar_draws():
+    # the reservoir pick reads one uniform per step from pre-drawn blocks:
+    # across two block boundaries, the floats of one scalar draw per step
+    scalar = np.random.default_rng(np.random.SeedSequence([3, 0x5A17]))
+    picks = _uniforms(np.random.default_rng(np.random.SeedSequence([3, 0x5A17])))
+    for _ in range(2 * _DRAW_BLOCK + 5):
+        assert next(picks) == scalar.random()
+
+
 @pytest.mark.parametrize("map_mode", ["exp", "retract"])
 @pytest.mark.parametrize("max_ifo", [None, 15, 75])
 def test_column_block_runs_equal_lone_runs(map_mode, max_ifo):
@@ -882,14 +902,15 @@ def test_block_run_whose_correction_overflows_ends_alone(monkeypatch, map_mode):
 def test_solvers_run_off_the_pca_path(monkeypatch, make, algo):
     # every solver dispatches through the objective's manifold: on R^d the
     # iterates leave the unit sphere and least squares descends
-    record = _Run.after_step
-    last = []  # the iterate of the latest step, whatever the solver returns
+    move = _Run.move
+    last = []  # the raw iterate of the latest step, whatever the solver returns
 
-    def after_step(run, x, *rest):
-        last[:] = [x]
-        record(run, x, *rest)
+    def moved(run, *args):
+        out = move(run, *args)
+        last[:] = [out[0]]
+        return out
 
-    monkeypatch.setattr(_Run, "after_step", after_step)
+    monkeypatch.setattr(_Run, "move", moved)
     P = make()
     n, L = P.n, P.L_hint
     x0 = P.manifold.point(np.random.default_rng(1).standard_normal(P.manifold.d))
@@ -918,7 +939,7 @@ def test_solvers_run_off_the_pca_path(monkeypatch, make, algo):
             # the returned point is a uniform pick over the iterates (the
             # final record describes it) and may be an early one; the last
             # iterate has descended as far as the other solvers' results
-            x_last = last[0]
+            x_last = P.manifold.point(last[0])
             f_last = P.value(x_last)
             assert f_last < 0.5 * f0
             assert math.sqrt(float(x_last.coords @ x_last.coords)) > 2.0
@@ -1003,7 +1024,7 @@ class TestDegenerateSteps:
                 return 0.0
 
             def _grad(self, rows, x):
-                return 2.0 * x.coords
+                return 2.0 * x
 
         P = Radial(Sphere(3), np.zeros((4, 1)))
         x0 = P.manifold.point([1.0, 2.0, 2.0])
@@ -1201,3 +1222,97 @@ def test_checkpoint_interval_must_be_finite_and_positive(every):
         with pytest.raises(ValueError, match="checkpoint interval must be finite and positive"):
             run()
     assert P.counter.calls == 0
+
+
+def _lone_runs():
+    # (run, charged kernel call the fault hits, that call's batch size) on the
+    # desk instance: a run's kernel calls follow its schedule, so the m-th is
+    # a known evaluation (x before y in a correction)
+    P = desk_problem()
+    x0 = P.manifold.random_point(np.random.default_rng(3))
+    L = P.L_hint
+    spider = SpiderConfig(L=L, eps=0.1, q=4, S1=P.n, T=12, n=P.n)  # sizes 60, 8, 8, 8, 8, ...
+    sample_only = SpiderConfig(L=L, eps=0.1, q=3, S1=7, T=10)  # sizes 7, 45, 45, 46, 46, 7, ...
+    gd = GdConfig(M0=0.1, tau=1.0 / (L * math.log(4.0)), L=L, K=3)  # q = 4: 60, 1 x 6, 60, ...
+    return {
+        "spider-correction-x": (lambda: spider_nonconvex(P, x0, spider, seed=1), 1, 8),
+        "spider-correction-y": (lambda: spider_nonconvex(P, x0, spider, seed=1), 2, 8),
+        "spider-gd2-full-anchor": (lambda: spider_gd2(P, x0, gd, seed=1), 7, P.n),
+        "spider-sample-only-anchor": (lambda: spider_nonconvex(P, x0, sample_only, seed=1),
+                                      5, 7),
+        "rsgd-step": (lambda: rsgd(P, x0, 0.01, T=10, seed=1), 3, 1),
+    }
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "one-entry-inf"])
+@pytest.mark.parametrize("case", list(_lone_runs()))
+def test_non_finite_gradient_fails_a_lone_run_as_the_oracle_does(monkeypatch, case, bad):
+    # a non-finite gradient, at an anchor or at either point of a correction,
+    # ends the run with the checked oracle's error, not an optimizer error,
+    # and warns of nothing on the way (the suite turns warnings into errors)
+    run, m, size = _lone_runs()[case]
+    grad, sizes = r.PcaProblem._grad, []
+
+    def faulty(self, rows, x):
+        sizes.append(rows.shape[0])
+        g = grad(self, rows, x)
+        if len(sizes) != m + 1:
+            return g
+        if bad == "one-entry-inf":
+            g = g.copy()
+            g[1] = -math.inf
+            return g
+        return np.full_like(g, float(bad))
+
+    monkeypatch.setattr(r.PcaProblem, "_grad", faulty)
+    with pytest.raises(r.GeometryError) as err:
+        run()
+    assert type(err.value) is r.GeometryError
+    assert str(err.value) == "tangent coordinates must be finite"
+    assert sizes[m] == size
+
+
+def _wraps_per_run(monkeypatch, algo, map_mode, scale):
+    # the wraps of checked and trusted values a run makes, and its steps
+    counts = dict.fromkeys(("ManifoldPoint._raw", "TangentVector._raw", "TangentVector.__init__"),
+                           0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(ManifoldPoint, "_raw",
+                        staticmethod(counted("ManifoldPoint._raw", ManifoldPoint._raw)))
+    monkeypatch.setattr(TangentVector, "_raw",
+                        staticmethod(counted("TangentVector._raw", TangentVector._raw)))
+    monkeypatch.setattr(TangentVector, "__init__",
+                        counted("TangentVector.__init__", TangentVector.__init__))
+    P = _EDGE_PROBLEM
+    x0 = P.manifold.random_point(np.random.default_rng(3))
+    L = P.L_hint
+    kw = dict(seed=1, map_mode=map_mode, checkpoint_every=1e9)  # the start and end records only
+    if algo == "spider":
+        cfg = dataclasses.replace(params_finite(P.n, 0.1, 1.0, L), T=40 * scale)
+        _, trace = spider_nonconvex(P, x0, cfg, **kw)
+    elif algo == "spider-gd2":
+        gd = GdConfig(M0=0.1, tau=4.0 / (4.0 * L * math.log(4.0)), L=L, K=2 * scale)
+        _, trace = spider_gd2(P, x0, gd, **kw)
+    else:
+        _, trace = rsgd(P, x0, 0.01, T=40 * scale, **kw)
+    monkeypatch.undo()
+    return counts, trace.records[-1].k
+
+
+@pytest.mark.parametrize("map_mode", ["exp", "retract"])
+@pytest.mark.parametrize("algo", ["spider", "spider-gd2", "rsgd"])
+def test_lone_runs_wrap_no_value_per_step(monkeypatch, algo, map_mode):
+    # the loop carries raw arrays: a run wraps points only for its records
+    # and its returned point, so four times the steps make no more wraps
+    short, steps = _wraps_per_run(monkeypatch, algo, map_mode, 1)
+    long, more_steps = _wraps_per_run(monkeypatch, algo, map_mode, 4)
+    assert more_steps >= 4 * steps > 0
+    assert long == short
+    assert short["TangentVector._raw"] == short["TangentVector.__init__"] == 0

@@ -222,6 +222,14 @@ class TestMinibatch:
             idx = rng.integers(0, P.n, size=23)
             assert np.array_equal(P.minibatch_rgrad(idx, x).coords,
                                   P.minibatch_rgrad(P._prepare(idx), x).coords)
+            # a solver's raw point gets the same bits back, raw, and the same charge
+            for grad in (lambda at: P.minibatch_rgrad(P._prepare(idx), at), P.full_rgrad):
+                calls = P.counter.calls
+                g = grad(x)
+                charged = P.counter.calls - calls
+                raw = grad(x.coords)
+                assert type(raw) is np.ndarray and np.array_equal(raw, g.coords)
+                assert P.counter.calls - calls == 2 * charged
 
     def test_memory_order_of_z_does_not_matter(self):
         Z = np.random.default_rng(7).standard_normal((9, 50))
