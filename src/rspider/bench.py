@@ -381,8 +381,8 @@ def _attempt(fn, *args):
         return e
 
 
-def _instance(cfg: ExperimentConfig, factors, delta: float):
-    P = _problem_from_factors(_spectrum(cfg, delta), *factors, cfg.data_seed)
+def _instance(cfg: ExperimentConfig, factors, delta: float, out=None):
+    P = _problem_from_factors(_spectrum(cfg, delta), *factors, cfg.data_seed, out)
     return P, P.f_star
 
 
@@ -398,8 +398,10 @@ def _task_outcomes(cfg: ExperimentConfig, factors, cells) -> dict:
     and finds its optimum; tau is estimated once per gap and shared by that
     gap's restart-scheme cells. The rsvrg and vrpca cells run as one column
     block per algorithm (:func:`_run_block`), so the task holds the instances
-    of their gaps until the blocks run; the other cells run one at a time,
-    and an instance no block holds is let go when its gap's cells are done.
+    of their gaps until the blocks run. Those gaps are built into one row
+    buffer, gap after gap, so a block step gathers the rows of all its runs
+    with one ``take``. The other cells run one at a time, and an instance
+    no block holds is let go when its gap's cells are done.
     Every instance gets the task's one counter, so a block's inner step is
     one charged call per point set across its gaps; each run still counts
     and budgets only its own calls.
@@ -409,9 +411,16 @@ def _task_outcomes(cfg: ExperimentConfig, factors, cells) -> dict:
     """
     built, taus, blocks, out = (None, None), {}, {}, {}
     counter = IfoCounter()
+    # block gap k's rows are rows k*n:(k+1)*n of the buffer; a gap listed twice
+    # is built twice into its one slot, with the same bits
+    slots = {delta: k for k, delta in enumerate(dict.fromkeys(
+        delta for _i, algo, delta, _s in cells if algo in _BLOCK_ALGOS))}
+    buffer = np.empty((len(slots) * cfg.n, cfg.d))
     for i, algo, delta, seed in cells:
         if built[0] != delta:
-            built = (delta, _attempt(_instance, cfg, factors, delta))
+            k = slots.get(delta)
+            rows = None if k is None else buffer[k * cfg.n:(k + 1) * cfg.n]
+            built = (delta, _attempt(_instance, cfg, factors, delta, rows))
             if not isinstance(built[1], Exception):
                 built[1][0].counter = counter
         gap = built[1]

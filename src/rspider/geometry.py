@@ -37,14 +37,18 @@ an S x d array, so every raw op also has a row-wise form (``_exp_rows``,
 has the bits the 1-D op gives on row i of the inputs. Instead of raising,
 a column form returns with its result a boolean mask of the rows on which
 the 1-D op raises; those rows of the result are meaningless, and the caller
-replays them with the 1-D op to get its error. The row inner products are
-``np.vecdot``, which on float64 rows makes one ``ddot`` per row, the call
-``.dot`` makes; ``einsum``, ``(X * Y).sum(1)`` and ``diag(X @ Y.T)`` sum in
-other orders and move the last bit. The 1-D ops keep ``.dot``: on 1-D
-arrays ``np.vecdot`` costs about twice as much (0.75 against 0.38 us on a
-2-core x86-64 host). Angles go through ``math`` one row at a time:
-``np.arcsin`` differs from ``math.asin`` in the last bit on some inputs,
-and numpy's vectorized sin and cos need not match the C library's either.
+replays them with the 1-D op to get its error. ``_dist_mask`` is that mask
+of ``_dist_rows`` alone, for a caller that reads the lengths only on the
+steps it records: the asin per row is most of the cost of the distance.
+The row inner products are ``np.vecdot``, which on float64 rows makes one
+``ddot`` per row, the call ``.dot`` makes; ``einsum``, ``(X * Y).sum(1)``
+and ``diag(X @ Y.T)`` sum in other orders and move the last bit. The 1-D
+ops keep ``.dot``: on 1-D arrays ``np.vecdot`` costs about twice as much
+(0.75 against 0.38 us on a 2-core x86-64 host). Angles go through
+``math`` one row at a time: ``np.arcsin`` differs from ``math.asin`` in the
+last bit on some inputs, and numpy's vectorized sin and cos need not match
+the C library's either; ``_exp_rows`` takes a row's cos and sinc in one
+pass.
 """
 
 from __future__ import annotations
@@ -291,6 +295,11 @@ class Manifold(ABC):
     @abstractmethod
     def _dist_rows(self, X, Y) -> tuple[np.ndarray, np.ndarray]: ...
 
+    @abstractmethod
+    def _dist_mask(self, X, Y) -> np.ndarray:
+        """The mask of :meth:`_dist_rows` alone: the rows on which ``_dist``
+        raises, without the lengths."""
+
     # -- internal hooks -----------------------------------------------------
     @abstractmethod
     def _clean_point(self, coords: np.ndarray) -> np.ndarray: ...
@@ -401,12 +410,18 @@ class Sphere(Manifold):
         return 2.0 * math.asin(min(1.0, 0.5 * math.sqrt(float(diff.dot(diff)))))
 
     def _exp_rows(self, X, V, v_sq):
-        # a small-angle row gets 1.0 * x + 1.0 * v, which is x + v to the bit;
-        # math.cos raises on an infinite angle
-        theta = np.sqrt(v_sq).tolist()
-        cos = np.array([math.cos(t) if _EXP_SMALL <= t < math.inf else 1.0 for t in theta])
-        sinc = np.array([math.sin(t) / t if _EXP_SMALL <= t < math.inf else 1.0 for t in theta])
-        out, bad = self._clean_rows(cos[:, None] * X + sinc[:, None] * V)
+        # one pass over the rows for both factors; a small-angle row gets
+        # 1.0 * x + 1.0 * v, which is x + v to the bit, and math.cos raises on
+        # an infinite angle
+        cos, sinc = [], []
+        for t in np.sqrt(v_sq).tolist():
+            if _EXP_SMALL <= t < math.inf:
+                cos.append(math.cos(t))
+                sinc.append(math.sin(t) / t)
+            else:
+                cos.append(1.0)
+                sinc.append(1.0)
+        out, bad = self._clean_rows(np.array(cos)[:, None] * X + np.array(sinc)[:, None] * V)
         return out, bad | ~np.isfinite(v_sq)
 
     def _transport_rows(self, X, Y, V):
@@ -427,7 +442,10 @@ class Sphere(Manifold):
         D = Y - X
         half = 0.5 * np.sqrt(np.vecdot(D, D))
         dist = [2.0 * math.asin(min(1.0, h)) for h in half.tolist()]
-        return np.array(dist), np.vecdot(X, Y) <= _ANTIPODAL_COS
+        return np.array(dist), self._dist_mask(X, Y)
+
+    def _dist_mask(self, X, Y):
+        return np.vecdot(X, Y) <= _ANTIPODAL_COS
 
     # perfbench/tracing.py wraps these names in Sphere.__dict__
     exp = Manifold.exp
@@ -480,4 +498,7 @@ class Euclidean(Manifold):
 
     def _dist_rows(self, X, Y):
         D = Y - X
-        return np.sqrt(np.vecdot(D, D)), np.zeros(len(D), dtype=bool)
+        return np.sqrt(np.vecdot(D, D)), self._dist_mask(X, Y)
+
+    def _dist_mask(self, X, Y):
+        return np.zeros(len(X), dtype=bool)

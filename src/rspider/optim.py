@@ -27,7 +27,6 @@ handed to an ``on_correction`` hook, and as the returned point.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -36,7 +35,7 @@ import numpy as np
 
 from ._checks import _check_count, _check_modes, _check_positive
 from .geometry import GeometryError, ManifoldPoint, TangentVector, _tangent_sq
-from .oracle import FiniteSumObjective, _prepare_columns
+from .oracle import FiniteSumObjective, _prepare_columns, _row_home
 
 __all__ = [
     "FrozenState",
@@ -662,8 +661,9 @@ def _rsvrg_columns(starts, eta, epochs, inner_len=None, *, map_mode="exp",
     share n, the manifold, the counter and the gradient kernels (``_grad``
     and ``_grads``), so each point set of a step is one charged call for the
     whole block; a block that mixes them raises ``ValueError`` before any
-    call. The rows of one objective's runs are gathered together when the
-    runs are consecutive in ``starts``. Returns, per start, its
+    call. The rows of runs that are consecutive in ``starts`` and whose
+    objectives' rows live in one array are gathered together: one gather per
+    step for objectives built into one buffer. Returns, per start, its
     ``(point, trace)`` or the exception that ended that run alone.
     """
     _check_positive("step size", eta)
@@ -701,17 +701,24 @@ class _Lockstep:
     A snapshot is each run's own full-pass :meth:`_Run.estimate`. An inner
     step draws each run's next index from its own stream, ``_DRAW_BLOCK``
     steps ahead (one ``take(_DRAW_BLOCK)``, the indices of as many
-    ``take(1)`` calls), gathers every run's row into one column batch (one
-    gather per objective) and makes one charged ``minibatch_rgrad`` call per
-    point set on the first run's objective, whose kernel and counter every
-    run shares; the correction and the move are the manifold's column
-    forms. Every row gets the bits of its run's own :meth:`_Run.step`. A row
-    that a check flags (a non-finite gradient or correction, or a column
-    form's mask) is replayed by the run's own :meth:`_Run.correct` and
-    :meth:`_Run.move` on the same gradients: that raises as a lone run
-    would, and ends that run alone, or gives the row its value. Every run
-    spends alike, so ``runs[0]`` answers for all of them whether the budget
-    is exhausted and whether a checkpoint is due.
+    ``take(1)`` calls), offset by the first row of the run's objective in
+    the array its rows live in (:func:`oracle._row_home`). One ``take`` per
+    stretch of runs on one such array gathers the column batch: one for a
+    sweep task's block, whose gaps were built into one row buffer. The step
+    makes one charged ``minibatch_rgrad`` call per point set on the first
+    run's objective, whose kernel and counter every run shares, and moves by
+    the manifold's column forms. Every row gets the bits of its run's own
+    :meth:`_Run.step`. A row that a check flags (a non-finite gradient or
+    correction, or a column form's mask) is replayed by the run's own
+    :meth:`_Run.correct` and :meth:`_Run.move` on the same gradients: that
+    raises as a lone run would, and ends that run alone, or gives the row
+    its value. Step lengths are computed only for a record, at a checkpoint
+    and in :meth:`ends`, from the step's start ``prev``, its end ``x`` and
+    its squared estimate norms ``v_sq``. Every run spends alike, so
+    ``runs[0]`` answers for all of them whether the budget is exhausted and
+    whether a checkpoint is due. A block down to one run, with no indices
+    drawn ahead, steps by that run's own :meth:`_Run.step`, the ops of the
+    lone solvers.
     """
 
     def __init__(self, starts, eta, map_mode, checkpoint_every, max_ifo):
@@ -727,17 +734,20 @@ class _Lockstep:
             self.cols.append(c)
             x.append(x0.coords)
         self.x = np.array(x)
-        self.y = self.mu = self.lens = self._draws = None
+        self.y = self.mu = self.prev = self.v_sq = self._draws = None
         self._regroup()
 
     def _regroup(self):
-        # (objective, row slice) for each stretch of runs on one objective:
-        # one gather each
-        self.groups, j = [], 0
-        for obj, same in itertools.groupby(self.runs, key=lambda run: run.obj):
-            k = j + len(list(same))
-            self.groups.append((obj, slice(j, k)))
-            j = k
+        # each run's first row in its home row array, and (home, run slice)
+        # for each stretch of runs whose rows share a home: one gather each
+        self.first = np.empty(len(self.runs), dtype=np.intp)
+        homes = []
+        for j, run in enumerate(self.runs):
+            home, self.first[j] = _row_home(run.obj._rows)
+            if not homes or homes[-1][0] is not home:
+                homes.append((home, j))
+        stops = [j for _home, j in homes[1:]] + [len(self.runs)]
+        self.groups = [(home, slice(j, k)) for (home, j), k in zip(homes, stops)]
 
     def _drop(self, failed):
         """End the runs at the rows of ``failed`` ({row: exception})."""
@@ -749,11 +759,17 @@ class _Lockstep:
         same = self.y is self.x  # right after a snapshot
         self.x, self.mu = self.x[keep], self.mu[keep]
         self.y = self.x if same else self.y[keep]
-        if self.lens is not None:
-            self.lens = self.lens[keep]
+        if self.prev is not None:
+            self.prev, self.v_sq = self.prev[keep], self.v_sq[keep]
         if self._draws is not None:
             self._draws = self._draws[:, keep]
         self._regroup()
+
+    def _lens(self) -> np.ndarray:
+        """The geodesic lengths of the latest column step, row by row."""
+        if self.exp:
+            return self.eta * np.sqrt(self.v_sq)
+        return self.man._dist_rows(self.prev, self.x)[0]
 
     def snapshot(self):
         mu, failed = np.empty_like(self.x), {}
@@ -770,13 +786,17 @@ class _Lockstep:
 
     def step(self):
         if self._draws is None or self._at == len(self._draws):
+            if len(self.runs) == 1:
+                self._draws = None
+                return self._lone_step()
             self._draws = np.stack([run.indices.take(_DRAW_BLOCK) for run in self.runs], 1)
+            self._draws += self.first
             self._at = 0
         idx = self._draws[self._at]
         self._at += 1
         x, y, man, s = self.x, self.y, self.man, -self.eta
-        obj = self.groups[0][0]
-        batch = _prepare_columns([(o, idx[rows]) for o, rows in self.groups])
+        obj = self.runs[0].obj
+        batch = _prepare_columns([(home, idx[rows]) for home, rows in self.groups])
         g_x = obj.minibatch_rgrad(batch, x)
         g_y = obj.minibatch_rgrad(batch, y)
         # a flagged row is replayed below, and raises or warns there as a run
@@ -786,14 +806,13 @@ class _Lockstep:
             v = g_x - t
             v_sq = np.vecdot(v, v)
             # a non-finite gradient of either point set carries into v, so the
-            # check of v_sq covers the oracle's too; the exp mask holds it
+            # check of v_sq covers the oracle's too; the exp mask holds it.
+            # The retract mask is _dist's, whose lengths wait for a record
             if self.exp:
                 x_next, bad = man._exp_rows(x, v * s, v_sq * (s * s))
-                lens = self.eta * np.sqrt(v_sq)
             else:
                 x_next, bad = man._retract_rows(x, v * s)
-                lens, far = man._dist_rows(x, x_next)
-                bad = bad | far | ~np.isfinite(v_sq)
+                bad = bad | man._dist_mask(x, x_next) | ~np.isfinite(v_sq)
         failed = {}
         for j in (flagged | bad).nonzero()[0].tolist():
             run, x_j = self.runs[j], x[j]
@@ -802,26 +821,42 @@ class _Lockstep:
             y_j = x_j if y is x else y[j]
             try:
                 v_j, v_sq_j = run.correct(x_j, y_j, g_x[j], g_y[j], self.mu[j])
-                x_next[j], lens[j] = run.move(x_j, v_j, v_sq_j, self.eta)
+                x_next[j] = run.move(x_j, v_j, v_sq_j, self.eta)[0]
             except Exception as e:
                 failed[j] = e
+            else:
+                v_sq[j] = v_sq_j
         for run in self.runs:
             run.spent += 2
             run.steps += 1
-        self.x, self.lens = x_next, lens
+        self.prev, self.x, self.v_sq = x, x_next, v_sq
         if failed:
             self._drop(failed)
         # every run spends alike: the first tells whether a checkpoint is due
         if self.runs and self.runs[0].spent / self.runs[0].obj.n >= self.runs[0].due:
-            for j, run in enumerate(self.runs):
-                run.after_step(self.x[j], float(self.lens[j]), 1)
+            for j, (run, step_len) in enumerate(zip(self.runs, self._lens().tolist())):
+                run.after_step(self.x[j], step_len, 1)
+
+    def _lone_step(self):
+        run, x = self.runs[0], self.x[0]
+        # right after a snapshot the run's y is its x, the very array, which
+        # transport returns v for
+        y = x if self.y is self.x else self.y[0]
+        try:
+            x_next, _len, _v = run.step(x, y, self.mu[0], 1, None, self.eta)
+        except Exception as e:
+            self._drop({0: e})
+            return
+        # the run keeps its own latest step length: no column step to read
+        self.x, self.prev = x_next[None], None
 
     def ends(self, config) -> list:
         """Per start of the block: its ``(point, trace)`` or its exception."""
         out = dict(self.failed)
+        lens = None if self.prev is None else self._lens().tolist()
         for j, run in enumerate(self.runs):
-            if self.lens is not None:  # the latest step's length and batch
-                run._last = (float(self.lens[j]), 1)
+            if lens is not None:  # the latest column step's length and batch
+                run._last = (lens[j], 1)
             x = ManifoldPoint._raw(self.man, self.x[j].copy())
             out[self.cols[j]] = (x, run.trace(x, "rsvrg", config))
         return [out[c] for c in sorted(out)]

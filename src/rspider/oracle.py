@@ -124,6 +124,7 @@ class FiniteSumObjective(ABC):
         ``rows``, raw."""
 
     def value(self, x: ManifoldPoint) -> float:
+        self.manifold._check_point(x)
         return self._value(self._rows, x.coords)
 
     def component_rgrad(self, i: int, x: ManifoldPoint) -> TangentVector:
@@ -158,6 +159,8 @@ class FiniteSumObjective(ABC):
             self.counter.calls += rows.shape[0]
             return g
         point = isinstance(x, ManifoldPoint)
+        if point:  # a checked point must live on this manifold; a raw array is trusted
+            self.manifold._check_point(x)
         g = self._grad(rows, x.coords if point else x)
         self.counter.calls += rows.shape[0]
         return TangentVector._raw(x, g) if point else g
@@ -170,6 +173,7 @@ class FiniteSumObjective(ABC):
     def _exact_grad(self, x: ManifoldPoint) -> TangentVector:
         """grad f(x) from the full-pass kernel, uncharged: the probes' read of
         what :meth:`full_rgrad` returns, to the bit."""
+        self.manifold._check_point(x)
         return TangentVector._raw(x, self._grad(self._rows, x.coords))
 
     def _prepare(self, idx: np.ndarray) -> _Batch:
@@ -196,11 +200,30 @@ class FiniteSumObjective(ABC):
         return idx.astype(np.intp, copy=False)
 
 
+def _row_home(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Where the C-ordered n x p ``rows`` live: ``(home, first)`` when they
+    are rows ``first:first + n`` of the C-ordered array ``home`` whose
+    memory they view, else ``(rows, 0)``. Objectives built into the slices
+    of one buffer (:func:`_problem_from_factors`) share that buffer as
+    their home, so a lockstep block gathers the rows of all of them with
+    one ``take``."""
+    home, width = rows.base, rows.shape[1]
+    if (isinstance(home, np.ndarray) and home.ndim == 2 and home.shape[1] == width
+            and home.dtype == rows.dtype and home.flags.c_contiguous
+            and rows.flags.c_contiguous):
+        first, off = divmod(rows.ctypes.data - home.ctypes.data, width * rows.itemsize)
+        if off == 0 and 0 <= first <= home.shape[0] - rows.shape[0]:
+            return home, first
+    return rows, 0
+
+
 def _prepare_columns(parts) -> _Columns:
-    """The column batch of a lockstep block: for each ``(objective, idx)`` of
-    ``parts`` in turn, the rows of its runs' indices, one per run, drawn in
-    range; one gather per objective."""
-    rows = [obj._rows.take(idx, axis=0) for obj, idx in parts]
+    """The column batch of a lockstep block: for each ``(home, idx)`` of
+    ``parts`` in turn, the rows ``idx`` of the row array ``home``, one per
+    run, drawn in range and offset to its objective's rows there
+    (:func:`_row_home`); one gather per home, so one for a block whose
+    objectives were built into one buffer."""
+    rows = [home.take(idx, axis=0) for home, idx in parts]
     return _Columns(rows[0] if len(rows) == 1 else np.concatenate(rows))
 
 
@@ -391,10 +414,19 @@ def _eigenvector_factors(d: int, n: int,
 
 
 def _problem_from_factors(lam: np.ndarray, u: np.ndarray, q: np.ndarray, m: np.ndarray,
-                          seed: int) -> PcaProblem:
-    # Z^T = V D U^T = q (m (U D)^T): the rows in one n x d x d product, V never formed
+                          seed: int, out: np.ndarray | None = None) -> PcaProblem:
+    """The instance of spectrum ``lam`` on the factors of
+    :func:`_eigenvector_factors`: Z^T = V D U^T = q (m (U D)^T), the rows in
+    one n x d x d product, V never formed.
+
+    With ``out``, a C-ordered n x d array such as a slice of rows of a larger
+    buffer, the product is written there and the instance's rows are a view
+    of it, with the bits of a fresh build; a sweep task builds the gaps of
+    its column blocks into one buffer so that a block step gathers all its
+    rows at once (:func:`_prepare_columns`).
+    """
     dvals = np.sqrt(q.shape[0] * lam)
-    rows = q @ (m @ (u * dvals).T)
+    rows = np.matmul(q, m @ (u * dvals).T, out=out)
     return PcaProblem(rows.T, spectrum=lam, seed=int(seed))
 
 
@@ -458,6 +490,7 @@ def leading_eigpair(P: PcaProblem) -> tuple[float, ManifoldPoint]:
 def _row_grads(obj: FiniteSumObjective, x: ManifoldPoint) -> np.ndarray:
     """The n x d tangent gradients g_i(x), uncharged: one per-row kernel call
     with every row at x, which gives each row the bits of a one-row ``_grad``."""
+    obj.manifold._check_point(x)
     return obj._grads(obj._rows, np.broadcast_to(x.coords, (obj.n, x.coords.size)))
 
 

@@ -315,18 +315,20 @@ class TestRunSweep:
 
     def test_instances_held_only_for_column_blocks(self, monkeypatch):
         # cells come gap by gap, so a gap's instance is let go before the next
-        # gap's is built unless a column block still holds it
+        # gap's is built unless a column block still holds it; only the gaps
+        # of a block are built into the task's row buffer, one slice each
         import gc
         import weakref
 
         import rspider.bench as bench
 
-        built, alive_at_build, instance = [], [], bench._instance
+        built, alive_at_build, slices, instance = [], [], [], bench._instance
 
-        def tracked(*args):
+        def tracked(cfg, factors, delta, out=None):
             gc.collect()
             alive_at_build.append(sum(ref() is not None for ref in built))
-            P, f_star = instance(*args)
+            slices.append(None if out is None else (out.base.shape, out.ctypes.data))
+            P, f_star = instance(cfg, factors, delta, out)
             built.append(weakref.ref(P))
             return P, f_star
 
@@ -334,10 +336,17 @@ class TestRunSweep:
         for algos, most in ((("rsgd", "spider"), 1), (("rsvrg", "spider"), 2)):
             built.clear()
             alive_at_build.clear()
-            res = run_sweep(tiny_cfg(algo=algos, delta_list=(0.2, 0.1, 0.05), seeds=(0, 1),
-                                     epochs=1.0))
+            slices.clear()
+            cfg = tiny_cfg(algo=algos, delta_list=(0.2, 0.1, 0.05), seeds=(0, 1), epochs=1.0)
+            res = run_sweep(cfg)
             assert not res.failures
             assert alive_at_build == [0, 1, most], algos
+            if most == 1:
+                assert slices == [None] * 3
+            else:  # gap k at rows k*n:(k+1)*n of one 3n x d buffer
+                start = slices[0][1]
+                assert slices == [((3 * cfg.n, cfg.d), start + k * cfg.n * cfg.d * 8)
+                                  for k in range(3)]
 
     def test_gram_formed_once_per_gap(self, monkeypatch):
         # tau and every checkpoint of every cell of a gap read one Gram matrix
@@ -411,15 +420,22 @@ class TestRunSweep:
             monkeypatch.setattr(geometry.Sphere, "_transport_rows", transport_rows)
             monkeypatch.setattr(geometry.Sphere, "_transport", transport)
             message = "OptimizerError: transport failed at iteration 0: forced"
-        elif fault == "gradient":  # a non-finite component gradient at x_bad
-            grads = oracle.PcaProblem._grads
+        elif fault == "gradient":  # a non-finite component gradient at x_bad,
+            # from the block's per-row kernel and from the one-row kernel that a
+            # one-run block steps with, but not from the snapshot's full pass
+            grads, grad = oracle.PcaProblem._grads, oracle.PcaProblem._grad
 
             def nan_grads(self, rows, X):
                 g = grads(self, rows, X)
                 g[(X == x_bad).all(axis=1)] = np.nan
                 return g
 
+            def nan_row_grad(self, rows, x):
+                g = grad(self, rows, x)
+                return g * np.nan if len(rows) == 1 and np.array_equal(x, x_bad) else g
+
             monkeypatch.setattr(oracle.PcaProblem, "_grads", nan_grads)
+            monkeypatch.setattr(oracle.PcaProblem, "_grad", nan_row_grad)
             message = "GeometryError: tangent coordinates must be finite"
         else:  # a non-finite full gradient at x_bad: seed 1's first snapshot fails
             grad = oracle.PcaProblem._grad

@@ -8,8 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import rspider as r
-from rspider.geometry import ManifoldPoint, Sphere, TangentVector
-from rspider.oracle import FiniteSumObjective
+import rspider.optim as optim
+from rspider.geometry import GeometryError, ManifoldPoint, Sphere, TangentVector
+from rspider.oracle import (
+    FiniteSumObjective,
+    _eigenvector_factors,
+    _problem_from_factors,
+    packed_spectrum,
+)
 from rspider.optim import (
     _DRAW_BLOCK,
     GdConfig,
@@ -848,6 +854,120 @@ def test_flagged_rows_replayed_without_a_fault_keep_their_bits(monkeypatch, map_
         assert trace.records == trace_alone.records
 
 
+def _gap_instances(buffer=None, n=25, d=6, seed=40):
+    # three gaps on one counter, as a sweep task builds them: into the row
+    # slices of one buffer, or each into its own array
+    factors = _eigenvector_factors(d, n, seed)
+    objs = []
+    for k, delta in enumerate((0.2, 0.1, 0.05)):
+        out = None if buffer is None else buffer[k * n:(k + 1) * n]
+        objs.append(_problem_from_factors(packed_spectrum(d, delta), *factors, seed, out=out))
+        objs[-1].counter = objs[0].counter
+    return objs
+
+
+@pytest.mark.parametrize("map_mode", ["exp", "retract"])
+@pytest.mark.parametrize("case", ["plain", "dropped", "replayed"])
+def test_block_over_one_row_buffer_equals_separate_builds_and_lone_runs(monkeypatch, map_mode,
+                                                                         case):
+    # a block whose gaps live in one row buffer gathers every column's row
+    # with one take per inner step, where a block over separately built gaps
+    # takes once per gap; both end every column as its lone run does: the
+    # point, every record field (the end record's step length included) and
+    # the meta. "dropped" gives one component of the middle gap a non-finite
+    # gradient, which ends the runs that draw it part-way through the block;
+    # "replayed" flags every row, which the runs' own steps then replay
+    n = 25
+    buffer = np.empty((3 * n, 6))
+    shared, apart = _gap_instances(buffer, n), _gap_instances(None, n)
+
+    def starts(objs):
+        return [(obj, obj.manifold.random_point(np.random.default_rng(10 + s)), s)
+                for obj in objs for s in (0, 1)]
+
+    kw = dict(map_mode=map_mode, checkpoint_every=0.5)
+    if case == "dropped":
+        # a component that neither run draws in its first three inner steps
+        # but seed 1 draws later
+        early = {int(i) for s in (0, 1) for i in np.random.default_rng(s).integers(0, n, 3)}
+        late = np.random.default_rng(1).integers(0, n, 20)[3:].tolist()
+        z_bad = apart[1]._rows[next(i for i in late if i not in early)].copy()
+        grads, grad = r.PcaProblem._grads, r.PcaProblem._grad
+
+        def nan_grads(self, rows, X):
+            g = grads(self, rows, X)
+            g[(rows == z_bad).all(axis=1)] = np.nan
+            return g
+
+        def nan_row_grad(self, rows, x):
+            g = grad(self, rows, x)
+            return g * np.nan if len(rows) == 1 and np.array_equal(rows[0], z_bad) else g
+
+        monkeypatch.setattr(r.PcaProblem, "_grads", nan_grads)
+        monkeypatch.setattr(r.PcaProblem, "_grad", nan_row_grad)
+    elif case == "replayed":
+        transport_rows = Sphere._transport_rows
+
+        def flag_every_row(self, X, Y, V):
+            return transport_rows(self, X, Y, V)[0], np.ones(len(V), dtype=bool)
+
+        monkeypatch.setattr(Sphere, "_transport_rows", flag_every_row)
+    alone = []
+    for obj, x0, seed in starts(apart):
+        try:
+            alone.append(rsvrg(obj, x0, 0.05, 2, 10, seed=seed, **kw))
+        except (GeometryError, OptimizerError) as e:
+            alone.append(e)
+    gathers, prepare = [], optim._prepare_columns
+
+    def spy(parts):
+        gathers.append([home for home, _idx in parts])
+        return prepare(parts)
+
+    monkeypatch.setattr(optim, "_prepare_columns", spy)
+    ends = {}
+    for name, objs in (("shared", shared), ("apart", apart)):
+        gathers.clear()
+        ends[name] = _rsvrg_columns(starts(objs), 0.05, 2, 10, **kw)
+        homes = gathers[:]
+        assert len(homes) == 2 * 10  # one column step per inner step
+        if name == "shared":
+            assert all(len(h) == 1 and h[0] is buffer for h in homes)
+        elif case != "dropped":
+            assert all(len(h) == 3 for h in homes)
+    for end_shared, end_apart, end_alone in zip(ends["shared"], ends["apart"], alone):
+        for end in (end_shared, end_apart):
+            if isinstance(end_alone, Exception):
+                assert type(end) is type(end_alone) and str(end) == str(end_alone)
+                continue
+            (x, trace), (x_alone, trace_alone) = end, end_alone
+            assert x.coords.tobytes() == x_alone.coords.tobytes()
+            assert trace.records == trace_alone.records and trace.meta == trace_alone.meta
+            assert trace.records[-1].step_dist > 0.0 and trace.records[-1].batch == 1
+    failed = [isinstance(end, Exception) for end in alone]
+    assert (any(failed) and not all(failed)) if case == "dropped" else not any(failed)
+
+
+def test_one_run_block_steps_as_a_lone_run(monkeypatch):
+    # a block of one column takes every inner step by its run's own step,
+    # the ops of the other lone solvers: no column batch is gathered
+    P = desk_problem(d=6, n=25, seed=40)
+    x0 = P.manifold.random_point(np.random.default_rng(3))
+    steps, step = [], _Run.step
+
+    def counted(run, *args):
+        steps.append(args[3])  # the batch size
+        return step(run, *args)
+
+    def no_columns(parts):
+        raise AssertionError("a one-run block gathered a column batch")
+
+    monkeypatch.setattr(_Run, "step", counted)
+    monkeypatch.setattr(optim, "_prepare_columns", no_columns)
+    rsvrg(P, x0, 0.05, 3, 10, seed=1)
+    assert steps == [1] * 30
+
+
 @pytest.mark.parametrize("bad", [0, 1])
 def test_block_run_that_raises_ends_alone(bad):
     # f = -2 x_1^2: from 45 degrees a step of pi/2 lands exp on -x0, so that
@@ -894,6 +1014,42 @@ def test_block_run_whose_correction_overflows_ends_alone(monkeypatch, map_mode):
         ends = _rsvrg_columns(starts, 1e-150, 1, 3, map_mode=map_mode)
     assert isinstance(ends[1], OptimizerError)
     assert str(ends[1]) == "transport failed at iteration 0: tangent coordinates must be finite"
+    assert not isinstance(ends[0], Exception) and not isinstance(ends[2], Exception)
+
+
+def test_block_retract_row_that_dist_rejects_ends_alone(monkeypatch):
+    # a retract-mode block computes its step lengths only for a record, but
+    # checks every step against _dist's antipodal bound: a step that lands
+    # on -x ends that column at that step with its lone run's message
+    P = desk_problem(d=6, n=25, seed=40)
+    starts = [(P, P.manifold.random_point(np.random.default_rng(10 + s)), s) for s in range(3)]
+    x_bad = starts[1][1].coords
+    rows, one = Sphere._retract_rows, Sphere._retract
+
+    def retract_rows(self, X, V):
+        out, bad = rows(self, X, V)
+        hit = (X == x_bad).all(axis=1)
+        out = out.copy()
+        out[hit] = -X[hit]
+        return out, bad
+
+    def retract(self, x, v):
+        return -x if np.array_equal(x, x_bad) else one(self, x, v)
+
+    monkeypatch.setattr(Sphere, "_retract_rows", retract_rows)
+    monkeypatch.setattr(Sphere, "_retract", retract)
+    kw = dict(map_mode="retract", checkpoint_every=0.5)
+    ends = _rsvrg_columns(starts, 0.05, 1, 3, **kw)
+    for (obj, x0, seed), end in zip(starts, ends):
+        try:
+            x, trace = rsvrg(obj, x0, 0.05, 1, 3, seed=seed, **kw)
+        except OptimizerError as e:
+            assert type(end) is OptimizerError and str(end) == str(e)
+        else:
+            assert end[0].coords.tobytes() == x.coords.tobytes()
+            assert end[1].records == trace.records
+    assert isinstance(ends[1], OptimizerError)
+    assert str(ends[1]).startswith("degenerate step at iteration 0: distance ill-conditioned")
     assert not isinstance(ends[0], Exception) and not isinstance(ends[2], Exception)
 
 

@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import rspider as r
+from rspider.geometry import Euclidean, GeometryError, Sphere
 from rspider.oracle import (
     _eigenvector_factors,
     _orthonormal,
     _prepare_columns,
+    _problem_from_factors,
+    _row_home,
     packed_spectrum,
     problem_from_spectrum,
 )
@@ -144,6 +147,27 @@ class TestComponentGradients:
         assert np.array_equal(P.minibatch_rgrad(np.array([1, 2], dtype=np.uint8), x).coords, g)
         assert np.array_equal(P.component_rgrad(np.int32(3), x).coords,
                               P.component_rgrad(3, x).coords)
+
+    @pytest.mark.parametrize("other", ["euclidean", "smaller sphere"])
+    def test_point_off_the_manifold_rejected_before_any_charge(self, other):
+        # a checked point of another manifold, even of the same dimension,
+        # is refused at every checked entry, before a call is charged
+        P = problem_from_spectrum(packed_spectrum(20, 0.1), 200, seed=7)
+        x = (Euclidean(20).point(5.0 * np.ones(20)) if other == "euclidean"
+             else Sphere(5).point(np.ones(5)))
+        entries = [
+            lambda: P.value(x),
+            lambda: P.component_rgrad(0, x),
+            lambda: P.minibatch_rgrad([0, 1], x),
+            lambda: P.minibatch_rgrad(P._prepare(np.array([0, 1])), x),
+            lambda: P.full_rgrad(x),
+            lambda: P._exact_grad(x),
+            lambda: r.variance_bound_estimate(P, x),
+        ]
+        for entry in entries:
+            with pytest.raises(GeometryError, match="point belongs to"):
+                entry()
+        assert P.counter.calls == 0
 
 
 def _pca_objective():
@@ -289,7 +313,7 @@ def test_column_batch_has_the_one_row_bits(d, extra, k, seed):
     X = np.array([P.manifold.random_point(rng).coords for _ in range(k)])
     idx = rng.integers(0, P.n, size=k)
     j = int(rng.integers(0, k + 1))
-    batch = _prepare_columns([(P, idx[:j]), (Q, idx[j:])])
+    batch = _prepare_columns([(P._rows, idx[:j]), (Q._rows, idx[j:])])
     g = P.minibatch_rgrad(batch, X)
     assert P.counter.calls == k == len(batch)
     assert g.tobytes() == r.FiniteSumObjective._grads(P, batch.rows, X).tobytes()
@@ -395,6 +419,26 @@ class TestGenerator:
         _, v1 = r.leading_eigpair(p1)
         _, v2 = r.leading_eigpair(p2)
         assert abs(v1.coords @ v2.coords) >= 1.0 - 1e-9
+
+    def test_rows_built_into_a_buffer_slice_keep_the_fresh_bits(self):
+        # a sweep builds its block gaps into one row buffer: each instance's
+        # rows are a view of its slice, with the bits of a fresh build, and
+        # a block finds the buffer and the slice's first row from the rows
+        d, n, seed = 8, 30, 77
+        factors = _eigenvector_factors(d, n, seed)
+        buffer = np.zeros((3 * n, d))
+        for k, delta in enumerate((0.2, 0.1, 0.05)):
+            lam = packed_spectrum(d, delta)
+            fresh = _problem_from_factors(lam, *factors, seed)
+            rows = buffer[k * n:(k + 1) * n]
+            P = _problem_from_factors(lam, *factors, seed, out=rows)
+            assert P._rows.tobytes() == fresh._rows.tobytes()
+            assert np.shares_memory(P._rows, rows) and P._rows.flags.c_contiguous
+            assert P.f_star == fresh.f_star and P.L_hint == fresh.L_hint
+            home, first = _row_home(P._rows)
+            assert home is buffer and first == k * n
+            assert _row_home(fresh._rows)[1] == 0
+            assert _row_home(fresh._rows)[0].ctypes.data == fresh._rows.ctypes.data
 
     def test_packed_spectrum_shape(self):
         lam = packed_spectrum(10, 0.02)
