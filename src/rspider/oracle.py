@@ -366,27 +366,48 @@ def _check_samples(d: int, n: int):
         raise ValueError("need at least as many samples as dimensions (n >= d)")
 
 
-# largest |L - I| entry accepted from the second Cholesky QR pass; beyond it
-# the draw (condition number around 1e7 or more) is too ill-conditioned for
-# two passes to be trusted
+# largest |L - I| entry accepted from the second Cholesky QR pass, which a
+# square draw or a tall one beyond _ONE_PASS_COND takes; beyond it the draw
+# (condition number around 1e7 or more) is too ill-conditioned for two
+# passes to be trusted
 _CHOLQR_TOL = 1e-2
+
+# largest cond(q^T q) of a tall draw that one Cholesky QR pass orthonormalizes.
+# One pass leaves Q^T Q about cond(q^T q) rounding units from I: at most
+# 2.9e-15 over 3755 Gaussian draws of 2..40 columns with cond <= 38, and
+# 5.4e-15 up to 100. Square draws sit at cond 2e3..3e4 (d = 20..100), where
+# one pass leaves 1.3e-14..7.3e-13, hence their second pass.
+_ONE_PASS_COND = 100.0
 
 
 def _orthonormal(rng: np.random.Generator, rows: int,
                  cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Q factor of a Gaussian ``rows x cols`` draw, by two Cholesky QR passes.
+    """Q factor of a Gaussian ``rows x cols`` draw, by one or two Cholesky QR passes.
 
-    Each pass factors the Gram matrix ``q^T q = L L^T`` and replaces q with
-    ``q L^-T``. The second replacement is left to the caller: the result is
-    the pair ``(q, m)`` with ``m = L^-T`` (``cols x cols``), and Q = q @ m.
-    R's diagonal is positive by construction, so in exact arithmetic Q is the
-    sign-fixed Householder Q of the draw. The second pass's L measures how far
-    the first pass left q from orthonormal; if it is not within
-    ``_CHOLQR_TOL`` of the identity the draw is rejected.
+    A pass factors the Gram matrix ``q^T q = L L^T`` and replaces q with
+    ``q L^-T``. The last replacement is left to the caller: the result is the
+    pair ``(q, m)`` with ``m = L^-T`` (``cols x cols``), and Q = q @ m. R's
+    diagonal is positive by construction, so in exact arithmetic Q is the
+    sign-fixed Householder Q of the draw.
+
+    A tall draw whose Gram matrix has a condition number within
+    ``_ONE_PASS_COND`` takes one pass: ``q`` is the draw itself, and Q is
+    orthonormal to rounding (CholeskyQR2: Fukaya, Nakatsukasa, Yanagisawa &
+    Yamamoto, 2014). The tall Gaussian draws of the benchmark sit at 1.5 to
+    3.7. Any other draw takes two. A square draw always does: one at d <= 12
+    can fall within the bound, and its second pass costs only d^3, so U
+    keeps its bits at every d. The second pass's L measures how far the
+    first pass left q from orthonormal; if it is not within ``_CHOLQR_TOL``
+    of the identity the draw is rejected.
     """
     q = rng.standard_normal((rows, cols))
-    low = np.linalg.cholesky(q.T @ q)
-    q = q @ np.linalg.inv(low).T
+    gram = q.T @ q
+    m = np.linalg.inv(np.linalg.cholesky(gram)).T
+    if rows > cols:
+        low_eig, high_eig = np.linalg.eigvalsh(gram)[[0, -1]]
+        if high_eig <= _ONE_PASS_COND * low_eig:
+            return q, m
+    q = q @ m
     low = np.linalg.cholesky(q.T @ q)
     off = float(np.abs(low - np.eye(cols)).max())
     if not off <= _CHOLQR_TOL:
@@ -403,10 +424,13 @@ def _eigenvector_factors(d: int, n: int,
 
     Returns ``(U, q, m)``; V itself is never formed (see
     :func:`_problem_from_factors`). Both factors are the Q factors of Gaussian
-    draws, orthonormalized by two Cholesky QR passes (:func:`_orthonormal`):
-    one Gram product and one d x d Cholesky per pass and one n x d x d
-    product, where Householder QR needs a blocked factorization and an
-    explicit Q. The Q is the same, positive-diagonal one.
+    draws, orthonormalized by Cholesky QR (:func:`_orthonormal`), where
+    Householder QR needs a blocked factorization and an explicit Q; the Q is
+    the same, positive-diagonal one. U takes two passes. A tall,
+    well-conditioned V draw takes one: one Gram product and one d x d
+    Cholesky, and q is the draw, so its only n x d x d product is the
+    instance's row product. Otherwise V takes two passes, with one more Gram
+    product and one more n x d x d product.
     """
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     u_q, u_m = _orthonormal(rng, d, d)
@@ -437,8 +461,12 @@ def problem_from_spectrum(lam, n: int, seed: int) -> PcaProblem:
     share the seed but differ in the spectrum share the same eigenvector
     geometry. D = diag(sqrt(n * lambda_j)), hence (1/n) Z Z^T = U diag(lambda) U^T.
     Identical inputs produce bitwise-identical Z at a fixed BLAS thread count.
+    A spectrum that is not a finite, nonincreasing, nonnegative 1-D array
+    raises ``ValueError`` before any factor is drawn.
     """
     lam = np.asarray(lam, dtype=np.float64)
+    if lam.ndim != 1 or not np.all(np.isfinite(lam)):
+        raise ValueError("spectrum must be a finite 1-D array of eigenvalues")
     d = lam.shape[0]
     _check_count("d", d, 2)
     _check_count("n", n, 1)

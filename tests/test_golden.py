@@ -212,34 +212,34 @@ def _ids(cases):
 STATE_CASES = ("spider-eps0.05", "spider-eps0.04", "spider-gd2")
 
 SWEEP_GOLDEN = {
-    "rsgd/paired/exp": "137f0bfd7baa02e4fe180611579a3f2729a5302badf21a3d301f600b38866663",
-    "rsgd/paired/retract": "30676d3ea9224fd57304e4828a9a431804657a6d2d4568a4ec51944d28f5a4f9",
-    "rsvrg/paired/exp": "47cd93fd8bca929e0e37d97a77c1ae881305f24dd6d408d1818044c789c64fea",
-    "rsvrg/paired/retract": "522f0eac2807a2c4d09e07cdbe5edeed1459090da47b420b064491e4fddf8bd7",
-    "vrpca/paired/exp": "52dcdabeb3e58fac653437f9035c7d617d9d18f04961dcf8f43650c5e378463d",
-    "vrpca/paired/retract": "52dcdabeb3e58fac653437f9035c7d617d9d18f04961dcf8f43650c5e378463d",
-    "spider/paired/exp": "77aac682107ac5472f7fd46c5e7305ce94b64f40651670fd9fe21e0ceb9a6c40",
-    "spider/paired/retract": "32d9030e01996e288721d874001e66ba343de58d07d00eee62ed617680aa4b34",
-    "spider-gd1/paired/exp": "9135a82f4e4c56f7135857bcaa31351095637807906b66bb5d7633e1bd61bf06",
-    "spider-gd1/paired/retract": "b4e24e51e7cc2787ce0d2cfc73e046de50fb0fcddb6b58935df5188638ef0ded",
-    "spider-gd2/paired/exp": "299244a3aeac3cedec7a78eb94a2df4e72a517a0a1e4e8c2d5e2f647c4365e77",
-    "spider-gd2/paired/retract": "fb8659e34aacd763ecaf337e4346319696bc7ef87b6f6479e17f21d261e6f771",
+    "rsgd/paired/exp": "8331f6c330afb15d523b0fe76af057abb469690443625171aa4deee56465c4f1",
+    "rsgd/paired/retract": "9abad3e676c012e0561b2aced32e6f5a7e927eec89b80310885596a68477fef8",
+    "rsvrg/paired/exp": "5ea9795215f89450c9fc97608bb32f5e4c3be9f633528045b6e6bc43fa90ad59",
+    "rsvrg/paired/retract": "080e8a5c1818a11a4fd43afe91779acc6e507ea9f61ba90edc1397c9b7478ce3",
+    "vrpca/paired/exp": "0a0d2c252c5a058842b585a8daed77471d513ee4b5b3166f3a982a2ea3883c80",
+    "vrpca/paired/retract": "0a0d2c252c5a058842b585a8daed77471d513ee4b5b3166f3a982a2ea3883c80",
+    "spider/paired/exp": "6dfe8c83692f0d0fa3bd69c04fa26ec31b95f1466c725f1b0779c2ac3642c938",
+    "spider/paired/retract": "972fddcff8acf30f5c7ff34ce7f14ae6a32f75fedeca9f41f65688fcf9e1faf7",
+    "spider-gd1/paired/exp": "46c1498146d7e3467647afc3bb4188024d7b26de977e8e4bd9a09cc245217f78",
+    "spider-gd1/paired/retract": "774d5c11272e0bc1ba57a57cf3d9ab3c3ccef2afa5fd0b06dfdf16e0f0047596",
+    "spider-gd2/paired/exp": "97268bac3ef953fb7dfc29480825573850639037de04610612da6466be6aa97a",
+    "spider-gd2/paired/retract": "30c4bb24321bab15806f641dd17e19f2d4e19f57524c2831d346ffcde46a9f09",
 }
 TRACE_GOLDEN = {
-    "spider/paired/exp": "1f1449f0816e86a1967b9d1d3821399eb4982b6e4475c5a27c6de85389855dc7",
-    "spider/paired/retract": "25a539f91ea85217cbecc5bdd48dc236cbca0d2812795891ef80286758fbba1e",
-    "spider-subsampled/paired/exp": "6a88123d9c06c010b6e7af173d80611fab79d07f0c41ba999ef70ab2a92ff7f6",
-    "spider-subsampled/paired/retract": "9630fe08ab6200dec294525066f784e30791ed3f295bd2649b49b3f29758cfbb",
-    "spider-sampled/paired/exp": "56bf20a3fc54fa9f275127974677cfff828360e7fc3c2c15d6caf5a8b427a051",
-    "spider-sampled/paired/retract": "f87a0f2aabb0e1dedb996255395a205465938023dd108dac7465fcfbaac3b99f",
-    "spider-gd1/paired/exp": "adae289e527726361f7d9f06bc38af505da943a3d082b90496567f5c102765b0",
-    "spider-gd1/paired/retract": "a1b87781ab53f9f7b286dd769a25644b691fa333aeb996fa26e7b79f03b8fd52",
-    "spider-gd2/paired/exp": "eff66733defbc04df9d19de82706f8072d8b20c42c198ee5330943fbd393bfd1",
-    "spider-gd2/paired/retract": "561f7f0c7f9c0c04998efca833953c42fb04a7db38d8c665ab22eb73d9bd6bbc",
-    "rsvrg/paired/exp": "0190c2d1fe8e3e00b6922e11d021a586042da0b03dd4048933b30a7e071838ca",
-    "rsvrg/paired/retract": "295d5d5469511b3751fe8428fcf4f8ebd237d83c8bb07348a0d33ee47a9178f9",
-    "rsgd/paired/exp": "12496f79775445b2c19a0126ea6cee7545bb5c2d87e75e62c9cdd2fc29c1937d",
-    "rsgd/paired/retract": "75de1b358e5b635be933e14a1d4310b11d3942c9c81116c139207e2d20b96041",
+    "spider/paired/exp": "d0098ab2ebaa4af72127c4f03307aca8bb1ee193f9d0f1992ca3de7c4ef98cbf",
+    "spider/paired/retract": "031632b625fb7b730877f0f7d98add9b28f0934a853c9da1ea4e7c3ed7006df4",
+    "spider-subsampled/paired/exp": "66a607c958c81da7dd70351e9ef9bf1d2e99611cec76ec576bb003b0e55d5841",
+    "spider-subsampled/paired/retract": "0d15622896c5dba6e7cafbd65aa48eb6454126254b81fcea234b49fe468bf855",
+    "spider-sampled/paired/exp": "ed655134808d8b421d8d2202003527ed6ba3c5f142d332f4e2dceb87f9b57a4e",
+    "spider-sampled/paired/retract": "93fe4c8b24440de8d81d9de01a7fff52ac3fc2d030fcea8dfc1456efaf4de798",
+    "spider-gd1/paired/exp": "f41a81913c443e51173a0131437044adf7d4a9287e0c673331079f04614ccca0",
+    "spider-gd1/paired/retract": "05d6182852846af34ded4da8c0ed00a7a4d48c12f311e6f460f711b383a1e4c7",
+    "spider-gd2/paired/exp": "c2b4a635885da61fd62f4ff9640d8ae86fa5f6cf025680a6177446e98ca9911f",
+    "spider-gd2/paired/retract": "6c310ffa7303563e79160f8d02465630351a1e37e626ba8cb9b465f20ab4548b",
+    "rsvrg/paired/exp": "4ad96bde002899041177aa45e09688992677abc47bd239565d541b0e98d9b334",
+    "rsvrg/paired/retract": "d27f49ff43ad5461ec767078cf156fbf6060477896fdee71b439e52f7af9082b",
+    "rsgd/paired/exp": "10e7834879477ff89d556f7000a420e5a1db524d1903a6745f97bb35a4b234e5",
+    "rsgd/paired/retract": "da1e85aa77a55f2feedd4c4abde3f9da685e76d66f032fdaa8e442333deb2b5b",
 }
 OFF_PCA_GOLDEN = {
     "spider/chordal-mean/paired/exp": "48ec486f7ccd6af14e899b62c7a954d93965b988bf35f563dd0e975857d162da",
@@ -252,14 +252,14 @@ OFF_PCA_GOLDEN = {
     "rsvrg/least-squares/paired/retract": "624b9ad40fea39871154ac3740809050f19aad65f42d58bf1581d7e7cae96bc3",
 }
 FROZEN_GOLDEN = {
-    "spider-eps0.05": "bffa914c1423e69bbda433705409fd3640902de0b15b90486ee484024b56c25b",
-    "spider-eps0.04": "3cefc7e3547e0e42e5443a2888e444072d4646d319cebd97bc55168bd3173f7e",
-    "spider-gd2": "ba87cc0f077197a776e5f72130059509c05fa302218e614b399568ef45d1c020",
+    "spider-eps0.05": "1a19d16a7d4247b80fc39006462e19184c24e5b20b418e8a7935177951624619",
+    "spider-eps0.04": "97ee6518c18eea7878d6b57358c6a4f4caf7668fb1bb81d18ad264a19c20cb00",
+    "spider-gd2": "ed9ebf7dc1b73d234aae4638b766f2279f0a7f38eb69ada8360153d98af66057",
 }
 PROBE_GOLDEN = {
-    "spider-eps0.05": "80f7a92ebd6e97658dc686ad6f6a130fe0ba4c84c9a801eefb3983275a6697a5",
+    "spider-eps0.05": "59d892f5b3953ad3d24e26d52ae1b1077e0d151ee22323dfa8c4ed934344aed3",
     "spider-eps0.04": "36b9c7249dbd36de6f04a65e87bba63f3624213d6b866c65c5a1a5893dd4d04e",
-    "spider-gd2": "86e05e4802c402f6bf9d562653f2d4cb24c05e1069f37e3d12d42b3e91c51ee1",
+    "spider-gd2": "e73cc48d391fdca9af69fab974e47cfee05ab16a70d4afb612e2aff08e125a33",
 }
 
 
@@ -321,7 +321,7 @@ def test_tau_sweeps_hold_with_two_blas_threads():
 # the README quick-start instance; tau's walk and the probe values run on
 # the Gram matrix (a GEMM) and its one symmetric eigendecomposition
 PROBE_ARGS = ["probe", "--d", "20", "--n", "200", "--delta", "0.5", "--seed", "1"]
-PROBE_OUTPUT_GOLDEN = "2714cbba533f4c9c3acfa5a0193cbbbff8d74a3bff534c2e07bafc7c52f1733a"
+PROBE_OUTPUT_GOLDEN = "de88a272352e4e9a17a49784e30ade73a05d56d72b686451add201aac35f074b"
 _PROBE_OUTPUT = """
 import contextlib, hashlib, io, json, sys
 sys.path[:0] = sys.argv[1:3]

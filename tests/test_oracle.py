@@ -449,6 +449,36 @@ class TestGenerator:
         evals = np.sort(np.linalg.eigvalsh(P.Z @ P.Z.T / P.n))[::-1]
         assert np.abs(evals - lam).max() <= 1e-8
 
+    @pytest.mark.parametrize(
+        "lam",
+        [[1.0, np.nan, 0.2], [np.inf, 0.5, 0.2], [1.0, 0.5, -np.inf], [[1.0], [0.5], [0.2]]],
+        ids=["nan", "inf", "minus-inf", "2-d"],
+    )
+    def test_bad_spectrum_raises_before_any_draw(self, monkeypatch, lam):
+        import rspider.oracle as oracle
+
+        drawn = []
+        monkeypatch.setattr(oracle, "_eigenvector_factors", lambda *a: drawn.append(a))
+        with pytest.raises(ValueError, match="spectrum"):
+            problem_from_spectrum(lam, 20, seed=0)
+        assert drawn == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=hst.integers(2, 40),
+    extra=hst.integers(0, 360),
+    delta=hst.floats(0.001, 0.24),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_instance_spectrum_on_either_pass_count(d, extra, delta, seed):
+    # n from d (a square draw: two passes) to 10 d (one pass, cond(q^T q) about 4)
+    n = d + extra % (9 * d + 1)
+    lam = packed_spectrum(d, delta)
+    P = problem_from_spectrum(lam, n, seed=seed)
+    evals = np.sort(np.linalg.eigvalsh(P.Z @ P.Z.T / n))[::-1]
+    assert np.abs(evals - lam).max() <= 1e-12
+
 
 def householder_reference(rng, rows, cols):
     # the Q of a Gaussian draw by Householder QR, signed so R's diagonal is positive
@@ -467,6 +497,18 @@ class FixedDraw:
     def standard_normal(self, shape):
         assert shape == self.draw.shape
         return self.draw.copy()
+
+
+class KeptDraw:
+    """A seeded Generator that keeps its Gaussian draw, so a caller can tell
+    the draw itself from an array computed from it."""
+
+    def __init__(self, seed):
+        self.rng, self.draw = np.random.default_rng(seed), None
+
+    def standard_normal(self, shape):
+        self.draw = self.rng.standard_normal(shape)
+        return self.draw
 
 
 class TestOrthonormal:
@@ -501,6 +543,36 @@ class TestOrthonormal:
         assert np.abs(P.Z - (u * np.sqrt(d * lam)) @ v.T).max() <= 1e-14
         evals = np.sort(np.linalg.eigvalsh(P.Z @ P.Z.T / P.n))[::-1]
         assert np.abs(evals - lam).max() <= 1e-12
+
+    @pytest.mark.parametrize("rows,cols,passes", [(2000, 100, 1), (200, 20, 1), (20, 20, 2)])
+    def test_pass_count(self, monkeypatch, rows, cols, passes):
+        # a tall draw with a well-conditioned Gram matrix takes one pass and
+        # returns the draw itself as q: no n x d array beyond the draw is
+        # formed; a square draw takes two
+        import tracemalloc
+
+        cholesky, factored = np.linalg.cholesky, []
+
+        def counted(a):
+            factored.append(a.shape)
+            return cholesky(a)
+
+        _orthonormal(np.random.default_rng(0), rows, cols)  # numpy's first-use allocations
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        for seed in range(3):
+            rng = KeptDraw(seed)
+            factored.clear()
+            tracemalloc.start()
+            try:
+                q, _ = _orthonormal(rng, rows, cols)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert factored == [(cols, cols)] * passes
+            assert (q is rng.draw) == (passes == 1)
+            if passes == 1:
+                # the draw, plus d x d work arrays; a second n x d array would double it
+                assert peak < rows * cols * 8 + 8 * cols * cols * 8
 
     @pytest.mark.parametrize(
         "draw",
