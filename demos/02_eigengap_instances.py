@@ -3,12 +3,8 @@
 
 Builds Z = U D V^T from a seed, checks the spectrum of A = (1/n) Z Z^T
 against the target, recovers the ground truth from one symmetric
-eigendecomposition of A, and shows the oracle-call accounting plus the
-binary dump round trip.
+eigendecomposition of A, and shows the oracle-call accounting.
 """
-
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
@@ -44,10 +40,3 @@ print(f"calls after a full gradient: {P.counter.calls - calls0}  (+n = {P.n})")
 sigma_sq = r.variance_bound_estimate(P, x)
 print(f"\ngradient variance at x0: {sigma_sq:.4f} "
       f"(counter untouched: {P.counter.calls - calls0})")
-
-with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "instance.rspd"
-    r.save_problem(P, path)
-    Q = r.load_problem(path)
-    print(f"\nbinary dump round trip: {path.stat().st_size} bytes, "
-          f"Z identical: {np.array_equal(P.Z, Q.Z)}")

@@ -26,10 +26,8 @@ from .oracle import (
     SyntheticSpec,
     generate_gap_matrix,
     leading_eigpair,
-    load_problem,
     packed_spectrum,
     problem_from_spectrum,
-    save_problem,
     variance_bound_estimate,
 )
 from .optim import (

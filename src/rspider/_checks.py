@@ -21,7 +21,7 @@ def _check_count(what, value, least, *, or_none=False):
     if or_none and value is None:
         return
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        kind = "None or an integer" if or_none else f"at least {least}: an integer {what}"
+        kind = "None or an integer" if or_none else "an integer"
         raise ValueError(f"{what} must be {kind} >= {least}, got {value!r}")
 
 

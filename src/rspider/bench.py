@@ -42,7 +42,6 @@ from .oracle import (
     _problem_from_factors,
     generate_gap_matrix,
     packed_spectrum,
-    save_problem,
     variance_bound_estimate,
 )
 from .optim import (
@@ -382,7 +381,7 @@ def _attempt(fn, *args):
 
 
 def _instance(cfg: ExperimentConfig, factors, delta: float, out=None):
-    P = _problem_from_factors(_spectrum(cfg, delta), *factors, cfg.data_seed, out)
+    P = _problem_from_factors(_spectrum(cfg, delta), *factors, out)
     return P, P.f_star
 
 
@@ -558,12 +557,9 @@ def _build_parser() -> _Parser:
     _add_field_flags(sub.add_parser("bench", help="run a sweep and write CSV + summary"),
                      ExperimentConfig)
     pp = sub.add_parser("probe", help="run diagnostic probes on an instance")
-    pg = sub.add_parser("gen", help="generate an instance and dump its matrix")
-    for sp in (pp, pg):
-        _add_field_flags(sp, SyntheticSpec)
-        sp.set_defaults(d=100, n=2000, delta=1e-2, seed=0)
+    _add_field_flags(pp, SyntheticSpec)
+    pp.set_defaults(d=100, n=2000, delta=1e-2, seed=0)
     pp.add_argument("--out", default=None, help="append probe reports to this file")
-    pg.add_argument("--out", default=None, help="binary dump path")
     return p
 
 
@@ -617,16 +613,7 @@ def _cmd_probe(ns) -> int:
     return 0
 
 
-def _cmd_gen(ns) -> int:
-    if not ns.out:
-        raise _UsageError("gen requires --out")
-    spec = _build(SyntheticSpec, ns)
-    save_problem(generate_gap_matrix(spec), ns.out)
-    print(f"wrote {ns.out} (d={spec.d}, n={spec.n}, delta={spec.delta}, seed={spec.seed})")
-    return 0
-
-
-_COMMANDS = {"bench": _cmd_bench, "probe": _cmd_probe, "gen": _cmd_gen}
+_COMMANDS = {"bench": _cmd_bench, "probe": _cmd_probe}
 
 
 def cli_main(argv=None) -> int:

@@ -16,7 +16,6 @@ tracing and probing never distort the measured cost.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from abc import ABC, abstractmethod
 
@@ -32,10 +31,8 @@ __all__ = [
     "SyntheticSpec",
     "generate_gap_matrix",
     "leading_eigpair",
-    "load_problem",
     "packed_spectrum",
     "problem_from_spectrum",
-    "save_problem",
     "variance_bound_estimate",
 ]
 
@@ -242,12 +239,11 @@ class PcaProblem(FiniteSumObjective):
     in either memory order, and rejects components that are not finite.
     """
 
-    def __init__(self, Z, spectrum=None, seed: int | None = None):
+    def __init__(self, Z, spectrum=None):
         Z = np.asarray(Z, dtype=np.float64)
         if Z.ndim != 2:
             raise ValueError("Z must be a d x n matrix")
         super().__init__(Sphere(Z.shape[0]), Z.T)  # no copy when Z is F-ordered
-        self.seed = seed
         self.spectrum = None if spectrum is None else np.asarray(spectrum, dtype=np.float64)
         if self.spectrum is not None and self.spectrum.shape != (self.d,):
             raise ValueError("spectrum must list one eigenvalue per ambient dimension")
@@ -438,7 +434,7 @@ def _eigenvector_factors(d: int, n: int,
 
 
 def _problem_from_factors(lam: np.ndarray, u: np.ndarray, q: np.ndarray, m: np.ndarray,
-                          seed: int, out: np.ndarray | None = None) -> PcaProblem:
+                          out: np.ndarray | None = None) -> PcaProblem:
     """The instance of spectrum ``lam`` on the factors of
     :func:`_eigenvector_factors`: Z^T = V D U^T = q (m (U D)^T), the rows in
     one n x d x d product, V never formed.
@@ -451,7 +447,7 @@ def _problem_from_factors(lam: np.ndarray, u: np.ndarray, q: np.ndarray, m: np.n
     """
     dvals = np.sqrt(q.shape[0] * lam)
     rows = np.matmul(q, m @ (u * dvals).T, out=out)
-    return PcaProblem(rows.T, spectrum=lam, seed=int(seed))
+    return PcaProblem(rows.T, spectrum=lam)
 
 
 def problem_from_spectrum(lam, n: int, seed: int) -> PcaProblem:
@@ -474,7 +470,7 @@ def problem_from_spectrum(lam, n: int, seed: int) -> PcaProblem:
     _check_samples(d, n)
     if lam[0] <= 0 or np.any(np.diff(lam) > 0) or np.any(lam < 0):
         raise ValueError("spectrum must be nonincreasing and nonnegative")
-    return _problem_from_factors(lam, *_eigenvector_factors(d, n, seed), seed)
+    return _problem_from_factors(lam, *_eigenvector_factors(d, n, seed))
 
 
 def generate_gap_matrix(spec: SyntheticSpec) -> PcaProblem:
@@ -528,35 +524,3 @@ def variance_bound_estimate(obj: FiniteSumObjective, x: ManifoldPoint) -> float:
     g = _row_grads(obj, x)
     g -= g.mean(axis=0)
     return float(np.einsum("ij,ij->", g, g)) / obj.n
-
-
-_MAGIC = b"RSPD"
-_HEADER = struct.Struct("<4sII4xQ")  # magic, u32 d, u32 n, 4 pad bytes, u64 seed
-
-
-def save_problem(P: PcaProblem, path):
-    """Write Z as little-endian float64, column-major, behind a 24-byte header."""
-    seed = 0 if P.seed is None else int(P.seed)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, P.d, P.n, seed))
-        fh.write(np.asarray(P._rows, dtype="<f8").tobytes())  # Z column-major
-
-
-def load_problem(path) -> PcaProblem:
-    """Read a matrix dump written by :func:`save_problem`.
-
-    The stored file carries no spectrum, so ground truth for loaded instances
-    comes from :func:`leading_eigpair`.
-    """
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise ValueError("truncated header")
-        magic, d, n, seed = _HEADER.unpack(head)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}; not a matrix dump")
-        rows = np.fromfile(fh, dtype="<f8", count=d * n)
-        if rows.size != d * n or fh.read(1):  # truncated, or trailing bytes
-            raise ValueError(f"matrix payload is not exactly {d} x {n} floats")
-    # column-major Z is the row layout: its transpose is Z with no copy
-    return PcaProblem(rows.reshape(n, d).T, seed=seed)

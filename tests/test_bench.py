@@ -47,7 +47,7 @@ def readme_block(section, lang):
 def sweep_instance(cfg, delta):
     """The instance a sweep builds for one gap."""
     factors = _eigenvector_factors(cfg.d, cfg.n, cfg.data_seed)
-    return _problem_from_factors(_spectrum(cfg, delta), *factors, cfg.data_seed)
+    return _problem_from_factors(_spectrum(cfg, delta), *factors)
 
 
 class TestRunCell:
@@ -514,8 +514,7 @@ class TestCli:
         (["bench", "--seeds", "1,x"], "usage: rspider bench [-h] [--algo ALGO]"),
         (["bench", "--bogus", "1"], "usage: rspider bench [-h] [--algo ALGO]"),
         (["probe", "--delta", "x"], "usage: rspider probe [-h] [--d D]"),
-        (["gen", "--bogus"], "usage: rspider gen [-h] [--d D]"),
-        (["--bogus", "bench"], "usage: rspider [-h] {bench,probe,gen} ..."),
+        (["--bogus", "bench"], "usage: rspider [-h] {bench,probe} ..."),
     ])
     def test_flag_error_prints_the_usage_of_its_command(self, capsys, argv, usage):
         assert cli_main(argv) == 1
@@ -530,7 +529,7 @@ class TestCli:
                       if line.startswith("rspider ")}
         sub = next(a for a in bench._build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
-        assert documented == set(sub.choices) == {"bench", "probe", "gen"}
+        assert documented == set(sub.choices) == {"bench", "probe"}
 
     def test_readme_quick_start_runs(self, capsys):
         scope = {}
@@ -611,17 +610,6 @@ class TestCli:
         assert cli_main(["run", "--d", "10", "--n", "30", "--out", str(out)]) == 1
         assert "invalid choice: 'run'" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_gen_writes_loadable_dump(self, tmp_path):
-        out = tmp_path / "data.rspd"
-        code = cli_main(
-            ["gen", "--d", "8", "--n", "20", "--delta", "0.2", "--seed", "5",
-             "--out", str(out)]
-        )
-        assert code == 0
-        P = r.load_problem(out)
-        assert P.Z.shape == (8, 20)
-        assert P.seed == 5
 
     def test_probe_prints_reports(self, capsys):
         code = cli_main(["probe", "--d", "8", "--n", "24", "--delta", "0.2",
@@ -704,6 +692,19 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert "RuntimeWarning" not in proc.stderr
         assert out.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
+
+    def test_console_script_runs_what_the_module_form_runs(self):
+        # the installed `rspider` script resolves its pyproject target as an
+        # entry point; it must be the function `python -m rspider` calls
+        import tomllib
+        from importlib.metadata import EntryPoint
+
+        import rspider.__main__
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["rspider"]
+        script = EntryPoint(name="rspider", value=target, group="console_scripts")
+        assert script.load() is rspider.__main__.main
 
     def test_bench_module_is_not_a_command(self, tmp_path):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -856,7 +857,7 @@ class TestCli:
         assert capsys.readouterr().err == "failure: draw too ill-conditioned\n"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("cmd", ["probe", "gen"])
+    @pytest.mark.parametrize("cmd", ["probe"])
     def test_bad_instance_flag_exits_one(self, tmp_path, capsys, cmd):
         out = tmp_path / "x.out"
         assert cli_main([cmd, "--d", "10", "--n", "30", "--delta", "1.5",

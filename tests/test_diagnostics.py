@@ -445,7 +445,7 @@ def test_count_below_one_rejected_before_any_work(probe, count):
         "smoothness_probe": lambda: r.smoothness_probe(P, pairs=count),
         "pl_constant_estimate": lambda: r.pl_constant_estimate(P, P.f_star, count),
     }
-    with pytest.raises(ValueError, match="must be at least 1"):
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
         calls[probe]()
     assert evaluated == [] and P._A is None  # no gradient, no Gram matrix
     assert P.counter.calls == 5

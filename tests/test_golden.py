@@ -353,7 +353,7 @@ digests = []
 for d, n, seed in g._FACTOR_CASES:
     factors = _eigenvector_factors(d, n, seed)
     lam = SyntheticSpec(d=d, n=n, delta=0.1, seed=seed).target_spectrum()
-    rows = _problem_from_factors(lam, *factors, seed)._rows
+    rows = _problem_from_factors(lam, *factors)._rows
     digests.append(hashlib.sha256(b"".join(f.tobytes() for f in (*factors, rows)))
                    .hexdigest())
 print(json.dumps(digests))

@@ -469,13 +469,13 @@ def test_constant_step_must_be_finite_and_positive(solver, eta):
 def test_negative_counts_are_rejected_before_any_call():
     P = desk_problem(d=20, n=200, delta=0.5, seed=0)
     x0 = P.manifold.random_point(np.random.default_rng(3))
-    with pytest.raises(ValueError, match="T >= 0"):
+    with pytest.raises(ValueError, match="T must be an integer >= 0"):
         rsgd(P, x0, eta=0.01, T=-3, seed=0)
-    with pytest.raises(ValueError, match="epochs >= 0"):
+    with pytest.raises(ValueError, match="epochs must be an integer >= 0"):
         rsvrg(P, x0, eta=0.01, epochs=-2, seed=0)
-    with pytest.raises(ValueError, match="T >= 0"):
+    with pytest.raises(ValueError, match="T must be an integer >= 0"):
         SpiderConfig(L=1.0, eps=0.1, q=1, S1=1, T=-1)
-    with pytest.raises(ValueError, match="K >= 0"):
+    with pytest.raises(ValueError, match="K must be an integer >= 0"):
         GdConfig(M0=1.0, tau=1.0, L=1.0, K=-1)
     assert P.counter.calls == 0
 
@@ -861,7 +861,7 @@ def _gap_instances(buffer=None, n=25, d=6, seed=40):
     objs = []
     for k, delta in enumerate((0.2, 0.1, 0.05)):
         out = None if buffer is None else buffer[k * n:(k + 1) * n]
-        objs.append(_problem_from_factors(packed_spectrum(d, delta), *factors, seed, out=out))
+        objs.append(_problem_from_factors(packed_spectrum(d, delta), *factors, out=out))
         objs[-1].counter = objs[0].counter
     return objs
 
@@ -1321,6 +1321,21 @@ def test_count_options_must_be_integers(case):
     with pytest.raises(ValueError, match="must be"):
         bad[case]()
     assert P.counter.calls == 0 and P._A is None
+
+
+def test_count_message_states_the_rule_once():
+    from rspider._checks import _check_count
+
+    cases = {
+        "seed must be an integer >= 0, got -1": lambda: _check_count("seed", -1, 0),
+        "d must be an integer >= 2, got 1": lambda: Sphere(1),
+        "max_ifo must be None or an integer >= 0, got 2.5":
+            lambda: _check_count("max_ifo", 2.5, 0, or_none=True),
+    }
+    for message, call in cases.items():
+        with pytest.raises(ValueError) as e:
+            call()
+        assert str(e.value) == message
 
 
 def test_numpy_integer_counts_are_accepted():

@@ -1,5 +1,4 @@
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -275,6 +274,14 @@ class TestMinibatch:
             ):
                 assert np.array_equal(grad(P).coords, grad(Q).coords)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_components_rejected(self, bad):
+        # L_hint would read nan or inf
+        Z = np.random.default_rng(0).standard_normal((3, 5))
+        Z[1, 2] = bad
+        with pytest.raises(ValueError, match="components must be finite"):
+            r.PcaProblem(Z)
+
 
 @settings(max_examples=50, deadline=None)
 @given(
@@ -429,9 +436,9 @@ class TestGenerator:
         buffer = np.zeros((3 * n, d))
         for k, delta in enumerate((0.2, 0.1, 0.05)):
             lam = packed_spectrum(d, delta)
-            fresh = _problem_from_factors(lam, *factors, seed)
+            fresh = _problem_from_factors(lam, *factors)
             rows = buffer[k * n:(k + 1) * n]
-            P = _problem_from_factors(lam, *factors, seed, out=rows)
+            P = _problem_from_factors(lam, *factors, out=rows)
             assert P._rows.tobytes() == fresh._rows.tobytes()
             assert np.shares_memory(P._rows, rows) and P._rows.flags.c_contiguous
             assert P.f_star == fresh.f_star and P.L_hint == fresh.L_hint
@@ -624,13 +631,12 @@ class TestLeadingEigpair:
         assert 1.0 - abs(float(v.coords @ u[:, 0])) <= 1e-12
         assert top == pytest.approx(1.0, abs=1e-12)
 
-    def test_gram_formed_on_first_use_only(self, tmp_path):
+    def test_gram_formed_on_first_use_only(self):
         P = problem_from_spectrum(packed_spectrum(8, 0.1), 30, seed=2)
-        r.save_problem(P, tmp_path / "p.bin")
         built = [
             P,
             r.generate_gap_matrix(r.SyntheticSpec(d=8, n=30, delta=0.1, seed=2)),
-            r.load_problem(tmp_path / "p.bin"),
+            r.PcaProblem(P.Z.copy()),
         ]
         for Q in built:
             assert Q._A is None  # building never pays for the Gram matrix
@@ -669,65 +675,3 @@ class TestVarianceBound:
         x = P.manifold.point([0.6, 0.8])
         r.variance_bound_estimate(P, x)
         assert P.counter.calls == 0
-
-
-class TestBinaryDump:
-    def test_round_trip(self, tmp_path):
-        P = r.generate_gap_matrix(r.SyntheticSpec(d=6, n=15, delta=0.2, seed=33))
-        path = tmp_path / "inst.rspd"
-        r.save_problem(P, path)
-        raw = path.read_bytes()
-        assert len(raw) == 24 + 8 * 6 * 15
-        magic, d, n = struct.unpack("<4sII", raw[:12])
-        assert (magic, d, n) == (b"RSPD", 6, 15)
-        (seed,) = struct.unpack("<Q", raw[16:24])
-        assert seed == 33
-        Q = r.load_problem(path)
-        assert np.array_equal(Q.Z, P.Z)
-        assert Q.seed == 33 and Q.spectrum is None
-
-    def test_round_trip_keeps_oracle_bits(self, tmp_path):
-        P = r.generate_gap_matrix(r.SyntheticSpec(d=7, n=40, delta=0.2, seed=34))
-        r.save_problem(P, tmp_path / "inst.rspd")
-        Q = r.load_problem(tmp_path / "inst.rspd")
-        assert np.array_equal(Q.Z, P.Z) and Q._rows.flags.c_contiguous
-        rng = np.random.default_rng(9)
-        idx = rng.integers(0, P.n, size=17)
-        for _ in range(5):
-            x = P.manifold.random_point(rng)
-            assert np.array_equal(Q.full_rgrad(x).coords, P.full_rgrad(x).coords)
-            assert np.array_equal(Q.minibatch_rgrad(idx, x).coords,
-                                  P.minibatch_rgrad(idx, x).coords)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_components_rejected(self, tmp_path, bad):
-        # L_hint would read nan or inf: building and loading both refuse
-        Z = np.random.default_rng(0).standard_normal((3, 5))
-        Z[1, 2] = bad
-        with pytest.raises(ValueError, match="components must be finite"):
-            r.PcaProblem(Z)
-        path = tmp_path / "bad.rspd"
-        path.write_bytes(struct.pack("<4sII4xQ", b"RSPD", 3, 5, 0)
-                         + np.ascontiguousarray(Z.T, dtype="<f8").tobytes())
-        with pytest.raises(ValueError, match="components must be finite"):
-            r.load_problem(path)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 40)
-        with pytest.raises(ValueError):
-            r.load_problem(path)
-
-    @pytest.mark.parametrize("cut,extra,match", [
-        (24 + 8 * 6 * 15 - 20, b"", "truncated header"),
-        (1, b"", "not exactly 6 x 15 floats"),
-        (0, b"\x00" * 16, "not exactly 6 x 15 floats"),
-    ], ids=["header", "payload", "trailing"])
-    def test_damaged_dump_rejected(self, tmp_path, cut, extra, match):
-        P = r.generate_gap_matrix(r.SyntheticSpec(d=6, n=15, delta=0.2, seed=33))
-        path = tmp_path / "inst.rspd"
-        r.save_problem(P, path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:len(raw) - cut] + extra)
-        with pytest.raises(ValueError, match=match):
-            r.load_problem(path)
