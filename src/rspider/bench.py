@@ -1,21 +1,24 @@
 """Experiment runner: synthetic eigengap sweeps with deterministic CSV output.
 
-Builds seeded instances, runs the configured algorithm over a grid of
-(eigengap, seed) cells with checkpoints on an epoch grid (epochs measured
-in oracle calls / n), and writes one CSV row per checkpoint plus a summary
-CSV with per-gap epochs-to-double medians and a least-squares fit against
-the inverse gap. For a fixed BLAS thread count the entire output is a pure
-function of the configuration; across thread counts the BLAS reductions may
-sum in a different order and change the last bits.
+Builds seeded instances, runs the configured algorithms over a grid of
+(eigengap, seed) cells, each cell once, with checkpoints on an epoch grid
+(epochs measured in oracle calls / n), and writes one CSV row per
+checkpoint plus a summary CSV with per-gap epochs-to-double medians and a
+least-squares fit against the inverse gap. For a fixed BLAS thread count
+the entire output is a pure function of the configuration; across thread
+counts the BLAS reductions may sum in a different order and change the
+last bits.
 
-The rsvrg and vrpca cells of one task (with one worker, the whole sweep)
-run as one lockstep column block per algorithm, every (gap, seed) cell a
-row of one iterate array, so the task holds the instances of all their
-gaps at once: G·n·d·8 bytes for G gaps, 12.8 MB for the default sweep.
-A task's instances share one oracle counter, so each inner step of a block
-is one charged gradient call per point set across all its gaps. A task
-without such cells holds one instance at a time. Each cell still gets the
-rows it gets alone, to the bit.
+A task (with one worker, the whole sweep) walks its gaps one by one and
+builds each gap's instance once. Its rsvrg and vrpca cells run as one
+lockstep column block per algorithm, every (gap, seed) cell a row of one
+iterate array, so the task holds the instances of all their gaps at once:
+G·n·d·8 bytes for G gaps, 12.8 MB for the default sweep. A task's
+instances share one oracle counter, so each inner step of a block is one
+charged gradient call per point set across all its gaps. A task without
+such cells holds one instance at a time. Each cell still gets the rows it
+gets alone, to the bit. An algorithm, gap or seed listed twice is refused
+before any work.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import functools
+import itertools
 import math
 import sys
 import typing
@@ -77,8 +81,8 @@ DEFAULT_SVRG_ETA = 0.003
 
 _X0_TAG = 0x9E37  # distinguishes the initializer stream from the sampling stream
 
-_TAU_ALGOS = ("spider-gd1", "spider-gd2")  # the restart schemes that need tau
-_BLOCK_ALGOS = ("rsvrg", "vrpca")  # run as one column block per task
+_TAU_ALGOS = {"spider-gd1", "spider-gd2"}  # the restart schemes that need tau
+_BLOCK_ALGOS = {"rsvrg", "vrpca"}  # run as one column block per task
 
 _SPIDER_EPS = 0.05  # gradient-norm target of the nonconvex solver
 _GD_STAGES = 20  # restart stages of spider-gd1 and spider-gd2
@@ -96,12 +100,13 @@ class ExperimentConfig:
 
     ``data_seed`` drives the instance's eigenvector geometry (shared by all
     gaps of a sweep); the per-cell ``seeds`` drive the initializer and the
-    sampling stream. ``window`` is the span of the epochs-to-double statistic
-    and ``fit_window`` the start of the window the summary fits against the
-    inverse gap (default ``2 * window``); both are whole numbers of
-    ``checkpoint_every`` steps. The solvers get eps 0.05, 20 restart stages,
-    the instance's smoothness hint, the estimated domination constant tau and
-    the initial gap as M0.
+    sampling stream. An algorithm, gap or seed listed twice is refused,
+    since it would repeat cells. ``window`` is the span of the
+    epochs-to-double statistic and ``fit_window`` the start of the window
+    the summary fits against the inverse gap (default ``2 * window``); both
+    are whole numbers of ``checkpoint_every`` steps. The solvers get eps
+    0.05, 20 restart stages, the instance's smoothness hint, the estimated
+    domination constant tau and the initial gap as M0.
     """
 
     algo: tuple[str, ...] = ("rsvrg",)
@@ -138,6 +143,12 @@ class ExperimentConfig:
             _check_count("seed", seed, 0)
         _check_count("data_seed", self.data_seed, 0)
         self.seeds = tuple(int(s) for s in self.seeds)  # numpy integers as ints
+        for what, items in (("algorithm", self.algo), ("gap", self.delta_list),
+                            ("seed", self.seeds)):
+            repeated = [x for x in items if items.count(x) > 1]
+            if repeated:
+                raise ValueError(f"{what} {repeated[0]!r} is listed twice; "
+                                 "a sweep runs each cell once")
         if not (math.isfinite(self.epochs) and self.epochs >= 0):
             raise ValueError(f"epoch budget must be finite and >= 0, got {self.epochs!r}")
         _check_positive("checkpoint interval", self.checkpoint_every)
@@ -210,19 +221,17 @@ def _max_ifo(cfg: ExperimentConfig) -> int:
     return int(math.ceil(cfg.epochs * cfg.n - 1e-9))
 
 
-def _map_mode(cfg: ExperimentConfig, algo: str) -> str:
-    return "retract" if algo == "vrpca" else cfg.map_mode
-
-
-def _run_algo(cfg: ExperimentConfig, algo: str, P: PcaProblem, f_star: float, x0,
-              seed: int, max_ifo: int, tau: float | None, map_mode: str) -> RunTrace:
-    opts = dict(seed=seed, map_mode=map_mode, checkpoint_every=cfg.checkpoint_every,
+def _run_cell(cfg: ExperimentConfig, P: PcaProblem, tau: float | None, algo: str,
+              delta: float, seed: int) -> list[CsvRow]:
+    """One lone cell on a built instance; its run counts its own oracle calls."""
+    x0, max_ifo = _draw_x0(P, seed), _max_ifo(cfg)
+    opts = dict(seed=seed, map_mode=cfg.map_mode, checkpoint_every=cfg.checkpoint_every,
                 max_ifo=max_ifo)
     if algo == "rsgd":
         eta = cfg.eta if cfg.eta is not None else 1.0 / (2.0 * P.L_hint)
         _, trace = rsgd(P, x0, eta, T=max_ifo, **opts)
     else:  # spider, spider-gd1, spider-gd2: M0 is the initial gap
-        gap = max(P.value(x0) - f_star, 1e-12)
+        gap = max(P.value(x0) - P.f_star, 1e-12)
         if algo == "spider":
             scfg = params_finite(P.n, _SPIDER_EPS, gap, P.L_hint)
             _, trace = spider_nonconvex(P, x0, scfg, **opts)
@@ -230,46 +239,39 @@ def _run_algo(cfg: ExperimentConfig, algo: str, P: PcaProblem, f_star: float, x0
             gcfg = GdConfig(M0=gap, tau=tau, L=P.L_hint, K=_GD_STAGES)
             runner = spider_gd1 if algo == "spider-gd1" else spider_gd2
             _, trace = runner(P, x0, gcfg, **opts)
-    return trace
-
-
-def _run_cell(cfg: ExperimentConfig, P: PcaProblem, f_star: float, tau: float | None,
-              delta: float, seed: int, algo: str) -> list[CsvRow]:
-    """One cell on a built instance, run alone; its run counts its own oracle calls."""
-    map_mode = _map_mode(cfg, algo)
-    trace = _run_algo(cfg, algo, P, f_star, _draw_x0(P, seed), seed, _max_ifo(cfg), tau,
-                      map_mode)
-    return _cell_rows(cfg, trace, algo, map_mode, delta, seed, f_star)
+    return _cell_rows(cfg, P, algo, delta, trace)
 
 
 def _run_block(cfg: ExperimentConfig, algo: str, cells) -> dict:
-    """One algorithm's ``(index, P, f_star, delta, seed)`` rsvrg or vrpca cells
-    as one column block (:func:`optim._rsvrg_columns`); every run spends the
-    cell budget, in ceil(budget / n) + 1 outer epochs at most.
+    """One algorithm's ``((algo, delta, seed), P)`` rsvrg or vrpca cells as
+    one column block (:func:`optim._rsvrg_columns`); every run spends the
+    cell budget, in ceil(budget / n) + 1 outer epochs at most, and a vrpca
+    run moves by retraction.
 
-    Returns {index: rows, or the exception that failed the cell}. A run that
+    Returns {cell: rows, or the exception that failed the cell}. A run that
     raises fails only its cell, and an exception that ends the whole block
     fails all of them.
     """
-    map_mode = _map_mode(cfg, algo)
     eta = cfg.eta if cfg.eta is not None else DEFAULT_SVRG_ETA
     max_ifo = _max_ifo(cfg)
     try:
         ends = _rsvrg_columns(
-            [(P, _draw_x0(P, seed), seed) for _i, P, _f, _dl, seed in cells], eta,
-            max(1, math.ceil(max_ifo / cfg.n) + 1), map_mode=map_mode,
+            [(P, _draw_x0(P, seed), seed) for (_a, _dl, seed), P in cells], eta,
+            max(1, math.ceil(max_ifo / cfg.n) + 1),
+            map_mode="retract" if algo == "vrpca" else cfg.map_mode,
             checkpoint_every=cfg.checkpoint_every, max_ifo=max_ifo)
     except Exception as e:
         ends = [e] * len(cells)
-    return {i: end if isinstance(end, Exception)
-            else _attempt(_cell_rows, cfg, end[1], algo, map_mode, delta, seed, f_star)
-            for (i, _P, f_star, delta, seed), end in zip(cells, ends)}
+    return {cell: end if isinstance(end, Exception)
+            else _attempt(_cell_rows, cfg, P, algo, cell[1], end[1])
+            for (cell, P), end in zip(cells, ends)}
 
 
-def _cell_rows(cfg: ExperimentConfig, trace: RunTrace, algo: str, map_mode: str,
-               delta: float, seed: int, f_star: float) -> list[CsvRow]:
+def _cell_rows(cfg: ExperimentConfig, P: PcaProblem, algo: str, delta: float,
+               trace: RunTrace) -> list[CsvRow]:
     """A cell's CSV rows: the grid epochs 0, step, 2 step, ... inside the
     budget; the end record fills the grid rows after a run that ends early.
+    The seed and map mode are the ones the run records in its meta.
     """
     # boundary records come in order, one per grid epoch from 0 up to the budget
     grid = int(math.floor(cfg.epochs / cfg.checkpoint_every + 1e-9)) + 1
@@ -278,32 +280,18 @@ def _cell_rows(cfg: ExperimentConfig, trace: RunTrace, algo: str, map_mode: str,
 
     if len(recs) > _checkpoint_steps(cfg.window, cfg.checkpoint_every):
         ests = epochs_to_double(
-            [(r.epoch, r.f) for r in recs], f_star, window=cfg.window,
+            [(r.epoch, r.f) for r in recs], P.f_star, window=cfg.window,
             step=cfg.checkpoint_every,
         )
     else:
         ests = []
 
-    rows = []
-    for j, r in enumerate(recs):
-        etd = ests[j][1] if j < len(ests) else math.nan
-        rows.append(
-            CsvRow(
-                algo=algo,
-                map_mode=map_mode,
-                d=cfg.d,
-                n=cfg.n,
-                delta=float(delta),
-                seed=int(seed),
-                epoch=r.epoch,
-                ifo=r.ifo,
-                f_value=r.f,
-                accuracy=_accuracy(r.f, f_star),
-                grad_sq=r.grad_sq,
-                epochs_to_double=etd,
-            )
-        )
-    return rows
+    meta = trace.meta
+    return [CsvRow(algo=algo, map_mode=meta["map_mode"], d=cfg.d, n=cfg.n, delta=delta,
+                   seed=meta["seed"], epoch=r.epoch, ifo=r.ifo, f_value=r.f,
+                   accuracy=_accuracy(r.f, P.f_star), grad_sq=r.grad_sq,
+                   epochs_to_double=ests[j][1] if j < len(ests) else math.nan)
+            for j, r in enumerate(recs)]
 
 
 def fit_line(xs, ys) -> tuple[float, float, float]:
@@ -324,42 +312,33 @@ def fit_line(xs, ys) -> tuple[float, float, float]:
     return slope, intercept, corr
 
 
-def _window_starts(cfg: ExperimentConfig) -> list[float]:
-    count = int(math.floor(cfg.epochs / cfg.window + 1e-9))
-    return [s * cfg.window for s in range(count)]
-
-
-def _summarize(cfg: ExperimentConfig, rows: list[CsvRow]):
-    starts = _window_starts(cfg)
+def _summarize(cfg: ExperimentConfig, cells: dict):
+    """The summary lines of the ``{(algo, delta, seed): rows}`` cells that
+    ran: per algorithm and gap, the median epochs-to-double of each window
+    over the gap's seeds, and the algorithm's fit against the inverse gap."""
+    count = int(math.floor(cfg.epochs / cfg.window + 1e-9))  # whole windows
     header = (
         ["algo", "delta", "inv_delta"]
-        + [f"median_epochs_to_double_w{i + 1}" for i in range(len(starts))]
+        + [f"median_epochs_to_double_w{i + 1}" for i in range(count)]
         + ["fit_slope", "fit_corr"]
     )
-    cells: dict[tuple[str, float, int], list[CsvRow]] = {}
-    for r in rows:
-        cells.setdefault((r.algo, r.delta, r.seed), []).append(r)
+    seeds: dict[tuple[str, float], list[list[CsvRow]]] = {}
+    for (algo, delta, _seed), rows in cells.items():
+        seeds.setdefault((algo, delta), []).append(rows)
 
     def median_at(algo, delta, start):
         idx = int(round(start / cfg.checkpoint_every))
-        vals = []
-        for (a, dl, _s), cr in cells.items():
-            if a == algo and dl == delta and idx < len(cr):
-                vals.append(cr[idx].epochs_to_double)
-        vals = [v for v in vals if not math.isnan(v)]
+        vals = [rows[idx].epochs_to_double for rows in seeds.get((algo, delta), ())
+                if idx < len(rows) and not math.isnan(rows[idx].epochs_to_double)]
         return float(np.median(vals)) if vals else math.nan
 
     out = []
-    algos = sorted({r.algo for r in rows})
-    deltas = sorted({r.delta for r in rows}, reverse=True)
-    fits = {}
-    for algo in algos:
+    deltas = sorted({dl for _a, dl in seeds}, reverse=True)
+    for algo in sorted({algo for algo, _dl in seeds}):
         med_fit = [median_at(algo, dl, cfg.fit_window_start) for dl in deltas]
-        fits[algo] = fit_line([1.0 / dl for dl in deltas], med_fit)
-    for algo in algos:
-        slope, _icept, corr = fits[algo]
+        slope, _icept, corr = fit_line([1.0 / dl for dl in deltas], med_fit)
         for dl in deltas:
-            meds = [median_at(algo, dl, s) for s in starts]
+            meds = [median_at(algo, dl, k * cfg.window) for k in range(count)]
             out.append(
                 [algo, repr(dl), repr(1.0 / dl)]
                 + [repr(v) for v in meds]
@@ -368,73 +347,60 @@ def _summarize(cfg: ExperimentConfig, rows: list[CsvRow]):
     return header, out
 
 
-def _failure(e: Exception) -> str:
-    return f"{type(e).__name__}: {e}"
-
-
 def _attempt(fn, *args):
-    """``fn(*args)``, or the exception it raised: what ends one cell's work."""
+    """``fn(*args)``, or the exception it raised: what ends one cell's work.
+    The exception is kept without its traceback, whose frames would hold
+    the cell's instance until the task ends."""
     try:
         return fn(*args)
     except Exception as e:
-        return e
-
-
-def _instance(cfg: ExperimentConfig, factors, delta: float, out=None):
-    P = _problem_from_factors(_spectrum(cfg, delta), *factors, out)
-    return P, P.f_star
-
-
-def _tau(P: PcaProblem, f_star: float) -> float:
-    return pl_constant_estimate(P, f_star, 128, seed=0).statistic
+        return e.with_traceback(None)
 
 
 def _task_outcomes(cfg: ExperimentConfig, factors, cells) -> dict:
-    """Run one task's ``(index, algo, delta, seed)`` cells, which come gap by
-    gap.
+    """Run one task's ``(algo, delta, seed)`` cells, which come gap by gap,
+    each gap once.
 
-    Builds each gap's instance once from the sweep's eigenvector ``factors``
-    and finds its optimum; tau is estimated once per gap and shared by that
-    gap's restart-scheme cells. The rsvrg and vrpca cells run as one column
-    block per algorithm (:func:`_run_block`), so the task holds the instances
-    of their gaps until the blocks run. Those gaps are built into one row
-    buffer, gap after gap, so a block step gathers the rows of all its runs
-    with one ``take``. The other cells run one at a time, and an instance
-    no block holds is let go when its gap's cells are done.
-    Every instance gets the task's one counter, so a block's inner step is
-    one charged call per point set across its gaps; each run still counts
-    and budgets only its own calls.
-    Returns {index: rows, or the exception that failed the cell}. An
+    Per gap: build the instance once from the sweep's eigenvector
+    ``factors``; estimate tau once if a restart-scheme cell needs it; run
+    the gap's rsgd and spider-family cells one at a time, and queue its
+    rsvrg and vrpca cells. Once every gap is walked, the queued cells run as
+    one column block per algorithm (:func:`_run_block`), so the task holds
+    the instances of their gaps until then. Those gaps are built into one
+    row buffer, gap after gap, so a block step gathers the rows of all its
+    runs with one ``take``. An instance no block holds is let go when its
+    gap is done. Every instance gets the task's one counter, so a block's
+    inner step is one charged call per point set across its gaps; each run
+    still counts and budgets only its own calls.
+    Returns {cell: rows, or the exception that failed the cell}. An
     exception in a build fails that gap's cells, one in the tau estimate
     fails the cells that need tau, and one in a cell fails only that cell.
     """
-    built, taus, blocks, out = (None, None), {}, {}, {}
-    counter = IfoCounter()
-    # block gap k's rows are rows k*n:(k+1)*n of the buffer; a gap listed twice
-    # is built twice into its one slot, with the same bits
-    slots = {delta: k for k, delta in enumerate(dict.fromkeys(
-        delta for _i, algo, delta, _s in cells if algo in _BLOCK_ALGOS))}
-    buffer = np.empty((len(slots) * cfg.n, cfg.d))
-    for i, algo, delta, seed in cells:
-        if built[0] != delta:
-            k = slots.get(delta)
-            rows = None if k is None else buffer[k * cfg.n:(k + 1) * cfg.n]
-            built = (delta, _attempt(_instance, cfg, factors, delta, rows))
-            if not isinstance(built[1], Exception):
-                built[1][0].counter = counter
-        gap = built[1]
-        if isinstance(gap, Exception):
-            out[i] = gap
-        elif algo in _BLOCK_ALGOS:
-            blocks.setdefault(algo, []).append((i, *gap, delta, seed))
-        else:
-            tau = None
-            if algo in _TAU_ALGOS:
-                if delta not in taus:
-                    taus[delta] = _attempt(_tau, *gap)
-                tau = taus[delta]
-            out[i] = tau if isinstance(tau, Exception) else _attempt(
-                _run_cell, cfg, *gap, tau, delta, seed, algo)
+    counter, blocks, out = IfoCounter(), {}, {}
+    blocked = {delta for algo, delta, _s in cells if algo in _BLOCK_ALGOS}
+    # the k-th blocked gap's rows are rows k*n:(k+1)*n of the buffer
+    buffer = np.empty((len(blocked) * cfg.n, cfg.d))
+    slots = (buffer[k * cfg.n:(k + 1) * cfg.n] for k in itertools.count())
+    for delta, gap in itertools.groupby(cells, key=lambda cell: cell[1]):
+        gap = list(gap)
+        algos = {algo for algo, _dl, _s in gap}
+        P = _attempt(_problem_from_factors, _spectrum(cfg, delta), *factors,
+                     next(slots) if algos & _BLOCK_ALGOS else None)
+        if isinstance(P, Exception):
+            out.update(dict.fromkeys(gap, P))
+            continue
+        P.counter = counter
+        tau = None
+        if algos & _TAU_ALGOS:
+            tau = _attempt(pl_constant_estimate, P, P.f_star, 128, 0)
+            tau = tau if isinstance(tau, Exception) else tau.statistic
+        for cell in gap:
+            if cell[0] in _BLOCK_ALGOS:
+                blocks.setdefault(cell[0], []).append((cell, P))
+            elif cell[0] in _TAU_ALGOS and isinstance(tau, Exception):
+                out[cell] = tau
+            else:
+                out[cell] = _attempt(_run_cell, cfg, P, tau, *cell)
     for algo, block in blocks.items():
         out.update(_run_block(cfg, algo, block))
     return out
@@ -447,19 +413,15 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     as tasks, in this process or, with ``workers > 1``, in a process pool.
     With one worker a single task holds the whole sweep; otherwise the gaps
     are dealt over ``workers`` tasks, and with fewer gaps than workers each
-    gap's cells are split over several. A task builds each of its gaps'
-    instances once and runs its rsvrg and vrpca cells as one column block
-    per algorithm (:func:`_task_outcomes`). A cell that raises is reported
-    on stderr and skipped; the remaining cells are emitted in deterministic
-    (algo, delta, seed) order regardless of worker scheduling.
+    gap's cells are split over several. A task walks its gaps one by one,
+    builds each gap's instance once and runs its rsvrg and vrpca cells as
+    one column block per algorithm (:func:`_task_outcomes`). A cell that
+    raises is reported on stderr and skipped; the remaining cells are
+    emitted in deterministic (algo, delta, seed) order regardless of worker
+    scheduling.
     """
-    keys = []  # (algo, delta, seed) in CSV order
-    gaps = [[] for _ in cfg.delta_list]  # per gap: (index into keys, algo, delta, seed)
-    for algo in cfg.algo:
-        for k, delta in enumerate(cfg.delta_list):
-            for seed in cfg.seeds:
-                gaps[k].append((len(keys), algo, delta, seed))
-                keys.append((algo, delta, seed))
+    gaps = [[(algo, delta, seed) for algo in cfg.algo for seed in cfg.seeds]
+            for delta in cfg.delta_list]
     deal = min(cfg.workers, len(gaps))  # tasks that hold whole gaps
     split = -(-cfg.workers // len(gaps))  # tasks per gap
     tasks = [[cell for k in range(t, len(gaps), deal) for cell in gaps[k][j::split]]
@@ -473,18 +435,18 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
             task_outs = list(pool.map(task, tasks))
     else:
         task_outs = map(task, tasks)
-    outcomes = {i: _failure(out) if isinstance(out, Exception) else out
-                for task_out in task_outs for i, out in task_out.items()}
-    failures = [(*keys[i], msg) for i, msg in sorted(outcomes.items())
-                if isinstance(msg, str)]
-    for algo, delta, seed, msg in failures:
-        print(
-            f"cell failed: algo={algo} delta={delta} seed={seed}: {msg}",
-            file=sys.stderr,
-        )
-    rows = [row for _i, out in sorted(outcomes.items()) if not isinstance(out, str)
-            for row in out]
-    header, summary = _summarize(cfg, rows)
+    outcomes = {cell: out for task_out in task_outs for cell, out in task_out.items()}
+    cells, failures = {}, []
+    for cell in itertools.product(cfg.algo, cfg.delta_list, cfg.seeds):  # CSV order
+        out = outcomes[cell]
+        if isinstance(out, Exception):
+            failures.append((*cell, f"{type(out).__name__}: {out}"))
+            print(f"cell failed: algo={cell[0]} delta={cell[1]} seed={cell[2]}: "
+                  f"{failures[-1][3]}", file=sys.stderr)
+        else:
+            cells[cell] = out
+    rows = [row for out in cells.values() for row in out]
+    header, summary = _summarize(cfg, cells)
     if cfg.out_path:
         _write_csv(cfg.out_path, CSV_COLUMNS, (r.to_line() for r in rows))
         _write_csv(
@@ -580,10 +542,8 @@ def _cmd_bench(ns) -> int:
     if not cfg.out_path:
         raise _UsageError("bench requires --out")
     result = run_sweep(cfg)
-    algos = sorted({r.algo for r in result.rows})
-    for algo in algos:
-        line = next(r for r in result.summary_rows if r[0] == algo)
-        print(f"{algo}: fit slope={line[-2]} corr={line[-1]}")
+    for algo, line in {line[0]: line for line in result.summary_rows}.items():
+        print(f"{algo}: fit slope={line[-2]} corr={line[-1]}")  # one fit per algorithm
     fit_end = cfg.fit_window_start + cfg.window
     if fit_end > cfg.epochs * (1.0 + 1e-9):
         print(f"note: the fit window (epochs {cfg.fit_window_start!r} to {fit_end!r}) ends past "

@@ -190,8 +190,8 @@ class _Run:
     """
 
     def __init__(self, obj, x0, seed, map_mode, checkpoint_every, max_ifo):
-        if x0.manifold != obj.manifold:
-            raise ValueError("x0 does not live on the objective's manifold")
+        if not isinstance(x0, ManifoldPoint) or x0.manifold != obj.manifold:
+            raise ValueError("x0 must be a point on the objective's manifold")
         _check_positive("checkpoint interval", checkpoint_every)
         _check_count("max_ifo", max_ifo, 0, or_none=True)
         _check_count("seed", seed, 0)

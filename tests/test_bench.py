@@ -237,10 +237,10 @@ class TestRunSweep:
 
         real = bench._run_cell
 
-        def flaky(cfg, P, f_star, tau, delta, *args):
+        def flaky(cfg, P, tau, algo, delta, seed):
             if delta == 0.1:
                 raise OptimizerError("degenerate step at iteration 3")
-            return real(cfg, P, f_star, tau, delta, *args)
+            return real(cfg, P, tau, algo, delta, seed)
 
         # spider cells run one at a time, through _run_cell
         monkeypatch.setattr(bench, "_run_cell", flaky)
@@ -251,10 +251,11 @@ class TestRunSweep:
         assert {row.delta for row in res.rows} == {0.2}
         assert "delta=0.1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_cells_match_one_cell_sweeps(self, workers):
         # the shared instance, counter and tau give every cell the rows it
-        # gets when run alone, as a one-cell sweep
+        # gets when run alone, as a one-cell sweep; with 3 workers the 2 gaps
+        # are each split over 2 tasks
         cfg = tiny_cfg(
             algo=("rsvrg", "spider", "spider-gd1", "spider-gd2"),
             delta_list=(0.2, 0.1), seeds=(0, 1), epochs=3.0, workers=workers,
@@ -322,17 +323,18 @@ class TestRunSweep:
 
         import rspider.bench as bench
 
-        built, alive_at_build, slices, instance = [], [], [], bench._instance
+        built, alive_at_build, slices = [], [], []
+        build = bench._problem_from_factors
 
-        def tracked(cfg, factors, delta, out=None):
+        def tracked(lam, u, q, m, out=None):
             gc.collect()
             alive_at_build.append(sum(ref() is not None for ref in built))
             slices.append(None if out is None else (out.base.shape, out.ctypes.data))
-            P, f_star = instance(cfg, factors, delta, out)
+            P = build(lam, u, q, m, out)
             built.append(weakref.ref(P))
-            return P, f_star
+            return P
 
-        monkeypatch.setattr(bench, "_instance", tracked)
+        monkeypatch.setattr(bench, "_problem_from_factors", tracked)
         for algos, most in ((("rsgd", "spider"), 1), (("rsvrg", "spider"), 2)):
             built.clear()
             alive_at_build.clear()
@@ -347,6 +349,58 @@ class TestRunSweep:
                 start = slices[0][1]
                 assert slices == [((3 * cfg.n, cfg.d), start + k * cfg.n * cfg.d * 8)
                                   for k in range(3)]
+
+    def test_failed_cell_lets_its_instance_go(self, monkeypatch):
+        # a failed lone cell keeps its exception, not the frames that held
+        # its instance, so the instance is let go with its gap as before
+        import gc
+        import weakref
+
+        import rspider.bench as bench
+
+        built, alive_at_build = [], []
+        build, run = bench._problem_from_factors, bench._run_cell
+
+        def tracked(*args):
+            gc.collect()
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            P = build(*args)
+            built.append(weakref.ref(P))
+            return P
+
+        def flaky(cfg, P, tau, algo, delta, seed):
+            rows = run(cfg, P, tau, algo, delta, seed)
+            if seed == 1:
+                raise ValueError(f"cell at {len(rows)} rows")
+            return rows
+
+        monkeypatch.setattr(bench, "_problem_from_factors", tracked)
+        monkeypatch.setattr(bench, "_run_cell", flaky)
+        res = run_sweep(tiny_cfg(algo=("rsgd",), delta_list=(0.2, 0.1, 0.05), seeds=(0, 1),
+                                 epochs=1.0))
+        assert [f[1:] for f in res.failures] == [(dl, 1, "ValueError: cell at 2 rows")
+                                                 for dl in (0.2, 0.1, 0.05)]
+        assert alive_at_build == [0, 1, 1]
+
+    def test_build_failure_fails_only_its_gaps_cells(self, monkeypatch):
+        import rspider.bench as bench
+
+        cfg = tiny_cfg(algo=("rsvrg", "spider"), delta_list=(0.2, 0.1, 0.05), seeds=(0, 1),
+                       epochs=1.0)
+        healthy = run_sweep(cfg)
+        build, bad = bench._problem_from_factors, _spectrum(cfg, 0.1)
+
+        def flaky(lam, *rest):
+            if np.array_equal(lam, bad):
+                raise RuntimeError("build failed")
+            return build(lam, *rest)
+
+        monkeypatch.setattr(bench, "_problem_from_factors", flaky)
+        res = run_sweep(cfg)
+        assert res.failures == [(algo, 0.1, seed, "RuntimeError: build failed")
+                                for algo in cfg.algo for seed in cfg.seeds]
+        assert ([row.to_line() for row in res.rows]
+                == [row.to_line() for row in healthy.rows if row.delta != 0.1])
 
     def test_gram_formed_once_per_gap(self, monkeypatch):
         # tau and every checkpoint of every cell of a gap read one Gram matrix
@@ -377,10 +431,10 @@ class TestRunSweep:
 
         real = bench._run_cell
 
-        def flaky(cfg, P, f_star, tau, delta, seed, *args):
+        def flaky(cfg, P, tau, algo, delta, seed):
             if seed == 1:
                 raise ValueError("all probe points are near-critical")
-            return real(cfg, P, f_star, tau, delta, seed, *args)
+            return real(cfg, P, tau, algo, delta, seed)
 
         monkeypatch.setattr(bench, "_run_cell", flaky)
         res = run_sweep(tiny_cfg(algo=("spider",), delta_list=(0.2, 0.1), seeds=(0, 1),
@@ -677,6 +731,48 @@ class TestCli:
         assert cli_main(argv) == 1
         assert "--ifo-convention" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--algo", "rsvrg,spider,rsvrg"), ("--delta", "0.2,0.1,0.2"), ("--seeds", "0,0"),
+    ])
+    def test_repeated_cell_exits_one_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                     flag, value):
+        # a repeated algorithm, gap or seed would run its cells twice and
+        # write their rows twice
+        import rspider.bench as bench
+
+        builds = []
+        monkeypatch.setattr(bench, "_eigenvector_factors", lambda *a: builds.append(a))
+        out = tmp_path / "x.csv"
+        argv = ["bench", "--d", "10", "--n", "30", "--epochs", "2", "--delta", "0.2",
+                "--out", str(out), flag, value]
+        assert cli_main(argv) == 1
+        assert "is listed twice" in capsys.readouterr().err
+        assert builds == [] and not out.exists()
+
+    @pytest.mark.parametrize("field,items", [
+        ("algo", ("vrpca", "vrpca")), ("delta_list", (0.1, 0.2, 0.1)), ("seeds", (3, 1, 3)),
+    ])
+    def test_repeated_cell_is_refused_by_the_config(self, field, items):
+        what = {"algo": "algorithm", "delta_list": "gap", "seeds": "seed"}[field]
+        with pytest.raises(ValueError, match=f"{what} {items[0]!r} is listed twice"):
+            tiny_cfg(**{field: items})
+
+    def test_import_leaves_the_command_line_unloaded(self, tmp_path):
+        # `import rspider` loads the command-line module and what only it
+        # uses on first use, so a program that only solves does not pay
+        # for them at start-up
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        names = ("rspider.bench", "argparse", "concurrent.futures")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, rspider; print([m for m in {names!r} if m in sys.modules])"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "[]"
 
     def test_module_form_runs_the_cli(self, tmp_path):
         src = Path(__file__).resolve().parents[1] / "src"

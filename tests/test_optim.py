@@ -652,23 +652,43 @@ def test_solvers_share_one_set_of_run_options(algo):
                        ("max_ifo", None)]
 
 
-@pytest.mark.parametrize("map_mode", ["exp", "retract"])
-@pytest.mark.parametrize("algo", SOLVERS)
-def test_meta_carries_the_run_options(algo, map_mode):
-    P = desk_problem(d=6, n=25, delta=0.4, seed=21)
-    x0 = P.manifold.random_point(np.random.default_rng(10))
-    schedule = {
+def short_schedule(algo, P):
+    """The positional arguments after ``x0`` of a short run of ``algo`` on ``P``."""
+    return {
         "spider": (params_finite(P.n, 0.1, 1.0, P.L_hint),),
         "spider-gd1": (GdConfig(M0=1.0, tau=1.0, L=P.L_hint, K=1),),
         "spider-gd2": (GdConfig(M0=1.0, tau=1.0, L=P.L_hint, K=1),),
         "rsvrg": (0.01, 1),
         "rsgd": (0.01, 5),
     }[algo]
-    _, trace = SOLVERS[algo](P, x0, *schedule, seed=3, map_mode=map_mode,
+
+
+@pytest.mark.parametrize("map_mode", ["exp", "retract"])
+@pytest.mark.parametrize("algo", SOLVERS)
+def test_meta_carries_the_run_options(algo, map_mode):
+    P = desk_problem(d=6, n=25, delta=0.4, seed=21)
+    x0 = P.manifold.random_point(np.random.default_rng(10))
+    _, trace = SOLVERS[algo](P, x0, *short_schedule(algo, P), seed=3, map_mode=map_mode,
                              checkpoint_every=0.5, max_ifo=2 * P.n)
     meta = trace.meta
     assert (meta["seed"], meta["map_mode"], meta["checkpoint_every"]) == (3, map_mode, 0.5)
     assert not {"seed", "map_mode"} & set(meta["config"])
+
+
+@pytest.mark.parametrize("start", ["raw array", "point of another sphere"])
+@pytest.mark.parametrize("algo", SOLVERS)
+def test_start_must_be_a_point_on_the_objectives_manifold(algo, start):
+    # a raw coordinate array is refused like a point of another manifold,
+    # before any call
+    P = desk_problem(d=6, n=25, delta=0.4, seed=21)
+    rng = np.random.default_rng(10)
+    if start == "raw array":
+        x0 = P.manifold.random_point(rng).coords.copy()
+    else:
+        x0 = Sphere(P.d + 1).random_point(rng)
+    with pytest.raises(ValueError, match="x0 must be a point on the objective's manifold"):
+        SOLVERS[algo](P, x0, *short_schedule(algo, P))
+    assert P.counter.calls == 0
 
 
 def test_configs_hold_only_the_schedule():
